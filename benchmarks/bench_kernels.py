@@ -1,6 +1,6 @@
 """Compare the pure-Python and compiled integer kernels.
 
-Times int_det, int_rank, mod_rank, and gp_extends on mixed workloads: small
+Times int_det, int_rank, and gp_extends on mixed workloads: small
 matrices with machine-size entries (the compiled fast path), larger matrices,
 and entries past 2**28 where both backends run exact object arithmetic.
 
@@ -52,11 +52,6 @@ def build_cases(rng):
         cases.append((label, "int_det", lambda k, ms=mats: [k.int_det(M) for M in ms]))
     mats = [_rand_matrix(rng, 6, 9, -40, 40) for _ in range(40)]
     cases.append(("rank 6x9", "int_rank", lambda k, ms=mats: [k.int_rank(M) for M in ms]))
-    mats = [_rand_matrix(rng, 12, 12, -10**9, 10**9) for _ in range(20)]
-    cases.append(
-        ("mod rank 12x12", "mod_rank",
-         lambda k, ms=mats: [k.mod_rank(M, 2147483647) for M in ms])
-    )
     for d, kk in [(2, 8), (3, 7)]:
         probes = [_gp_case(rng, d, kk, 30) for _ in range(25)]
         cases.append(

