@@ -2,7 +2,9 @@
 
 Times int_det, int_rank, and gp_extends on mixed workloads: small
 matrices with machine-size entries (the compiled fast path), larger matrices,
-and entries past 2**28 where both backends run exact object arithmetic.
+and entries past 2**28 where both backends run exact object arithmetic. The
+gp_extends rows span prefix sizes on both sides of the crossover between the
+pure radial test and the compiled determinant loop, plus an early reject.
 
 Run:  python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -28,16 +30,29 @@ def _rand_matrix(rng, n, m, lo, hi):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
-def _gp_case(rng, d, k, spread):
-    """A general-position prefix of k homogeneous rows plus one candidate."""
+def _gp_points(rng, d, n, spread):
     pts = []
-    while len(pts) < k + 1:
+    while len(pts) < n:
         cand = Point([Fraction(rng.randint(-spread, spread), rng.randint(1, 7))
                       for _ in range(d)])
         if pure.gp_extends([p.hom for p in pts], cand.hom, d):
             pts.append(cand)
-    rows = [p.hom for p in pts[:-1]]
-    return rows, pts[-1].hom, d
+    return pts
+
+
+def _gp_case(rng, d, k, spread):
+    """A general-position prefix of k homogeneous rows plus one candidate
+    that extends it (a full accepting scan)."""
+    pts = _gp_points(rng, d, k + 1, spread)
+    return [p.hom for p in pts[:-1]], pts[-1].hom, d
+
+
+def _early_reject_case(rng, d, k, spread):
+    """A general-position prefix of k rows plus a candidate on the line
+    through its first two points, so the scan can stop at once."""
+    pts = _gp_points(rng, d, k, spread)
+    cand = Point([2 * a - b for a, b in zip(pts[0].coords, pts[1].coords)])
+    return [p.hom for p in pts], cand.hom, d
 
 
 def build_cases(rng):
@@ -52,10 +67,17 @@ def build_cases(rng):
         cases.append((label, "int_det", lambda k, ms=mats: [k.int_det(M) for M in ms]))
     mats = [_rand_matrix(rng, 6, 9, -40, 40) for _ in range(40)]
     cases.append(("rank 6x9", "int_rank", lambda k, ms=mats: [k.int_rank(M) for M in ms]))
-    for d, kk in [(2, 8), (3, 7)]:
-        probes = [_gp_case(rng, d, kk, 30) for _ in range(25)]
+    for d, kk, make, tag in [
+        (2, 8, _gp_case, ""),
+        (2, 30, _gp_case, ""),
+        (2, 80, _gp_case, ""),
+        (3, 7, _gp_case, ""),
+        (3, 12, _gp_case, ""),
+        (2, 30, _early_reject_case, " reject"),
+    ]:
+        probes = [make(rng, d, kk, 30) for _ in range(25)]
         cases.append(
-            ("gp_extends d=%d k=%d" % (d, kk), "gp_extends",
+            ("gp_extends d=%d k=%d%s" % (d, kk, tag), "gp_extends",
              lambda k, ps=probes: [k.gp_extends(r, nr, dd) for r, nr, dd in ps])
         )
     return cases
@@ -70,18 +92,18 @@ def main():
 
     if fast is None:
         print("compiled backend not built; timing the pure backend only")
-    print("%-24s %12s %12s %9s" % ("case", "pure (ms)", "compiled", "speedup"))
+    print("%-28s %12s %12s %9s" % ("case", "pure (ms)", "compiled", "speedup"))
     for label, _, run in cases:
         t_pure = min(timeit.repeat(lambda: run(pure), number=3, repeat=args.repeat))
         if fast is None:
-            print("%-24s %12.3f %12s %9s" % (label, t_pure * 1e3 / 3, "-", "-"))
+            print("%-28s %12.3f %12s %9s" % (label, t_pure * 1e3 / 3, "-", "-"))
             continue
         expect = run(pure)
         got = run(fast)
         assert expect == got, "backend disagreement on %s" % label
         t_fast = min(timeit.repeat(lambda: run(fast), number=3, repeat=args.repeat))
         print(
-            "%-24s %12.3f %12.3f %8.1fx"
+            "%-28s %12.3f %12.3f %8.1fx"
             % (label, t_pure * 1e3 / 3, t_fast * 1e3 / 3, t_pure / t_fast)
         )
 

@@ -1,12 +1,19 @@
-"""Pure-Python reference implementations of the exact linear-algebra kernels.
+"""Pure-Python implementations of the exact linear-algebra kernels.
 
 The compiled extension genpos._kernels._fastrank exports the same three
-functions with identical semantics; this module is the fallback selected at
+functions with identical answers; this module is the fallback selected at
 import time when the extension is unavailable. All arithmetic is on Python
 ints, so results are exact for arbitrary magnitudes.
+
+int_det and int_rank are fraction-free Bareiss elimination. gp_extends does
+not take determinants (the extension still does): it projects the prefix
+radially from the candidate point and requires every d of the directions to
+be independent, hashing lines in the plane and recursing on the dimension
+above it, in the manner of Gajentaan and Overmars, "On a class of O(n^2)
+problems in computational geometry" (1995).
 """
 
-from itertools import combinations
+from math import gcd
 
 __all__ = ["int_det", "int_rank", "gp_extends"]
 
@@ -92,19 +99,73 @@ def int_rank(rows):
 def gp_extends(rows, new_row, d):
     """General-position extension predicate on homogeneous integer vectors.
 
-    rows: primitive homogeneous vectors (length d+1) of a point list already
-    in general position. True iff appending new_row keeps the list in general
-    position, i.e. every subset of size <= d+1 containing the new point stays
-    affinely independent.
+    rows: primitive homogeneous vectors (length d+1, last entry positive) of
+    a point list already in general position. True iff appending new_row
+    keeps the list in general position, i.e. every subset of size <= d+1
+    containing the new point stays affinely independent.
+
+    With k = len(rows) >= d only the (d+1)-subsets through the new point p
+    need checking, and the radial projection from p decides them: every d of
+    the directions q - p must be linearly independent. Cost O(k^(d-1)) set
+    operations instead of C(k, d) determinants.
     """
     k = len(rows)
     if k < d:
         mat = list(rows)
         mat.append(new_row)
         return int_rank(mat) == k + 1
-    for combo in combinations(rows, d):
-        mat = list(combo)
-        mat.append(new_row)
-        if int_det(mat) == 0:
+    if d == 1:
+        x, w = new_row
+        for qx, qw in rows:
+            if qx * w == x * qw:
+                return False
+        return True
+    return _through(new_row, d, rows)
+
+
+def _through(p, a, rows):
+    """True iff every n of the integer n-vectors {p} + rows that include p
+    are linearly independent, where n = len(p) >= 3, p[a] != 0 and
+    len(rows) >= n - 1.
+
+    The fraction-free quotient q -> p[a]*q - q[a]*p, with coordinate a
+    dropped, maps Z^n into Z^(n-1) with kernel the line of p; the condition
+    holds iff every n - 1 of the images are independent. Taking p as the new
+    point and a as the homogeneous coordinate, the images are the directions
+    pw*q - qw*p, which point the same way as q - p because pw, qw > 0.
+    """
+    n = len(p)
+    pa = p[a]
+    if n == 3:
+        # images in the plane: each must be nonzero and on its own line
+        b, c = (1, 2) if a == 0 else (0, 2) if a == 1 else (0, 1)
+        pb = p[b]
+        pc = p[c]
+        seen = set()
+        for q in rows:
+            qa = q[a]
+            s = pa * q[b] - qa * pb
+            t = pa * q[c] - qa * pc
+            g = gcd(s, t)
+            if not g:
+                return False
+            if s < 0 or (not s and t < 0):
+                g = -g
+            key = (s // g, t // g)
+            if key in seen:
+                return False
+            seen.add(key)
+        return True
+    keep = [t for t in range(n) if t != a]
+    images = [[pa * q[t] - q[a] * p[t] for t in keep] for q in rows]
+    # every n - 1 of the images, by its first member v: v and n - 2 later ones
+    for i in range(len(images) - n + 2):
+        v = images[i]
+        for b, x in enumerate(v):
+            if x:
+                break
+        else:
+            return False
+        if not _through(v, b, images[i + 1:]):
             return False
     return True

@@ -20,6 +20,7 @@ GENPOS_BUDGET_NODES caps search nodes and enumerated subfamilies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -102,7 +103,10 @@ def _int_list(text):
     return out
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by later calls:
+    building it costs far more than a parse."""
     top = _Parser(prog="genpos", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version="genpos %s" % __version__)
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -397,6 +401,10 @@ def _cmd_counterexample(args):
     return EXIT_OK
 
 
+def _render_no_witness(doc):
+    return "no witness in %d trials" % doc["trials"]
+
+
 def _cmd_witness_search(args, node_budget):
     if args.d < 1 or args.m < 1:
         raise DocumentError("witness-search needs d >= 1 and m >= 1")
@@ -421,7 +429,7 @@ def _cmd_witness_search(args, node_budget):
             doc["gp_numbers"] = [gp_number(X) for X in family.sets]
             _emit(doc, args.human, _render_family)
             return EXIT_OK
-    print(json.dumps({"found": False, "trials": args.trials}))
+    _emit({"found": False, "trials": args.trials}, args.human, _render_no_witness)
     return EXIT_NEGATIVE
 
 

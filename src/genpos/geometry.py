@@ -2,9 +2,11 @@
 
 Points live in d-dimensional rational space and carry a primitive integer
 homogeneous vector (numerators scaled to a common positive denominator,
-divided by the content), so every affine predicate reduces to integer
-determinant or rank computations in the kernel backend. No floating point is
-used anywhere.
+divided by the content), so every affine predicate runs on integers in the
+kernel backend: independence and hyperplanes through ranks and determinants,
+and the incremental general-position test (gp_extends) by radial projection
+from the new point, with the directions to the prefix hashed as lines (see
+genpos._kernels.pure). No floating point is used anywhere.
 
 A point list is *in general position* when every subset of size at most d+1
 is affinely independent; coordinate-equal entries therefore always break

@@ -85,6 +85,20 @@ def oracle_gp(pts, d=None):
     return True
 
 
+def oracle_keeps_gp(prefix, cand):
+    """True iff cand keeps the general-position list prefix in general
+    position: every min(|prefix|, d) prefix points, together with cand, are
+    affinely independent (each smaller subset lies in one of these, and a
+    subset of an independent set is independent)."""
+    prefix = as_points(prefix)
+    (cand,) = as_points([cand])
+    size = min(len(prefix), cand.d)
+    return all(
+        oracle_affinely_independent(list(combo) + [cand])
+        for combo in combinations(prefix, size)
+    )
+
+
 def oracle_gp_number(pts):
     """Largest general-position subset by brute force (use on small inputs)."""
     pts = as_points(pts)
@@ -104,11 +118,12 @@ def random_point(rng, d, spread=20):
     return Point([random_rational(rng, spread) for _ in range(d)])
 
 
-def random_gp_points(rng, d, size, spread=60, max_tries=4000):
-    """Incrementally built general-position set (package predicate used for
-    speed; final sets are small enough for the oracle to re-check in tests
-    that need independence from the package)."""
-    from genpos.geometry import keeps_general_position
+def random_gp_points(rng, d, size, spread=60, max_tries=4000, keeps=None):
+    """Incrementally built general-position set. ``keeps(prefix, cand)``
+    accepts a candidate; the package predicate is the default, for speed,
+    and tests of that predicate pass oracle_keeps_gp."""
+    if keeps is None:
+        from genpos.geometry import keeps_general_position as keeps
 
     pts = []
     tries = 0
@@ -117,7 +132,7 @@ def random_gp_points(rng, d, size, spread=60, max_tries=4000):
         if tries > max_tries:
             raise RuntimeError("rejection sampling stalled")
         cand = random_point(rng, d, spread)
-        if keeps_general_position(pts, cand):
+        if keeps(pts, cand):
             pts.append(cand)
     return pts
 

@@ -355,6 +355,11 @@ class TestWitnessSearch:
         assert code == 1
         assert doc == {"found": False, "trials": 3}
 
+    def test_no_witness_human(self, capsys):
+        code, out = run(capsys, ["witness-search", "--seed", "0", "--trials", "3", "--human"])
+        assert code == 1
+        assert out == "no witness in 3 trials\n"
+
     def test_validates_parameters(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.entry(["witness-search", "-d", "0"])
@@ -443,3 +448,26 @@ class TestAsProcess:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # one process, one shared parser, several subcommands in a row
+    family = json.dumps({"d": 2, "sets": [[[0, 0], [1, 0]], [[0, 1], [2, 2]], [[3, 1]]]})
+    calls = [
+        (["bounds", "--d", "1-2", "--k", "2"], ""),
+        (["solve", "-"], family),
+        (["check", "-", "--bound", "hall", "--all-checks"], family),
+        (["complex", "gp", "-", "--human"], json.dumps(FIVE_POINTS)),
+        (["counterexample", "-d", "2", "-m", "4"], ""),
+        (["witness-search", "--seed", "0", "--trials", "3"], ""),
+        (["bounds", "--d", "3", "--k", "1", "--human"], ""),
+    ]
+    for argv, stdin in calls:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out = run(capsys, argv)
+        proc = run_module("genpos", argv, stdin)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    with pytest.raises(SystemExit) as exc:
+        cli.entry(["solve", "--method", "nope"])
+    assert exc.value.code == 3
+    assert "invalid choice" in capsys.readouterr().err

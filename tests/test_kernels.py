@@ -2,16 +2,18 @@
 general-position predicate, checked against independent oracles and across
 the pure and compiled backends."""
 
-import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos._kernels import pure
+from genpos.geometry import Point
 from conftest import (
     oracle_det,
-    oracle_gp,
+    oracle_keeps_gp,
     oracle_rank,
     random_gp_points,
     random_point,
@@ -29,6 +31,16 @@ needs_fast = pytest.mark.skipif(fast is None, reason="compiled kernels not built
 
 def _rand_mat(rng, n, m, lo, hi):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
+
+
+def _on_late_flat(rng, prefix, d):
+    """A point on the flat spanned by the last j <= d prefix points: an
+    affine combination with rational weights (j = 1 repeats the last one)."""
+    j = rng.randint(1, min(d, len(prefix)))
+    weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(j - 1)]
+    weights.append(1 - sum(weights))
+    base = prefix[-j:]
+    return Point([sum(w * p.coords[t] for w, p in zip(weights, base)) for t in range(d)])
 
 
 @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
@@ -83,22 +95,26 @@ class TestAgainstOracles:
             assert kernels.int_rank(M) == oracle_rank(M)
 
     def test_gp_extends_matches_brute_force(self, kernels):
+        # prefixes of up to 12 points reach the quotient recursion (d >= 3)
+        # and long accepting scans; planted candidates are rejected late in
+        # the scan. The oracle costs C(k, d) eliminations, so d = 4 stops at 9.
         rng = rng_for("gp-extends")
-        for _ in range(80):
-            d = rng.randint(1, 3)
-            k = rng.randint(0, d + 3)
-            prefix = random_gp_points(rng, d, k, spread=12)
-            cand = (
-                prefix[rng.randrange(k)]
-                if k and rng.random() < 0.25
-                else random_point(rng, d, 12)
-            )
-            got = kernels.gp_extends([p.hom for p in prefix], cand.hom, d)
-            assert got == oracle_gp(prefix + [cand])
+        outcomes = Counter()
+        for d in [1] * 16 + [2] * 16 + [3] * 12 + [4] * 8:
+            k = rng.randint(0, 12 if d < 4 else 9)
+            prefix = random_gp_points(rng, d, k, spread=12, keeps=oracle_keeps_gp)
+            rows = [p.hom for p in prefix]
+            cands = [random_point(rng, d, 12)]
+            if k:
+                cands += [rng.choice(prefix), _on_late_flat(rng, prefix, d)]
+            for cand in cands:
+                want = oracle_keeps_gp(prefix, cand)
+                assert kernels.gp_extends(rows, cand.hom, d) == want
+                outcomes[d, k > d, want] += 1
+        # both answers, past the rank stage, in every dimension
+        assert all(outcomes[d, True, want] for d in (1, 2, 3, 4) for want in (True, False))
 
     def test_gp_extends_rejects_duplicates_and_flats(self, kernels):
-        from genpos.geometry import Point
-
         rows = [Point([0, 0]).hom, Point([1, 0]).hom, Point([0, 1]).hom]
         assert not kernels.gp_extends(rows, Point([0, 0]).hom, 2)
         assert not kernels.gp_extends(rows, Point([2, 0]).hom, 2)
@@ -106,6 +122,17 @@ class TestAgainstOracles:
         # low-rank stage: third collinear point fails the rank test
         two = [Point([0, 0]).hom, Point([1, 0]).hom]
         assert not kernels.gp_extends(two, Point([5, 0]).hom, 2)
+        # the origin repeated on the line
+        line = [Point([0]).hom, Point([1]).hom]
+        assert not kernels.gp_extends(line, Point([0]).hom, 1)
+        assert kernels.gp_extends(line, Point([-1]).hom, 1)
+        # directions with leading zeros: the tetrahedron's vertices, then a
+        # point on the plane x = y through two of them and the fifth point
+        tet = [Point(v).hom for v in ([0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0])]
+        assert kernels.gp_extends(tet, Point([1, 1, 1]).hom, 3)
+        five = tet + [Point([1, 1, 1]).hom]
+        assert not kernels.gp_extends(five, Point([2, 2, 5]).hom, 3)
+        assert kernels.gp_extends(five, Point([2, 3, 5]).hom, 3)
 
 
 @needs_fast
@@ -127,7 +154,7 @@ class TestBackendParity:
             d = rng.randint(1, 4)
             k = rng.randint(0, d + 4)
             spread = rng.choice([8, 10**6])
-            prefix = random_gp_points(rng, d, k, spread=spread)
+            prefix = random_gp_points(rng, d, k, spread=spread, keeps=oracle_keeps_gp)
             cand = random_point(rng, d, spread)
             rows = [p.hom for p in prefix]
             assert pure.gp_extends(rows, cand.hom, d) == fast.gp_extends(
