@@ -107,9 +107,15 @@ def gp_extends(rows, new_row, d):
     With k = len(rows) >= d only the (d+1)-subsets through the new point p
     need checking, and the radial projection from p decides them: every d of
     the directions q - p must be linearly independent. Cost O(k^(d-1)) set
-    operations instead of C(k, d) determinants.
+    operations instead of C(k, d) determinants. A point on its own is in
+    general position, and so is any pair of distinct points; the vectors are
+    canonical, so distinct points are unequal vectors.
     """
     k = len(rows)
+    if k == 0:
+        return True
+    if k == 1:
+        return rows[0] != new_row
     if k < d:
         mat = list(rows)
         mat.append(new_row)

@@ -14,7 +14,8 @@ Run as the installed `genpos` script, `python3 -m genpos` or
 `python3 -m genpos.cli`.
 
 Environment: GENPOS_BUDGET_FACES caps faces in any constructed complex,
-GENPOS_BUDGET_NODES caps search nodes and enumerated subfamilies.
+GENPOS_BUDGET_NODES caps search nodes (each gp_number search included) and
+enumerated subfamilies.
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ def _cmd_witness_search(args, node_budget):
         result = solver.solve_exhaustive(family, node_budget=node_budget)
         if result.status == "not_found":
             doc = jsonio.family_to_doc(family)
-            doc["gp_numbers"] = [gp_number(X) for X in family.sets]
+            doc["gp_numbers"] = [gp_number(X, node_budget) for X in family.sets]
             _emit(doc, args.human, _render_family)
             return EXIT_OK
     _emit({"found": False, "trials": args.trials}, args.human, _render_no_witness)

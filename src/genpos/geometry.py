@@ -22,6 +22,7 @@ from math import gcd, lcm
 
 from genpos._kernels import gp_extends, int_det, int_rank
 from genpos.errors import DimensionMismatch, NotInGeneralPosition
+from genpos.search import max_extension
 
 __all__ = [
     "Point",
@@ -174,39 +175,36 @@ def in_general_position(points):
     return True
 
 
-def gp_number(X):
+def gp_number(X, node_budget=None, *, lower=0, cap=None):
     """Maximum size of a sub-multiset in general position.
 
     Repeated coordinates never help (a duplicate pair is affinely dependent),
-    so the search runs on distinct points. Exact branch-and-bound: points are
-    scanned in input order, a branch is cut when it cannot beat the best
-    completed one.
+    so the search runs on distinct points in input order, by the budgeted
+    branch-and-bound of genpos.search.max_extension: each gp_extends call is
+    one node against node_budget (None: DEFAULT_NODE_BUDGET), and past it
+    BudgetExceeded is raised. If the greedy first pass keeps at most d
+    points, every point it rejected lies on their affine hull, a flat of
+    dimension below d, where no general-position set is larger; that pass
+    is the answer, so points on one line or plane cost one scan.
+
+    lower and cap are bounds on the answer that the caller already holds
+    (PointFamily takes them from sub-unions): the search seeks only sets
+    larger than lower and stops at the first set of size cap. Bounds that
+    hold leave the answer unchanged.
     """
     pts = _as_points(X)
     distinct = list(dict.fromkeys(pts))
-    n = len(distinct)
-    if n == 0:
+    if not distinct:
         return 0
     d = _common_dim(distinct)
-    homs = [p.hom for p in distinct]
-    best = 0
-    chosen = []
-
-    def rec(i):
-        nonlocal best
-        if i == n or len(chosen) + (n - i) <= best:
-            return
-        h = homs[i]
-        if gp_extends(chosen, h, d):
-            chosen.append(h)
-            if len(chosen) > best:
-                best = len(chosen)
-            rec(i + 1)
-            chosen.pop()
-        rec(i + 1)
-
-    rec(0)
-    return best
+    return max_extension(
+        [p.hom for p in distinct],
+        lambda chosen, h: gp_extends(chosen, h, d),
+        d + 1,
+        lower=lower,
+        cap=cap,
+        node_budget=node_budget,
+    )
 
 
 @dataclass(frozen=True)

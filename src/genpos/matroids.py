@@ -18,6 +18,7 @@ from itertools import combinations
 from genpos.complexes import SimplicialComplex, mask_of
 from genpos.errors import OracleError
 from genpos.geometry import PointMultiset, affinely_independent
+from genpos.search import max_extension
 
 __all__ = [
     "IndependenceOracle",
@@ -230,29 +231,15 @@ def _extends_uniform(oracle, current, e, r):
 
 
 def max_uniform_size(oracle):
-    """Largest size of a uniform set, by branch-and-bound over elements in
-    ascending order."""
-    n = oracle.ground_size
-    if n == 0:
-        return 0
+    """Largest size of a uniform set, by the shared branch-and-bound over
+    elements in ascending order (genpos.search.max_extension, within its
+    default node budget)."""
     r = oracle.full_rank
-    best = 0
-    cur = []
-
-    def rec(i):
-        nonlocal best
-        if i == n or len(cur) + (n - i) <= best:
-            return
-        if _extends_uniform(oracle, cur, i, r):
-            cur.append(i)
-            if len(cur) > best:
-                best = len(cur)
-            rec(i + 1)
-            cur.pop()
-        rec(i + 1)
-
-    rec(0)
-    return best
+    return max_extension(
+        range(oracle.ground_size),
+        lambda cur, e: _extends_uniform(oracle, cur, e, r),
+        r,
+    )
 
 
 def _levelwise_complex(n, extends, max_card):

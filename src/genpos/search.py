@@ -1,0 +1,76 @@
+"""The one branch-and-bound maximiser behind gp_number and max_uniform_size.
+
+Both ask for the largest subset of a ground list that a hereditary
+predicate accepts, grown one element at a time in input order. The search
+is an include-first depth-first search on an explicit stack, so its depth
+is never limited by Python's recursion limit, and every predicate call is
+one node charged against a budget.
+"""
+
+from __future__ import annotations
+
+from genpos.errors import BudgetExceeded
+
+__all__ = ["DEFAULT_NODE_BUDGET", "max_extension"]
+
+DEFAULT_NODE_BUDGET = 10**7
+
+
+def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None):
+    """Size of the largest sublist of ``items`` whose every prefix is accepted
+    by ``extends(chosen, item)``, found by include-first depth-first search.
+
+    ``extends`` must be hereditary and, below ``rank`` chosen items, a plain
+    independence test of a matroid on ``items``. A branch is cut when the
+    items left cannot beat the best size so far.
+
+    - lower: a size the answer is known to reach. Only larger sets are
+      sought; lower is returned when none exists.
+    - cap: a size the answer is known not to exceed. The search returns as
+      soon as it finds a set of that size.
+    - node_budget: predicate calls allowed (None: DEFAULT_NODE_BUDGET).
+      It is checked whenever the search backtracks, and BudgetExceeded is
+      raised past it; a search therefore overruns it by less than one
+      descent, and a search that never backtracks is never refused.
+
+    The first descent takes every item the predicate accepts. If it keeps
+    s < ``rank`` items, each item it rejected was dependent on the kept
+    prefix, so the items it tested span a flat of rank s, where no accepted
+    set has more than s items; with the items it left untested (none, or
+    too few to beat the best size) nothing beats the best size, and the
+    search ends there.
+    """
+    n = len(items)
+    best = lower
+    if cap is None:
+        cap = n
+    if best >= cap:
+        return best
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    chosen = []
+    picked = []  # input positions of chosen, the stack of pending exclusions
+    nodes = 0
+    first = True
+    i = 0
+    while True:
+        while i < n and len(chosen) + n - i > best:
+            nodes += 1
+            item = items[i]
+            if extends(chosen, item):
+                chosen.append(item)
+                picked.append(i)
+                if len(chosen) > best:
+                    best = len(chosen)
+                    if best >= cap:
+                        return best
+            i += 1
+        if first:
+            first = False
+            if len(chosen) < rank:
+                return best
+        if not picked:
+            return best
+        if nodes > budget:
+            raise BudgetExceeded("search exceeds %d nodes" % budget)
+        i = picked.pop() + 1
+        chosen.pop()

@@ -39,6 +39,7 @@ from genpos.geometry import (
     in_general_position,
 )
 from genpos._kernels import gp_extends
+from genpos.search import DEFAULT_NODE_BUDGET
 from genpos import matroids
 
 __all__ = [
@@ -62,9 +63,6 @@ __all__ = [
     "general_position_complex",
     "independence_complex",
 ]
-
-DEFAULT_NODE_BUDGET = 10**7
-
 
 # ---------------------------------------------------------------------------
 # bounds
@@ -157,10 +155,15 @@ def bound_table(ds, ks):
 @dataclass(eq=False)
 class PointFamily:
     """A family of point multisets in one common dimension, with a memoized
-    gp_number on subfamily unions (condition checks revisit the same unions)."""
+    gp_number on subfamily unions (condition checks revisit the same unions).
+
+    node_budget caps the nodes of each union's gp_number search (None:
+    DEFAULT_NODE_BUDGET); check_condition sets it from its subset_budget and
+    solve_greedy from its node_budget, when given."""
 
     d: int
     sets: tuple
+    node_budget: int | None = field(default=None, repr=False)
     _gp_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -187,11 +190,32 @@ class PointFamily:
         return out
 
     def gp_number_of_union(self, indices):
+        """gp_number of the union of the sets in indices, warm-started from
+        the cached unions one set smaller: removing X_i cannot enlarge a
+        general-position subset, and a general-position subset of X_I splits
+        into general-position parts in X_{I-i} and X_i, so
+
+            gp(X_{I-i}) <= gp(X_I) <= gp(X_{I-i}) + gp(X_i).
+
+        The largest cached left side is the search's incumbent and the
+        smallest cached right side its cap. Only cached values are used, so
+        any order of calls gives the same answers."""
         key = frozenset(indices)
-        got = self._gp_cache.get(key)
+        cache = self._gp_cache
+        got = cache.get(key)
         if got is None:
-            got = gp_number(self.union_points(key))
-            self._gp_cache[key] = got
+            lower, cap = 0, None
+            for i in key:
+                rest = cache.get(key - {i})
+                if rest is None:
+                    continue
+                lower = max(lower, rest)
+                alone = cache.get(frozenset((i,)))
+                if alone is not None and (cap is None or rest + alone < cap):
+                    cap = rest + alone
+            got = gp_number(self.union_points(key), self.node_budget,
+                            lower=lower, cap=cap)
+            cache[key] = got
         return got
 
 
@@ -217,12 +241,18 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     subfamilies I.
 
     mode "all-subsets" enumerates all 2^m - 1 of them (m <= 20, and within
-    subset_budget); mode "sampled" draws ``samples`` distinct nonempty subsets
-    with the given random generator. bound is a callable k -> int. With
+    subset_budget, which when given also becomes the family's node_budget,
+    the cap on each union's search nodes); mode "sampled" draws ``samples``
+    distinct nonempty subsets with the given random generator. bound is a
+    callable k -> int. With
     stop_early the scan ends at the first violation, so a negative report
-    carries only the checks made up to that point.
+    carries only the checks made up to that point. Unions are checked in
+    order of size, so each one is warm-started from its cached sub-unions
+    (PointFamily.gp_number_of_union).
     """
     m = family.m
+    if subset_budget is not None:
+        family.node_budget = subset_budget
     budget = DEFAULT_NODE_BUDGET if subset_budget is None else subset_budget
     if mode == "all-subsets":
         if m > 20 or 2**m - 1 > budget:
@@ -304,10 +334,13 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
     the extension guarantee covers every step.
 
     With exhaustive_reorder=True a failure is retried greedily under all m!
-    set orders (m! must fit the node budget) before giving up.
+    set orders (m! must fit the node budget) before giving up. node_budget
+    also caps each gp_number search.
     """
     m, d = family.m, family.d
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    if node_budget is not None:
+        family.node_budget = node_budget
 
     def reorder_fallback(fallback):
         if not exhaustive_reorder:
@@ -324,7 +357,7 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
                 return SgprResult(status="found", representatives=reps)
         return fallback
 
-    sizes = [gp_number(X) for X in family.sets]
+    sizes = [gp_number(X, family.node_budget) for X in family.sets]
     position_of = [None] * m
     unassigned = list(range(m))
     for j in range(m, 0, -1):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -383,6 +384,20 @@ class TestEnvironmentBudgets:
         assert code == 0
         assert doc["method"] == "greedy" and doc["status"] == "found"
 
+    def test_node_budget_stops_gp_number(self, capsys, monkeypatch):
+        # the 6 x 6 grid in one set: its search runs to millions of nodes
+        monkeypatch.setenv("GENPOS_BUDGET_NODES", "1000")
+        doc = {"d": 2, "sets": [[[x, y] for x in range(6) for y in range(6)]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(["check", "-", "--bound", "hall"])
+        assert time.perf_counter() - t0 < 2
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "1000 nodes" in err and err.count("\n") == 1
+
     def test_invalid_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("GENPOS_BUDGET_NODES", "lots")
         with pytest.raises(SystemExit) as exc:
@@ -402,16 +417,18 @@ def test_entry_success_exits_zero(capsys):
 
 
 class TestExitContract:
-    def test_recursion_depth_exits_three(self, capsys, monkeypatch):
-        # gp_number recurses once per point, so 1,200 collinear points in
-        # one set exceed the recursion limit
+    def test_thousands_of_collinear_points_answer(self, capsys, monkeypatch):
+        # far beyond any recursion limit; the greedy first pass keeps two
+        # points and settles the search
         doc = {"d": 2, "sets": [[[i, 0] for i in range(1200)]]}
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         with pytest.raises(SystemExit) as exc:
-            cli.entry(["check", "-", "--bound", "hall"])
-        assert exc.value.code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+            cli.entry(["check", "-", "--bound", "hall", "--all-checks"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["holds"] is True and doc["checks"][0]["gp_number"] == 2
+        assert err == ""
 
     @pytest.mark.parametrize("fault", [RecursionError, MemoryError, KeyError, ZeroDivisionError])
     def test_any_fault_exits_three(self, capsys, monkeypatch, fault):

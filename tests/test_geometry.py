@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos import (
+    BudgetExceeded,
     DimensionMismatch,
     Hyperplane,
     NotInGeneralPosition,
@@ -175,6 +176,40 @@ class TestGpNumber:
         for d in (1, 2, 3):
             pts = random_gp_points(rng, d, 7)
             assert gp_number(pts) == 7
+
+
+    def test_first_pass_of_full_rank_is_not_the_answer(self):
+        # the first pass keeps the triangle a, b, c and rejects the midpoint
+        # of each side; the unit square a, x, y, z is larger
+        pts = [Point(p) for p in ([0, 0], [2, 0], [0, 2], [1, 0], [1, 1], [0, 1])]
+        assert gp_number(pts) == oracle_gp_number(pts) == 4
+
+    def test_thousands_of_points_on_a_flat(self):
+        # the greedy first pass keeps d or fewer points, whose hull holds
+        # every point; no recursion limit or budget comes into play
+        assert gp_number([Point([i, 0]) for i in range(1200)]) == 2
+        rng = rng_for("phi-coplanar")
+        plane = []
+        while len(plane) < 500:
+            a, b = rng.randint(-40, 40), rng.randint(-40, 40)
+            plane.append(Point([a, b, F(3 * a - 2 * b + 5, 7)]))
+        assert gp_number(plane, node_budget=1) == 3
+
+    def test_node_budget(self):
+        grid = [Point([x, y]) for x in range(6) for y in range(6)]
+        with pytest.raises(BudgetExceeded):
+            gp_number(grid, node_budget=1000)
+        assert gp_number(grid[:12], node_budget=10**5) == 4
+
+    def test_bounds_that_hold_keep_the_answer(self):
+        rng = rng_for("phi-bounds")
+        for _ in range(20):
+            d = rng.randint(1, 3)
+            pts = random_degenerate_points(rng, d, rng.randint(1, 8))
+            want = oracle_gp_number(pts)
+            for lower in range(want + 1):
+                assert gp_number(pts, lower=lower, cap=want) == want
+                assert gp_number(pts, lower=lower, cap=len(pts)) == want
 
 
 class TestHyperplanes:

@@ -114,6 +114,19 @@ class TestAgainstOracles:
         # both answers, past the rank stage, in every dimension
         assert all(outcomes[d, True, want] for d in (1, 2, 3, 4) for want in (True, False))
 
+    def test_gp_extends_short_prefixes(self, kernels):
+        # k = 0 always extends; k = 1 extends iff the points differ
+        rng = rng_for("gp-extends-short")
+        for d in (1, 2, 3, 4):
+            for _ in range(10):
+                p = random_point(rng, d, 3)
+                q = random_point(rng, d, 3)
+                assert kernels.gp_extends([], p.hom, d) and oracle_keeps_gp([], p)
+                for cand in (p, q):
+                    want = oracle_keeps_gp([p], cand)
+                    assert kernels.gp_extends([p.hom], cand.hom, d) == want
+                    assert want == (cand != p)
+
     def test_gp_extends_rejects_duplicates_and_flats(self, kernels):
         rows = [Point([0, 0]).hom, Point([1, 0]).hom, Point([0, 1]).hom]
         assert not kernels.gp_extends(rows, Point([0, 0]).hom, 2)

@@ -257,6 +257,23 @@ class TestUniformity:
                 assert is_uniform(m, S) == oracle_is_uniform(m, S, r)
 
 
+    def test_greedy_basis_that_does_not_extend(self):
+        # the first basis a, b, c blocks each later point (each lies on a
+        # side of the triangle), yet the unit square a, x, y, z is uniform
+        pts = [Point(p) for p in ([0, 0], [2, 0], [0, 2], [1, 0], [1, 1], [0, 1])]
+        assert max_uniform_size(AffineMatroid(pts)) == 4
+        assert oracle_max_uniform_size(AffineMatroid(pts)) == 4
+
+    def test_matches_brute_force_on_planted_points(self):
+        # repeated points and points on lines through two others: parallel
+        # elements and low-rank flats, d = 1, 2, 3
+        rng = rng_for("unif-planted")
+        for trial in range(30):
+            d = 1 + trial % 3
+            m = AffineMatroid(random_degenerate_points(rng, d, rng.randrange(1, 9), spread=3))
+            assert max_uniform_size(m) == oracle_max_uniform_size(m)
+
+
 class TestComplexes:
     def test_independence_complex_faces(self):
         rng = rng_for("ic-faces")

@@ -1,0 +1,149 @@
+"""The shared branch-and-bound maximiser: its calls against the recursive
+search it replaced, its bounds, its budget and its first-descent rule."""
+
+import pytest
+
+from genpos import BudgetExceeded, Point
+from genpos._kernels import gp_extends
+from genpos.search import max_extension
+from conftest import oracle_gp_number, random_degenerate_points, rng_for
+
+
+def recorded(log, d):
+    def extends(chosen, h):
+        log.append((tuple(chosen), h))
+        return gp_extends(chosen, h, d)
+
+    return extends
+
+
+def recursive_calls(homs, d):
+    """Calls of the recursive include-first branch-and-bound, one frame per
+    point, that gp_number ran before the explicit stack."""
+    log = []
+    extends = recorded(log, d)
+    n = len(homs)
+    best = 0
+    chosen = []
+
+    def rec(i):
+        nonlocal best
+        if i == n or len(chosen) + (n - i) <= best:
+            return
+        if extends(chosen, homs[i]):
+            chosen.append(homs[i])
+            best = max(best, len(chosen))
+            rec(i + 1)
+            chosen.pop()
+        rec(i + 1)
+
+    rec(0)
+    return best, log
+
+
+def distinct_homs(rng, d, n):
+    pts = random_degenerate_points(rng, d, n, spread=4)
+    return [p.hom for p in dict.fromkeys(pts)]
+
+
+def test_same_calls_in_the_same_order_as_the_recursion():
+    rng = rng_for("search-order")
+    for trial in range(60):
+        d = 1 + trial % 3
+        homs = distinct_homs(rng, d, rng.randint(0, 9))
+        best, want = recursive_calls(homs, d)
+        # rank 0 switches the first-descent rule off: every call is made
+        log = []
+        assert max_extension(homs, recorded(log, d), 0) == best
+        assert log == want
+        # the rule only ever ends the search early
+        log = []
+        assert max_extension(homs, recorded(log, d), d + 1) == best
+        assert log == want[: len(log)]
+
+
+def test_bounds_that_hold_keep_the_answer():
+    rng = rng_for("search-bounds")
+    for trial in range(40):
+        d = 1 + trial % 3
+        homs = distinct_homs(rng, d, rng.randint(1, 8))
+        best, full = recursive_calls(homs, d)
+        for lower in range(best + 1):
+            for cap in range(best, len(homs) + 2):
+                log = []
+                got = max_extension(homs, recorded(log, d), d + 1, lower=lower, cap=cap)
+                assert got == best
+                assert len(log) <= len(full)
+
+
+def test_cap_returns_at_the_first_set_of_its_size():
+    homs = [Point(c).hom for c in ([0, 0], [1, 0], [0, 1], [1, 1], [2, 3])]
+    log = []
+    assert max_extension(homs, recorded(log, 2), 3, cap=3) == 3
+    assert len(log) == 3
+
+
+def test_an_optimal_incumbent_is_handed_back():
+    homs = [Point([x, 0]).hom for x in range(5)]
+    log = []
+    # with the rule off, the search proves that no 3 of the 5 collinear
+    # points qualify and returns the incumbent
+    assert max_extension(homs, recorded(log, 2), 0, lower=2) == 2
+    assert 0 < len(log) <= len(recursive_calls(homs, 2)[1])
+    assert max_extension([], recorded(log, 2), 3) == 0
+
+
+def test_first_descent_settles_flat_inputs():
+    # 1,200 points on a line in the plane, 500 on a plane in space: one call
+    # per point, then the kept points' hull holds everything
+    line = [Point([x, 2 * x + 1]).hom for x in range(1200)]
+    log = []
+    assert max_extension(line, recorded(log, 2), 3) == 2
+    assert len(log) == 1200
+    rng = rng_for("search-plane")
+    plane = [Point([a, b, a - b]).hom for a, b in
+             {(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(600)}]
+    log = []
+    assert max_extension(plane, recorded(log, 3), 4) == 3
+    assert len(log) == len(plane)
+
+
+def test_rule_holds_after_a_pruned_first_descent():
+    # with the incumbent 3, the first descent keeps a and b, rejects two
+    # more points of their line and stops before c: the points it tested lie
+    # on that line, and c alone cannot beat the incumbent
+    a, b, c = [0, 0, 0], [1, 0, 0], [0, 1, 0]
+    homs = [Point(p).hom for p in (a, b, [2, 0, 0], [3, 0, 0], c)]
+    for lower in range(4):
+        assert max_extension(homs, recorded([], 3), 4, lower=lower) == 3
+    log = []
+    assert max_extension(homs, recorded(log, 3), 4, lower=3) == 3
+    assert len(log) == 4
+
+
+def test_rule_agrees_with_brute_force_on_low_rank_inputs():
+    rng = rng_for("search-low-rank")
+    for trial in range(30):
+        d = 2 + trial % 2
+        # points on a random line (d = 2) or plane (d = 3) through the origin
+        basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d - 1)]
+        pts = [Point([sum(rng.randint(-3, 3) * b[t] for b in basis) for t in range(d)])
+               for _ in range(rng.randint(1, 8))]
+        homs = [p.hom for p in dict.fromkeys(pts)]
+        assert max_extension(homs, recorded([], d), d + 1) == oracle_gp_number(pts)
+
+
+def test_budget_is_checked_on_backtracking():
+    grid = [Point([x, y]).hom for x in range(6) for y in range(6)]
+    with pytest.raises(BudgetExceeded, match="1000 nodes"):
+        max_extension(grid, recorded([], 2), 3, node_budget=1000)
+    # the budget counts predicate calls: exactly enough of them suffices
+    homs = grid[:15]
+    log = []
+    best = max_extension(homs, recorded(log, 2), 3)
+    assert max_extension(homs, recorded([], 2), 3, node_budget=len(log)) == best
+    with pytest.raises(BudgetExceeded):
+        max_extension(homs, recorded([], 2), 3, node_budget=len(log) // 2)
+    # a search that never backtracks is never refused
+    line = [Point([x]).hom for x in range(50)]
+    assert max_extension(line, recorded([], 1), 2, node_budget=1) == 50

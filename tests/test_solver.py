@@ -32,7 +32,14 @@ from genpos import (
     solve_matroid_intersection,
     uniform_connectivity_bound,
 )
-from conftest import oracle_gp, random_degenerate_points, random_gp_points, rng_for
+from genpos import solver
+from conftest import (
+    oracle_gp,
+    oracle_gp_number,
+    random_degenerate_points,
+    random_gp_points,
+    rng_for,
+)
 
 
 def family_of(d, *coord_sets):
@@ -181,6 +188,117 @@ class TestCheckCondition:
         fam = family_of(1, *[[[i]] for i in range(12)])
         with pytest.raises(BudgetExceeded):
             check_condition(fam, bound=lambda k: k, subset_budget=100)
+
+
+def planted_family(rng, d, m):
+    """Small family (unions of at most 10 points) drawn from one pool with
+    repeated points, points on lines through two pool points and, in d = 3,
+    points on planes through three; sets share points."""
+    pool = random_degenerate_points(rng, d, 6, spread=4)
+    if d == 3:
+        for _ in range(2):
+            a, b, c = rng.sample(pool, 3)
+            s, t = F(rng.randint(-2, 2), 2), F(rng.randint(-2, 2), 3)
+            pool.append(Point([x + s * (y - x) + t * (z - x)
+                               for x, y, z in zip(a.coords, b.coords, c.coords)]))
+    most = 10 // m
+    sets = [rng.sample(pool, rng.randint(1, min(most, len(pool)))) for _ in range(m)]
+    return PointFamily(d=d, sets=[PointMultiset(X, d=d) for X in sets])
+
+
+class TestWarmStart:
+    def test_every_check_matches_brute_force(self, monkeypatch):
+        # all-subsets mode warm-starts each union from its sub-unions;
+        # sampled mode mostly finds no cached sub-union and runs cold
+        calls = self.spy(monkeypatch)
+        rng = rng_for("warm-start")
+        oracle = {}
+        for trial in range(36):
+            d = 1 + trial % 3
+            m = rng.randint(2, 4)
+            fam = planted_family(rng, d, m)
+            bound = lambda k: k + 1
+            reports = [check_condition(fam, bound)]
+            fresh = PointFamily(d=d, sets=fam.sets)
+            reports.append(check_condition(fresh, bound, mode="sampled", samples=5,
+                                           rng=rng_for("warm-sampled", trial)))
+            for report in reports:
+                for c in report.checks:
+                    pts = fam.union_points(c.indices)
+                    key = tuple(p.hom for p in pts)
+                    if key not in oracle:
+                        oracle[key] = oracle_gp_number(pts)
+                    assert c.gp_number == oracle[key], (trial, c.indices)
+                    assert c.ok == (c.gp_number >= bound(len(c.indices)))
+        assert any(lower for lower, _ in calls) and any(cap for _, cap in calls)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_grid_row_unions_have_closed_form(self, n):
+        # every union of r rows of the n x n grid holds 2r points in general
+        # position: two per row, and no more
+        fam = PointFamily(d=2, sets=[[[x, y] for x in range(n)] for y in range(n)])
+        report = check_condition(fam, bound=lambda k: 2 * k)
+        assert report.holds and len(report.checks) == 2**n - 1
+        assert all(c.gp_number == 2 * len(c.indices) for c in report.checks)
+
+    def spy(self, monkeypatch):
+        calls = []
+        real = solver.gp_number
+
+        def gp_number(X, node_budget=None, *, lower=0, cap=None):
+            calls.append((lower, cap))
+            return real(X, node_budget, lower=lower, cap=cap)
+
+        monkeypatch.setattr(solver, "gp_number", gp_number)
+        return calls
+
+    def test_cap_closes_the_search_at_once(self, monkeypatch):
+        # two general-position sets whose union is in general position: the
+        # cap gp(X_0) + gp(X_1) is met by the first descent
+        pts = random_gp_points(rng_for("cap-closes"), 2, 7)
+        fam = PointFamily(d=2, sets=[pts[:3], pts[3:]])
+        calls = self.spy(monkeypatch)
+        extends = []
+        monkeypatch.setattr(
+            "genpos.geometry.gp_extends",
+            lambda rows, new, d, real=solver.gp_extends: extends.append(1) or real(rows, new, d),
+        )
+        assert fam.gp_number_of_union((0,)) == 3
+        assert fam.gp_number_of_union((1,)) == 4
+        del extends[:]
+        assert fam.gp_number_of_union((0, 1)) == 7
+        assert calls[-1] == (4, 7)
+        assert len(extends) == 7
+
+    def test_lower_alone_when_no_singleton_is_cached(self, monkeypatch):
+        # only X_{0,1} is cached: it bounds X_{0,1,2} from below, and no cap
+        # can be formed without a cached singleton
+        fam = family_of(2, [[0, 0], [1, 0]], [[2, 0], [0, 1]], [[3, 0], [1, 1], [2, 2]])
+        calls = self.spy(monkeypatch)
+        assert fam.gp_number_of_union((0, 1)) == 3
+        assert fam.gp_number_of_union((0, 1, 2)) == 5
+        assert calls == [(0, None), (3, None)]
+        assert oracle_gp_number(fam.union_points()) == 5
+
+    def test_lower_is_the_answer(self, monkeypatch):
+        # a third set adding only points on the line of the first two: the
+        # incumbent from X_{0,1} is optimal, and the search returns it
+        fam = family_of(2, [[0, 0], [1, 0]], [[2, 0], [3, 0]], [[4, 0], [5, 0]])
+        calls = self.spy(monkeypatch)
+        report = check_condition(fam, bound=lambda k: 2)
+        assert [c.gp_number for c in report.checks] == [2] * 7
+        assert calls[-1] == (2, 4)
+
+    def test_node_budget_reaches_each_union(self):
+        grid = [[x, y] for x in range(6) for y in range(6)]
+        with pytest.raises(BudgetExceeded):
+            check_condition(PointFamily(d=2, sets=[grid]), bound=lambda k: k,
+                            subset_budget=1000)
+        with pytest.raises(BudgetExceeded):
+            solve_greedy(PointFamily(d=2, sets=[grid, grid[:3]]), node_budget=1000)
+        fam = PointFamily(d=2, sets=[grid[:6], grid[6:12]])
+        assert check_condition(fam, bound=lambda k: 2 * k, subset_budget=1000).holds
+        assert fam.node_budget == 1000
 
 
 class TestSolveGreedy:
