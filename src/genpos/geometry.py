@@ -32,6 +32,7 @@ __all__ = [
     "in_general_position",
     "keeps_general_position",
     "gp_number",
+    "LineIndex",
     "spanned_hyperplanes",
     "extend_gp",
 ]
@@ -175,7 +176,7 @@ def in_general_position(points):
     return True
 
 
-def gp_number(X, node_budget=None, *, lower=0, cap=None):
+def gp_number(X, node_budget=None, *, lower=0, cap=None, bound=None):
     """Maximum size of a sub-multiset in general position.
 
     Repeated coordinates never help (a duplicate pair is affinely dependent),
@@ -187,9 +188,11 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None):
     dimension below d, where no general-position set is larger; that pass
     is the answer, so points on one line or plane cost one scan.
 
-    lower and cap are bounds on the answer that the caller already holds
-    (PointFamily takes them from sub-unions): the search seeks only sets
-    larger than lower and stops at the first set of size cap. Bounds that
+    lower, cap and bound are bounds on the answer that the caller already
+    holds or can compute (PointFamily takes the first two from sub-unions
+    and passes a LineIndex cover as bound): the search seeks only sets
+    larger than lower, stops at the first set of size cap, and calls bound()
+    at most once, when it has to prove its incumbent optimal. Bounds that
     hold leave the answer unchanged.
     """
     pts = _as_points(X)
@@ -204,7 +207,91 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None):
         lower=lower,
         cap=cap,
         node_budget=node_budget,
+        bound=bound,
     )
+
+
+class LineIndex:
+    """The lines through three or more of a list of distinct points, as
+    bitmasks over the list, for an upper bound on gp_number of any sublist.
+
+    In dimension d >= 2 a general-position set has at most 2 points on a
+    line, so for lines L_1, L_2, ... chosen greedily (each time the one
+    holding the most points of the sublist X not yet covered, while it holds
+    3 or more) gp_number(X) is at most 2 per chosen line plus the points of
+    X on none of them; see Froese, Kanj, Nichterlein and Niedermeier,
+    "Finding points in general position" (2017). Building the index hashes
+    the direction from each point to every later one, O(n^2) in all; a
+    cover then works on bitmasks alone.
+    """
+
+    __slots__ = ("lines",)
+
+    def __init__(self, homs):
+        # homs: distinct primitive homogeneous vectors, last entry positive
+        n = len(homs)
+        lines = []
+        partners = [0] * n  # points sharing a recorded line with each point
+        for i in range(n - 1):
+            first = {}
+            more = {}
+            for j, key in enumerate(_directions(homs[i], homs[i + 1:]), i + 1):
+                k = first.setdefault(key, j)
+                if k != j:
+                    more.setdefault(key, [k]).append(j)
+            for members in more.values():
+                rest = 0
+                for j in members:
+                    rest |= 1 << j
+                if rest & partners[i]:
+                    continue  # recorded from an earlier point of the line
+                mask = rest | 1 << i
+                lines.append(mask)
+                for j in members:
+                    partners[j] |= mask
+                partners[i] |= mask
+        self.lines = lines
+
+    def cover(self, mask):
+        """Upper bound on gp_number (d >= 2) of the points in mask."""
+        total = 0
+        live = self.lines
+        while True:
+            live = [line & mask for line in live if (line & mask).bit_count() >= 3]
+            if not live:
+                return total + mask.bit_count()
+            total += 2
+            mask &= ~max(live, key=int.bit_count)
+
+
+def _directions(p, qs):
+    """The directions pw*q - qw*p from p to each q, gcd-reduced with the
+    first nonzero entry positive (as in genpos._kernels.pure._through), so
+    that two of them are equal iff p and the two points are collinear."""
+    keys = []
+    if len(p) == 3:
+        px, py, pw = p
+        for qx, qy, qw in qs:
+            s = pw * qx - qw * px
+            t = pw * qy - qw * py
+            g = gcd(s, t)
+            if s < 0 or (not s and t < 0):
+                g = -g
+            keys.append((s // g, t // g))
+        return keys
+    pw = p[-1]
+    ps = p[:-1]
+    for q in qs:
+        qw = q[-1]
+        v = [pw * x - qw * y for x, y in zip(q, ps)]
+        g = gcd(*v)
+        for x in v:
+            if x:
+                break
+        if x < 0:
+            g = -g
+        keys.append(tuple([x // g for x in v]))
+    return keys
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ __all__ = ["DEFAULT_NODE_BUDGET", "max_extension"]
 DEFAULT_NODE_BUDGET = 10**7
 
 
-def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None):
+def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
+                  bound=None):
     """Size of the largest sublist of ``items`` whose every prefix is accepted
     by ``extends(chosen, item)``, found by include-first depth-first search.
 
@@ -26,8 +27,13 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None):
 
     - lower: a size the answer is known to reach. Only larger sets are
       sought; lower is returned when none exists.
-    - cap: a size the answer is known not to exceed. The search returns as
-      soon as it finds a set of that size.
+    - cap: a size the answer is known not to exceed, clamped to
+      len(items). The search returns as soon as it finds a set of that size.
+    - bound: a zero-argument callable returning another such size, for
+      bounds too costly to compute up front. It is called at most once, when
+      the first descent ends below cap and the first-descent rule below
+      does not settle the search, and cap becomes the smaller of the two;
+      a first descent that reaches cap never calls it.
     - node_budget: predicate calls allowed (None: DEFAULT_NODE_BUDGET).
       It is checked whenever the search backtracks, and BudgetExceeded is
       raised past it; a search therefore overruns it by less than one
@@ -42,8 +48,7 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None):
     """
     n = len(items)
     best = lower
-    if cap is None:
-        cap = n
+    cap = n if cap is None else min(cap, n)
     if best >= cap:
         return best
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -68,6 +73,10 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None):
             first = False
             if len(chosen) < rank:
                 return best
+            if bound is not None:
+                cap = min(cap, bound())
+                if best >= cap:
+                    return best
         if not picked:
             return best
         if nodes > budget:

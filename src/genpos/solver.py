@@ -32,6 +32,7 @@ from math import comb
 from genpos.complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, mask_of
 from genpos.errors import BudgetExceeded, ConstructionError
 from genpos.geometry import (
+    LineIndex,
     Point,
     PointMultiset,
     extend_gp,
@@ -159,12 +160,16 @@ class PointFamily:
 
     node_budget caps the nodes of each union's gp_number search (None:
     DEFAULT_NODE_BUDGET); check_condition sets it from its subset_budget and
-    solve_greedy from its node_budget, when given."""
+    solve_greedy from its node_budget, when given. In d >= 2 the first
+    union search that has to prove its incumbent optimal builds one
+    LineIndex over the family's distinct points and a bitmask per set, from
+    which every union's line cover is taken."""
 
     d: int
     sets: tuple
     node_budget: int | None = field(default=None, repr=False)
     _gp_cache: dict = field(default_factory=dict, repr=False)
+    _lines: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         sets = tuple(
@@ -199,7 +204,9 @@ class PointFamily:
 
         The largest cached left side is the search's incumbent and the
         smallest cached right side its cap. Only cached values are used, so
-        any order of calls gives the same answers."""
+        any order of calls gives the same answers. In d >= 2 the union's
+        line cover (LineIndex.cover) is a further cap, computed only if the
+        search needs it."""
         key = frozenset(indices)
         cache = self._gp_cache
         got = cache.get(key)
@@ -213,10 +220,28 @@ class PointFamily:
                 alone = cache.get(frozenset((i,)))
                 if alone is not None and (cap is None or rest + alone < cap):
                     cap = rest + alone
+            bound = None if self.d < 2 else (lambda: self._line_cover(key))
             got = gp_number(self.union_points(key), self.node_budget,
-                            lower=lower, cap=cap)
+                            lower=lower, cap=cap, bound=bound)
             cache[key] = got
         return got
+
+    def _line_cover(self, indices):
+        if self._lines is None:
+            points = list(dict.fromkeys(p for X in self.sets for p in X.points))
+            bit = {p: 1 << b for b, p in enumerate(points)}
+            masks = []
+            for X in self.sets:
+                mask = 0
+                for p in X.points:
+                    mask |= bit[p]
+                masks.append(mask)
+            self._lines = (LineIndex([p.hom for p in points]), masks)
+        index, masks = self._lines
+        union = 0
+        for i in indices:
+            union |= masks[i]
+        return index.cover(union)
 
 
 @dataclass(frozen=True)
@@ -243,12 +268,11 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     mode "all-subsets" enumerates all 2^m - 1 of them (m <= 20, and within
     subset_budget, which when given also becomes the family's node_budget,
     the cap on each union's search nodes); mode "sampled" draws ``samples``
-    distinct nonempty subsets with the given random generator. bound is a
-    callable k -> int. With
-    stop_early the scan ends at the first violation, so a negative report
-    carries only the checks made up to that point. Unions are checked in
-    order of size, so each one is warm-started from its cached sub-unions
-    (PointFamily.gp_number_of_union).
+    (at least 1) distinct nonempty subsets with the given random generator.
+    bound is a callable k -> int. With stop_early the scan ends at the first
+    violation, so a negative report carries only the checks made up to that
+    point. Unions are checked in order of size, so each one is warm-started
+    from its cached sub-unions (PointFamily.gp_number_of_union).
     """
     m = family.m
     if subset_budget is not None:
@@ -265,6 +289,9 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     elif mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")
+        if samples < 1:
+            # no check at all would make any family "hold"
+            raise ValueError("sampled mode needs at least 1 sample, got %d" % samples)
         want = min(samples, 2**m - 1)
         seen = set()
         while len(seen) < want:

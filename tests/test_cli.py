@@ -189,6 +189,17 @@ class TestCheck:
         assert doc_a == doc_b
         assert doc_a["n_checks"] == 10
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_sampled_without_samples_exits_three(self, capsys, tmp_path, samples):
+        path = write_doc(tmp_path, "fam.json", {"d": 1, "sets": [[[0]], [[0]], [[1]]]})
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(["check", path, "--bound", "hall", "--mode", "sampled",
+                       "--samples", samples])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestComplexOps:
     def test_closure(self, capsys, tmp_path):
@@ -459,6 +470,19 @@ class TestAsProcess:
         proc = run_module(module, ["--version"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "genpos %s" % genpos.__version__
+
+    @pytest.mark.parametrize("argv, doc, code", [
+        (["check", "-", "--bound", "hall"], {"d": 1, "sets": [[[0]], [[1]]]}, 0),
+        (["check", "-", "--bound", "hall"], {"d": 1, "sets": [[[0]], [[0]]]}, 1),
+        (["solve", "-", "--method", "exhaustive"], {"d": 2, "sets": [[[0, 0]], [[0, 0]]]}, 1),
+        (["solve", "-", "--method", "greedy"], {"d": 1, "sets": [[[0]], [[0]]]}, 2),
+    ])
+    def test_answers_exit_with_their_codes(self, module, argv, doc, code):
+        proc = run_module(module, argv, stdin=json.dumps(doc))
+        assert proc.returncode == code
+        assert proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert ("holds" in out) if argv[0] == "check" else ("status" in out)
 
     def test_bad_json_exits_three(self, module):
         proc = run_module(module, ["solve", "-"], stdin="{nope")

@@ -3,6 +3,7 @@ independence, general position predicates, gp_number, spanned hyperplanes,
 and the one-point extension step."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,12 @@ from genpos import (
     keeps_general_position,
     spanned_hyperplanes,
 )
+from genpos.geometry import LineIndex
 from conftest import (
     oracle_affinely_independent,
     oracle_gp,
     oracle_gp_number,
+    oracle_rank,
     random_degenerate_points,
     random_gp_points,
     random_point,
@@ -210,6 +213,39 @@ class TestGpNumber:
             for lower in range(want + 1):
                 assert gp_number(pts, lower=lower, cap=want) == want
                 assert gp_number(pts, lower=lower, cap=len(pts)) == want
+
+
+class TestLineIndex:
+    def test_lines_against_brute_force(self):
+        # every line through three or more of the points, each once
+        rng = rng_for("line-index")
+        for trial in range(40):
+            d = 2 + trial % 2
+            pts = list(dict.fromkeys(random_degenerate_points(rng, d, 12, spread=3)))
+            n = len(pts)
+            on_line = {
+                (i, j): {i, j} for i, j in combinations(range(n), 2)
+            }
+            for i, j, k in combinations(range(n), 3):
+                if oracle_rank([pts[i].hom, pts[j].hom, pts[k].hom]) == 2:
+                    for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+                        on_line[a, b].add(c)
+            want = {frozenset(on) for on in on_line.values() if len(on) >= 3}
+            lines = LineIndex([p.hom for p in pts]).lines
+            got = [frozenset(k for k in range(n) if line >> k & 1) for line in lines]
+            assert len(got) == len(want) and set(got) == want, trial
+
+    def test_cover_takes_two_per_line_still_holding_three(self):
+        # a row of four, a column of three through its corner, a point apart
+        pts = [Point(p) for p in ([0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [0, 2], [5, 7])]
+        index = LineIndex([p.hom for p in pts])
+        # the row gives 2; the column then holds only 2 of the points left,
+        # which count one each, as does the point apart
+        assert index.cover(0b1111111) == 2 + 3 == oracle_gp_number(pts)
+        # without the row, the column holds three: 2 for it, 1 for the point
+        assert index.cover(0b1110001) == 2 + 1
+        assert index.cover(0) == 0
+        assert LineIndex([]).lines == [] and LineIndex([pts[0].hom]).lines == []
 
 
 class TestHyperplanes:

@@ -133,6 +133,40 @@ def test_rule_agrees_with_brute_force_on_low_rank_inputs():
         assert max_extension(homs, recorded([], d), d + 1) == oracle_gp_number(pts)
 
 
+def test_cap_above_the_item_count_is_clamped():
+    # every item is accepted, so the first descent takes all six, the most
+    # any search can hold; a larger cap changes nothing and the bound is
+    # never asked
+    log, asked = [], []
+    got = max_extension(list(range(6)), lambda chosen, h: log.append(h) or True, 0,
+                        cap=9, bound=lambda: asked.append(1) or 6)
+    assert got == 6 and len(log) == 6 and asked == []
+
+
+def test_bound_is_asked_once_when_the_first_descent_falls_short():
+    # the first descent keeps 4 of the 3 x 3 grid; the bound 6 is the
+    # answer, so the search ends at the first 6-set instead of proving it
+    # optimal
+    grid = [Point([x, y]).hom for x in range(3) for y in range(3)]
+    best, full = recursive_calls(grid, 2)
+    log, asked = [], []
+    assert max_extension(grid, recorded(log, 2), 3,
+                         bound=lambda: asked.append(1) or best) == best == 6
+    assert asked == [1]
+    assert log == full[: len(log)] and len(log) < len(full)
+    # a bound at the incumbent ends the search right after the first descent
+    log, asked = [], []
+    assert max_extension(grid, recorded(log, 2), 3, lower=6,
+                         bound=lambda: asked.append(1) or 6) == 6
+    assert asked == [1]
+    assert all(b[0][: len(a[0])] == a[0] for a, b in zip(log, log[1:]))
+    # a first descent that reaches the cap never asks
+    asked = []
+    assert max_extension(grid, recorded([], 2), 3, cap=4,
+                         bound=lambda: asked.append(1) or 6) == 4
+    assert asked == []
+
+
 def test_budget_is_checked_on_backtracking():
     grid = [Point([x, y]).hom for x in range(6) for y in range(6)]
     with pytest.raises(BudgetExceeded, match="1000 nodes"):

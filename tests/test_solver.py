@@ -2,7 +2,7 @@
 construction, and the complexes attached to a configuration."""
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -179,6 +179,15 @@ class TestCheckCondition:
         with pytest.raises(ValueError):
             check_condition(fam, bound=lambda k: k, mode="sampled")
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_needs_a_sample(self, samples):
+        # no check at all must not read as "holds": this family violates Hall
+        fam = family_of(1, [[0]], [[0]], [[1]])
+        assert not check_condition(fam, bound=lambda k: k).holds
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            check_condition(fam, bound=lambda k: k, mode="sampled", samples=samples,
+                            rng=rng_for("no-samples"))
+
     def test_unknown_mode(self):
         fam = family_of(1, [[0]])
         with pytest.raises(ValueError):
@@ -245,9 +254,9 @@ class TestWarmStart:
         calls = []
         real = solver.gp_number
 
-        def gp_number(X, node_budget=None, *, lower=0, cap=None):
+        def gp_number(X, node_budget=None, *, lower=0, cap=None, bound=None):
             calls.append((lower, cap))
-            return real(X, node_budget, lower=lower, cap=cap)
+            return real(X, node_budget, lower=lower, cap=cap, bound=bound)
 
         monkeypatch.setattr(solver, "gp_number", gp_number)
         return calls
@@ -299,6 +308,65 @@ class TestWarmStart:
         fam = PointFamily(d=2, sets=[grid[:6], grid[6:12]])
         assert check_condition(fam, bound=lambda k: 2 * k, subset_budget=1000).holds
         assert fam.node_budget == 1000
+
+
+def lines2(a, layers):
+    # layer z: a points on the row y = z and a on the slope-1 line y = x + z
+    return [[(x, z) for x in range(a)] + [(x, x + z) for x in range(a)] for z in range(layers)]
+
+
+class TestLineCover:
+    def test_cover_bounds_every_union(self):
+        rng = rng_for("line-cover")
+        oracle = {}
+        for trial in range(30):
+            d = 2 + trial % 2
+            fam = planted_family(rng, d, rng.randint(2, 4))
+            for size in range(1, fam.m + 1):
+                for combo in combinations(range(fam.m), size):
+                    pts = fam.union_points(combo)
+                    key = tuple(p.hom for p in pts)
+                    if key not in oracle:
+                        oracle[key] = oracle_gp_number(pts)
+                    cover = fam._line_cover(combo)
+                    assert oracle[key] <= cover <= len(set(pts)), (trial, combo)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_grid_row_unions_are_covered_tightly(self, n):
+        # a row holds the most points left while one remains, so r rows
+        # get 2 each
+        fam = PointFamily(d=2, sets=[[[x, y] for x in range(n)] for y in range(n)])
+        for size in range(1, n + 1):
+            for combo in combinations(range(n), size):
+                assert fam._line_cover(combo) == 2 * size
+
+    def test_one_set_is_capped_by_its_cover(self):
+        # no sub-union warm-starts a single set; the cover 12 of the 6 x 6
+        # grid ends the search at the first 12-set, well within the budget
+        grid = [[x, y] for x in range(6) for y in range(6)]
+        fam = PointFamily(d=2, sets=[grid], node_budget=10**5)
+        assert fam._line_cover((0,)) == 12
+        assert fam.gp_number_of_union((0,)) == 12
+
+    def test_an_optimal_incumbent_closes_after_the_first_descent(self, monkeypatch):
+        # on the lines2 3 x 3 family, X_{0,1} already holds 6 points in
+        # general position and so does the whole union; without the cover,
+        # proving that takes 478 gp_extends calls
+        fam = PointFamily(d=2, sets=lines2(3, 3))
+        for combo in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+            fam.gp_number_of_union(combo)
+        calls = []
+        monkeypatch.setattr(
+            "genpos.geometry.gp_extends",
+            lambda rows, new, d, real=solver.gp_extends: calls.append(list(rows)) or real(rows, new, d),
+        )
+        # gp(X_{0,1}) = 6 is the incumbent, and the union's 12 distinct
+        # points lie on the three columns x = 0, 1, 2, so the cover is 6
+        assert fam._gp_cache[frozenset((0, 1))] == 6
+        assert fam._line_cover((0, 1, 2)) == 6
+        assert fam.gp_number_of_union((0, 1, 2)) == 6
+        # one descent: each call's prefix extends the one before
+        assert calls and all(b[: len(a)] == a for a, b in zip(calls, calls[1:]))
 
 
 class TestSolveGreedy:
