@@ -5,6 +5,9 @@ matrices with machine-size entries (the compiled fast path), larger matrices,
 and entries past 2**28 where both backends run exact object arithmetic. The
 gp_extends rows span prefix sizes on both sides of the crossover between the
 pure radial test and the compiled determinant loop, plus an early reject.
+The FlatIndex rows time the build of gp_number's flat index, which does not
+depend on the backend: the 6x6 grid (d=2), the 3x3x3 cube and 40 points on
+the moment curve (d=3).
 
 Run:  python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -23,7 +26,7 @@ try:
 except ImportError:
     fast = None
 
-from genpos.geometry import Point
+from genpos.geometry import FlatIndex, Point
 
 
 def _rand_matrix(rng, n, m, lo, hi):
@@ -80,6 +83,14 @@ def build_cases(rng):
             ("gp_extends d=%d k=%d%s" % (d, kk, tag), "gp_extends",
              lambda k, ps=probes: [k.gp_extends(r, nr, dd) for r, nr, dd in ps])
         )
+    for label, d, pts in [
+        ("FlatIndex 6x6 grid d=2", 2, [(x, y) for x in range(6) for y in range(6)]),
+        ("FlatIndex 3x3x3 cube d=3", 3,
+         [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]),
+        ("FlatIndex 40 moment d=3", 3, [(t, t * t, t ** 3) for t in range(40)]),
+    ]:
+        homs = [Point(p).hom for p in pts]
+        cases.append((label, "index", lambda k, hs=homs, dd=d: FlatIndex(hs, dd).build()))
     return cases
 
 
@@ -93,9 +104,9 @@ def main():
     if fast is None:
         print("compiled backend not built; timing the pure backend only")
     print("%-28s %12s %12s %9s" % ("case", "pure (ms)", "compiled", "speedup"))
-    for label, _, run in cases:
+    for label, kind, run in cases:
         t_pure = min(timeit.repeat(lambda: run(pure), number=3, repeat=args.repeat))
-        if fast is None:
+        if fast is None or kind == "index":
             print("%-28s %12.3f %12s %9s" % (label, t_pure * 1e3 / 3, "-", "-"))
             continue
         expect = run(pure)

@@ -14,8 +14,8 @@ Run as the installed `genpos` script, `python3 -m genpos` or
 `python3 -m genpos.cli`.
 
 Environment: GENPOS_BUDGET_FACES caps faces in any constructed complex,
-GENPOS_BUDGET_NODES caps search nodes (each gp_number search included) and
-enumerated subfamilies.
+GENPOS_BUDGET_NODES caps search nodes (each gp_number included, its flat
+index build too) and enumerated subfamilies.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import sys
 from genpos import homology, jsonio, matroids, solver
 from genpos import __version__
 from genpos.complexes import (
+    bits_of,
     completion,
     induced,
     is_q_star,
@@ -312,21 +313,26 @@ def _cmd_complex(args, face_budget, node_budget):
                 pts, max_card=args.max_card, max_faces=face_budget
             )
         elif op == "independence":
-            K = solver.independence_complex(pts, max_card=args.max_card)
+            K = solver.independence_complex(
+                pts, max_card=args.max_card, max_faces=face_budget
+            )
         else:
             oracle = matroids.AffineMatroid(pts)
             if args.rank is not None:
-                oracle = matroids.ExplicitMatroid(
-                    len(pts),
-                    [
-                        frozenset(S)
-                        for S in _independent_sets_up_to(oracle, args.rank)
-                    ],
+                # the matroid truncated to rank --rank: its independent sets
+                # are those of size at most --rank
+                small = matroids.independence_complex(
+                    oracle, max_card=args.rank, max_faces=face_budget
                 )
-            K = matroids.uniformity_complex(oracle, max_card=args.max_card)
+                oracle = matroids.ExplicitMatroid(
+                    len(pts), [bits_of(f) for f in small.faces]
+                )
+            K = matroids.uniformity_complex(
+                oracle, max_card=args.max_card, max_faces=face_budget
+            )
     elif op == "nerve":
         members = jsonio.subcomplexes_from_doc(_read_doc(args.input), max_faces=face_budget)
-        K = nerve(members)
+        K = nerve(members, max_faces=face_budget)
     else:
         K = jsonio.complex_from_doc(_read_doc(args.input), max_faces=face_budget)
         if op == "closure":
@@ -370,23 +376,6 @@ def _cmd_complex(args, face_budget, node_budget):
             return EXIT_OK if res.holds else EXIT_NEGATIVE
     _emit(jsonio.complex_to_doc(K), args.human, _render_complex)
     return EXIT_OK
-
-
-def _independent_sets_up_to(oracle, r):
-    # every independent set of size <= r, grown levelwise
-    out = [frozenset()]
-    level = [frozenset()]
-    for _ in range(r):
-        nxt = []
-        for S in level:
-            start = max(S) + 1 if S else 0
-            for e in range(start, oracle.ground_size):
-                T = S | {e}
-                if oracle.is_independent(T):
-                    nxt.append(T)
-        out.extend(nxt)
-        level = nxt
-    return out
 
 
 def _render_family(doc):

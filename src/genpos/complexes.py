@@ -274,10 +274,12 @@ def join(K, L, max_faces=None):
     return SimplicialComplex(K.n_vertices + L.n_vertices, faces, _validated=True)
 
 
-def nerve(family):
+def nerve(family, max_faces=None):
     """Nerve of a family of complexes on one vertex universe: a subset of
     members is a face iff their face sets share a nonempty face, which by
-    downward closure means a shared vertex. Every member must have a vertex."""
+    downward closure means a shared vertex. Every member must have a vertex.
+    At most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
+    BudgetExceeded is raised)."""
     members = list(family)
     if not members:
         return SimplicialComplex(0, [], _validated=True)
@@ -291,17 +293,21 @@ def nerve(family):
         if vs == 0:
             raise ValueError("nerve members must each contain a vertex")
         vsets.append(vs)
+    budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     m = len(members)
     faces = {0}
-
-    def rec(start, face, common):
+    # each entry: the next member to try, a face, and its members' common vertices
+    stack = [(0, 0, (1 << n) - 1 if n else 0)]
+    while stack:
+        start, face, common = stack.pop()
         for i in range(start, m):
-            nv = common & vsets[i]
-            if nv:
-                faces.add(face | (1 << i))
-                rec(i + 1, face | (1 << i), nv)
-
-    rec(0, 0, (1 << n) - 1 if n else 0)
+            shared = common & vsets[i]
+            if shared:
+                grown = face | 1 << i
+                faces.add(grown)
+                if len(faces) > budget:
+                    raise BudgetExceeded("nerve exceeds %d faces" % budget)
+                stack.append((i + 1, grown, shared))
     return SimplicialComplex(m, faces, _validated=True)
 
 

@@ -6,7 +6,9 @@ divided by the content), so every affine predicate runs on integers in the
 kernel backend: independence and hyperplanes through ranks and determinants,
 and the incremental general-position test (gp_extends) by radial projection
 from the new point, with the directions to the prefix hashed as lines (see
-genpos._kernels.pure). No floating point is used anywhere.
+genpos._kernels.pure). gp_number does not call gp_extends: it works on a
+FlatIndex, the flats through too many of the points as bitmasks, where
+general position is popcount arithmetic. No floating point is used anywhere.
 
 A point list is *in general position* when every subset of size at most d+1
 is affinely independent; coordinate-equal entries therefore always break
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from genpos._kernels import gp_extends, int_det, int_rank
-from genpos.errors import DimensionMismatch, NotInGeneralPosition
-from genpos.search import max_extension
+from genpos.errors import BudgetExceeded, DimensionMismatch, NotInGeneralPosition
+from genpos.search import DEFAULT_NODE_BUDGET, max_extension
 
 __all__ = [
     "Point",
@@ -32,7 +35,7 @@ __all__ = [
     "in_general_position",
     "keeps_general_position",
     "gp_number",
-    "LineIndex",
+    "FlatIndex",
     "spanned_hyperplanes",
     "extend_gp",
 ]
@@ -176,86 +179,201 @@ def in_general_position(points):
     return True
 
 
-def gp_number(X, node_budget=None, *, lower=0, cap=None, bound=None):
+def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
     """Maximum size of a sub-multiset in general position.
 
-    Repeated coordinates never help (a duplicate pair is affinely dependent),
-    so the search runs on distinct points in input order, by the budgeted
-    branch-and-bound of genpos.search.max_extension: each gp_extends call is
-    one node against node_budget (None: DEFAULT_NODE_BUDGET), and past it
-    BudgetExceeded is raised. If the greedy first pass keeps at most d
-    points, every point it rejected lies on their affine hull, a flat of
-    dimension below d, where no general-position set is larger; that pass
-    is the answer, so points on one line or plane cost one scan.
+    Repeated coordinates never help (a duplicate pair is affinely
+    dependent), so only the distinct points U of X count, in input order.
 
-    lower, cap and bound are bounds on the answer that the caller already
-    holds or can compute (PointFamily takes the first two from sub-unions
-    and passes a LineIndex cover as bound): the search seeks only sets
-    larger than lower, stops at the first set of size cap, and calls bound()
-    at most once, when it has to prove its incumbent optimal. Bounds that
-    hold leave the answer unchanged.
+    - lower and cap are bounds on the answer that the caller already holds
+      (PointFamily takes them from sub-unions). When lower reaches cap or
+      the number of points, it is the answer.
+    - Unless the index is built already, the affine rank r of U comes
+      next (one elimination, int_rank). When r <= d, U lies in an
+      (r-1)-flat and the answer is r: any r+1 of its points are dependent,
+      and r independent points are in general position.
+    - Otherwise the FlatIndex over U, or the given index over a superset
+      of U, is built if it is not yet; each tuple it hashes is one node of
+      node_budget (None: DEFAULT_NODE_BUDGET). A point of U is *free* when
+      no indexed j-flat through it holds j+2 points of U. It extends every
+      general-position subset of U, so gp(U) = #free + gp(U minus the free
+      points), as in the kernelisation of Froese, Kanj, Nichterlein and
+      Niedermeier, "Finding points in general position" (2017).
+    - The points left go through genpos.search.max_extension with the rest
+      of the budget: w extends a chosen set C unless an indexed j-flat
+      through w holds j+1 points of C, a popcount. The line cover of those
+      points (FlatIndex.cover) is the bound the search asks for when it
+      must prove its incumbent optimal.
+
+    Past the budget, in the build or the search, BudgetExceeded is raised.
+    Bounds that hold leave the answer unchanged.
     """
     pts = _as_points(X)
-    distinct = list(dict.fromkeys(pts))
-    if not distinct:
-        return 0
-    d = _common_dim(distinct)
-    return max_extension(
-        [p.hom for p in distinct],
-        lambda chosen, h: gp_extends(chosen, h, d),
+    homs = list(dict.fromkeys(p.hom for p in pts))
+    n = len(homs)
+    cap = n if cap is None else min(cap, n)
+    if lower >= cap:
+        return lower
+    if index is None:
+        index = FlatIndex(homs, _common_dim(pts))
+    d = index.d
+    if index.flats is None:
+        rank = int_rank(homs)
+        if rank <= d:
+            return rank
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    spent = index.build(budget)
+    pos = index.pos
+    union = 0
+    for h in homs:
+        union |= 1 << pos[h]
+    crowded = index.crowded(union)
+    free = (union & ~crowded).bit_count()
+    items = [bit for bit in (1 << pos[h] for h in homs) if bit & crowded]
+    if not items:
+        return free
+    through = index.through
+
+    def extends(chosen, w):
+        c = sum(chosen)  # distinct bits
+        for mask, j in through[w.bit_length() - 1]:
+            if (mask & c).bit_count() > j:
+                return False
+        return True
+
+    return free + max_extension(
+        items,
+        extends,
         d + 1,
-        lower=lower,
-        cap=cap,
-        node_budget=node_budget,
-        bound=bound,
+        lower=max(lower - free, 0),
+        cap=cap - free,
+        node_budget=budget,
+        bound=lambda: index.cover(crowded),
+        nodes=spent,
     )
 
 
-class LineIndex:
-    """The lines through three or more of a list of distinct points, as
-    bitmasks over the list, for an upper bound on gp_number of any sublist.
+class FlatIndex:
+    """The flats spanned by a list of distinct points that hold too many of
+    them for general position, as bitmasks over the list: every j-flat,
+    1 <= j <= d-1, through at least j+2 of the points, with its dimension j.
 
-    In dimension d >= 2 a general-position set has at most 2 points on a
-    line, so for lines L_1, L_2, ... chosen greedily (each time the one
-    holding the most points of the sublist X not yet covered, while it holds
-    3 or more) gp_number(X) is at most 2 per chosen line plus the points of
-    X on none of them; see Froese, Kanj, Nichterlein and Niedermeier,
-    "Finding points in general position" (2017). Building the index hashes
-    the direction from each point to every later one, O(n^2) in all; a
-    cover then works on bitmasks alone.
+    A general-position set has at most j+1 points on a j-flat. A point w
+    extends a general-position set C unless some indexed j-flat through w
+    holds j+1 points of C: a smallest dependent subset of C + {w} is j+1
+    independent points of C and w on their j-flat, which then holds j+2 of
+    the points. So with ``through[i]``, the (mask, j) of the flats through
+    point i, general position is popcount arithmetic.
+
+    The index is built lazily (build), once, at a cost of one node per
+    (j+1)-tuple of points, the sum over j of C(n, j+1). Each tuple is taken
+    from its lowest point a: the directions from a to the other j points
+    span the j-flat's direction space, and their Plücker vector (the
+    j-minors, grown one direction at a time by Laplace expansion),
+    gcd-reduced with its first nonzero entry positive, names that flat
+    among the flats through a, or is zero when the tuple is dependent. So
+    every flat is found with all its points at its lowest point, and
+    recorded there; at a higher point it lies inside a recorded flat of its
+    dimension through that point. d = 1 has no flats.
     """
 
-    __slots__ = ("lines",)
+    __slots__ = ("d", "homs", "pos", "flats", "through")
 
-    def __init__(self, homs):
+    def __init__(self, homs, d):
         # homs: distinct primitive homogeneous vectors, last entry positive
+        self.d = d
+        self.homs = homs
+        self.pos = {h: i for i, h in enumerate(homs)}
+        self.flats = None  # [(mask, j)], once built
+        self.through = None
+
+    def tuples(self):
+        """Nodes a build costs: the number of (j+1)-tuples, 1 <= j <= d-1."""
+        n = len(self.homs)
+        return sum(comb(n, j + 1) for j in range(1, self.d))
+
+    def build(self, node_budget=None):
+        """Build the index if it is not built, and return the nodes that
+        cost (0 if it was built). BudgetExceeded is raised, before any
+        work, when the tuples outnumber node_budget (None:
+        DEFAULT_NODE_BUDGET)."""
+        if self.flats is not None:
+            return 0
+        cost = self.tuples()
+        budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        if cost > budget:
+            raise BudgetExceeded(
+                "flat index over %d points in d=%d needs %d nodes, over the budget of %d nodes"
+                % (len(self.homs), self.d, cost, budget)
+            )
+        homs, d = self.homs, self.d
         n = len(homs)
-        lines = []
-        partners = [0] * n  # points sharing a recorded line with each point
-        for i in range(n - 1):
-            first = {}
-            more = {}
-            for j, key in enumerate(_directions(homs[i], homs[i + 1:]), i + 1):
-                k = first.setdefault(key, j)
-                if k != j:
-                    more.setdefault(key, [k]).append(j)
-            for members in more.values():
-                rest = 0
-                for j in members:
-                    rest |= 1 << j
-                if rest & partners[i]:
-                    continue  # recorded from an earlier point of the line
-                mask = rest | 1 << i
-                lines.append(mask)
-                for j in members:
-                    partners[j] |= mask
-                partners[i] |= mask
-        self.lines = lines
+        line_key = _line_key(d)
+        flat_keys = [None, None] + [_flat_key(d, j - 1) for j in range(2, d)]
+        flats = []
+        through = [[] for _ in range(n)]
+        for a in range(n - 2 if d > 1 else 0):
+            # the flats through a: each reduced direction from a names a
+            # line, and the Plücker vector of j directions a j-flat
+            p = homs[a]
+            groups = [{} for _ in range(d)]  # by dimension: key -> points
+            dirs = {}
+            level = []
+            group = groups[1]
+            for b in range(a + 1, n):
+                key = dirs[b] = line_key(p, homs[b])
+                grown = 1 << a | 1 << b
+                group[key] = group.get(key, 0) | grown
+                if d > 2:
+                    level.append((grown, key, b + 1))
+            for j in range(2, d):
+                flat_key = flat_keys[j]
+                group = groups[j]
+                deeper = []
+                for mask, vec, start in level:
+                    for b in range(start, n):
+                        key = flat_key(vec, dirs[b])
+                        if key is None:
+                            continue  # a dependent tuple
+                        grown = mask | 1 << b
+                        group[key] = group.get(key, 0) | grown
+                        if j + 1 < d:
+                            deeper.append((grown, key, b + 1))
+                level = deeper
+            for j in range(1, d):
+                for mask in groups[j].values():
+                    if mask.bit_count() < j + 2 or any(
+                        k == j and not mask & ~other for other, k in through[a]
+                    ):
+                        continue  # too few points, or recorded at a lower point
+                    flat = (mask, j)
+                    flats.append(flat)
+                    while mask:
+                        low = mask & -mask
+                        through[low.bit_length() - 1].append(flat)
+                        mask ^= low
+        self.through = [tuple(t) for t in through]
+        self.flats = flats
+        return cost
+
+    def crowded(self, mask):
+        """The points of mask on an indexed j-flat holding j+2 of them: the
+        points of mask that are not free."""
+        out = 0
+        for flat, j in self.flats:
+            flat &= mask
+            if flat.bit_count() > j + 1:
+                out |= flat
+        return out
 
     def cover(self, mask):
-        """Upper bound on gp_number (d >= 2) of the points in mask."""
+        """Upper bound on gp_number (d >= 2) of the points in mask: for
+        lines chosen greedily, each time the one holding the most points of
+        mask not yet covered while one holds 3 or more, 2 per line plus 1
+        per point on none of them (a general-position set has at most 2
+        points on a line)."""
         total = 0
-        live = self.lines
+        live = [line for line, j in self.flats if j == 1]
         while True:
             live = [line & mask for line in live if (line & mask).bit_count() >= 3]
             if not live:
@@ -264,34 +382,51 @@ class LineIndex:
             mask &= ~max(live, key=int.bit_count)
 
 
-def _directions(p, qs):
-    """The directions pw*q - qw*p from p to each q, gcd-reduced with the
-    first nonzero entry positive (as in genpos._kernels.pure._through), so
-    that two of them are equal iff p and the two points are collinear."""
-    keys = []
-    if len(p) == 3:
-        px, py, pw = p
-        for qx, qy, qw in qs:
-            s = pw * qx - qw * px
-            t = pw * qy - qw * py
-            g = gcd(s, t)
-            if s < 0 or (not s and t < 0):
-                g = -g
-            keys.append((s // g, t // g))
-        return keys
-    pw = p[-1]
-    ps = p[:-1]
-    for q in qs:
-        qw = q[-1]
-        v = [pw * x - qw * y for x, y in zip(q, ps)]
-        g = gcd(*v)
-        for x in v:
-            if x:
-                break
-        if x < 0:
-            g = -g
-        keys.append(tuple([x // g for x in v]))
-    return keys
+def _reducer(args, entries):
+    """Compile a function of args that returns the integer vector of the
+    expressions in entries divided by their gcd, first nonzero entry
+    positive, as a tuple, or None when it is zero. The index computes such
+    a key for every tuple of points, so each shape is compiled once into
+    straight-line code."""
+    names = ["a%d" % i for i in range(len(entries))]
+    lines = ["def key(%s):" % args]
+    lines += ["    %s = %s" % (a, e) for a, e in zip(names, entries)]
+    lines += [
+        "    g = gcd(%s)" % ", ".join(names),
+        "    if not g:",
+        "        return None",
+        "    if (%s) < 0:" % " or ".join(names),  # the first nonzero entry
+        "        g = -g",
+        "    return (%s,)" % ", ".join("%s // g" % a for a in names),
+    ]
+    namespace = {"gcd": gcd}
+    exec("\n".join(lines), namespace)
+    return namespace["key"]
+
+
+@cache
+def _line_key(d):
+    """key(p, q): the direction pw*q - qw*p from p to q, homogeneous
+    vectors in dimension d, reduced. Two points lie on one line through p
+    iff their directions have the same key (pw, qw > 0)."""
+    return _reducer("p, q", ["p[%d] * q[%d] - q[%d] * p[%d]" % (d, i, d, i) for i in range(d)])
+
+
+@cache
+def _flat_key(n, k):
+    """key(v, p): the Plücker vector of k vectors and one more, from their
+    Plücker vector v (the k-minors, column sets in lexicographic order) and
+    the new vector p, all in length n: the (k+1)-minors, by Laplace
+    expansion along the new row, reduced; None when the k+1 vectors are
+    dependent."""
+    position = {cols: i for i, cols in enumerate(combinations(range(n), k))}
+    entries = []
+    for cols in combinations(range(n), k + 1):
+        entries.append(" ".join(
+            "%s p[%d] * v[%d]" % ("+-"[(k + t) % 2], s, position[cols[:t] + cols[t + 1:]])
+            for t, s in enumerate(cols)
+        ))
+    return _reducer("v, p", entries)
 
 
 @dataclass(frozen=True)

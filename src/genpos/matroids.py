@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from genpos.complexes import SimplicialComplex, mask_of
-from genpos.errors import OracleError
+from genpos.complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, mask_of
+from genpos.errors import BudgetExceeded, OracleError
 from genpos.geometry import PointMultiset, affinely_independent
 from genpos.search import max_extension
 
@@ -242,7 +242,8 @@ def max_uniform_size(oracle):
     )
 
 
-def _levelwise_complex(n, extends, max_card):
+def _levelwise_complex(n, extends, max_card, max_faces=None, what="complex"):
+    budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     faces = {0}
     level = [()]
     size = 1
@@ -254,13 +255,17 @@ def _levelwise_complex(n, extends, max_card):
                 if extends(t, w):
                     nxt.append(t + (w,))
                     faces.add(mask_of(t) | (1 << w))
+                    if len(faces) > budget:
+                        raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
         level = nxt
         size += 1
     return SimplicialComplex(n, faces, _validated=True)
 
 
-def uniformity_complex(oracle, max_card=None):
-    """Complex of uniform sets, truncated to |S| <= max_card (default r+3).
+def uniformity_complex(oracle, max_card=None, max_faces=None):
+    """Complex of uniform sets, truncated to |S| <= max_card (default r+3),
+    with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
+    BudgetExceeded is raised).
 
     Uniform sets are closed downward, so growing level by level in ascending
     element order enumerates them all. Equals the (r-1)-completion of the
@@ -273,13 +278,15 @@ def uniformity_complex(oracle, max_card=None):
     r = oracle.full_rank
     cap = min(n, r + 3) if max_card is None else max_card
     return _levelwise_complex(
-        n, lambda t, w: _extends_uniform(oracle, list(t), w, r), cap
+        n, lambda t, w: _extends_uniform(oracle, list(t), w, r), cap, max_faces,
+        "uniformity complex",
     )
 
 
-def independence_complex(oracle, max_card=None):
+def independence_complex(oracle, max_card=None, max_faces=None):
     """Complex of independent sets (dimension rank-1; no cap needed unless
-    given)."""
+    given), with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past
+    it BudgetExceeded is raised)."""
     n = oracle.ground_size
     if n == 0:
         return SimplicialComplex(0, [0], _validated=True)
@@ -288,4 +295,6 @@ def independence_complex(oracle, max_card=None):
         n,
         lambda t, w: oracle.is_independent(frozenset(t) | {w}),
         cap,
+        max_faces,
+        "independence complex",
     )

@@ -1,10 +1,12 @@
 """The one branch-and-bound maximiser behind gp_number and max_uniform_size.
 
 Both ask for the largest subset of a ground list that a hereditary
-predicate accepts, grown one element at a time in input order. The search
-is an include-first depth-first search on an explicit stack, so its depth
-is never limited by Python's recursion limit, and every predicate call is
-one node charged against a budget.
+predicate accepts, grown one element at a time in input order: gp_number
+for the points its flat index leaves unsettled, each a bit, under a popcount
+test on the flats through it, and max_uniform_size for matroid elements
+under oracle queries. The search is an include-first depth-first search on
+an explicit stack, so its depth is never limited by Python's recursion
+limit, and every predicate call is one node charged against a budget.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ DEFAULT_NODE_BUDGET = 10**7
 
 
 def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
-                  bound=None):
+                  bound=None, nodes=0):
     """Size of the largest sublist of ``items`` whose every prefix is accepted
     by ``extends(chosen, item)``, found by include-first depth-first search.
 
@@ -34,10 +36,12 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
       the first descent ends below cap and the first-descent rule below
       does not settle the search, and cap becomes the smaller of the two;
       a first descent that reaches cap never calls it.
-    - node_budget: predicate calls allowed (None: DEFAULT_NODE_BUDGET).
-      It is checked whenever the search backtracks, and BudgetExceeded is
-      raised past it; a search therefore overruns it by less than one
-      descent, and a search that never backtracks is never refused.
+    - node_budget: predicate calls allowed (None: DEFAULT_NODE_BUDGET),
+      of which ``nodes`` were already spent before the search (on building
+      the index behind the predicate, say). It is checked whenever the
+      search backtracks, and BudgetExceeded is raised past it; a search
+      therefore overruns it by less than one descent, and a search that
+      never backtracks is never refused.
 
     The first descent takes every item the predicate accepts. If it keeps
     s < ``rank`` items, each item it rejected was dependent on the kept
@@ -54,7 +58,6 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     chosen = []
     picked = []  # input positions of chosen, the stack of pending exclusions
-    nodes = 0
     first = True
     i = 0
     while True:

@@ -32,7 +32,7 @@ from math import comb
 from genpos.complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, mask_of
 from genpos.errors import BudgetExceeded, ConstructionError
 from genpos.geometry import (
-    LineIndex,
+    FlatIndex,
     Point,
     PointMultiset,
     extend_gp,
@@ -158,18 +158,17 @@ class PointFamily:
     """A family of point multisets in one common dimension, with a memoized
     gp_number on subfamily unions (condition checks revisit the same unions).
 
-    node_budget caps the nodes of each union's gp_number search (None:
+    node_budget caps the nodes of each union's gp_number (None:
     DEFAULT_NODE_BUDGET); check_condition sets it from its subset_budget and
-    solve_greedy from its node_budget, when given. In d >= 2 the first
-    union search that has to prove its incumbent optimal builds one
-    LineIndex over the family's distinct points and a bitmask per set, from
-    which every union's line cover is taken."""
+    solve_greedy from its node_budget, when given. Every union's gp_number
+    shares one FlatIndex over the family's distinct points, built by the
+    first union that needs it and charged to that union's nodes."""
 
     d: int
     sets: tuple
     node_budget: int | None = field(default=None, repr=False)
     _gp_cache: dict = field(default_factory=dict, repr=False)
-    _lines: tuple | None = field(default=None, repr=False)
+    _index: FlatIndex | None = field(default=None, repr=False)
 
     def __post_init__(self):
         sets = tuple(
@@ -204,9 +203,7 @@ class PointFamily:
 
         The largest cached left side is the search's incumbent and the
         smallest cached right side its cap. Only cached values are used, so
-        any order of calls gives the same answers. In d >= 2 the union's
-        line cover (LineIndex.cover) is a further cap, computed only if the
-        search needs it."""
+        any order of calls gives the same answers."""
         key = frozenset(indices)
         cache = self._gp_cache
         got = cache.get(key)
@@ -220,28 +217,13 @@ class PointFamily:
                 alone = cache.get(frozenset((i,)))
                 if alone is not None and (cap is None or rest + alone < cap):
                     cap = rest + alone
-            bound = None if self.d < 2 else (lambda: self._line_cover(key))
+            if self._index is None:
+                homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
+                self._index = FlatIndex(list(homs), self.d)
             got = gp_number(self.union_points(key), self.node_budget,
-                            lower=lower, cap=cap, bound=bound)
+                            lower=lower, cap=cap, index=self._index)
             cache[key] = got
         return got
-
-    def _line_cover(self, indices):
-        if self._lines is None:
-            points = list(dict.fromkeys(p for X in self.sets for p in X.points))
-            bit = {p: 1 << b for b, p in enumerate(points)}
-            masks = []
-            for X in self.sets:
-                mask = 0
-                for p in X.points:
-                    mask |= bit[p]
-                masks.append(mask)
-            self._lines = (LineIndex([p.hom for p in points]), masks)
-        index, masks = self._lines
-        union = 0
-        for i in indices:
-            union |= masks[i]
-        return index.cover(union)
 
 
 @dataclass(frozen=True)
@@ -353,7 +335,8 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
     """Two-phase greedy.
 
     Phase 1 assigns positions m down to 1, each time taking the lowest-index
-    unassigned set whose own gp_number reaches extension_bound(d, position);
+    unassigned set whose own gp_number (family.gp_number_of_union, so it is
+    cached and shares the family's index) reaches extension_bound(d, position);
     if none qualifies the greedy hypothesis fails and the unassigned
     subfamily is reported as a condition violation (its union's gp_number is
     then provably below greedy_bound). Phase 2 walks positions upward and
@@ -362,7 +345,7 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
 
     With exhaustive_reorder=True a failure is retried greedily under all m!
     set orders (m! must fit the node budget) before giving up. node_budget
-    also caps each gp_number search.
+    also caps each gp_number.
     """
     m, d = family.m, family.d
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -384,7 +367,7 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
                 return SgprResult(status="found", representatives=reps)
         return fallback
 
-    sizes = [gp_number(X, family.node_budget) for X in family.sets]
+    sizes = [family.gp_number_of_union((i,)) for i in range(m)]
     position_of = [None] * m
     unassigned = list(range(m))
     for j in range(m, 0, -1):
@@ -412,8 +395,9 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
 
 def solve_exhaustive(family, node_budget=None):
     """Backtracking over all picks in set order, candidates in input order,
-    pruning on general position; finds the lexicographically first system or
-    proves none exists. The pick-tuple space must fit the node budget."""
+    pruning on general position, on an explicit stack (one level per set, so
+    any number of sets); finds the lexicographically first system or proves
+    none exists. The pick-tuple space must fit the node budget."""
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     total = 1
     for X in family.sets:
@@ -427,24 +411,28 @@ def solve_exhaustive(family, node_budget=None):
     m, d = family.m, family.d
     homs = []
     picks = []
-
-    def rec(i):
-        if i == m:
-            return True
-        for p in family.sets[i]:
-            if gp_extends(homs, p.hom, d):
-                homs.append(p.hom)
-                picks.append(p)
-                if rec(i + 1):
-                    return True
-                homs.pop()
-                picks.pop()
-        return False
-
-    if rec(0):
-        reps = tuple((i, p) for i, p in enumerate(picks))
-        return SgprResult(status="found", representatives=reps)
-    return SgprResult(status="not_found")
+    tried = [0] * m  # per level, candidates already tried
+    i = 0
+    while i < m:
+        X = family.sets[i].points
+        j = tried[i]
+        while j < len(X) and not gp_extends(homs, X[j].hom, d):
+            j += 1
+        if j < len(X):
+            tried[i] = j + 1
+            homs.append(X[j].hom)
+            picks.append(X[j])
+            i += 1
+            if i < m:
+                tried[i] = 0
+        elif i == 0:
+            return SgprResult(status="not_found")
+        else:
+            i -= 1
+            homs.pop()
+            picks.pop()
+    reps = tuple((i, p) for i, p in enumerate(picks))
+    return SgprResult(status="found", representatives=reps)
 
 
 def solve_matroid_intersection(family):
@@ -565,11 +553,13 @@ def general_position_complex(X, max_card=None, max_faces=None):
     return SimplicialComplex(n, faces, _validated=True)
 
 
-def independence_complex(X, max_card=None):
+def independence_complex(X, max_card=None, max_faces=None):
     """Complex of affinely independent index sets of X: the (r-1)-skeleton of
     the general-position complex, where r = min(gp_number(X), d+1). Also
-    accepts any independence oracle in place of a point multiset."""
-    if isinstance(X, matroids.IndependenceOracle):
-        return matroids.independence_complex(X, max_card=max_card)
-    pts = X if isinstance(X, PointMultiset) else PointMultiset(X)
-    return matroids.independence_complex(matroids.AffineMatroid(pts), max_card=max_card)
+    accepts any independence oracle in place of a point multiset. At most
+    max_faces faces (None: DEFAULT_FACE_BUDGET)."""
+    oracle = X
+    if not isinstance(X, matroids.IndependenceOracle):
+        pts = X if isinstance(X, PointMultiset) else PointMultiset(X)
+        oracle = matroids.AffineMatroid(pts)
+    return matroids.independence_complex(oracle, max_card=max_card, max_faces=max_faces)

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from genpos.complexes import SimplicialComplex, bits_of, mask_of
 from genpos.geometry import Point, PointMultiset
 
@@ -100,12 +102,27 @@ def oracle_keeps_gp(prefix, cand):
 
 
 def oracle_gp_number(pts):
-    """Largest general-position subset by brute force (use on small inputs)."""
+    """Largest general-position subset by brute force (use on small inputs):
+    subsets from the largest down, each checked as oracle_gp does, with the
+    independence of each small subset decided once."""
     pts = as_points(pts)
     n = len(pts)
+    independent = {}
+
+    def in_gp(combo):
+        for size in range(2, min(len(combo), pts[0].d + 1) + 1):
+            for sub in combinations(combo, size):
+                got = independent.get(sub)
+                if got is None:
+                    got = oracle_affinely_independent([pts[i] for i in sub])
+                    independent[sub] = got
+                if not got:
+                    return False
+        return True
+
     for size in range(n, 0, -1):
         for combo in combinations(range(n), size):
-            if oracle_gp([pts[i] for i in combo]):
+            if in_gp(combo):
                 return size
     return 0
 
@@ -152,6 +169,60 @@ def random_degenerate_points(rng, d, size, spread=6):
             pts.append(random_point(rng, d, spread))
     rng.shuffle(pts)
     return pts[:size]
+
+
+def on_flat(picks, weights):
+    """The point picks[0] + sum of w_i (picks[i] - picks[0]): on the affine
+    hull of picks, which is a flat of dimension at most len(picks) - 1."""
+    base = picks[0].coords
+    coords = list(base)
+    for q, w in zip(picks[1:], weights):
+        coords = [c + w * (y - x) for c, x, y in zip(coords, base, q.coords)]
+    return Point(coords)
+
+
+def random_planted_points(rng, d, size, spread=3):
+    """Point multiset with planted duplicates and points on the j-flats
+    (1 <= j <= d-1) through j+1 earlier points: collinear triples,
+    coplanar quadruples and so on."""
+    pts = [random_point(rng, d, spread) for _ in range(max(2, size // 2))]
+    while len(pts) < size:
+        roll = rng.random()
+        if roll < 0.2:
+            pts.append(pts[rng.randrange(len(pts))])
+        elif roll < 0.8:
+            k = rng.randint(1, max(1, min(d - 1, len(pts) - 1)))
+            weights = [random_rational(rng, 2, (1, 2, 3)) for _ in range(k)]
+            pts.append(on_flat(rng.sample(pts, k + 1), weights))
+        else:
+            pts.append(random_point(rng, d, spread))
+    rng.shuffle(pts)
+    return pts
+
+
+@st.composite
+def planted_points(draw, dims=(1, 4), max_distinct=10):
+    """Hypothesis strategy for (d, points): a few small integer points, then
+    repeats, points on the j-flats through j+1 earlier points, and further
+    points, with at most max_distinct distinct points in all (the
+    brute-force oracles are exponential)."""
+    d = draw(st.integers(*dims))
+    coords = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    pts = [Point(c) for c in draw(st.lists(coords, min_size=1, max_size=4))]
+    for kind in draw(st.lists(st.sampled_from(("repeat", "flat", "point")), max_size=9)):
+        if len(set(pts)) >= max_distinct:
+            break
+        if kind == "repeat":
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "flat" and len(pts) >= 2:
+            k = draw(st.integers(1, max(1, min(d - 1, len(pts) - 1))))
+            picks = draw(st.lists(st.sampled_from(pts), min_size=k + 1, max_size=k + 1))
+            weights = draw(st.lists(st.fractions(-2, 2, max_denominator=3),
+                                    min_size=k, max_size=k))
+            pts.append(on_flat(picks, weights))
+        else:
+            pts.append(Point(draw(coords)))
+    return d, pts
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from genpos import (
     solve_exhaustive,
     uniform_connectivity_bound,
 )
+from genpos.geometry import FlatIndex
 from genpos.jsonio import complex_to_doc, family_from_doc
 
 
@@ -409,6 +410,18 @@ class TestEnvironmentBudgets:
         assert out == ""
         assert err.startswith("error: ") and "1000 nodes" in err and err.count("\n") == 1
 
+    def test_coplanar_points_need_no_index(self, capsys, monkeypatch):
+        # 500 points on one plane in space: their affine rank is 3, which
+        # is the answer, with no index built
+        monkeypatch.setattr(FlatIndex, "build", None)
+        plane = [[a, b, "%d/7" % (3 * a - 2 * b + 5)] for a in range(-11, 14) for b in range(20)]
+        doc = {"d": 3, "sets": [plane]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        t0 = time.perf_counter()
+        code, out = run_json(capsys, ["check", "-", "--bound", "hall", "--all-checks"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 0 and out["checks"][0]["gp_number"] == 3
+
     def test_invalid_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("GENPOS_BUDGET_NODES", "lots")
         with pytest.raises(SystemExit) as exc:
@@ -454,9 +467,9 @@ class TestExitContract:
         assert err.startswith("error: %s" % fault.__name__) and err.count("\n") == 1
 
 
-def run_module(module, args, stdin=""):
+def run_module(module, args, stdin="", **environ):
     src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", module, *args],
@@ -489,6 +502,41 @@ class TestAsProcess:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestLimitsAsProcess:
+    def test_exhaustive_on_thousands_of_singletons(self):
+        # one level per set, far beyond any recursion limit
+        doc = {"d": 2, "sets": [[[t, t * t]] for t in range(1200)]}
+        proc = run_module("genpos", ["solve", "-", "--method", "exhaustive"],
+                          stdin=json.dumps(doc))
+        assert proc.returncode == 0 and proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert out["status"] == "found" and out["method"] == "exhaustive"
+        assert [r["point"] for r in out["representatives"]] == [X[0] for X in doc["sets"]]
+
+    @pytest.mark.parametrize("op, doc", [
+        ("gp", {"d": 2, "points": [[t, t * t] for t in range(14)]}),
+        ("independence", {"d": 2, "points": [[t, t * t] for t in range(14)]}),
+        ("uniformity", {"d": 2, "points": [[t, t * t] for t in range(14)]}),
+        ("nerve", {"n_vertices": 1, "members": [[[0]]] * 12}),
+    ])
+    def test_face_budget_reaches_every_complex(self, op, doc):
+        proc = run_module("genpos", ["complex", op, "-"], stdin=json.dumps(doc),
+                          GENPOS_BUDGET_FACES="100")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "100 faces" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    def test_index_past_the_node_budget_exits_three(self):
+        # the 3 x 3 x 3 cube as one set: its index needs 3,276 nodes
+        doc = {"d": 3, "sets": [[[x, y, z] for x in range(3) for y in range(3)
+                                 for z in range(3)]]}
+        proc = run_module("genpos", ["check", "-", "--bound", "hall"], stdin=json.dumps(doc),
+                          GENPOS_BUDGET_NODES="3000")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "needs 3276 nodes, over the budget of 3000 nodes" in proc.stderr
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):

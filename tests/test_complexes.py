@@ -334,6 +334,13 @@ class TestNerve:
         N = nerve(members)
         assert len(N) == 2 ** len(members)
 
+    def test_face_budget(self):
+        # twelve members through one vertex: 4,096 faces
+        members = [closure([(0, v)], 13) for v in range(1, 13)]
+        assert len(nerve(members, max_faces=4096)) == 4096
+        with pytest.raises(BudgetExceeded, match="nerve exceeds 4095 faces"):
+            nerve(members, max_faces=4095)
+
     def test_member_without_vertex_rejected(self):
         with pytest.raises(ValueError):
             nerve([closure([(0,)], 3), SimplicialComplex(3, [0])])

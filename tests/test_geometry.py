@@ -4,6 +4,7 @@ and the one-point extension step."""
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +24,17 @@ from genpos import (
     keeps_general_position,
     spanned_hyperplanes,
 )
-from genpos.geometry import LineIndex
+from genpos import geometry
+from genpos.geometry import FlatIndex
 from conftest import (
     oracle_affinely_independent,
     oracle_gp,
     oracle_gp_number,
     oracle_rank,
+    planted_points,
     random_degenerate_points,
     random_gp_points,
+    random_planted_points,
     random_point,
     rng_for,
 )
@@ -204,6 +208,32 @@ class TestGpNumber:
             gp_number(grid, node_budget=1000)
         assert gp_number(grid[:12], node_budget=10**5) == 4
 
+    def test_index_build_is_charged_to_the_budget(self):
+        # the 3 x 3 x 3 cube: its index hashes C(27, 2) + C(27, 3) tuples
+        cube = [Point([x, y, z]) for x in range(3) for y in range(3) for z in range(3)]
+        tuples = comb(27, 2) + comb(27, 3)
+        with pytest.raises(BudgetExceeded, match="needs %d nodes" % tuples):
+            gp_number(cube, node_budget=tuples - 1)
+        assert gp_number(cube) == 8
+
+    def test_search_gets_what_the_build_leaves(self, monkeypatch):
+        # the 6 x 6 grid's index costs C(36, 2) = 630 nodes before its search
+        grid = [Point([x, y]) for x in range(6) for y in range(6)]
+        nodes = []
+        real = geometry.max_extension
+        monkeypatch.setattr(geometry, "max_extension", lambda items, extends, *args, **kw: real(
+            items, lambda chosen, w: nodes.append(1) or extends(chosen, w), *args, **kw))
+        assert gp_number(grid) == 12
+        search = len(nodes)
+        assert gp_number(grid, node_budget=search + 630) == 12
+        with pytest.raises(BudgetExceeded):
+            gp_number(grid, node_budget=search + 100)
+
+    def test_seven_by_seven_grid_within_the_default_budget(self):
+        # no sub-union caps a direct call; the line cover of the rows does
+        grid = [Point([x, y]) for x in range(7) for y in range(7)]
+        assert gp_number(grid) == 14
+
     def test_bounds_that_hold_keep_the_answer(self):
         rng = rng_for("phi-bounds")
         for _ in range(20):
@@ -215,37 +245,129 @@ class TestGpNumber:
                 assert gp_number(pts, lower=lower, cap=len(pts)) == want
 
 
-class TestLineIndex:
-    def test_lines_against_brute_force(self):
-        # every line through three or more of the points, each once
-        rng = rng_for("line-index")
-        for trial in range(40):
-            d = 2 + trial % 2
-            pts = list(dict.fromkeys(random_degenerate_points(rng, d, 12, spread=3)))
-            n = len(pts)
-            on_line = {
-                (i, j): {i, j} for i, j in combinations(range(n), 2)
-            }
-            for i, j, k in combinations(range(n), 3):
-                if oracle_rank([pts[i].hom, pts[j].hom, pts[k].hom]) == 2:
-                    for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
-                        on_line[a, b].add(c)
-            want = {frozenset(on) for on in on_line.values() if len(on) >= 3}
-            lines = LineIndex([p.hom for p in pts]).lines
-            got = [frozenset(k for k in range(n) if line >> k & 1) for line in lines]
-            assert len(got) == len(want) and set(got) == want, trial
+def brute_flats(pts, d):
+    """Every j-flat (1 <= j <= d-1) through at least j+2 of the distinct
+    points, as (frozenset of positions, j): the flat of each independent
+    (j+1)-tuple, with every point whose addition keeps the rank j+1."""
+    n = len(pts)
+    out = set()
+    for j in range(1, d):
+        spanned = []
+        for combo in combinations(range(n), j + 1):
+            if any(on.issuperset(combo) for on in spanned):
+                continue  # its flat is known
+            rows = [pts[i].hom for i in combo]
+            if oracle_rank(rows) < j + 1:
+                continue
+            on = frozenset(k for k in range(n) if k in combo
+                           or oracle_rank(rows + [pts[k].hom]) == j + 1)
+            spanned.append(on)
+            if len(on) >= j + 2:
+                out.add((on, j))
+    return out
+
+
+def flats_of(index):
+    return [(frozenset(k for k in range(len(index.homs)) if mask >> k & 1), j)
+            for mask, j in index.flats]
+
+
+class TestFlatIndex:
+    @pytest.mark.parametrize("d, trials, size", [(2, 20, 12), (3, 8, 10), (4, 4, 9)])
+    def test_flats_against_brute_force(self, d, trials, size):
+        # collinear triples, coplanar quadruples and, in d = 4, 3-flats
+        # through five points, each flat once and with all its points
+        rng = rng_for("flat-index", d)
+        dims = set()
+        for trial in range(trials):
+            pts = list(dict.fromkeys(random_planted_points(rng, d, size)))
+            index = FlatIndex([p.hom for p in pts], d)
+            assert index.build() == index.tuples()
+            got = flats_of(index)
+            want = brute_flats(pts, d)
+            assert len(got) == len(set(got)) and set(got) == want, trial
+            for i in range(len(pts)):
+                assert set(index.through[i]) == {f for f in index.flats if f[0] >> i & 1}
+            dims |= {j for _, j in want}
+        assert dims == set(range(1, d))
 
     def test_cover_takes_two_per_line_still_holding_three(self):
         # a row of four, a column of three through its corner, a point apart
         pts = [Point(p) for p in ([0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [0, 2], [5, 7])]
-        index = LineIndex([p.hom for p in pts])
+        index = FlatIndex([p.hom for p in pts], 2)
+        index.build()
         # the row gives 2; the column then holds only 2 of the points left,
         # which count one each, as does the point apart
         assert index.cover(0b1111111) == 2 + 3 == oracle_gp_number(pts)
         # without the row, the column holds three: 2 for it, 1 for the point
         assert index.cover(0b1110001) == 2 + 1
         assert index.cover(0) == 0
-        assert LineIndex([]).lines == [] and LineIndex([pts[0].hom]).lines == []
+        # the point apart is the only free one
+        assert index.crowded(0b1111111) == 0b0111111
+        assert index.crowded(0b1000011) == 0
+
+    def test_small_and_one_dimensional_indexes_are_empty(self):
+        pts = [Point([i * i, i]) for i in range(5)]
+        for homs, d in (([], 2), ([pts[0].hom], 2), ([pts[0].hom, pts[1].hom], 3),
+                        ([(i, 1) for i in range(9)], 1)):
+            index = FlatIndex(homs, d)
+            index.build()
+            assert index.flats == []
+
+    def test_build_is_charged_once_to_the_budget(self):
+        cube = [Point([x, y, z]) for x in range(3) for y in range(3) for z in range(3)]
+        index = FlatIndex([p.hom for p in cube], 3)
+        assert index.tuples() == comb(27, 2) + comb(27, 3)
+        with pytest.raises(BudgetExceeded, match="over the budget of 3275 nodes"):
+            index.build(node_budget=index.tuples() - 1)
+        assert index.flats is None
+        assert index.build(node_budget=index.tuples()) == index.tuples()
+        assert index.build(node_budget=1) == 0
+        # 49 lines of three, and every plane through four or more points
+        assert sum(j == 1 for _, j in index.flats) == 49
+        assert all(j == 2 and mask.bit_count() >= 4 or j == 1 and mask.bit_count() == 3
+                   for mask, j in index.flats)
+
+
+class TestFreePoints:
+    def test_general_position_is_counted_without_search(self, monkeypatch):
+        # every point is free: the answer is the count, and the search is
+        # never entered
+        calls = []
+        real = geometry.max_extension
+        monkeypatch.setattr(geometry, "max_extension",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        rng = rng_for("free-points")
+        for d in (1, 2, 3, 4):
+            for size in (d + 2, d + 5):
+                pts = random_gp_points(rng, d, size, spread=12)
+                assert gp_number(pts + pts[:2]) == size
+        assert calls == []
+
+    def test_free_points_join_any_general_position_set(self):
+        # a row of four, with a point off it: the row keeps two, the free
+        # point adds one without any search
+        pts = [Point([x, 0]) for x in range(4)] + [Point([1, 5])]
+        index = FlatIndex([p.hom for p in pts], 2)
+        index.build()
+        assert index.crowded(0b11111) == 0b01111
+        assert gp_number(pts) == 1 + 2 == oracle_gp_number(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_points())
+def test_gp_number_matches_oracle_on_planted_points(case):
+    # repeats, collinear and coplanar subsets in d = 1 to 4, and the
+    # free-point identity gp(X) = #free + gp(X minus the free points)
+    d, pts = case
+    want = oracle_gp_number(pts)
+    assert gp_number(pts) == want
+    distinct = list(dict.fromkeys(pts))
+    index = FlatIndex([p.hom for p in distinct], d)
+    index.build()
+    crowded = index.crowded((1 << len(distinct)) - 1)
+    rest = [p for i, p in enumerate(distinct) if crowded >> i & 1]
+    assert want == len(distinct) - len(rest) + oracle_gp_number(rest)
 
 
 class TestHyperplanes:

@@ -4,6 +4,7 @@ import pytest
 
 from genpos import (
     AffineMatroid,
+    BudgetExceeded,
     ExplicitMatroid,
     OracleError,
     PartitionMatroid,
@@ -275,6 +276,17 @@ class TestUniformity:
 
 
 class TestComplexes:
+    @pytest.mark.parametrize("build", [independence_complex, uniformity_complex])
+    def test_face_budget(self, build):
+        # 14 points on the moment curve in the plane: every set of at most
+        # three is independent, 470 faces, and more are uniform
+        m = AffineMatroid([Point([t, t * t]) for t in range(14)])
+        faces = len(build(m))
+        assert faces >= 470
+        assert len(build(m, max_faces=faces)) == faces
+        with pytest.raises(BudgetExceeded, match="exceeds %d faces" % (faces - 1)):
+            build(m, max_faces=faces - 1)
+
     def test_independence_complex_faces(self):
         rng = rng_for("ic-faces")
         for _ in range(20):

@@ -6,6 +6,8 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     BudgetExceeded,
@@ -32,10 +34,12 @@ from genpos import (
     solve_matroid_intersection,
     uniform_connectivity_bound,
 )
-from genpos import solver
+from genpos import geometry, solver
+from genpos.geometry import FlatIndex
 from conftest import (
     oracle_gp,
     oracle_gp_number,
+    planted_points,
     random_degenerate_points,
     random_gp_points,
     rng_for,
@@ -254,16 +258,17 @@ class TestWarmStart:
         calls = []
         real = solver.gp_number
 
-        def gp_number(X, node_budget=None, *, lower=0, cap=None, bound=None):
+        def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
             calls.append((lower, cap))
-            return real(X, node_budget, lower=lower, cap=cap, bound=bound)
+            return real(X, node_budget, lower=lower, cap=cap, index=index)
 
         monkeypatch.setattr(solver, "gp_number", gp_number)
         return calls
 
     def test_cap_closes_the_search_at_once(self, monkeypatch):
         # two general-position sets whose union is in general position: the
-        # cap gp(X_0) + gp(X_1) is met by the first descent
+        # cap gp(X_0) + gp(X_1) is met by the free points alone, with no
+        # search and no gp_extends call
         pts = random_gp_points(rng_for("cap-closes"), 2, 7)
         fam = PointFamily(d=2, sets=[pts[:3], pts[3:]])
         calls = self.spy(monkeypatch)
@@ -272,12 +277,32 @@ class TestWarmStart:
             "genpos.geometry.gp_extends",
             lambda rows, new, d, real=solver.gp_extends: extends.append(1) or real(rows, new, d),
         )
+        searched = spy_search(monkeypatch)
         assert fam.gp_number_of_union((0,)) == 3
         assert fam.gp_number_of_union((1,)) == 4
-        del extends[:]
         assert fam.gp_number_of_union((0, 1)) == 7
         assert calls[-1] == (4, 7)
-        assert len(extends) == 7
+        assert extends == [] and searched == []
+
+    def test_cap_counts_the_free_points(self, monkeypatch):
+        # a row of four and a point off it: the union's search covers only
+        # the row, and the cap gp(X_0) + gp(X_1) = 3, less the free point,
+        # ends its first descent at two points
+        fam = family_of(2, [[0, 0], [1, 0], [2, 0], [3, 0]], [[1, 5]])
+        assert fam.gp_number_of_union((0,)) == 2
+        assert fam.gp_number_of_union((1,)) == 1
+        searched = spy_search(monkeypatch)
+        assert fam.gp_number_of_union((0, 1)) == 3
+        assert searched == [[], [1]]
+
+    def test_one_index_per_family(self, monkeypatch):
+        builds = []
+        real = FlatIndex.build
+        monkeypatch.setattr(FlatIndex, "build",
+                            lambda index, budget=None: builds.append(real(index, budget)) or builds[-1])
+        fam = PointFamily(d=2, sets=[[[x, y] for x in range(4)] for y in range(4)])
+        assert check_condition(fam, lambda k: 2 * k).holds
+        assert [cost for cost in builds if cost] == [comb(16, 2)]
 
     def test_lower_alone_when_no_singleton_is_cached(self, monkeypatch):
         # only X_{0,1} is cached: it bounds X_{0,1,2} from below, and no cap
@@ -315,6 +340,35 @@ def lines2(a, layers):
     return [[(x, z) for x in range(a)] + [(x, x + z) for x in range(a)] for z in range(layers)]
 
 
+def spy_search(monkeypatch):
+    """Log the chosen list of every predicate call that gp_number's search
+    makes."""
+    calls = []
+    real = geometry.max_extension
+
+    def max_extension(items, extends, *args, **kwargs):
+        def logged(chosen, w):
+            calls.append(list(chosen))
+            return extends(chosen, w)
+
+        return real(items, logged, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "max_extension", max_extension)
+    return calls
+
+
+def union_cover(fam, combo):
+    """Line cover of a union, from a flat index over the family's points,
+    with the union's free points (as the search sees them) split off."""
+    index = FlatIndex(list(dict.fromkeys(p.hom for p in fam.union_points())), fam.d)
+    index.build()
+    mask = 0
+    for p in fam.union_points(combo):
+        mask |= 1 << index.pos[p.hom]
+    crowded = index.crowded(mask)
+    return index.cover(mask), (mask & ~crowded).bit_count() + index.cover(crowded)
+
+
 class TestLineCover:
     def test_cover_bounds_every_union(self):
         rng = rng_for("line-cover")
@@ -328,8 +382,8 @@ class TestLineCover:
                     key = tuple(p.hom for p in pts)
                     if key not in oracle:
                         oracle[key] = oracle_gp_number(pts)
-                    cover = fam._line_cover(combo)
-                    assert oracle[key] <= cover <= len(set(pts)), (trial, combo)
+                    for cover in union_cover(fam, combo):
+                        assert oracle[key] <= cover <= len(set(pts)), (trial, combo)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_grid_row_unions_are_covered_tightly(self, n):
@@ -338,14 +392,14 @@ class TestLineCover:
         fam = PointFamily(d=2, sets=[[[x, y] for x in range(n)] for y in range(n)])
         for size in range(1, n + 1):
             for combo in combinations(range(n), size):
-                assert fam._line_cover(combo) == 2 * size
+                assert union_cover(fam, combo) == (2 * size, 2 * size)
 
     def test_one_set_is_capped_by_its_cover(self):
         # no sub-union warm-starts a single set; the cover 12 of the 6 x 6
         # grid ends the search at the first 12-set, well within the budget
         grid = [[x, y] for x in range(6) for y in range(6)]
         fam = PointFamily(d=2, sets=[grid], node_budget=10**5)
-        assert fam._line_cover((0,)) == 12
+        assert union_cover(fam, (0,)) == (12, 12)
         assert fam.gp_number_of_union((0,)) == 12
 
     def test_an_optimal_incumbent_closes_after_the_first_descent(self, monkeypatch):
@@ -355,18 +409,47 @@ class TestLineCover:
         fam = PointFamily(d=2, sets=lines2(3, 3))
         for combo in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
             fam.gp_number_of_union(combo)
-        calls = []
-        monkeypatch.setattr(
-            "genpos.geometry.gp_extends",
-            lambda rows, new, d, real=solver.gp_extends: calls.append(list(rows)) or real(rows, new, d),
-        )
+        calls = spy_search(monkeypatch)
         # gp(X_{0,1}) = 6 is the incumbent, and the union's 12 distinct
         # points lie on the three columns x = 0, 1, 2, so the cover is 6
         assert fam._gp_cache[frozenset((0, 1))] == 6
-        assert fam._line_cover((0, 1, 2)) == 6
+        assert union_cover(fam, (0, 1, 2)) == (6, 6)
         assert fam.gp_number_of_union((0, 1, 2)) == 6
-        # one descent: each call's prefix extends the one before
+        # one descent: each call's chosen set extends the one before
         assert calls and all(b[: len(a)] == a for a, b in zip(calls, calls[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_points(), st.data())
+def test_union_gp_numbers_match_oracle(case, data):
+    # the points dealt into up to four sets; every union's gp_number, from
+    # the family's one index, against brute force
+    d, pts = case
+    m = data.draw(st.integers(1, 4))
+    owner = data.draw(st.lists(st.integers(0, m - 1), min_size=len(pts), max_size=len(pts)))
+    sets = [X for X in ([p for p, o in zip(pts, owner) if o == i] for i in range(m)) if X]
+    fam = PointFamily(d=d, sets=[PointMultiset(X, d=d) for X in sets])
+    oracle = {}
+    for c in check_condition(fam, lambda k: k).checks:
+        key = frozenset(fam.union_points(c.indices))
+        if key not in oracle:
+            oracle[key] = oracle_gp_number(list(key))
+        assert c.gp_number == oracle[key], c.indices
+
+
+def test_general_position_unions_are_counted_without_search(monkeypatch):
+    # every union of sets in general position together: all points are
+    # free, so no union searches
+    searched = spy_search(monkeypatch)
+    rng = rng_for("free-unions")
+    for d in (1, 2, 3, 4):
+        pts = random_gp_points(rng, d, 10, spread=12)
+        fam = PointFamily(d=d, sets=[pts[:3], pts[3:5], pts[5:], pts[2:6]])
+        report = check_condition(fam, lambda k: k)
+        assert all(c.gp_number == len(set(fam.union_points(c.indices))) for c in report.checks)
+        # the greedy solver's per-set sizes take the same path
+        solve_greedy(PointFamily(d=d, sets=fam.sets))
+    assert searched == []
 
 
 class TestSolveGreedy:
