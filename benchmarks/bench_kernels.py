@@ -7,7 +7,11 @@ gp_extends rows span prefix sizes on both sides of the crossover between the
 pure radial test and the compiled determinant loop, plus an early reject.
 The FlatIndex rows time the build of gp_number's flat index, which does not
 depend on the backend: the 6x6 grid (d=2), the 3x3x3 cube and 40 points on
-the moment curve (d=3).
+the moment curve (d=3). The jsonio rows parse and print a decide-sized pair
+of family documents (d=2 and d=3, about 3,200 integer and 800 "p/q"
+coordinates): family_from_doc builds each point's homogeneous vector, and
+family_to_doc prints the coordinates back from it. They, too, run the same
+code under either backend.
 
 Run:  python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -27,6 +31,7 @@ except ImportError:
     fast = None
 
 from genpos.geometry import FlatIndex, Point
+from genpos.jsonio import family_from_doc, family_to_doc
 
 
 def _rand_matrix(rng, n, m, lo, hi):
@@ -91,7 +96,25 @@ def build_cases(rng):
     ]:
         homs = [Point(p).hom for p in pts]
         cases.append((label, "index", lambda k, hs=homs, dd=d: FlatIndex(hs, dd).build()))
+    docs = [_family_doc(rng, 2, 20, 50), _family_doc(rng, 3, 20, 33)]
+    cases.append(("family_from_doc 4k coords", "jsonio",
+                  lambda k: [family_from_doc(doc) for doc in docs]))
+    families = [family_from_doc(doc) for doc in docs]
+    cases.append(("family_to_doc 4k coords", "jsonio",
+                  lambda k: [family_to_doc(fam) for fam in families]))
     return cases
+
+
+def _family_doc(rng, d, m, size):
+    """A family document of m sets of size points, one coordinate in five a
+    "p/q" string."""
+    def coord():
+        if rng.random() < 0.2:
+            return "%d/%d" % (rng.randint(-60, 60), rng.randint(2, 7))
+        return rng.randint(-60, 60)
+
+    return {"d": d, "sets": [[[coord() for _ in range(d)] for _ in range(size)]
+                             for _ in range(m)]}
 
 
 def main():
@@ -106,7 +129,7 @@ def main():
     print("%-28s %12s %12s %9s" % ("case", "pure (ms)", "compiled", "speedup"))
     for label, kind, run in cases:
         t_pure = min(timeit.repeat(lambda: run(pure), number=3, repeat=args.repeat))
-        if fast is None or kind == "index":
+        if fast is None or kind in ("index", "jsonio"):
             print("%-28s %12.3f %12s %9s" % (label, t_pure * 1e3 / 3, "-", "-"))
             continue
         expect = run(pure)

@@ -44,27 +44,54 @@ __all__ = [
 class Point:
     """Immutable point with exact rational coordinates.
 
-    ``hom`` is the primitive homogeneous integer vector
-    (num_0, ..., num_{d-1}, den) with den > 0 and content 1; two points are
-    equal iff their homogeneous vectors are equal.
+    ``hom`` is the point itself: the primitive homogeneous integer vector
+    (num_0, ..., num_{d-1}, den) with den > 0 and content 1, built straight
+    from the coordinates. Two points are equal iff their homogeneous vectors
+    are equal, and every predicate runs on ``hom``. ``coords``, the
+    coordinates as Fractions, is computed from ``hom`` when first asked for.
+
+    Coordinates may be ints (kept as they are: an all-integer point is
+    (*coords, 1)), Fractions (their numerators and denominators, over one
+    lcm), or anything else Fraction() accepts.
     """
 
-    __slots__ = ("coords", "hom")
+    __slots__ = ("hom", "_coords")
 
     def __init__(self, coords):
-        cs = tuple(Fraction(c) for c in coords)
-        if not cs:
-            raise ValueError("a point needs at least one coordinate")
-        den = lcm(*(c.denominator for c in cs))
-        vec = [c.numerator * (den // c.denominator) for c in cs]
-        vec.append(den)
-        g = gcd(*vec)
-        self.coords = cs
-        self.hom = tuple(v // g for v in vec)
+        nums, dens = [], []
+        for c in coords:
+            if type(c) is int:
+                nums.append(c)
+                dens.append(1)
+                continue
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            nums.append(c.numerator)
+            dens.append(c.denominator)
+        self.hom = _primitive(nums, dens)
+
+    @classmethod
+    def from_ratios(cls, nums, dens):
+        """The point with coordinates nums[i]/dens[i]: integers, each
+        denominator positive, not necessarily in lowest terms."""
+        if min(dens, default=1) < 1:
+            raise ValueError("denominators must be positive: %r" % (list(dens),))
+        p = cls.__new__(cls)
+        p.hom = _primitive(nums, dens)
+        return p
+
+    @property
+    def coords(self):
+        try:
+            return self._coords
+        except AttributeError:
+            *nums, den = self.hom
+            self._coords = cs = tuple(Fraction(v, den) for v in nums)
+            return cs
 
     @property
     def d(self):
-        return len(self.coords)
+        return len(self.hom) - 1
 
     def __eq__(self, other):
         return isinstance(other, Point) and self.hom == other.hom
@@ -77,6 +104,21 @@ class Point:
 
     def __repr__(self):
         return "Point(%s)" % ", ".join(str(c) for c in self.coords)
+
+
+def _primitive(nums, dens):
+    """The primitive homogeneous vector of the rationals nums[i]/dens[i]
+    (dens positive): one lcm of the denominators, then one gcd, which the
+    ratios need when they are not in lowest terms."""
+    if not nums:
+        raise ValueError("a point needs at least one coordinate")
+    den = lcm(*dens)
+    if den == 1:
+        return (*nums, 1)
+    vec = [n * (den // q) for n, q in zip(nums, dens)]
+    vec.append(den)
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
 
 
 class PointMultiset:
@@ -92,10 +134,10 @@ class PointMultiset:
     def __init__(self, points, d=None):
         pts = tuple(p if isinstance(p, Point) else Point(p) for p in points)
         if pts:
-            dims = {p.d for p in pts}
+            dims = {len(p.hom) - 1 for p in pts}
             if len(dims) > 1:
                 raise DimensionMismatch("mixed point dimensions: %s" % sorted(dims))
-            inferred = pts[0].d
+            inferred = dims.pop()
             if d is not None and d != inferred:
                 raise DimensionMismatch("declared d=%d but points have d=%d" % (d, inferred))
             d = inferred
@@ -131,7 +173,7 @@ def _as_points(X):
 
 
 def _common_dim(pts, fallback=None):
-    dims = {p.d for p in pts}
+    dims = {len(p.hom) - 1 for p in pts}
     if len(dims) > 1:
         raise DimensionMismatch("mixed point dimensions: %s" % sorted(dims))
     if dims:

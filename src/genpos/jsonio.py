@@ -3,7 +3,16 @@
 Rational coordinates travel as JSON integers or as strings such as "3/4" or
 "-0.25" (decimal strings are exact). JSON floats are rejected outright:
 0.1 as a binary double is not the rational 1/10, and silently accepting it
-would poison every exact computation downstream.
+would poison every exact computation downstream. A decimal string whose
+exponent is larger in magnitude than the interpreter's limit on integer
+digits (sys.get_int_max_str_digits(), which already caps JSON integer
+literals) is refused too: "1e100000000" is 36 bytes of input but a
+hundred-million-digit integer.
+
+Points go straight to their primitive homogeneous integer vectors
+(geometry.Point.hom): JSON integers as they are, "p/q" strings as two
+integers, every other string through Fraction. Output coordinates are
+printed from that vector, as an integer or a lowest-terms "p/q" string.
 
 Family document:     {"d": 2, "sets": [[["1/2", 0], [3, 4]], ...]}
 Complex document:    {"n_vertices": 5, "facets": [[0, 1, 2], [3], ...]}
@@ -14,7 +23,10 @@ Subcomplex family:   {"n_vertices": 5, "members": [[[0, 1], [2]], ...]}
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
+from math import gcd
 
 from genpos.complexes import SimplicialComplex, bits_of, closure
 from genpos.errors import DocumentError
@@ -36,26 +48,78 @@ __all__ = [
 ]
 
 
-def parse_rational(obj):
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE][-+]?(\d[\d_]*)\s*")
+
+
+def _ratio(obj):
+    """(numerator, denominator) of one JSON coordinate, the denominator
+    positive and the pair not necessarily in lowest terms: the parse path of
+    every coordinate. DocumentError names what is wrong with obj."""
+    if type(obj) is int:
+        return obj, 1
     if isinstance(obj, bool):
         raise DocumentError("booleans are not coordinates: %r" % (obj,))
     if isinstance(obj, int):
-        return Fraction(obj)
+        return int(obj), 1
     if isinstance(obj, float):
         raise DocumentError(
             "JSON floats are inexact; write %r as a string like \"1/10\"" % (obj,)
         )
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError("cannot parse rational %r: %s" % (obj, exc)) from None
-    raise DocumentError("expected a rational, got %r" % (obj,))
+    if not isinstance(obj, str):
+        raise DocumentError("expected a rational, got %r" % (obj,))
+    ratio = _RATIO.fullmatch(obj)
+    if ratio is None:
+        _refuse_huge_exponent(obj)
+    try:
+        if ratio is not None:
+            num, den = int(ratio[1]), int(ratio[2])
+            if den:
+                return num, den
+        q = Fraction(obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError("cannot parse rational %r: %s" % (obj, exc)) from None
+    return q.numerator, q.denominator
+
+
+def _refuse_huge_exponent(text):
+    """Raise DocumentError when the decimal string text has an exponent
+    larger in magnitude than sys.get_int_max_str_digits() (0: no limit),
+    before Fraction builds 10 to that power."""
+    exponent = _EXPONENT.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent is None or not limit:
+        return
+    try:
+        small = int(exponent[1].replace("_", "")) <= limit
+    except ValueError:  # more digits than the limit
+        small = False
+    if not small:
+        raise DocumentError(
+            "refusing rational %r: its exponent is over %d, the limit on integer digits"
+            % (text, limit)
+        )
+
+
+def parse_rational(obj):
+    return Fraction(*_ratio(obj))
 
 
 def dump_rational(q):
     q = Fraction(q)
     return int(q) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+
+
+def _dump_point(p):
+    """The coordinates of a Point as dump_rational prints them, from p.hom."""
+    *nums, den = p.hom
+    if den == 1:
+        return nums
+    out = []
+    for v in nums:
+        g = gcd(v, den)
+        out.append(v // g if g == den else "%d/%d" % (v // g, den // g))
+    return out
 
 
 def load_doc(text):
@@ -84,10 +148,15 @@ def _point_from_doc(coords, d, where):
         raise DocumentError(
             "%s: point has %d coordinates, dimension is %d" % (where, len(coords), d)
         )
+    nums, dens = [], []
     try:
-        return Point([parse_rational(c) for c in coords])
+        for c in coords:
+            num, den = _ratio(c)
+            nums.append(num)
+            dens.append(den)
     except DocumentError as exc:
         raise DocumentError("%s: %s" % (where, exc)) from None
+    return Point.from_ratios(nums, dens)
 
 
 def points_from_doc(doc):
@@ -122,7 +191,7 @@ def family_to_doc(family):
     return {
         "d": family.d,
         "sets": [
-            [[dump_rational(c) for c in p.coords] for p in X] for X in family.sets
+            [_dump_point(p) for p in X] for X in family.sets
         ],
     }
 
@@ -181,7 +250,7 @@ def result_to_doc(result):
     doc = {"status": result.status}
     if result.representatives is not None:
         doc["representatives"] = [
-            {"set": i, "point": [dump_rational(c) for c in p.coords]}
+            {"set": i, "point": _dump_point(p)}
             for i, p in result.representatives
         ]
     if result.violation is not None:

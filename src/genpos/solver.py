@@ -162,7 +162,9 @@ class PointFamily:
     DEFAULT_NODE_BUDGET); check_condition sets it from its subset_budget and
     solve_greedy from its node_budget, when given. Every union's gp_number
     shares one FlatIndex over the family's distinct points, built by the
-    first union that needs it and charged to that union's nodes."""
+    first union that needs it and charged to that union's nodes. When that
+    index alone would cost more than node_budget, each union is indexed on
+    its own instead, within the same budget."""
 
     d: int
     sets: tuple
@@ -220,8 +222,12 @@ class PointFamily:
             if self._index is None:
                 homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
                 self._index = FlatIndex(list(homs), self.d)
+            index = self._index
+            budget = DEFAULT_NODE_BUDGET if self.node_budget is None else self.node_budget
+            if index.flats is None and index.tuples() > budget:
+                index = None  # gp_number indexes just the union
             got = gp_number(self.union_points(key), self.node_budget,
-                            lower=lower, cap=cap, index=self._index)
+                            lower=lower, cap=cap, index=index)
             cache[key] = got
         return got
 

@@ -477,6 +477,17 @@ def run_module(module, args, stdin="", **environ):
     )
 
 
+@pytest.mark.parametrize("bomb", ["1e100000000", "1e-100000000"])
+def test_exponent_bombs_exit_three_at_once(bomb):
+    t0 = time.perf_counter()
+    proc = run_module("genpos", ["check", "-", "--bound", "hall"],
+                      stdin=json.dumps({"d": 1, "sets": [[[bomb]]]}))
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: sets[0][0]: refusing rational")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("module", ["genpos", "genpos.cli"])
 class TestAsProcess:
     def test_version(self, module):

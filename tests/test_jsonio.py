@@ -1,8 +1,15 @@
 """JSON document parsing and serialization."""
 
+import json
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     BudgetExceeded,
@@ -16,6 +23,7 @@ from genpos import (
     closure,
     solve_greedy,
 )
+from genpos import jsonio
 from genpos.jsonio import (
     complex_from_doc,
     complex_to_doc,
@@ -41,6 +49,28 @@ class TestRationalCodec:
         assert parse_rational("3/4") == F(3, 4)
         assert parse_rational("-0.25") == F(-1, 4)
         assert parse_rational("12") == F(12)
+        assert parse_rational("1e3") == F(1000)
+        assert parse_rational("2.5E-1") == F(1, 4)
+        assert parse_rational("6/8") == F(3, 4)
+
+    def test_refuses_exponents_over_the_digit_limit(self):
+        t0 = time.perf_counter()
+        for bomb in ("1e100000000", "1e-100000000", " -2.5E+1_000_000_000 "):
+            with pytest.raises(DocumentError, match="exponent is over"):
+                parse_rational(bomb)
+        assert time.perf_counter() - t0 < 1
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert parse_rational("1e640") == 10**640
+            assert parse_rational("1e-0_640") == F(1, 10**640)
+            for bomb in ("1e641", "1E-641", "0.5e000641"):
+                with pytest.raises(DocumentError, match="over 640"):
+                    parse_rational(bomb)
+            sys.set_int_max_str_digits(0)  # no limit
+            assert parse_rational("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_rejects_floats(self):
         with pytest.raises(DocumentError):
@@ -223,3 +253,143 @@ class TestResultAndReportDocs:
         doc = report_to_doc(report)
         assert doc["holds"] is False
         assert doc["first_violation"]["indices"] == [0, 1]
+
+
+# -- integer-first points against the Fraction reference ---------------------
+
+
+def reference_parse(obj):
+    """A coordinate as parse_rational once read it: one Fraction each."""
+    if isinstance(obj, bool):
+        raise DocumentError("booleans are not coordinates: %r" % (obj,))
+    if isinstance(obj, int):
+        return F(obj)
+    if isinstance(obj, float):
+        raise DocumentError(
+            "JSON floats are inexact; write %r as a string like \"1/10\"" % (obj,)
+        )
+    if isinstance(obj, str):
+        try:
+            return F(obj)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError("cannot parse rational %r: %s" % (obj, exc)) from None
+    raise DocumentError("expected a rational, got %r" % (obj,))
+
+
+def reference_hom(coords):
+    """The primitive homogeneous vector of Fraction coordinates."""
+    den = lcm(*(c.denominator for c in coords))
+    vec = [c.numerator * (den // c.denominator) for c in coords] + [den]
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
+
+
+def assert_matches_reference(p, coords):
+    """p against the point with the Fraction coordinates coords: hom, coords,
+    d, repr, iteration, equality, hash, and the printed coordinates."""
+    coords = tuple(coords)
+    hom = reference_hom(coords)
+    assert p.hom == hom and all(type(v) is int for v in p.hom)
+    assert p.coords == coords and all(type(c) is F for c in p.coords)
+    assert p.d == len(coords)
+    assert repr(p) == "Point(%s)" % ", ".join(str(c) for c in coords)
+    assert list(p) == list(coords)
+    assert p == Point(coords) and hash(p) == hash(hom)
+    assert p != Point(coords + (F(0),))
+    printed = json.dumps([[[dump_rational(c) for c in coords]]])
+    assert json.dumps(family_to_doc(PointFamily(d=p.d, sets=[[p]]))["sets"]) == printed
+    found = result_to_doc(SgprResult(status="found", representatives=((0, p),)))
+    assert json.dumps([[found["representatives"][0]["point"]]]) == printed
+
+
+# "p/q" strings the fast path splits into two integers: not in lowest terms,
+# negative, zero numerators, and numerators near the digit limit
+FAST = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**15, 10**15), st.integers(1, 10**15)),
+    st.builds("{}/{}".format, st.sampled_from([0, -0]), st.integers(1, 99)),
+    st.builds("{}/{}".format, st.integers(1, 9).map(lambda k: int("7" * 4000) * k),
+              st.integers(1, 10**6)),
+)
+# everything else a document may hold, through Fraction or refused
+FALLBACK = st.one_of(
+    st.builds("+{}/{}".format, st.integers(0, 10**6), st.integers(1, 10**6)),
+    st.builds("{}{}{}".format, st.sampled_from([" ", "\t", "\n "]), FAST,
+              st.sampled_from(["", " "])),
+    st.builds(lambda n, q: "{:_}/{:_}".format(n, q), st.integers(-10**9, 10**9),
+              st.integers(1, 10**9)),
+    st.builds("{}/-{}".format, st.integers(-99, 99), st.integers(1, 99)),
+    st.builds("{}/0".format, st.integers(-99, 99)),
+    st.decimals(min_value=-10**6, max_value=10**6, allow_nan=False,
+                allow_infinity=False).map(str),
+    st.builds("{}{}{}".format, st.integers(-99, 99), st.sampled_from("eE"),
+              st.integers(-40, 40)),
+    st.text(max_size=6),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+COORD = st.one_of(st.integers(), st.integers(-9, 9), FAST, FALLBACK)
+
+
+class TestIntegerFirstPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COORD, min_size=1, max_size=4))
+    def test_documents_match_the_fraction_reference(self, raw):
+        try:
+            coords = [reference_parse(c) for c in raw]
+        except DocumentError as exc:
+            with pytest.raises(DocumentError) as got:
+                points_from_doc({"d": len(raw), "points": [raw]})
+            assert str(got.value) == "points[0]: %s" % exc
+            return
+        (p,) = points_from_doc({"d": len(raw), "points": [raw]})
+        assert_matches_reference(p, coords)
+        assert [parse_rational(c) for c in raw] == coords
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(), st.fractions(), st.booleans(),
+        st.decimals(allow_nan=False, allow_infinity=False, places=6),
+        st.floats(allow_nan=False, allow_infinity=False),
+        FAST,
+    ), min_size=1, max_size=4))
+    def test_constructor_matches_the_fraction_reference(self, coords):
+        assert_matches_reference(Point(coords), [F(c) for c in coords])
+
+    @given(st.lists(st.tuples(st.integers(), st.integers(1, 10**9)), min_size=1, max_size=4))
+    def test_from_ratios_matches_the_fraction_reference(self, ratios):
+        p = Point.from_ratios([n for n, _ in ratios], [q for _, q in ratios])
+        assert_matches_reference(p, [F(n, q) for n, q in ratios])
+
+    def test_from_ratios_refuses_bad_denominators(self):
+        for dens in ([0], [-2], [3, 0]):
+            with pytest.raises(ValueError):
+                Point.from_ratios([1] * len(dens), dens)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            Point.from_ratios([], [])
+
+    def test_integers_and_ratios_skip_fraction(self, monkeypatch):
+        calls = []
+        real = jsonio.Fraction
+        monkeypatch.setattr(jsonio, "Fraction", lambda *a: calls.append(a) or real(*a))
+        doc = {"d": 2, "sets": [[[3, "-4/6"], ["0/5", -7]], [["10/4", "9/3"]]]}
+        fam = family_from_doc(doc)
+        assert family_to_doc(fam)["sets"] == [[[3, "-2/3"], [0, -7]], [["5/2", 3]]]
+        assert calls == []
+        family_from_doc({"d": 1, "sets": [[["0.5"]]]})
+        assert calls == [("0.5",)]
+
+    @pytest.mark.parametrize("bad", [
+        "1" * 5000 + "/3", "3/" + "1" * 5000, "-" + "2" * 5000 + "/7", "1" * 5000,
+        "1" * 5000 + ".5", "1/0", "0/0", "3/-4", "abc", "", " ", "1/2/3", "1_/2",
+        "\u0661/\u0662", True, False, 0.5, float("inf"), None, [1], {"a": 1},
+    ])
+    def test_rejections_match_the_fraction_reference(self, bad):
+        try:
+            want = reference_parse(bad)
+        except DocumentError as exc:
+            with pytest.raises(DocumentError) as got:
+                family_from_doc({"d": 1, "sets": [[[bad]]]})
+            assert str(got.value) == "sets[0][0]: %s" % exc
+        else:
+            assert parse_rational(bad) == want

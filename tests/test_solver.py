@@ -334,6 +334,19 @@ class TestWarmStart:
         assert check_condition(fam, bound=lambda k: 2 * k, subset_budget=1000).holds
         assert fam.node_budget == 1000
 
+    def test_unions_indexed_alone_when_the_family_index_is_over_budget(self):
+        # 19 distinct points: the family's index needs C(19, 2) = 171 nodes,
+        # over the budget, while each union of two sets fits in it
+        rng = rng_for("family-index-over-budget")
+        fam = PointFamily(d=2, sets=[random_degenerate_points(rng, 2, 6) for _ in range(4)],
+                          node_budget=100)
+        assert FlatIndex(list({p.hom for p in fam.union_points()}), 2).tuples() > 100
+        for size in (1, 2):
+            for combo in combinations(range(4), size):
+                assert fam.gp_number_of_union(combo) == oracle_gp_number(fam.union_points(combo))
+        with pytest.raises(BudgetExceeded):
+            fam.gp_number_of_union(range(4))
+
 
 def lines2(a, layers):
     # layer z: a points on the row y = z and a on the slope-1 line y = x + z
