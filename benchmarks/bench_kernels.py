@@ -1,17 +1,16 @@
-"""Compare the pure-Python and compiled integer kernels.
+"""Time the integer kernels, the flat index and the JSON codec.
 
 Times int_det, int_rank, and gp_extends on mixed workloads: small
-matrices with machine-size entries (the compiled fast path), larger matrices,
-and entries past 2**28 where both backends run exact object arithmetic. The
-gp_extends rows span prefix sizes on both sides of the crossover between the
-pure radial test and the compiled determinant loop, plus an early reject.
-The FlatIndex rows time the build of gp_number's flat index, which does not
-depend on the backend: the 6x6 grid (d=2), the 3x3x3 cube and 40 points on
+matrices with machine-size entries, larger matrices, and entries far past
+machine words. The gp_extends rows span prefix sizes from a few points to
+80 in the plane, plus an early reject. The FlatIndex rows time the build of
+gp_number's flat index: the 6x6 grid (d=2), the 3x3x3 cube and 40 points on
 the moment curve (d=3). The jsonio rows parse and print a decide-sized pair
 of family documents (d=2 and d=3, about 3,200 integer and 800 "p/q"
 coordinates): family_from_doc builds each point's homogeneous vector, and
-family_to_doc prints the coordinates back from it. They, too, run the same
-code under either backend.
+family_to_doc prints the coordinates back from it.
+
+Each row is the best of --repeat runs of three calls, in ms per call.
 
 Run:  python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -23,13 +22,7 @@ import random
 import timeit
 from fractions import Fraction
 
-from genpos._kernels import pure
-
-try:
-    from genpos._kernels import _fastrank as fast
-except ImportError:
-    fast = None
-
+from genpos._kernels import gp_extends, int_det, int_rank
 from genpos.geometry import FlatIndex, Point
 from genpos.jsonio import family_from_doc, family_to_doc
 
@@ -43,7 +36,7 @@ def _gp_points(rng, d, n, spread):
     while len(pts) < n:
         cand = Point([Fraction(rng.randint(-spread, spread), rng.randint(1, 7))
                       for _ in range(d)])
-        if pure.gp_extends([p.hom for p in pts], cand.hom, d):
+        if gp_extends([p.hom for p in pts], cand.hom, d):
             pts.append(cand)
     return pts
 
@@ -72,9 +65,9 @@ def build_cases(rng):
         (6, -100, 100, "det 6x6 small"),
     ]:
         mats = [_rand_matrix(rng, n, n, lo, hi) for _ in range(60)]
-        cases.append((label, "int_det", lambda k, ms=mats: [k.int_det(M) for M in ms]))
+        cases.append((label, lambda ms=mats: [int_det(M) for M in ms]))
     mats = [_rand_matrix(rng, 6, 9, -40, 40) for _ in range(40)]
-    cases.append(("rank 6x9", "int_rank", lambda k, ms=mats: [k.int_rank(M) for M in ms]))
+    cases.append(("rank 6x9", lambda ms=mats: [int_rank(M) for M in ms]))
     for d, kk, make, tag in [
         (2, 8, _gp_case, ""),
         (2, 30, _gp_case, ""),
@@ -84,10 +77,8 @@ def build_cases(rng):
         (2, 30, _early_reject_case, " reject"),
     ]:
         probes = [make(rng, d, kk, 30) for _ in range(25)]
-        cases.append(
-            ("gp_extends d=%d k=%d%s" % (d, kk, tag), "gp_extends",
-             lambda k, ps=probes: [k.gp_extends(r, nr, dd) for r, nr, dd in ps])
-        )
+        cases.append(("gp_extends d=%d k=%d%s" % (d, kk, tag),
+                      lambda ps=probes: [gp_extends(r, nr, dd) for r, nr, dd in ps]))
     for label, d, pts in [
         ("FlatIndex 6x6 grid d=2", 2, [(x, y) for x in range(6) for y in range(6)]),
         ("FlatIndex 3x3x3 cube d=3", 3,
@@ -95,13 +86,13 @@ def build_cases(rng):
         ("FlatIndex 40 moment d=3", 3, [(t, t * t, t ** 3) for t in range(40)]),
     ]:
         homs = [Point(p).hom for p in pts]
-        cases.append((label, "index", lambda k, hs=homs, dd=d: FlatIndex(hs, dd).build()))
+        cases.append((label, lambda hs=homs, dd=d: FlatIndex(hs, dd).build()))
     docs = [_family_doc(rng, 2, 20, 50), _family_doc(rng, 3, 20, 33)]
-    cases.append(("family_from_doc 4k coords", "jsonio",
-                  lambda k: [family_from_doc(doc) for doc in docs]))
+    cases.append(("family_from_doc 4k coords",
+                  lambda: [family_from_doc(doc) for doc in docs]))
     families = [family_from_doc(doc) for doc in docs]
-    cases.append(("family_to_doc 4k coords", "jsonio",
-                  lambda k: [family_to_doc(fam) for fam in families]))
+    cases.append(("family_to_doc 4k coords",
+                  lambda: [family_to_doc(fam) for fam in families]))
     return cases
 
 
@@ -124,22 +115,10 @@ def main():
     rng = random.Random(20240815)
     cases = build_cases(rng)
 
-    if fast is None:
-        print("compiled backend not built; timing the pure backend only")
-    print("%-28s %12s %12s %9s" % ("case", "pure (ms)", "compiled", "speedup"))
-    for label, kind, run in cases:
-        t_pure = min(timeit.repeat(lambda: run(pure), number=3, repeat=args.repeat))
-        if fast is None or kind in ("index", "jsonio"):
-            print("%-28s %12.3f %12s %9s" % (label, t_pure * 1e3 / 3, "-", "-"))
-            continue
-        expect = run(pure)
-        got = run(fast)
-        assert expect == got, "backend disagreement on %s" % label
-        t_fast = min(timeit.repeat(lambda: run(fast), number=3, repeat=args.repeat))
-        print(
-            "%-28s %12.3f %12.3f %8.1fx"
-            % (label, t_pure * 1e3 / 3, t_fast * 1e3 / 3, t_pure / t_fast)
-        )
+    print("%-28s %12s" % ("case", "time (ms)"))
+    for label, run in cases:
+        best = min(timeit.repeat(run, number=3, repeat=args.repeat))
+        print("%-28s %12.3f" % (label, best * 1e3 / 3))
 
 
 if __name__ == "__main__":

@@ -7,12 +7,10 @@ neighborhood complexes, nerves, the q-star property, rational Betti numbers)
 and the matroid side (intersection, uniformity complexes), tied together by
 the solvers and bound formulas in genpos.solver.
 
-Integer linear algebra kernels have a compiled backend when the extension
-built; set GENPOS_PURE_KERNELS=1 to force the pure-Python one. The active
-choice is reported by kernel_backend().
+The integer linear algebra kernels are pure Python (genpos._kernels.pure);
+kernel_backend() names them.
 """
 
-from genpos._kernels import backend_name as kernel_backend
 from genpos.complexes import (
     SimplicialComplex,
     QStarResult,
@@ -82,6 +80,12 @@ from genpos.solver import (
 )
 
 __version__ = "0.1.0"
+
+
+def kernel_backend():
+    """Name of the integer kernel implementation: always 'pure'."""
+    return "pure"
+
 
 __all__ = [
     "__version__",

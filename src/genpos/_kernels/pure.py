@@ -1,16 +1,14 @@
-"""Pure-Python implementations of the exact linear-algebra kernels.
+"""The exact linear-algebra kernels, in pure Python.
 
-The compiled extension genpos._kernels._fastrank exports the same three
-functions with identical answers; this module is the fallback selected at
-import time when the extension is unavailable. All arithmetic is on Python
-ints, so results are exact for arbitrary magnitudes.
+All arithmetic is on Python ints, so results are exact for arbitrary
+magnitudes.
 
 int_det and int_rank are fraction-free Bareiss elimination. gp_extends does
-not take determinants (the extension still does): it projects the prefix
-radially from the candidate point and requires every d of the directions to
-be independent, hashing lines in the plane and recursing on the dimension
-above it, in the manner of Gajentaan and Overmars, "On a class of O(n^2)
-problems in computational geometry" (1995).
+not take determinants: it projects the prefix radially from the candidate
+point and requires every d of the directions to be independent, hashing
+lines in the plane and recursing on the dimension above it, in the manner
+of Gajentaan and Overmars, "On a class of O(n^2) problems in computational
+geometry" (1995).
 """
 
 from math import gcd

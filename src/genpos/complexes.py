@@ -8,7 +8,9 @@ faces; it is the bridge between local independence data and global topology.
 
 Enumerating operators accept face budgets and cardinality caps so that large
 completions can be built only up to the sizes a truncated homology computation
-needs.
+needs. Complexes given by a hereditary predicate (general-position,
+independence and uniformity complexes, nerves) are all grown by one
+enumerator, levelwise_complex.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "skeleton",
     "join",
     "nerve",
+    "levelwise_complex",
     "is_q_star",
     "QStarResult",
     "find_colorful_face",
@@ -274,6 +277,33 @@ def join(K, L, max_faces=None):
     return SimplicialComplex(K.n_vertices + L.n_vertices, faces, _validated=True)
 
 
+def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
+    """Complex on n vertices whose faces are closed downward, grown level by
+    level in ascending vertex order. grow(t), for a face t given as an
+    ascending vertex tuple, returns a predicate extends(w) telling whether
+    t + (w,) is a face; it is asked only for w > t[-1], and whatever grow
+    computes from t is computed once per face. Faces have at most max_card
+    vertices (None: no cap); at most max_faces faces (None:
+    DEFAULT_FACE_BUDGET), past which BudgetExceeded names what."""
+    budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
+    cap = n if max_card is None else max_card
+    faces = {0}
+    level = [((), 0)]
+    size = 1
+    while level and size <= cap:
+        nxt = []
+        for t, face in level:
+            for w in filter(grow(t), range(t[-1] + 1 if t else 0, n)):
+                grown = face | 1 << w
+                nxt.append((t + (w,), grown))
+                faces.add(grown)
+                if len(faces) > budget:
+                    raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
+        level = nxt
+        size += 1
+    return SimplicialComplex(n, faces, _validated=True)
+
+
 def nerve(family, max_faces=None):
     """Nerve of a family of complexes on one vertex universe: a subset of
     members is a face iff their face sets share a nonempty face, which by
@@ -293,22 +323,14 @@ def nerve(family, max_faces=None):
         if vs == 0:
             raise ValueError("nerve members must each contain a vertex")
         vsets.append(vs)
-    budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
-    m = len(members)
-    faces = {0}
-    # each entry: the next member to try, a face, and its members' common vertices
-    stack = [(0, 0, (1 << n) - 1 if n else 0)]
-    while stack:
-        start, face, common = stack.pop()
-        for i in range(start, m):
-            shared = common & vsets[i]
-            if shared:
-                grown = face | 1 << i
-                faces.add(grown)
-                if len(faces) > budget:
-                    raise BudgetExceeded("nerve exceeds %d faces" % budget)
-                stack.append((i + 1, grown, shared))
-    return SimplicialComplex(m, faces, _validated=True)
+
+    def grow(t):
+        common = (1 << n) - 1
+        for i in t:
+            common &= vsets[i]
+        return lambda i: common & vsets[i]
+
+    return levelwise_complex(len(members), grow, max_faces=max_faces, what="nerve")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Points live in d-dimensional rational space and carry a primitive integer
 homogeneous vector (numerators scaled to a common positive denominator,
 divided by the content), so every affine predicate runs on integers in the
-kernel backend: independence and hyperplanes through ranks and determinants,
+kernels (genpos._kernels): independence and hyperplanes through ranks and determinants,
 and the incremental general-position test (gp_extends) by radial projection
 from the new point, with the directions to the prefix hashed as lines (see
 genpos._kernels.pure). gp_number does not call gp_extends: it works on a

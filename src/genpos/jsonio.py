@@ -7,7 +7,8 @@ would poison every exact computation downstream. A decimal string whose
 exponent is larger in magnitude than the interpreter's limit on integer
 digits (sys.get_int_max_str_digits(), which already caps JSON integer
 literals) is refused too: "1e100000000" is 36 bytes of input but a
-hundred-million-digit integer.
+hundred-million-digit integer. So is one whose numerator or denominator has
+more digits than that limit ("1e4300"), since it could not be printed.
 
 Points go straight to their primitive homogeneous integer vectors
 (geometry.Point.hom): JSON integers as they are, "p/q" strings as two
@@ -79,6 +80,7 @@ def _ratio(obj):
         q = Fraction(obj)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError("cannot parse rational %r: %s" % (obj, exc)) from None
+    _refuse_long(obj, q)
     return q.numerator, q.denominator
 
 
@@ -99,6 +101,20 @@ def _refuse_huge_exponent(text):
             "refusing rational %r: its exponent is over %d, the limit on integer digits"
             % (text, limit)
         )
+
+
+def _refuse_long(text, q):
+    """Raise DocumentError when q, parsed from the decimal string text, has a
+    numerator or denominator of more than sys.get_int_max_str_digits()
+    digits (0: no limit): it could not be printed."""
+    limit = sys.get_int_max_str_digits()
+    for part in (abs(q.numerator), q.denominator):
+        # below 2**(3 * limit) a number has at most limit digits
+        if limit and part.bit_length() > 3 * limit and part >= 10**limit:
+            raise DocumentError(
+                "refusing rational %r: its numerator or denominator has over %d"
+                " digits, the limit on integer digits" % (text, limit)
+            )
 
 
 def parse_rational(obj):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from genpos.complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, mask_of
-from genpos.errors import BudgetExceeded, OracleError
+from genpos.complexes import levelwise_complex
+from genpos.errors import OracleError
 from genpos.geometry import PointMultiset, affinely_independent
 from genpos.search import max_extension
 
@@ -242,26 +242,6 @@ def max_uniform_size(oracle):
     )
 
 
-def _levelwise_complex(n, extends, max_card, max_faces=None, what="complex"):
-    budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
-    faces = {0}
-    level = [()]
-    size = 1
-    while level and size <= max_card:
-        nxt = []
-        for t in level:
-            start = t[-1] + 1 if t else 0
-            for w in range(start, n):
-                if extends(t, w):
-                    nxt.append(t + (w,))
-                    faces.add(mask_of(t) | (1 << w))
-                    if len(faces) > budget:
-                        raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
-        level = nxt
-        size += 1
-    return SimplicialComplex(n, faces, _validated=True)
-
-
 def uniformity_complex(oracle, max_card=None, max_faces=None):
     """Complex of uniform sets, truncated to |S| <= max_card (default r+3),
     with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
@@ -272,29 +252,24 @@ def uniformity_complex(oracle, max_card=None, max_faces=None):
     independence complex under the same cap.
     """
     n = oracle.ground_size
-    if n == 0:
-        # the empty set is uniform, so this is never void
-        return SimplicialComplex(0, [0], _validated=True)
     r = oracle.full_rank
     cap = min(n, r + 3) if max_card is None else max_card
-    return _levelwise_complex(
-        n, lambda t, w: _extends_uniform(oracle, list(t), w, r), cap, max_faces,
-        "uniformity complex",
-    )
+
+    def grow(t):
+        current = list(t)
+        return lambda w: _extends_uniform(oracle, current, w, r)
+
+    return levelwise_complex(n, grow, cap, max_faces, "uniformity complex")
 
 
 def independence_complex(oracle, max_card=None, max_faces=None):
     """Complex of independent sets (dimension rank-1; no cap needed unless
     given), with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past
     it BudgetExceeded is raised)."""
-    n = oracle.ground_size
-    if n == 0:
-        return SimplicialComplex(0, [0], _validated=True)
-    cap = n if max_card is None else max_card
-    return _levelwise_complex(
-        n,
-        lambda t, w: oracle.is_independent(frozenset(t) | {w}),
-        cap,
-        max_faces,
-        "independence complex",
-    )
+
+    def grow(t):
+        base = frozenset(t)
+        return lambda w: oracle.is_independent(base | {w})
+
+    return levelwise_complex(oracle.ground_size, grow, max_card, max_faces,
+                             "independence complex")

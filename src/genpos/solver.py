@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from genpos.complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, mask_of
+from genpos.complexes import SimplicialComplex, levelwise_complex
 from genpos.errors import BudgetExceeded, ConstructionError
 from genpos.geometry import (
     FlatIndex,
@@ -535,28 +535,13 @@ def general_position_complex(X, max_card=None, max_faces=None):
     if n == 0:
         return SimplicialComplex(0, [0], _validated=True)
     d = pts[0].d
-    budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
-    cap = n if max_card is None else max_card
     homs = [p.hom for p in pts]
-    faces = {0}
-    level = [()]
-    size = 1
-    while level and size <= cap:
-        nxt = []
-        for t in level:
-            start = t[-1] + 1 if t else 0
-            row = [homs[i] for i in t]
-            for w in range(start, n):
-                if gp_extends(row, homs[w], d):
-                    nxt.append(t + (w,))
-                    faces.add(mask_of(t) | (1 << w))
-                    if len(faces) > budget:
-                        raise BudgetExceeded(
-                            "general-position complex exceeds %d faces" % budget
-                        )
-        level = nxt
-        size += 1
-    return SimplicialComplex(n, faces, _validated=True)
+
+    def grow(t):
+        rows = [homs[i] for i in t]
+        return lambda w: gp_extends(rows, homs[w], d)
+
+    return levelwise_complex(n, grow, max_card, max_faces, "general-position complex")
 
 
 def independence_complex(X, max_card=None, max_faces=None):

@@ -1,0 +1,31 @@
+"""Smoke test of benchmarks/bench_kernels.py: the script runs and prints a
+row for every case it builds."""
+
+import importlib.util
+import os
+import random
+import subprocess
+import sys
+
+import genpos
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "benchmarks", "bench_kernels.py")
+
+
+def test_bench_kernels_prints_every_row():
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    labels = [label for label, _ in bench.build_cases(random.Random(0))]
+    assert len(labels) == 16
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, SCRIPT, "--repeat", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [row.rsplit(None, 1) for row in proc.stdout.splitlines()[1:]]
+    assert [label for label, _ in rows] == labels
+    assert all(float(ms) > 0 for _, ms in rows)

@@ -488,6 +488,33 @@ def test_exponent_bombs_exit_three_at_once(bomb):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["solve", "-"], ["check", "-", "--bound", "hall"]])
+def test_coordinates_too_long_to_print_exit_three(capsys, monkeypatch, argv):
+    # at the exponent limit the number has one digit more than can be printed
+    limit = sys.get_int_max_str_digits()
+
+    def entry(coord):
+        doc = {"d": 1, "sets": [[[coord]]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    for coord in ("1e%d" % limit, "1e-%d" % limit, "12e%d" % (limit - 1)):
+        code, out, err = entry(coord)
+        assert code == 3 and out == ""
+        assert err.startswith("error: sets[0][0]: refusing rational %r" % coord)
+        assert err.count("\n") == 1
+    code, out, err = entry("1e%d" % (limit - 1))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    if argv[0] == "solve":
+        assert doc["representatives"][0]["point"] == [10 ** (limit - 1)]
+    else:
+        assert doc["holds"] is True
+
+
 @pytest.mark.parametrize("module", ["genpos", "genpos.cli"])
 class TestAsProcess:
     def test_version(self, module):

@@ -1,6 +1,7 @@
 """Simplicial complex layer: construction, closure, star, neighborhood,
-completion, skeleton, induced subcomplex, join, nerve, the q-star test, and
-colorful face search."""
+completion, skeleton, induced subcomplex, join, nerve, the q-star test,
+colorful face search, and the levelwise enumerator behind the
+general-position, independence and uniformity complexes and the nerve."""
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,21 @@ from genpos import (
     skeleton,
     star,
 )
-from genpos.complexes import bits_of, mask_of
+from genpos.complexes import bits_of, levelwise_complex, mask_of
+from genpos.matroids import AffineMatroid, ExplicitMatroid, uniformity_complex
+from genpos.matroids import independence_complex as matroid_independence_complex
+from genpos.solver import general_position_complex
 from conftest import (
+    oracle_affinely_independent,
     oracle_completion_faces,
     oracle_closure_faces,
+    oracle_gp,
     oracle_is_q_star,
+    oracle_is_uniform,
     oracle_neighborhood_faces,
+    oracle_rank,
     oracle_star_faces,
+    planted_points,
     random_complex,
     rng_for,
 )
@@ -486,3 +495,113 @@ def test_completion_only_grows(seed):
     K = random_complex(rng, rng.randrange(2, 7), rng.randrange(0, 3))
     got = completion(K, K.dim)
     assert K.faces <= got.faces
+
+
+# ---------------------------------------------------------------------------
+# the one levelwise enumerator and its four builders, against brute force
+
+
+def _brute_faces(n, is_face, max_card=None):
+    """Every vertex subset of size at most max_card that is_face accepts."""
+    cap = n if max_card is None else max_card
+    return {m for m in range(1 << n) if m.bit_count() <= cap and is_face(bits_of(m))}
+
+
+def _check_budget_boundary(build, K, what):
+    # exactly len(K) faces answer; one fewer raises with the builder's
+    # message (the budget is checked as faces are added to the empty one)
+    assert build(max_faces=len(K)) == K
+    if len(K) == 1:
+        return
+    with pytest.raises(BudgetExceeded, match="^%s exceeds %d faces$" % (what, len(K) - 1)):
+        build(max_faces=len(K) - 1)
+
+
+class TestLevelwiseEnumerator:
+    def test_grows_each_face_once(self):
+        # a hereditary predicate: sets with no two consecutive vertices
+        grown = []
+
+        def grow(t):
+            grown.append(t)
+            return lambda w: not t or w != t[-1] + 1
+
+        K = levelwise_complex(7, grow, max_card=3)
+        want = _brute_faces(7, lambda vs: all(b - a > 1 for a, b in zip(vs, vs[1:])), 3)
+        assert K.faces == want
+        # faces below the cap are grown, each once, as ascending tuples and
+        # in level order
+        assert all(a < b for t in grown for a, b in zip(t, t[1:]))
+        assert sorted(map(mask_of, grown)) == sorted(f for f in want if f.bit_count() < 3)
+        assert [len(t) for t in grown] == sorted(len(t) for t in grown)
+
+    def test_empty_vertex_set(self):
+        assert levelwise_complex(0, lambda t: None).faces == {0}
+        assert levelwise_complex(3, lambda t: lambda w: True, max_card=0).faces == {0}
+
+    @settings(max_examples=25, deadline=None)
+    @given(planted_points(max_distinct=7), st.data())
+    def test_general_position_complex(self, case, data):
+        pts = case[1][:7]
+        max_card = data.draw(st.one_of(st.none(), st.integers(0, len(pts))))
+        K = general_position_complex(pts, max_card=max_card)
+        want = _brute_faces(len(pts), lambda vs: oracle_gp([pts[i] for i in vs]), max_card)
+        assert K.n_vertices == len(pts) and K.faces == want
+        _check_budget_boundary(
+            lambda max_faces: general_position_complex(pts, max_card, max_faces),
+            K, "general-position complex")
+
+    @settings(max_examples=25, deadline=None)
+    @given(planted_points(max_distinct=7), st.data())
+    def test_independence_complex(self, case, data):
+        pts = case[1][:8]
+        max_card = data.draw(st.one_of(st.none(), st.integers(0, len(pts))))
+        K = matroid_independence_complex(AffineMatroid(pts), max_card=max_card)
+        want = _brute_faces(
+            len(pts), lambda vs: oracle_affinely_independent([pts[i] for i in vs]), max_card)
+        assert K.faces == want
+        _check_budget_boundary(
+            lambda max_faces: matroid_independence_complex(AffineMatroid(pts), max_card,
+                                                           max_faces),
+            K, "independence complex")
+
+    @settings(max_examples=25, deadline=None)
+    @given(planted_points(max_distinct=7))
+    def test_uniformity_complex(self, case):
+        pts = case[1][:8]
+        K = uniformity_complex(AffineMatroid(pts))
+        # the oracle's matroid lists its independent sets by brute force
+        independent = _brute_faces(
+            len(pts), lambda vs: oracle_affinely_independent([pts[i] for i in vs]))
+        oracle = ExplicitMatroid(len(pts), map(bits_of, independent))
+        r = oracle_rank([p.hom for p in pts])
+        want = _brute_faces(len(pts), lambda vs: oracle_is_uniform(oracle, vs, r), r + 3)
+        assert K.faces == want
+        _check_budget_boundary(
+            lambda max_faces: uniformity_complex(AffineMatroid(pts), max_faces=max_faces),
+            K, "uniformity complex")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+                          min_size=1, max_size=3),
+                 max_size=8))))
+    def test_nerve(self, case):
+        n, facet_lists = case
+        family = [closure(facets, n) for facets in facet_lists]
+        K = nerve(family)
+        if not family:
+            assert K.faces == frozenset()
+            return
+
+        def share_a_face(members):
+            if not members:
+                return True
+            common = set(family[members[0]].faces)
+            for i in members[1:]:
+                common &= family[i].faces
+            return any(common)
+
+        assert K.faces == _brute_faces(len(family), share_a_face)
+        _check_budget_boundary(lambda max_faces: nerve(family, max_faces), K, "nerve")

@@ -62,13 +62,30 @@ class TestRationalCodec:
         saved = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
-            assert parse_rational("1e640") == 10**640
-            assert parse_rational("1e-0_640") == F(1, 10**640)
+            assert parse_rational("1e639") == 10**639
+            assert parse_rational("1e-0_639") == F(1, 10**639)
             for bomb in ("1e641", "1E-641", "0.5e000641"):
                 with pytest.raises(DocumentError, match="over 640"):
                     parse_rational(bomb)
             sys.set_int_max_str_digits(0)  # no limit
             assert parse_rational("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_refuses_numbers_too_long_to_print(self):
+        # at the exponent limit the number itself has one digit too many
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            for long in ("1e640", "1e-640", "-1e+640", "12e639", "0.3e-639", "1e-0_640"):
+                with pytest.raises(DocumentError, match="denominator has over 640 digits"):
+                    parse_rational(long)
+            for fits in ("1e639", "-9.9e638", "25e-638", "0.25e-639", "3e-639"):
+                q = parse_rational(fits)
+                assert len(str(abs(q.numerator))) <= 640 >= len(str(q.denominator))
+                assert dump_rational(q) is not None
+            sys.set_int_max_str_digits(0)  # no limit
+            assert parse_rational("1e-5000") == F(1, 10**5000)
         finally:
             sys.set_int_max_str_digits(saved)
 
