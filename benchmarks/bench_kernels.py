@@ -10,6 +10,13 @@ of family documents (d=2 and d=3, about 3,200 integer and 800 "p/q"
 coordinates): family_from_doc builds each point's homogeneous vector, and
 family_to_doc prints the coordinates back from it.
 
+The complex rows build the independence and uniformity complexes of an
+affine matroid, from a fresh AffineMatroid each time: 9 points in general
+position in d=3, and 9 coplanar points in d=3, whose complexes run in the
+2-dimensional frame of their plane. The last rows parse, print and take
+the Betti numbers through degree 3 of the join of four 3-point sets
+(81 facets, 256 faces): complex_from_doc, complex_to_doc, betti_up_to.
+
 Each row is the best of --repeat runs of three calls, in ms per call.
 
 Run:  python benchmarks/bench_kernels.py [--repeat N]
@@ -24,7 +31,9 @@ from fractions import Fraction
 
 from genpos._kernels import gp_extends, int_det, int_rank
 from genpos.geometry import FlatIndex, Point
-from genpos.jsonio import family_from_doc, family_to_doc
+from genpos.homology import betti_up_to
+from genpos.jsonio import complex_from_doc, complex_to_doc, family_from_doc, family_to_doc
+from genpos.matroids import AffineMatroid, independence_complex, uniformity_complex
 
 
 def _rand_matrix(rng, n, m, lo, hi):
@@ -93,6 +102,21 @@ def build_cases(rng):
     families = [family_from_doc(doc) for doc in docs]
     cases.append(("family_to_doc 4k coords",
                   lambda: [family_to_doc(fam) for fam in families]))
+    spatial = _gp_points(rng, 3, 9, 30)
+    coplanar = [Point((x, y, x - 2 * y + 1)) for x, y in
+                (p.coords for p in _gp_points(rng, 2, 9, 30))]
+    for tag, pts in (("9 pts", spatial), ("9 coplanar", coplanar)):
+        for name, build in (("independence", independence_complex),
+                            ("uniformity", uniformity_complex)):
+            cases.append(("%s %s d=3" % (name, tag),
+                          lambda ps=pts, b=build: b(AffineMatroid(ps))))
+    doc = {"n_vertices": 12,
+           "facets": [[a, b, c, d] for a in range(3) for b in range(3, 6)
+                      for c in range(6, 9) for d in range(9, 12)]}
+    join = complex_from_doc(doc)
+    cases.append(("complex_from_doc 3x3x3x3", lambda: complex_from_doc(doc)))
+    cases.append(("complex_to_doc 3x3x3x3", lambda: complex_to_doc(join)))
+    cases.append(("betti_up_to 3x3x3x3", lambda: betti_up_to(join, 3)))
     return cases
 
 

@@ -110,18 +110,24 @@ class SimplicialComplex:
         return [v for v in range(self.n_vertices) if (1 << v) in self.faces]
 
     def facets(self):
-        """Maximal faces as masks."""
-        out = []
-        for f in self.faces:
-            cof = False
-            for v in range(self.n_vertices):
-                if not f & (1 << v) and (f | (1 << v)) in self.faces:
-                    cof = True
-                    break
-            if not cof:
-                out.append(f)
+        """Maximal faces as masks, sorted lexicographically as vertex
+        tuples."""
+        out = self._maximal()
         out.sort(key=lambda m: tuple(bits_of(m)))
         return out
+
+    def _maximal(self):
+        """Maximal faces as masks, unsorted. Faces are closed downward, so a
+        face lies in a larger one iff it lies in one a vertex larger: mark
+        each face's one-smaller subfaces and keep the unmarked."""
+        covered = set()
+        for f in self.faces:
+            m = f
+            while m:
+                low = m & -m
+                covered.add(f ^ low)
+                m ^= low
+        return [f for f in self.faces if f not in covered]
 
     def f_vector(self):
         """Face counts by dimension: entry i counts faces of size i+1."""
@@ -158,22 +164,35 @@ class SimplicialComplex:
 
 
 def closure(facets, n_vertices, max_faces=None):
-    """Downward closure of the given facets (vertex iterables or masks)."""
+    """Downward closure of the given facets (vertex iterables or masks),
+    with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
+    BudgetExceeded is raised).
+
+    A facet that is already a face adds nothing, and a facet with more
+    submasks than the budget is refused before any is added. Faces only
+    grow, so checking the budget once per facet raises on the same facet as
+    checking it per face.
+    """
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     limit = 1 << n_vertices
     faces = set()
+    add = faces.add
     for facet in facets:
         f = facet if isinstance(facet, int) else mask_of(facet)
         if not 0 <= f < limit:
             raise ValueError("facet %r out of vertex range" % (facet,))
+        if f in faces:
+            continue
+        if 1 << f.bit_count() > budget:
+            raise BudgetExceeded("closure exceeds %d faces" % budget)
         sub = f
         while True:
-            faces.add(sub)
-            if len(faces) > budget:
-                raise BudgetExceeded("closure exceeds %d faces" % budget)
-            if sub == 0:
+            add(sub)
+            if not sub:
                 break
             sub = (sub - 1) & f
+        if len(faces) > budget:
+            raise BudgetExceeded("closure exceeds %d faces" % budget)
     return SimplicialComplex(n_vertices, faces, _validated=True)
 
 

@@ -8,6 +8,8 @@ right against the earlier column with the same lowest row, in the style of
 Dumas-Heckenbach-Saunders-Welker. Boundary coefficients are +-1, so almost
 every pivot is a unit and elimination stays integral without fractions; a
 non-unit pivot is eliminated fraction-free instead. Nothing is densified.
+The faces of each dimension are indexed in order of their bitmask values:
+the order of rows and columns does not change a rank.
 
 Connectivity here is homological: "homologically k-connected" means nonempty
 with vanishing reduced Betti numbers through degree k. This is implied by,
@@ -101,7 +103,7 @@ def betti_up_to(K, k, max_faces=None):
             if total > budget:
                 raise BudgetExceeded("homology input exceeds %d faces" % budget)
     for fs in by_dim:
-        fs.sort(key=lambda m: tuple(bits_of(m)))
+        fs.sort()
     f_counts = tuple(len(fs) for fs in by_dim)
     # ranks[i] = rank of the boundary map from i-chains to (i-1)-chains,
     # with the reduced augmentation in degree 0.

@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from genpos.complexes import SimplicialComplex, bits_of, closure
+from genpos.complexes import bits_of, closure, mask_of
 from genpos.errors import DocumentError
 from genpos.geometry import Point, PointMultiset
 from genpos.solver import PointFamily
@@ -143,6 +143,12 @@ def load_doc(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc) from None
+    except ValueError:
+        # json raises a plain ValueError for an integer literal longer than
+        # the interpreter's limit on integer digits
+        raise DocumentError(
+            "invalid JSON: integer literal over %d digits" % sys.get_int_max_str_digits()
+        ) from None
     if not isinstance(doc, dict):
         raise DocumentError("top-level document must be a JSON object")
     return doc
@@ -225,19 +231,20 @@ def complex_from_doc(doc, max_faces=None):
             raise DocumentError("facets[%d] must be a list of vertex indices" % i)
         if any(not 0 <= v < n for v in entry):
             raise DocumentError("facets[%d] has a vertex outside 0..%d" % (i, n - 1))
-        if len(set(entry)) != len(entry):
+        f = mask_of(entry)
+        if f.bit_count() != len(entry):
             raise DocumentError("facets[%d] repeats a vertex" % i)
-        facets.append(tuple(entry))
+        facets.append(f)
     return closure(facets, n, max_faces=max_faces)
 
 
 def complex_to_doc(K):
-    facets = sorted((tuple(bits_of(f)) for f in K.facets()), key=lambda t: (len(t), t))
+    facets = sorted(map(bits_of, K._maximal()), key=lambda t: (len(t), t))
     return {
         "n_vertices": K.n_vertices,
         "dim": K.dim,
         "n_faces": len(K.faces),
-        "facets": [list(f) for f in facets],
+        "facets": facets,
     }
 
 

@@ -7,6 +7,13 @@ it is independent or all its rank-size subsets are, the uniform sets form a
 complex, and that complex equals the (rank-1)-completion of the independence
 complex.
 
+The complexes of an affine matroid of rank r skip the oracle: in a
+coordinate frame of the points' affine hull (AffineMatroid.frame), a set is
+independent iff it is in general position and has at most r points, and
+uniform iff it is in general position, so both complexes grow through the
+general-position kernel gp_extends in dimension r-1. Every other oracle is
+asked set by set.
+
 All matroids here are assumed loopless (every singleton independent); the
 affine matroid of a point multiset always is.
 """
@@ -14,7 +21,9 @@ affine matroid of a point multiset always is.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
+from genpos._kernels import gp_extends, int_rank
 from genpos.complexes import levelwise_complex
 from genpos.errors import OracleError
 from genpos.geometry import PointMultiset, affinely_independent
@@ -76,15 +85,55 @@ class IndependenceOracle:
 
 class AffineMatroid(IndependenceOracle):
     """Element i is the i-th point; independence is affine independence.
-    Coordinate-equal points are parallel elements, never loops."""
+    Coordinate-equal points are parallel elements, never loops.
+
+    The rank r is the affine rank of the points (one int_rank), and the
+    independence and uniformity complexes run through gp_extends in the
+    (r-1)-dimensional frame of their affine hull, without oracle queries."""
 
     def __init__(self, points, d=None):
         pts = points if isinstance(points, PointMultiset) else PointMultiset(points, d=d)
         super().__init__(len(pts))
         self.points = pts
+        self._frame = None
 
     def _independent(self, s):
         return affinely_independent([self.points[i] for i in sorted(s)])
+
+    @property
+    def full_rank(self):
+        return self.frame()[0]
+
+    def frame(self):
+        """(r, vectors): the affine rank r of the points and each point's
+        primitive homogeneous vector in a coordinate frame of their affine
+        hull, r-1 coordinates chosen greedily plus the homogeneous one.
+
+        The chosen columns have rank r, as the rows do, so projecting onto
+        them is injective on the row space: every linear dependency among
+        the points' homogeneous vectors, hence every affine dependency, is
+        kept exactly."""
+        if self._frame is None:
+            homs = [p.hom for p in self.points]
+            d = self.points.d
+            r = int_rank(homs)
+            vecs = homs
+            if r < d + 1:
+                cols = []
+                for c in range(d):
+                    if len(cols) == r - 1:
+                        break
+                    if int_rank([[h[j] for j in (*cols, c, d)] for h in homs]) == len(cols) + 2:
+                        cols.append(c)
+                cols.append(d)
+                vecs = [_primitive([h[j] for j in cols]) for h in homs]
+            self._frame = (r, vecs)
+        return self._frame
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 class PartitionMatroid(IndependenceOracle):
@@ -249,11 +298,15 @@ def uniformity_complex(oracle, max_card=None, max_faces=None):
 
     Uniform sets are closed downward, so growing level by level in ascending
     element order enumerates them all. Equals the (r-1)-completion of the
-    independence complex under the same cap.
+    independence complex under the same cap. For an AffineMatroid the
+    uniform sets are the sets in general position in the affine hull, grown
+    with gp_extends in its frame.
     """
     n = oracle.ground_size
     r = oracle.full_rank
     cap = min(n, r + 3) if max_card is None else max_card
+    if isinstance(oracle, AffineMatroid):
+        return _gp_in_hull(oracle, cap, max_faces, "uniformity complex")
 
     def grow(t):
         current = list(t)
@@ -265,7 +318,13 @@ def uniformity_complex(oracle, max_card=None, max_faces=None):
 def independence_complex(oracle, max_card=None, max_faces=None):
     """Complex of independent sets (dimension rank-1; no cap needed unless
     given), with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past
-    it BudgetExceeded is raised)."""
+    it BudgetExceeded is raised). For an AffineMatroid of rank r these are
+    the sets of at most r points in general position in the affine hull,
+    grown with gp_extends in its frame."""
+    if isinstance(oracle, AffineMatroid):
+        r = oracle.full_rank
+        cap = r if max_card is None else min(max_card, r)
+        return _gp_in_hull(oracle, cap, max_faces, "independence complex")
 
     def grow(t):
         base = frozenset(t)
@@ -273,3 +332,19 @@ def independence_complex(oracle, max_card=None, max_faces=None):
 
     return levelwise_complex(oracle.ground_size, grow, max_card, max_faces,
                              "independence complex")
+
+
+def _gp_in_hull(oracle, cap, max_faces, what):
+    """The complex of index sets of at most cap points in general position
+    in the affine hull of an AffineMatroid's points."""
+    r, vecs = oracle.frame()
+    if r <= 1:
+        # a 0-dimensional hull: every set is in general position in it
+        def grow(t):
+            return lambda w: True
+    else:
+        def grow(t):
+            rows = [vecs[i] for i in t]
+            return lambda w: gp_extends(rows, vecs[w], r - 1)
+
+    return levelwise_complex(oracle.ground_size, grow, cap, max_faces, what)

@@ -225,6 +225,27 @@ def planted_points(draw, dims=(1, 4), max_distinct=10):
     return d, pts
 
 
+@st.composite
+def low_rank_points(draw, max_size=8):
+    """Hypothesis strategy for (d, points), d = 1..3: points on a random
+    j-flat with 0 <= j < d, so of affine rank at most j+1 <= d, with
+    repeats. j = 0 gives identical points. planted_points rarely has rank
+    below d+1; this is the cover for the affine-hull frame."""
+    d = draw(st.integers(1, 3))
+    j = draw(st.integers(0, d - 1))
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    base = draw(vector)
+    dirs = draw(st.lists(vector, min_size=j, max_size=j))
+    weights = st.lists(st.fractions(-2, 2, max_denominator=3), min_size=j, max_size=j)
+    pts = []
+    for ws in draw(st.lists(weights, min_size=1, max_size=max_size)):
+        pts.append(Point([b + sum(w * v[c] for w, v in zip(ws, dirs))
+                          for c, b in enumerate(base)]))
+    for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+        pts.append(pts[i])
+    return d, pts[:max_size]
+
+
 # ---------------------------------------------------------------------------
 # complex oracles (straight from the definitions)
 

@@ -488,6 +488,21 @@ def test_exponent_bombs_exit_three_at_once(bomb):
     assert proc.stderr.count("\n") == 1
 
 
+def test_integer_literal_over_the_digit_limit_exits_three():
+    # json raises a plain ValueError past the limit, not JSONDecodeError
+    limit = sys.get_int_max_str_digits()
+    proc = run_module("genpos", ["solve", "-"],
+                      stdin='{"d":1,"sets":[[[1%s]]]}' % ("0" * limit))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: invalid JSON: integer literal over %d digits\n" % limit
+    assert "set_int_max_str_digits" not in proc.stderr
+    # a literal at the limit still parses and prints
+    proc = run_module("genpos", ["solve", "-"],
+                      stdin='{"d":1,"sets":[[[1%s]]]}' % ("0" * (limit - 1)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["representatives"][0]["point"] == [10 ** (limit - 1)]
+
+
 @pytest.mark.parametrize("argv", [["solve", "-"], ["check", "-", "--bound", "hall"]])
 def test_coordinates_too_long_to_print_exit_three(capsys, monkeypatch, argv):
     # at the exponent limit the number has one digit more than can be printed

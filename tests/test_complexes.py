@@ -27,6 +27,7 @@ from genpos.matroids import AffineMatroid, ExplicitMatroid, uniformity_complex
 from genpos.matroids import independence_complex as matroid_independence_complex
 from genpos.solver import general_position_complex
 from conftest import (
+    low_rank_points,
     oracle_affinely_independent,
     oracle_completion_faces,
     oracle_closure_faces,
@@ -40,6 +41,12 @@ from conftest import (
     random_complex,
     rng_for,
 )
+
+
+# (n, facets as masks) on up to 7 vertices, repeats and nested facets
+# included
+_facet_lists = st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6)))
 
 
 def triangle_boundary():
@@ -132,6 +139,35 @@ class TestClosure:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             closure([tuple(range(12))], 12, max_faces=100)
+
+    def test_huge_facet_refused_up_front(self):
+        with pytest.raises(BudgetExceeded, match="^closure exceeds %d faces$" % (1 << 20)):
+            closure([tuple(range(40))], 40)
+
+    @given(_facet_lists)
+    def test_matches_oracle_at_the_budget_boundary(self, case):
+        n, facets = case
+        K = closure(facets, n)
+        assert K.faces == oracle_closure_faces(facets, n)
+        # exactly len(K) faces answer, one fewer raises
+        assert closure(facets, n, max_faces=len(K)) == K
+        if K.faces:
+            with pytest.raises(BudgetExceeded,
+                               match="^closure exceeds %d faces$" % (len(K) - 1)):
+                closure(facets, n, max_faces=len(K) - 1)
+
+
+class TestFacets:
+    @given(_facet_lists)
+    def test_maximal_faces_by_brute_force(self, case):
+        n, facets = case
+        K = closure(facets, n)
+        want = [f for f in K.faces if not any(g != f and g & f == f for g in K.faces)]
+        assert K.facets() == sorted(want, key=lambda m: tuple(bits_of(m)))
+
+    def test_void_and_empty_face(self):
+        assert closure([], 3).facets() == []
+        assert closure([()], 3).facets() == [0]
 
 
 class TestStar:
@@ -507,6 +543,15 @@ def _brute_faces(n, is_face, max_card=None):
     return {m for m in range(1 << n) if m.bit_count() <= cap and is_face(bits_of(m))}
 
 
+def _affine_and_explicit(pts):
+    """AffineMatroid(pts), an ExplicitMatroid with the same independent
+    sets found by brute force, and those sets as masks."""
+    independent = _brute_faces(
+        len(pts), lambda vs: oracle_affinely_independent([pts[i] for i in vs]))
+    return (AffineMatroid(pts), ExplicitMatroid(len(pts), map(bits_of, independent)),
+            independent)
+
+
 def _check_budget_boundary(build, K, what):
     # exactly len(K) faces answer; one fewer raises with the builder's
     # message (the budget is checked as faces are added to the empty one)
@@ -551,35 +596,47 @@ class TestLevelwiseEnumerator:
             lambda max_faces: general_position_complex(pts, max_card, max_faces),
             K, "general-position complex")
 
-    @settings(max_examples=25, deadline=None)
-    @given(planted_points(max_distinct=7), st.data())
-    def test_independence_complex(self, case, data):
-        pts = case[1][:8]
-        max_card = data.draw(st.one_of(st.none(), st.integers(0, len(pts))))
-        K = matroid_independence_complex(AffineMatroid(pts), max_card=max_card)
-        want = _brute_faces(
-            len(pts), lambda vs: oracle_affinely_independent([pts[i] for i in vs]), max_card)
-        assert K.faces == want
-        _check_budget_boundary(
-            lambda max_faces: matroid_independence_complex(AffineMatroid(pts), max_card,
-                                                           max_faces),
-            K, "independence complex")
+    # affine matroids build both complexes in the frame of their affine
+    # hull; an ExplicitMatroid listing the same independent sets takes the
+    # generic oracle path, so each is checked against the other and brute
+    # force, on planted points and on points of low affine rank
 
-    @settings(max_examples=25, deadline=None)
-    @given(planted_points(max_distinct=7))
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(planted_points(max_distinct=7), low_rank_points()))
+    def test_independence_complex(self, case):
+        pts = case[1][:8]
+        n = len(pts)
+        affine, explicit, independent = _affine_and_explicit(pts)
+        assert affine.full_rank == oracle_rank([p.hom for p in pts]) == explicit.full_rank
+        for max_card in (None, *range(n + 1)):
+            K = matroid_independence_complex(affine, max_card=max_card)
+            assert K == matroid_independence_complex(explicit, max_card=max_card)
+            assert K.faces == {f for f in independent
+                               if max_card is None or f.bit_count() <= max_card}
+        K = matroid_independence_complex(affine)
+        for oracle in (AffineMatroid(pts), explicit):
+            _check_budget_boundary(
+                lambda max_faces: matroid_independence_complex(oracle, None, max_faces),
+                K, "independence complex")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(planted_points(max_distinct=7), low_rank_points()))
     def test_uniformity_complex(self, case):
         pts = case[1][:8]
-        K = uniformity_complex(AffineMatroid(pts))
-        # the oracle's matroid lists its independent sets by brute force
-        independent = _brute_faces(
-            len(pts), lambda vs: oracle_affinely_independent([pts[i] for i in vs]))
-        oracle = ExplicitMatroid(len(pts), map(bits_of, independent))
+        n = len(pts)
+        affine, explicit, _ = _affine_and_explicit(pts)
         r = oracle_rank([p.hom for p in pts])
-        want = _brute_faces(len(pts), lambda vs: oracle_is_uniform(oracle, vs, r), r + 3)
-        assert K.faces == want
-        _check_budget_boundary(
-            lambda max_faces: uniformity_complex(AffineMatroid(pts), max_faces=max_faces),
-            K, "uniformity complex")
+        uniform = _brute_faces(n, lambda vs: oracle_is_uniform(explicit, vs, r))
+        for max_card in (None, *range(n + 1)):
+            K = uniformity_complex(affine, max_card=max_card)
+            assert K == uniformity_complex(explicit, max_card=max_card)
+            cap = min(n, r + 3) if max_card is None else max_card
+            assert K.faces == {f for f in uniform if f.bit_count() <= cap}
+        K = uniformity_complex(affine)
+        for oracle in (AffineMatroid(pts), explicit):
+            _check_budget_boundary(
+                lambda max_faces: uniformity_complex(oracle, max_faces=max_faces),
+                K, "uniformity complex")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
