@@ -13,7 +13,10 @@ family_to_doc prints the coordinates back from it.
 The complex rows build the independence and uniformity complexes of an
 affine matroid, from a fresh AffineMatroid each time: 9 points in general
 position in d=3, and 9 coplanar points in d=3, whose complexes run in the
-2-dimensional frame of their plane. The last rows parse, print and take
+2-dimensional frame of their plane. The completion rows take the clique
+complex (j=1) of a 14-vertex graph with edge density 0.8, and the
+3-completion of the independence complex of 10 points in general position
+in d=3 (every set of the 10). The last rows parse, print and take
 the Betti numbers through degree 3 of the join of four 3-point sets
 (81 facets, 256 faces): complex_from_doc, complex_to_doc, betti_up_to.
 
@@ -30,6 +33,7 @@ import timeit
 from fractions import Fraction
 
 from genpos._kernels import gp_extends, int_det, int_rank
+from genpos.complexes import closure, completion
 from genpos.geometry import FlatIndex, Point
 from genpos.homology import betti_up_to
 from genpos.jsonio import complex_from_doc, complex_to_doc, family_from_doc, family_to_doc
@@ -110,6 +114,11 @@ def build_cases(rng):
                             ("uniformity", uniformity_complex)):
             cases.append(("%s %s d=3" % (name, tag),
                           lambda ps=pts, b=build: b(AffineMatroid(ps))))
+    edges = [(a, b) for a in range(14) for b in range(a + 1, 14) if rng.random() < 0.8]
+    graph = closure(edges, 14)
+    cases.append(("completion j=1 graph n=14", lambda: completion(graph, 1)))
+    independent = independence_complex(AffineMatroid(_gp_points(rng, 3, 10, 30)))
+    cases.append(("completion j=3 10 pts d=3", lambda: completion(independent, 3)))
     doc = {"n_vertices": 12,
            "facets": [[a, b, c, d] for a in range(3) for b in range(3, 6)
                       for c in range(6, 9) for d in range(9, 12)]}

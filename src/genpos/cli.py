@@ -307,6 +307,9 @@ def _cmd_complex(args, face_budget, node_budget):
         return flag
 
     if op in ("gp", "independence", "uniformity"):
+        if op == "uniformity" and args.rank is not None and args.rank < 1:
+            # rank 0 would make every element a loop
+            raise DocumentError("--rank must be at least 1, got %d" % args.rank)
         pts = jsonio.points_from_doc(_read_doc(args.input))
         if op == "gp":
             K = solver.general_position_complex(

@@ -8,9 +8,10 @@ faces; it is the bridge between local independence data and global topology.
 
 Enumerating operators accept face budgets and cardinality caps so that large
 completions can be built only up to the sizes a truncated homology computation
-needs. Complexes given by a hereditary predicate (general-position,
-independence and uniformity complexes, nerves) are all grown by one
-enumerator, levelwise_complex.
+needs. Complexes given by a hereditary predicate (general-position and
+independence complexes, nerves) and completions, among them the uniformity
+complex of every matroid, are all grown by one enumerator,
+levelwise_complex.
 """
 
 from __future__ import annotations
@@ -230,45 +231,46 @@ def neighborhood(K, v, d):
 def completion(K, j, max_card=None, max_faces=None):
     """j-th completion: K plus every set S with |S| >= j+2 all of whose
     subsets of size <= j+1 are faces of K, truncated to |S| <= max_card
-    (default: no truncation beyond n_vertices). Requires j >= dim K; the
-    completion of the empty complex is empty, and j > dim K returns K."""
+    (default: no truncation beyond n_vertices), with at most max_faces faces
+    (None: DEFAULT_FACE_BUDGET; past it BudgetExceeded is raised). Requires
+    j >= dim K; the completion of the empty complex is empty, and j > dim K
+    returns K."""
+    return _completion(K, j, max_card, max_faces, "completion")
+
+
+def _completion(K, j, max_card, max_faces, what):
+    """completion, grown by levelwise_complex with BudgetExceeded naming
+    what. Sets of size at most j+1 are faces iff they are faces of K; a
+    larger set is a face iff all its one-smaller subsets are, and those were
+    grown at the level before."""
     if j < K.dim:
         raise ValueError("completion needs j >= dim K (%d < %d)" % (j, K.dim))
-    n = K.n_vertices
-    cap = n if max_card is None else max_card
-    budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
-    faces = {f for f in K.faces if f.bit_count() <= cap}
-    if not K.faces or j > K.dim:
-        return SimplicialComplex(n, faces, _validated=True)
-    # Grow level by level: a set qualifies iff all its one-smaller subsets
-    # qualify (or are faces of K, at the base level j+2).
-    base = {}
-    for f in K.by_size(j + 1):
-        top = f.bit_length() - 1
-        for w in range(top + 1, n):
-            cand = f | (1 << w)
-            if cand in base:
-                continue
-            if all((cand ^ (1 << u)) in K.faces for u in bits_of(cand)):
-                base[cand] = True
-    level = set(base)
-    size = j + 2
-    while level and size <= cap:
-        faces.update(level)
-        if len(faces) > budget:
-            raise BudgetExceeded("completion exceeds %d faces" % budget)
-        nxt = set()
-        for f in level:
-            top = f.bit_length() - 1
-            for w in range(top + 1, n):
-                cand = f | (1 << w)
-                if cand in nxt:
-                    continue
-                if all((cand ^ (1 << u)) in level for u in bits_of(cand)):
-                    nxt.add(cand)
-        level = nxt
-        size += 1
-    return SimplicialComplex(n, faces, _validated=True)
+    if not K.faces:
+        return K
+    small = K.faces
+    large = set()
+    last = K.n_vertices - 1
+
+    def grow(t):
+        if t and t[-1] == last:
+            return None  # never asked: no vertex lies above the last
+        face = mask_of(t)
+        if len(t) <= j:
+            return lambda w: face | 1 << w in small
+        seen = small if len(t) == j + 1 else large
+        subs = [face ^ 1 << u for u in t]
+
+        def extends(w):
+            bit = 1 << w
+            for sub in subs:
+                if sub | bit not in seen:
+                    return False
+            large.add(face | bit)
+            return True
+
+        return extends
+
+    return levelwise_complex(K.n_vertices, grow, max_card, max_faces, what)
 
 
 def induced(K, W):

@@ -51,6 +51,7 @@ __all__ = [
 
 _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE][-+]?(\d[\d_]*)\s*")
+_INT = {int}
 
 
 def _ratio(obj):
@@ -225,11 +226,14 @@ def complex_from_doc(doc, max_faces=None):
     raw = _require(doc, "facets", list, "complex")
     facets = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in entry
+        # builtins check the whole facet: its types (plain ints at once,
+        # other types one by one), then the range, then repeats
+        if not isinstance(entry, list) or not (
+            _INT.issuperset(map(type, entry))
+            or all(issubclass(k, int) and not issubclass(k, bool) for k in set(map(type, entry)))
         ):
             raise DocumentError("facets[%d] must be a list of vertex indices" % i)
-        if any(not 0 <= v < n for v in entry):
+        if entry and (min(entry) < 0 or max(entry) >= n):
             raise DocumentError("facets[%d] has a vertex outside 0..%d" % (i, n - 1))
         f = mask_of(entry)
         if f.bit_count() != len(entry):

@@ -3,16 +3,15 @@
 Provides the affine matroid of a point multiset, partition and uniform
 matroids, greedy rank, maximum common independent sets by shortest augmenting
 paths in the exchange graph, and the uniformity layer: a set is uniform when
-it is independent or all its rank-size subsets are, the uniform sets form a
-complex, and that complex equals the (rank-1)-completion of the independence
-complex.
+it is independent or all its rank-size subsets are, so the uniform sets form
+a complex, the (rank-1)-completion of the independence complex, and that is
+how it is built for every oracle.
 
-The complexes of an affine matroid of rank r skip the oracle: in a
-coordinate frame of the points' affine hull (AffineMatroid.frame), a set is
-independent iff it is in general position and has at most r points, and
-uniform iff it is in general position, so both complexes grow through the
-general-position kernel gp_extends in dimension r-1. Every other oracle is
-asked set by set.
+The independence complex of an affine matroid of rank r skips the oracle:
+in a coordinate frame of the points' affine hull (AffineMatroid.frame), a
+set is independent iff it is in general position and has at most r points,
+so it grows through the general-position kernel gp_extends in dimension
+r-1. Every other oracle is asked set by set.
 
 All matroids here are assumed loopless (every singleton independent); the
 affine matroid of a point multiset always is.
@@ -24,7 +23,7 @@ from itertools import combinations
 from math import gcd
 
 from genpos._kernels import gp_extends, int_rank
-from genpos.complexes import levelwise_complex
+from genpos.complexes import _completion, levelwise_complex
 from genpos.errors import OracleError
 from genpos.geometry import PointMultiset, affinely_independent
 from genpos.search import max_extension
@@ -88,8 +87,8 @@ class AffineMatroid(IndependenceOracle):
     Coordinate-equal points are parallel elements, never loops.
 
     The rank r is the affine rank of the points (one int_rank), and the
-    independence and uniformity complexes run through gp_extends in the
-    (r-1)-dimensional frame of their affine hull, without oracle queries."""
+    independence complex runs through gp_extends in the (r-1)-dimensional
+    frame of their affine hull, without oracle queries."""
 
     def __init__(self, points, d=None):
         pts = points if isinstance(points, PointMultiset) else PointMultiset(points, d=d)
@@ -296,23 +295,20 @@ def uniformity_complex(oracle, max_card=None, max_faces=None):
     with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
     BudgetExceeded is raised).
 
-    Uniform sets are closed downward, so growing level by level in ascending
-    element order enumerates them all. Equals the (r-1)-completion of the
-    independence complex under the same cap. For an AffineMatroid the
-    uniform sets are the sets in general position in the affine hull, grown
-    with gp_extends in its frame.
+    For every oracle this is the (r-1)-completion of the independence
+    complex under the same cap: a set of at most r elements is uniform iff
+    it is independent, and a larger one iff all its r-subsets are. A
+    matroid of rank 0 on a nonempty ground set has loops, which this module
+    excludes, and raises ValueError.
     """
     n = oracle.ground_size
     r = oracle.full_rank
+    if r == 0 and n:
+        raise ValueError("a matroid of rank 0 on a nonempty ground set has loops")
     cap = min(n, r + 3) if max_card is None else max_card
-    if isinstance(oracle, AffineMatroid):
-        return _gp_in_hull(oracle, cap, max_faces, "uniformity complex")
-
-    def grow(t):
-        current = list(t)
-        return lambda w: _extends_uniform(oracle, current, w, r)
-
-    return levelwise_complex(n, grow, cap, max_faces, "uniformity complex")
+    what = "uniformity complex"
+    independent = _independence_complex(oracle, min(cap, r), max_faces, what)
+    return _completion(independent, r - 1, cap, max_faces, what)
 
 
 def independence_complex(oracle, max_card=None, max_faces=None):
@@ -321,30 +317,20 @@ def independence_complex(oracle, max_card=None, max_faces=None):
     it BudgetExceeded is raised). For an AffineMatroid of rank r these are
     the sets of at most r points in general position in the affine hull,
     grown with gp_extends in its frame."""
+    return _independence_complex(oracle, max_card, max_faces, "independence complex")
+
+
+def _independence_complex(oracle, max_card, max_faces, what):
     if isinstance(oracle, AffineMatroid):
-        r = oracle.full_rank
-        cap = r if max_card is None else min(max_card, r)
-        return _gp_in_hull(oracle, cap, max_faces, "independence complex")
+        r, vecs = oracle.frame()
+        max_card = r if max_card is None else min(max_card, r)
 
-    def grow(t):
-        base = frozenset(t)
-        return lambda w: oracle.is_independent(base | {w})
-
-    return levelwise_complex(oracle.ground_size, grow, max_card, max_faces,
-                             "independence complex")
-
-
-def _gp_in_hull(oracle, cap, max_faces, what):
-    """The complex of index sets of at most cap points in general position
-    in the affine hull of an AffineMatroid's points."""
-    r, vecs = oracle.frame()
-    if r <= 1:
-        # a 0-dimensional hull: every set is in general position in it
-        def grow(t):
-            return lambda w: True
-    else:
         def grow(t):
             rows = [vecs[i] for i in t]
             return lambda w: gp_extends(rows, vecs[w], r - 1)
+    else:
+        def grow(t):
+            base = frozenset(t)
+            return lambda w: oracle.is_independent(base | {w})
 
-    return levelwise_complex(oracle.ground_size, grow, cap, max_faces, what)
+    return levelwise_complex(oracle.ground_size, grow, max_card, max_faces, what)

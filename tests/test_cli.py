@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through cli.main and
 cli.entry, and as a process through python -m."""
 
+import hashlib
 import io
 import json
 import os
@@ -590,6 +591,38 @@ class TestLimitsAsProcess:
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "needs 3276 nodes, over the budget of 3000 nodes" in proc.stderr
+
+
+# seven points in the plane: three collinear triples, and the origin twice;
+# the affine matroid has rank 3
+RANK_POINTS = {"d": 2, "points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2], [0, 0]]}
+
+
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_uniformity_rank_below_one_exits_three(rank):
+    proc = run_module("genpos", ["complex", "uniformity", "-", "--rank", rank],
+                      stdin=json.dumps(RANK_POINTS))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: --rank must be at least 1, got %s\n" % rank
+
+
+@pytest.mark.parametrize("rank, dim, n_faces, digest", [
+    # the truncation to rank 1 makes every set of at most 1+3 points uniform
+    ("1", 3, 99, "93c229b70c292fdfbd18808fc85410c80ec01707744b43050dcbddb266c3afb3"),
+    ("2", 4, 94, "91e514cd7e52e8e09639c487b0bea83390c615d3573f9cd51725cccd679ceebf"),
+    # rank 3 and beyond leave the matroid as it is
+    ("3", 3, 62, "61855379c8547b6b9133d0d31fd6bc59c45f37980fbd16753a9b1a0037f1332f"),
+    ("4", 3, 62, "61855379c8547b6b9133d0d31fd6bc59c45f37980fbd16753a9b1a0037f1332f"),
+])
+def test_uniformity_rank_output_is_pinned(rank, dim, n_faces, digest):
+    # the digests are of the bytes printed before the uniformity complex
+    # became the completion of the independence complex
+    proc = run_module("genpos", ["complex", "uniformity", "-", "--rank", rank],
+                      stdin=json.dumps(RANK_POINTS))
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert (doc["dim"], doc["n_faces"]) == (dim, n_faces)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):

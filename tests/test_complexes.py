@@ -1,7 +1,8 @@
 """Simplicial complex layer: construction, closure, star, neighborhood,
 completion, skeleton, induced subcomplex, join, nerve, the q-star test,
 colorful face search, and the levelwise enumerator behind the
-general-position, independence and uniformity complexes and the nerve."""
+general-position and independence complexes, the nerve and completions,
+the uniformity complex among them."""
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,13 @@ from genpos import (
     star,
 )
 from genpos.complexes import bits_of, levelwise_complex, mask_of
-from genpos.matroids import AffineMatroid, ExplicitMatroid, uniformity_complex
+from genpos.matroids import (
+    AffineMatroid,
+    ExplicitMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+    uniformity_complex,
+)
 from genpos.matroids import independence_complex as matroid_independence_complex
 from genpos.solver import general_position_complex
 from conftest import (
@@ -281,6 +288,33 @@ class TestCompletion:
         K = closure([(v,) for v in range(12)], 12)
         with pytest.raises(BudgetExceeded):
             completion(K, 0, max_faces=50)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_facet_lists, st.booleans())
+    def test_matches_oracle_with_caps(self, case, above):
+        n, facets = case
+        K = closure(facets, n)
+        j = K.dim + above
+        full = oracle_completion_faces(K, j)
+        for max_card in (None, *range(n + 1)):
+            got = completion(K, j, max_card=max_card)
+            assert got.faces == {f for f in full if max_card is None or f.bit_count() <= max_card}
+            if got.faces:
+                _check_budget_boundary(
+                    lambda max_faces: completion(K, j, max_card, max_faces), got, "completion")
+
+    @pytest.mark.parametrize("facets, j", [
+        ([(0, 1), (1, 2), (0, 2)], 5),  # j above dim K returns K
+        ([(0, 1), (2, 3)], 1),          # no set of 3 has all its edges
+        ([(0, 1, 2)], 2),
+    ])
+    def test_budget_counts_the_faces_of_K(self, facets, j):
+        # the budget bounds the result, so a completion that adds no face
+        # still refuses a K over the budget
+        K = closure(facets, 4)
+        assert completion(K, j) == K
+        _check_budget_boundary(lambda max_faces: completion(K, j, max_faces=max_faces),
+                               K, "completion")
 
     def test_idempotent(self):
         rng = rng_for("completion-idem")
@@ -552,6 +586,29 @@ def _affine_and_explicit(pts):
             independent)
 
 
+@st.composite
+def _matroids(draw):
+    """A loopless matroid on at most 8 elements: an AffineMatroid of
+    planted or low-rank points (d = 1..4), a PartitionMatroid, a
+    UniformMatroid of rank r >= 1, or an ExplicitMatroid listing the
+    independent sets of an affine matroid truncated to rank R >= 1 (what
+    complex uniformity --rank R builds)."""
+    kind = draw(st.sampled_from(("affine", "partition", "uniform", "explicit")))
+    if kind in ("affine", "explicit"):
+        pts = draw(st.one_of(planted_points(max_distinct=7), low_rank_points()))[1][:8]
+        if kind == "affine":
+            return AffineMatroid(pts)
+        top = draw(st.integers(1, 4))
+        return ExplicitMatroid(len(pts), [
+            bits_of(f) for f in range(1 << len(pts)) if f.bit_count() <= top
+            and oracle_affinely_independent([pts[i] for i in bits_of(f)])])
+    n = draw(st.integers(0, 7))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(1, 8)))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return PartitionMatroid([[e for e in range(n) if labels[e] == b] for b in range(4)])
+
+
 def _check_budget_boundary(build, K, what):
     # exactly len(K) faces answer; one fewer raises with the builder's
     # message (the budget is checked as faces are added to the empty one)
@@ -596,10 +653,11 @@ class TestLevelwiseEnumerator:
             lambda max_faces: general_position_complex(pts, max_card, max_faces),
             K, "general-position complex")
 
-    # affine matroids build both complexes in the frame of their affine
-    # hull; an ExplicitMatroid listing the same independent sets takes the
-    # generic oracle path, so each is checked against the other and brute
-    # force, on planted points and on points of low affine rank
+    # affine matroids build the independence complex in the frame of their
+    # affine hull; an ExplicitMatroid listing the same independent sets
+    # takes the generic oracle path, so each is checked against the other
+    # and brute force, on planted points and on points of low affine rank,
+    # and so is the uniformity complex completed from each
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(planted_points(max_distinct=7), low_rank_points()))
@@ -637,6 +695,42 @@ class TestLevelwiseEnumerator:
             _check_budget_boundary(
                 lambda max_faces: uniformity_complex(oracle, max_faces=max_faces),
                 K, "uniformity complex")
+
+    @settings(max_examples=80, deadline=None)
+    @given(_matroids())
+    def test_uniformity_complex_of_every_oracle(self, oracle):
+        n = oracle.ground_size
+        r = max(f.bit_count() for f in range(1 << n) if oracle.is_independent(bits_of(f)))
+        assert oracle.full_rank == r
+        uniform = _brute_faces(n, lambda vs: oracle_is_uniform(oracle, vs, r))
+        for max_card in (None, *range(n + 1)):
+            K = uniformity_complex(oracle, max_card=max_card)
+            cap = min(n, r + 3) if max_card is None else max_card
+            assert K.n_vertices == n
+            assert K.faces == {f for f in uniform if f.bit_count() <= cap}
+            _check_budget_boundary(
+                lambda max_faces: uniformity_complex(oracle, max_card, max_faces),
+                K, "uniformity complex")
+
+    @pytest.mark.parametrize("oracle, max_card", [
+        # at most r points: the uniform sets are the independent ones
+        (AffineMatroid([(0, 0), (4, 1), (1, 3), (3, 3), (2, 5), (5, 4)]), 3),
+        (UniformMatroid(6, 3), 3),
+        # two elements of one block lie in a dependent r-set when r >= 2
+        (PartitionMatroid([[0, 1], [2, 3], [4]]), None),
+    ])
+    def test_uniformity_budget_where_it_is_the_independence_complex(self, oracle, max_card):
+        K = uniformity_complex(oracle, max_card=max_card)
+        assert K == matroid_independence_complex(oracle, max_card=max_card)
+        _check_budget_boundary(
+            lambda max_faces: uniformity_complex(oracle, max_card, max_faces),
+            K, "uniformity complex")
+
+    def test_uniformity_of_rank_zero_has_loops(self):
+        for oracle in (UniformMatroid(3, 0), ExplicitMatroid(2, [()])):
+            with pytest.raises(ValueError, match="loops"):
+                uniformity_complex(oracle)
+        assert uniformity_complex(UniformMatroid(0, 0)).faces == {0}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(

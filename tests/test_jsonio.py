@@ -4,6 +4,7 @@ import json
 import sys
 import time
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -204,6 +205,27 @@ class TestComplexDoc:
             complex_from_doc({"n_vertices": 2, "facets": [[True]]})
         with pytest.raises(DocumentError):
             complex_from_doc({"n_vertices": 2, "facets": ["x"]})
+
+    @pytest.mark.parametrize("facet, message", [
+        # the types are checked before the range, the range before repeats
+        ([5, "a"], "must be a list of vertex indices"),
+        ([1, 1, True], "must be a list of vertex indices"),
+        ([0, 2.0], "must be a list of vertex indices"),
+        ([5, 1, 1], "has a vertex outside 0..2"),
+        ([0, 3], "has a vertex outside 0..2"),
+        ([-1, -1], "has a vertex outside 0..2"),
+        ([10 ** 40], "has a vertex outside 0..2"),
+        ([2, 0, 2], "repeats a vertex"),
+    ])
+    def test_error_order(self, facet, message):
+        doc = {"n_vertices": 3, "facets": [[0], facet]}
+        with pytest.raises(DocumentError, match=r"^facets\[1\] %s$" % message):
+            complex_from_doc(doc)
+
+    def test_int_subclass_vertices(self):
+        V = IntEnum("V", "a b", start=0)
+        K = complex_from_doc({"n_vertices": 2, "facets": [[V.a, 1], []]})
+        assert K == closure([(0, 1)], 2)
 
     def test_budget_forwarded(self):
         doc = {"n_vertices": 12, "facets": [list(range(12))]}
