@@ -16,9 +16,12 @@ position in d=3, and 9 coplanar points in d=3, whose complexes run in the
 2-dimensional frame of their plane. The completion rows take the clique
 complex (j=1) of a 14-vertex graph with edge density 0.8, and the
 3-completion of the independence complex of 10 points in general position
-in d=3 (every set of the 10). The last rows parse, print and take
-the Betti numbers through degree 3 of the join of four 3-point sets
-(81 facets, 256 faces): complex_from_doc, complex_to_doc, betti_up_to.
+in d=3 (every set of the 10). Then rows parse, print and take the Betti
+numbers through degree 3 of the join of four 3-point sets (81 facets, 256
+faces): complex_from_doc, complex_to_doc, betti_up_to. The last rows run
+solve_exhaustive on counterexample_family(3, 5), which has no system, and
+on 64 points of a parabola in 8 sets of 8, where the first pick of each set
+works.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
@@ -38,6 +41,7 @@ from genpos.geometry import FlatIndex, Point
 from genpos.homology import betti_up_to
 from genpos.jsonio import complex_from_doc, complex_to_doc, family_from_doc, family_to_doc
 from genpos.matroids import AffineMatroid, independence_complex, uniformity_complex
+from genpos.solver import PointFamily, counterexample_family, solve_exhaustive
 
 
 def _rand_matrix(rng, n, m, lo, hi):
@@ -126,6 +130,11 @@ def build_cases(rng):
     cases.append(("complex_from_doc 3x3x3x3", lambda: complex_from_doc(doc)))
     cases.append(("complex_to_doc 3x3x3x3", lambda: complex_to_doc(join)))
     cases.append(("betti_up_to 3x3x3x3", lambda: betti_up_to(join, 3)))
+    blocked = counterexample_family(3, 5)
+    cases.append(("solve_exhaustive cex d=3 m=5", lambda: solve_exhaustive(blocked)))
+    parabola = [Point((t, t * t)) for t in range(64)]
+    spread = PointFamily(d=2, sets=[parabola[i:i + 8] for i in range(0, 64, 8)])
+    cases.append(("solve_exhaustive 64 parabola", lambda: solve_exhaustive(spread)))
     return cases
 
 

@@ -119,12 +119,13 @@ def build_parser():
         "--method",
         choices=("auto", "greedy", "exhaustive", "matroid"),
         default="auto",
-        help="auto = matroid when m <= d+1, else exhaustive within budget, else greedy",
+        help="auto = matroid when m <= d+1, else exhaustive when the product of the "
+        "set sizes fits the node budget, else greedy",
     )
     p.add_argument(
         "--exhaustive-reorder",
         action="store_true",
-        help="greedy only: retry all set orders before reporting failure",
+        help="greedy only: on failure, run the exhaustive search within the node budget",
     )
     p.add_argument("--human", action="store_true")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from genpos.errors import BudgetExceeded
+from genpos.search import colorful_face
 
 __all__ = [
     "SimplicialComplex",
@@ -249,11 +250,8 @@ def _completion(K, j, max_card, max_faces, what):
         return K
     small = K.faces
     large = set()
-    last = K.n_vertices - 1
 
     def grow(t):
-        if t and t[-1] == last:
-            return None  # never asked: no vertex lies above the last
         face = mask_of(t)
         if len(t) <= j:
             return lambda w: face | 1 << w in small
@@ -302,10 +300,10 @@ def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
     """Complex on n vertices whose faces are closed downward, grown level by
     level in ascending vertex order. grow(t), for a face t given as an
     ascending vertex tuple, returns a predicate extends(w) telling whether
-    t + (w,) is a face; it is asked only for w > t[-1], and whatever grow
-    computes from t is computed once per face. Faces have at most max_card
-    vertices (None: no cap); at most max_faces faces (None:
-    DEFAULT_FACE_BUDGET), past which BudgetExceeded names what."""
+    t + (w,) is a face; it is asked only for w > t[-1], so grow is called
+    once for each face below the cap that does not end at vertex n-1. Faces
+    have at most max_card vertices (None: no cap); at most max_faces faces
+    (None: DEFAULT_FACE_BUDGET), past which BudgetExceeded names what."""
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     cap = n if max_card is None else max_card
     faces = {0}
@@ -314,7 +312,10 @@ def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
     while level and size <= cap:
         nxt = []
         for t, face in level:
-            for w in filter(grow(t), range(t[-1] + 1 if t else 0, n)):
+            low = t[-1] + 1 if t else 0
+            if low == n:
+                continue  # no vertex lies above the last
+            for w in filter(grow(t), range(low, n)):
                 grown = face | 1 << w
                 nxt.append((t + (w,), grown))
                 faces.add(grown)
@@ -401,27 +402,21 @@ def is_q_star(K, q):
 
 def find_colorful_face(K, blocks):
     """First face (lexicographic) meeting each block of a vertex partition
-    exactly once, returned as a vertex tuple, or None. Blocks must be
-    disjoint; vertices outside every block are simply never used."""
+    exactly once, returned as a vertex tuple, or None: search.colorful_face
+    over each block's vertices in ascending order, within the default node
+    budget. Blocks must be disjoint; vertices outside every block are simply
+    never used."""
     masks = [mask_of(b) for b in blocks]
     seen = 0
     for bm in masks:
         if bm & seen:
             raise ValueError("blocks must be disjoint")
         seen |= bm
-
-    def rec(i, face):
-        if i == len(masks):
-            return face
-        for v in bits_of(masks[i]):
-            cand = face | (1 << v)
-            if cand in K.faces:
-                got = rec(i + 1, cand)
-                if got is not None:
-                    return got
-        return None
-
     if 0 not in K.faces:
         return None
-    got = rec(0, 0)
-    return None if got is None else tuple(bits_of(got))
+    faces = K.faces
+    verts = [bits_of(bm) for bm in masks]
+    picks = colorful_face(verts, lambda chosen, v: mask_of(chosen) | 1 << v in faces)
+    if picks is None:
+        return None
+    return tuple(sorted(vs[j] for vs, j in zip(verts, picks)))

@@ -1,19 +1,21 @@
-"""The one branch-and-bound maximiser behind gp_number and max_uniform_size.
+"""The two searches of genpos, each depth-first on an explicit stack, so
+never limited by Python's recursion limit, with every predicate call one node
+charged against a budget.
 
-Both ask for the largest subset of a ground list that a hereditary
-predicate accepts, grown one element at a time in input order: gp_number
+max_extension, the branch-and-bound maximiser, grows the largest subset of a
+ground list that a hereditary predicate accepts, in input order: gp_number
 for the points its flat index leaves unsettled, each a bit, under a popcount
-test on the flats through it, and max_uniform_size for matroid elements
-under oracle queries. The search is an include-first depth-first search on
-an explicit stack, so its depth is never limited by Python's recursion
-limit, and every predicate call is one node charged against a budget.
+test on the flats through it, and max_uniform_size for matroid elements under
+oracle queries. colorful_face picks one item per block, together accepted by
+such a predicate: solve_exhaustive (and so solve_greedy's reorder fallback)
+for a representative system, and find_colorful_face for a colorful face.
 """
 
 from __future__ import annotations
 
 from genpos.errors import BudgetExceeded
 
-__all__ = ["DEFAULT_NODE_BUDGET", "max_extension"]
+__all__ = ["DEFAULT_NODE_BUDGET", "colorful_face", "max_extension"]
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -86,3 +88,40 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
             raise BudgetExceeded("search exceeds %d nodes" % budget)
         i = picked.pop() + 1
         chosen.pop()
+
+
+def colorful_face(blocks, extends, node_budget=None):
+    """Position of the chosen item in each block, for the lexicographically
+    first choice of one item per block whose every prefix is accepted by
+    ``extends(chosen, item)``, or None when there is no such choice.
+
+    The search is depth-first, one level per block, trying each block's
+    items in input order. node_budget caps the predicate calls (None:
+    DEFAULT_NODE_BUDGET) as in max_extension: it is checked whenever the
+    search backtracks, and BudgetExceeded is raised past it. An empty block
+    answers None at once.
+    """
+    if not all(blocks):
+        return None
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    nodes = 0
+    chosen = []
+    picked = []  # position in its block of each chosen item
+    i = 0
+    while len(picked) < len(blocks):
+        block = blocks[len(picked)]
+        for j in range(i, len(block)):
+            nodes += 1
+            if extends(chosen, block[j]):
+                chosen.append(block[j])
+                picked.append(j)
+                i = 0
+                break
+        else:
+            if not picked:
+                return None
+            if nodes > budget:
+                raise BudgetExceeded("colorful-face search exceeds %d nodes" % budget)
+            i = picked.pop() + 1
+            chosen.pop()
+    return picked

@@ -14,9 +14,10 @@ provides:
   matroid analogue driven by max_uniform_size;
 - check_condition, evaluating a bound on every (or a sampled set of) nonempty
   subfamily union;
-- solve_greedy (reorder by the extension bound, then extend step by step),
-  solve_exhaustive (backtracking over all picks, the completeness oracle),
-  and solve_matroid_intersection (complete for m <= d+1);
+- solve_greedy (reorder by the extension bound, then extend step by step,
+  optionally falling back on the exhaustive search), solve_exhaustive (the
+  colorful-face search of genpos.search over all picks, the completeness
+  oracle), and solve_matroid_intersection (complete for m <= d+1);
 - counterexample_family, the construction showing the size condition alone is
   not sufficient once m > d+1 >= 3;
 - general_position_complex and independence_complex of a point multiset.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from genpos.complexes import SimplicialComplex, levelwise_complex
@@ -40,7 +41,7 @@ from genpos.geometry import (
     in_general_position,
 )
 from genpos._kernels import gp_extends
-from genpos.search import DEFAULT_NODE_BUDGET
+from genpos.search import DEFAULT_NODE_BUDGET, colorful_face
 from genpos import matroids
 
 __all__ = [
@@ -327,16 +328,6 @@ class SgprResult:
         return [p for _, p in self.representatives] if self.representatives else []
 
 
-def _greedy_pick_along(family, order):
-    chosen = []
-    for i in order:
-        p = extend_gp(chosen, family.sets[i])
-        if p is None:
-            return None
-        chosen.append(p)
-    return chosen
-
-
 def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
     """Two-phase greedy.
 
@@ -349,29 +340,21 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
     extends by the first fitting point of each set; under a successful phase 1
     the extension guarantee covers every step.
 
-    With exhaustive_reorder=True a failure is retried greedily under all m!
-    set orders (m! must fit the node budget) before giving up. node_budget
-    also caps each gp_number.
+    With exhaustive_reorder=True a failure falls back on solve_exhaustive
+    within the node budget, and is reported only when no system exists; the
+    answer is then the lexicographically first system. node_budget also caps
+    each gp_number.
     """
     m, d = family.m, family.d
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if node_budget is not None:
         family.node_budget = node_budget
 
-    def reorder_fallback(fallback):
-        if not exhaustive_reorder:
-            return fallback
-        count = 1
-        for i in range(2, m + 1):
-            count *= i
-            if count > budget:
-                raise BudgetExceeded("m! = %d! exceeds the node budget" % m)
-        for order in permutations(range(m)):
-            chosen = _greedy_pick_along(family, order)
-            if chosen is not None:
-                reps = tuple(sorted(zip(order, chosen)))
-                return SgprResult(status="found", representatives=reps)
-        return fallback
+    def fallback(failure):
+        if exhaustive_reorder:
+            result = solve_exhaustive(family, node_budget)
+            if result.status == "found":
+                return result
+        return failure
 
     sizes = [family.gp_number_of_union((i,)) for i in range(m)]
     position_of = [None] * m
@@ -387,57 +370,31 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
                 required=greedy_bound(d, len(indices)),
                 ok=False,
             )
-            return reorder_fallback(
-                SgprResult(status="condition_violated", violation=violation)
-            )
+            return fallback(SgprResult(status="condition_violated", violation=violation))
         position_of[j - 1] = pick
         unassigned.remove(pick)
-    chosen = _greedy_pick_along(family, position_of)
-    if chosen is None:
-        return reorder_fallback(SgprResult(status="not_found"))
+    chosen = []
+    for i in position_of:
+        p = extend_gp(chosen, family.sets[i])
+        if p is None:
+            return fallback(SgprResult(status="not_found"))
+        chosen.append(p)
     reps = tuple(sorted(zip(position_of, chosen)))
     return SgprResult(status="found", representatives=reps)
 
 
 def solve_exhaustive(family, node_budget=None):
-    """Backtracking over all picks in set order, candidates in input order,
-    pruning on general position, on an explicit stack (one level per set, so
-    any number of sets); finds the lexicographically first system or proves
-    none exists. The pick-tuple space must fit the node budget."""
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    total = 1
-    for X in family.sets:
-        total *= len(X)
-        if total > budget:
-            raise BudgetExceeded(
-                "exhaustive search space exceeds %d nodes" % budget
-            )
-    if total == 0:
+    """The lexicographically first system (set order, candidates in input
+    order), or "not_found" when none exists: search.colorful_face over the
+    sets' points under general position, within node_budget predicate calls
+    (None: DEFAULT_NODE_BUDGET)."""
+    d = family.d
+    sets = [X.points for X in family.sets]
+    homs = [[p.hom for p in X] for X in sets]
+    picks = colorful_face(homs, lambda chosen, h: gp_extends(chosen, h, d), node_budget)
+    if picks is None:
         return SgprResult(status="not_found")
-    m, d = family.m, family.d
-    homs = []
-    picks = []
-    tried = [0] * m  # per level, candidates already tried
-    i = 0
-    while i < m:
-        X = family.sets[i].points
-        j = tried[i]
-        while j < len(X) and not gp_extends(homs, X[j].hom, d):
-            j += 1
-        if j < len(X):
-            tried[i] = j + 1
-            homs.append(X[j].hom)
-            picks.append(X[j])
-            i += 1
-            if i < m:
-                tried[i] = 0
-        elif i == 0:
-            return SgprResult(status="not_found")
-        else:
-            i -= 1
-            homs.pop()
-            picks.pop()
-    reps = tuple((i, p) for i, p in enumerate(picks))
+    reps = tuple((i, X[j]) for i, (X, j) in enumerate(zip(sets, picks)))
     return SgprResult(status="found", representatives=reps)
 
 

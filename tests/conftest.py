@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -99,6 +99,17 @@ def oracle_keeps_gp(prefix, cand):
         oracle_affinely_independent(list(combo) + [cand])
         for combo in combinations(prefix, size)
     )
+
+
+def oracle_sgpr(family):
+    """Positions of the lexicographically first system of general-position
+    representatives of a PointFamily (one point per set, sets in order), by
+    enumerating every pick in product order, or None."""
+    for picks in product(*[range(len(X)) for X in family.sets]):
+        pts = [family.sets[i][j] for i, j in enumerate(picks)]
+        if oracle_gp(pts, d=family.d):
+            return picks
+    return None
 
 
 def oracle_gp_number(pts):

@@ -113,6 +113,18 @@ class TestSolve:
         )
         assert code == 0 and doc["status"] == "found"
 
+    @pytest.mark.parametrize("argv", [["--method", "exhaustive"],
+                                      ["--method", "greedy", "--exhaustive-reorder"]])
+    def test_search_past_the_product_of_set_sizes(self, capsys, tmp_path, argv):
+        # 64 points of a parabola in 8 sets of 8: 8^8 picks, past the
+        # default node budget, and one predicate call per set finds a system
+        pts = [[t, t * t] for t in range(64)]
+        sets = [pts[i:i + 8] for i in range(0, 64, 8)]
+        path = write_doc(tmp_path, "fam.json", {"d": 2, "sets": sets})
+        code, doc = run_json(capsys, ["solve", path, *argv])
+        assert code == 0 and doc["status"] == "found" and doc["method"] == argv[1]
+        assert [r["point"] for r in doc["representatives"]] == [X[0] for X in sets]
+
     def test_not_found_exits_one(self, capsys, tmp_path):
         path = write_doc(tmp_path, "fam.json", {"d": 2, "sets": [[[0, 0]], [[0, 0]]]})
         code, doc = run_json(capsys, ["solve", path, "--method", "exhaustive"])
@@ -568,6 +580,25 @@ class TestLimitsAsProcess:
         out = json.loads(proc.stdout)
         assert out["status"] == "found" and out["method"] == "exhaustive"
         assert [r["point"] for r in out["representatives"]] == [X[0] for X in doc["sets"]]
+
+    def test_empty_set_answers_within_the_node_budget(self):
+        parabola = [[t, t * t] for t in range(100)]
+        doc = {"d": 2, "sets": [parabola, parabola, parabola, []]}
+        proc = run_module("genpos", ["solve", "-", "--method", "exhaustive"],
+                          stdin=json.dumps(doc), GENPOS_BUDGET_NODES="1000")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout) == {"status": "not_found", "method": "exhaustive"}
+
+    @pytest.mark.parametrize("argv", [["--method", "exhaustive"],
+                                      ["--method", "greedy", "--exhaustive-reorder"]])
+    def test_search_past_the_node_budget_exits_three(self, argv):
+        # four copies of ten collinear points: proving that no system exists
+        # takes about a thousand predicate calls
+        line = [[t, 2 * t + 1] for t in range(10)]
+        proc = run_module("genpos", ["solve", "-", *argv], stdin=json.dumps(
+            {"d": 2, "sets": [line] * 4}), GENPOS_BUDGET_NODES="100")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: colorful-face search exceeds 100 nodes\n"
 
     @pytest.mark.parametrize("op, doc", [
         ("gp", {"d": 2, "points": [[t, t * t] for t in range(14)]}),

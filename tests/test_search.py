@@ -1,11 +1,13 @@
-"""The shared branch-and-bound maximiser: its calls against the recursive
-search it replaced, its bounds, its budget and its first-descent rule."""
+"""The two searches. The branch-and-bound maximiser: its calls against the
+recursive search it replaced, its bounds, its budget and its first-descent
+rule. The colorful-face search: its calls against the recursive search of
+find_colorful_face it replaced, and its budget."""
 
 import pytest
 
 from genpos import BudgetExceeded, Point
 from genpos._kernels import gp_extends
-from genpos.search import max_extension
+from genpos.search import colorful_face, max_extension
 from conftest import oracle_gp_number, random_degenerate_points, rng_for
 
 
@@ -181,3 +183,66 @@ def test_budget_is_checked_on_backtracking():
     # a search that never backtracks is never refused
     line = [Point([x]).hom for x in range(50)]
     assert max_extension(line, recorded([], 1), 2, node_budget=1) == 50
+
+
+def recursive_colorful_calls(blocks, d):
+    """Calls, and the answer, of the recursive depth-first search, one frame
+    per block, that find_colorful_face ran before the explicit stack."""
+    log = []
+    extends = recorded(log, d)
+    chosen, picked = [], []
+
+    def rec(i):
+        if i == len(blocks):
+            return True
+        for j, h in enumerate(blocks[i]):
+            if extends(chosen, h):
+                chosen.append(h)
+                picked.append(j)
+                if rec(i + 1):
+                    return True
+                chosen.pop()
+                picked.pop()
+        return False
+
+    return (picked if rec(0) else None), log
+
+
+def test_colorful_calls_in_the_same_order_as_the_recursion():
+    rng = rng_for("colorful-order")
+    for trial in range(80):
+        d = 1 + trial % 3
+        blocks = [distinct_homs(rng, d, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        want, want_log = recursive_colorful_calls(blocks, d)
+        log = []
+        assert colorful_face(blocks, recorded(log, d)) == want
+        assert log == want_log
+
+
+def test_colorful_edge_cases():
+    log = []
+    assert colorful_face([], recorded(log, 2)) == []
+    # an empty block answers at once, whatever the other blocks hold
+    line = [Point([x, 0]).hom for x in range(100)]
+    assert colorful_face([line, line, line, []], recorded(log, 2), node_budget=0) is None
+    assert log == []
+
+
+def test_colorful_budget_is_checked_on_backtracking():
+    # four copies of ten collinear points: no colorful face
+    line = [Point([x, 2 * x + 1]).hom for x in range(10)]
+    log = []
+    assert colorful_face([line] * 4, recorded(log, 2)) is None
+    assert len(log) > 100
+    with pytest.raises(BudgetExceeded, match="^colorful-face search exceeds 100 nodes$"):
+        colorful_face([line] * 4, recorded([], 2), node_budget=100)
+    # the budget counts predicate calls: exactly enough of them suffices
+    assert colorful_face([line] * 4, recorded([], 2), node_budget=len(log)) is None
+    with pytest.raises(BudgetExceeded):
+        colorful_face([line] * 4, recorded([], 2), node_budget=len(log) - 1)
+    # a search that never backtracks is never refused
+    parabola = [Point([t, t * t]).hom for t in range(64)]
+    blocks = [parabola[i:i + 8] for i in range(0, 64, 8)]
+    log = []
+    assert colorful_face(blocks, recorded(log, 2), node_budget=0) == [0] * 8
+    assert len(log) == 8

@@ -2,7 +2,7 @@
 construction, and the complexes attached to a configuration."""
 
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -39,6 +39,7 @@ from genpos.geometry import FlatIndex
 from conftest import (
     oracle_gp,
     oracle_gp_number,
+    oracle_sgpr,
     planted_points,
     random_degenerate_points,
     random_gp_points,
@@ -62,12 +63,30 @@ def random_family(rng, d, m, min_size=1, max_size=4, degenerate=True):
     return PointFamily(d=d, sets=sets)
 
 
-def brute_force_sgpr(family):
-    for picks in product(*[range(len(X)) for X in family.sets]):
-        pts = [family.sets[i][j] for i, j in enumerate(picks)]
-        if oracle_gp(pts, d=family.d):
-            return picks
-    return None
+def collinear_family():
+    """Four sets, each the same ten collinear points in the plane: no system
+    exists, and proving it takes the search about a thousand predicate
+    calls."""
+    line = [[t, 2 * t + 1] for t in range(10)]
+    return family_of(2, line, line, line, line)
+
+
+def parabola_family(sets, size):
+    """``sets`` sets of ``size`` consecutive points of a parabola, all in
+    general position together: the first pick of each set works."""
+    pts = [[t, t * t] for t in range(sets * size)]
+    return family_of(2, *[pts[i * size:(i + 1) * size] for i in range(sets)])
+
+
+@st.composite
+def planted_families(draw, max_sets=4):
+    """planted_points dealt into 1..max_sets sets, in order; a set may be
+    empty."""
+    d, pts = draw(planted_points())
+    m = draw(st.integers(1, max_sets))
+    owner = draw(st.lists(st.integers(0, m - 1), min_size=len(pts), max_size=len(pts)))
+    sets = [[p for p, o in zip(pts, owner) if o == i] for i in range(m)]
+    return PointFamily(d=d, sets=[PointMultiset(X, d=d) for X in sets])
 
 
 class TestBounds:
@@ -522,9 +541,20 @@ class TestSolveGreedy:
         assert res.points() == [Point([0]), Point([1])]
 
     def test_reorder_budget(self):
-        fam = family_of(1, *[[[0]] for _ in range(9)])
-        with pytest.raises(BudgetExceeded):
-            solve_greedy(fam, exhaustive_reorder=True, node_budget=1000)
+        # the fallback is the exhaustive search, under the same node budget
+        with pytest.raises(BudgetExceeded, match="^colorful-face search exceeds 100 nodes$"):
+            solve_greedy(collinear_family(), exhaustive_reorder=True, node_budget=100)
+        res = solve_greedy(collinear_family(), exhaustive_reorder=True)
+        assert res.status == "condition_violated"
+
+    def test_reorder_answers_the_first_system(self):
+        # the greedy hypothesis fails on 64 points in 8 sets of 8; the
+        # fallback takes the first point of each set
+        fam = parabola_family(8, 8)
+        assert solve_greedy(fam).status == "condition_violated"
+        res = solve_greedy(fam, exhaustive_reorder=True)
+        assert res == solve_exhaustive(fam)
+        assert res.points() == [X[0] for X in fam.sets]
 
     def test_greedy_threshold_guarantees_success(self):
         # meeting greedy_bound on every subfamily union forces "found"
@@ -547,7 +577,7 @@ class TestSolveExhaustive:
         for _ in range(50):
             fam = random_family(rng, rng.randrange(1, 4), rng.randrange(1, 4))
             res = solve_exhaustive(fam)
-            brute = brute_force_sgpr(fam)
+            brute = oracle_sgpr(fam)
             if brute is None:
                 assert res.status == "not_found"
             else:
@@ -567,10 +597,75 @@ class TestSolveExhaustive:
         assert solve_exhaustive(fam).status == "not_found"
 
     def test_budget(self):
-        rng = rng_for("exh-budget")
-        fam = random_family(rng, 2, 3, min_size=4, max_size=4)
-        with pytest.raises(BudgetExceeded):
-            solve_exhaustive(fam, node_budget=10)
+        # the budget caps predicate calls, not the 10^4 picks
+        with pytest.raises(BudgetExceeded, match="^colorful-face search exceeds 100 nodes$"):
+            solve_exhaustive(collinear_family(), node_budget=100)
+        assert solve_exhaustive(collinear_family()).status == "not_found"
+
+    def test_search_space_past_the_budget(self, monkeypatch):
+        # 8^8 picks, far past the default budget; the first descent answers
+        # in one predicate call per set, so even a zero budget is enough
+        calls = []
+        real = solver.gp_extends
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "gp_extends", counted)
+        fam = parabola_family(8, 8)
+        res = solve_exhaustive(fam, node_budget=0)
+        assert res.status == "found" and len(calls) == 8
+        assert res.representatives == tuple((i, X[0]) for i, X in enumerate(fam.sets))
+
+
+class TestAgainstOracle:
+    """The solvers, and the colorful faces of the general-position complex,
+    against the lexicographically first system by product enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_families())
+    def test_exhaustive(self, fam):
+        want = oracle_sgpr(fam)
+        res = solve_exhaustive(fam)
+        if want is None:
+            assert res.status == "not_found"
+        else:
+            assert res.status == "found"
+            assert res.representatives == tuple(
+                (i, fam.sets[i][j]) for i, j in enumerate(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_families())
+    def test_greedy_with_reorder(self, fam):
+        res = solve_greedy(fam, exhaustive_reorder=True)
+        if oracle_sgpr(fam) is None:
+            assert res.status in ("not_found", "condition_violated")
+        else:
+            assert res.status == "found"
+            assert [i for i, _ in res.representatives] == list(range(fam.m))
+            assert all(p in fam.sets[i].points for i, p in res.representatives)
+            assert oracle_gp(res.points())
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_families())
+    def test_matroid_intersection(self, fam):
+        fam = PointFamily(d=fam.d, sets=fam.sets[:fam.d + 1])
+        res = solve_matroid_intersection(fam)
+        assert res.status == ("not_found" if oracle_sgpr(fam) is None else "found")
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_families())
+    def test_colorful_face_of_the_gp_complex(self, fam):
+        blocks = []
+        at = 0
+        for X in fam.sets:
+            blocks.append(tuple(range(at, at + len(X))))
+            at += len(X)
+        K = general_position_complex(fam.union_points(), max_card=fam.m)
+        want = oracle_sgpr(fam)
+        face = find_colorful_face(K, blocks)
+        assert face == (None if want is None else tuple(b[j] for b, j in zip(blocks, want)))
 
 
 class TestSolveMatroid:
