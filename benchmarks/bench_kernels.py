@@ -53,7 +53,7 @@ def _gp_points(rng, d, n, spread):
     while len(pts) < n:
         cand = Point([Fraction(rng.randint(-spread, spread), rng.randint(1, 7))
                       for _ in range(d)])
-        if gp_extends([p.hom for p in pts], cand.hom, d):
+        if gp_extends([p.hom for p in pts], cand.hom):
             pts.append(cand)
     return pts
 
@@ -62,7 +62,7 @@ def _gp_case(rng, d, k, spread):
     """A general-position prefix of k homogeneous rows plus one candidate
     that extends it (a full accepting scan)."""
     pts = _gp_points(rng, d, k + 1, spread)
-    return [p.hom for p in pts[:-1]], pts[-1].hom, d
+    return [p.hom for p in pts[:-1]], pts[-1].hom
 
 
 def _early_reject_case(rng, d, k, spread):
@@ -70,7 +70,7 @@ def _early_reject_case(rng, d, k, spread):
     through its first two points, so the scan can stop at once."""
     pts = _gp_points(rng, d, k, spread)
     cand = Point([2 * a - b for a, b in zip(pts[0].coords, pts[1].coords)])
-    return [p.hom for p in pts], cand.hom, d
+    return [p.hom for p in pts], cand.hom
 
 
 def build_cases(rng):
@@ -95,7 +95,7 @@ def build_cases(rng):
     ]:
         probes = [make(rng, d, kk, 30) for _ in range(25)]
         cases.append(("gp_extends d=%d k=%d%s" % (d, kk, tag),
-                      lambda ps=probes: [gp_extends(r, nr, dd) for r, nr, dd in ps]))
+                      lambda ps=probes: [gp_extends(r, nr) for r, nr in ps]))
     for label, d, pts in [
         ("FlatIndex 6x6 grid d=2", 2, [(x, y) for x in range(6) for y in range(6)]),
         ("FlatIndex 3x3x3 cube d=3", 3,

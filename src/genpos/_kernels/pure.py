@@ -94,13 +94,14 @@ def int_rank(rows):
     return rank
 
 
-def gp_extends(rows, new_row, d):
+def gp_extends(rows, new_row):
     """General-position extension predicate on homogeneous integer vectors.
 
-    rows: primitive homogeneous vectors (length d+1, last entry positive) of
-    a point list already in general position. True iff appending new_row
-    keeps the list in general position, i.e. every subset of size <= d+1
-    containing the new point stays affinely independent.
+    rows: primitive homogeneous vectors (length d+1, last entry positive,
+    with d read from new_row) of a point list already in general position.
+    True iff appending new_row keeps the list in general position, i.e.
+    every subset of size <= d+1 containing the new point stays affinely
+    independent.
 
     With k = len(rows) >= d only the (d+1)-subsets through the new point p
     need checking, and the radial projection from p decides them: every d of
@@ -114,6 +115,7 @@ def gp_extends(rows, new_row, d):
         return True
     if k == 1:
         return rows[0] != new_row
+    d = len(new_row) - 1
     if k < d:
         mat = list(rows)
         mat.append(new_row)

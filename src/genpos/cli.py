@@ -119,8 +119,9 @@ def build_parser():
         "--method",
         choices=("auto", "greedy", "exhaustive", "matroid"),
         default="auto",
-        help="auto = matroid when m <= d+1, else exhaustive when the product of the "
-        "set sizes fits the node budget, else greedy",
+        help="auto = matroid when m <= d+1, else exhaustive when its most predicate "
+        "calls (the sum over i of the product of the first i set sizes) fit the "
+        "node budget, else greedy",
     )
     p.add_argument(
         "--exhaustive-reorder",
@@ -217,11 +218,14 @@ def _cmd_solve(args, node_budget):
         if family.m <= family.d + 1:
             method = "matroid"
         else:
-            total = 1
+            # the search's most predicate calls: one per pick of the first i
+            # sets, for each i (none when a set is empty)
+            calls, total = 0, 1
             for X in family.sets:
                 total *= len(X)
+                calls += total
             budget = solver.DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-            method = "exhaustive" if total <= budget else "greedy"
+            method = "exhaustive" if calls <= budget or not total else "greedy"
     if method == "matroid":
         result = solver.solve_matroid_intersection(family)
     elif method == "exhaustive":

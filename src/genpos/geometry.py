@@ -204,7 +204,7 @@ def keeps_general_position(prefix, p):
     d = _common_dim(pts, fallback=p.d)
     if p.d != d:
         raise DimensionMismatch("point has d=%d, prefix has d=%d" % (p.d, d))
-    return gp_extends([q.hom for q in pts], p.hom, d)
+    return gp_extends([q.hom for q in pts], p.hom)
 
 
 def in_general_position(points):
@@ -212,10 +212,10 @@ def in_general_position(points):
     pts = _as_points(points)
     if len(pts) <= 1:
         return True
-    d = _common_dim(pts)
+    _common_dim(pts)  # mixed dimensions raise
     homs = []
     for p in pts:
-        if not gp_extends(homs, p.hom, d):
+        if not gp_extends(homs, p.hom):
             return False
         homs.append(p.hom)
     return True
@@ -553,6 +553,6 @@ def extend_gp(S, T):
         return None
     homs = [p.hom for p in s_pts]
     for p in t_pts:
-        if gp_extends(homs, p.hom, d):
+        if gp_extends(homs, p.hom):
             return p
     return None

@@ -327,7 +327,7 @@ def _independence_complex(oracle, max_card, max_faces, what):
 
         def grow(t):
             rows = [vecs[i] for i in t]
-            return lambda w: gp_extends(rows, vecs[w], r - 1)
+            return lambda w: gp_extends(rows, vecs[w])
     else:
         def grow(t):
             base = frozenset(t)

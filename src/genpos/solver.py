@@ -388,10 +388,9 @@ def solve_exhaustive(family, node_budget=None):
     order), or "not_found" when none exists: search.colorful_face over the
     sets' points under general position, within node_budget predicate calls
     (None: DEFAULT_NODE_BUDGET)."""
-    d = family.d
     sets = [X.points for X in family.sets]
     homs = [[p.hom for p in X] for X in sets]
-    picks = colorful_face(homs, lambda chosen, h: gp_extends(chosen, h, d), node_budget)
+    picks = colorful_face(homs, gp_extends, node_budget)
     if picks is None:
         return SgprResult(status="not_found")
     reps = tuple((i, X[j]) for i, (X, j) in enumerate(zip(sets, picks)))
@@ -491,12 +490,11 @@ def general_position_complex(X, max_card=None, max_faces=None):
     n = len(pts)
     if n == 0:
         return SimplicialComplex(0, [0], _validated=True)
-    d = pts[0].d
     homs = [p.hom for p in pts]
 
     def grow(t):
         rows = [homs[i] for i in t]
-        return lambda w: gp_extends(rows, homs[w], d)
+        return lambda w: gp_extends(rows, homs[w])
 
     return levelwise_complex(n, grow, max_card, max_faces, "general-position complex")
 

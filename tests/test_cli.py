@@ -409,6 +409,19 @@ class TestEnvironmentBudgets:
         assert code == 0
         assert doc["method"] == "greedy" and doc["status"] == "found"
 
+    @pytest.mark.parametrize("budget, code, method", [("766", 2, "greedy"),
+                                                      ("767", 1, "exhaustive")])
+    def test_auto_search_never_overruns_the_node_budget(self, capsys, tmp_path, monkeypatch,
+                                                        budget, code, method):
+        # d = 1: 2^8 picks, and every pick of the first nine sets extends
+        # until the last set repeats the first, so the search proving that
+        # no system exists makes 1 + 2 + ... + 256 + 256 = 767 calls
+        monkeypatch.setenv("GENPOS_BUDGET_NODES", budget)
+        sets = [[[0]]] + [[[t], [t + 1]] for t in range(2, 18, 2)] + [[[0]]]
+        path = write_doc(tmp_path, "fam.json", {"d": 1, "sets": sets})
+        got, doc = run_json(capsys, ["solve", path])
+        assert got == code and doc["method"] == method
+
     def test_node_budget_stops_gp_number(self, capsys, monkeypatch):
         # the 6 x 6 grid in one set: its search runs to millions of nodes
         monkeypatch.setenv("GENPOS_BUDGET_NODES", "1000")

@@ -106,7 +106,7 @@ class TestAgainstOracles:
                 cands += [rng.choice(prefix), _on_late_flat(rng, prefix, d)]
             for cand in cands:
                 want = oracle_keeps_gp(prefix, cand)
-                assert kernels.gp_extends(rows, cand.hom, d) == want
+                assert kernels.gp_extends(rows, cand.hom) == want
                 outcomes[d, k > d, want] += 1
         # both answers, past the rank stage, in every dimension
         assert all(outcomes[d, True, want] for d in (1, 2, 3, 4) for want in (True, False))
@@ -118,31 +118,31 @@ class TestAgainstOracles:
             for _ in range(10):
                 p = random_point(rng, d, 3)
                 q = random_point(rng, d, 3)
-                assert kernels.gp_extends([], p.hom, d) and oracle_keeps_gp([], p)
+                assert kernels.gp_extends([], p.hom) and oracle_keeps_gp([], p)
                 for cand in (p, q):
                     want = oracle_keeps_gp([p], cand)
-                    assert kernels.gp_extends([p.hom], cand.hom, d) == want
+                    assert kernels.gp_extends([p.hom], cand.hom) == want
                     assert want == (cand != p)
 
     def test_gp_extends_rejects_duplicates_and_flats(self, kernels):
         rows = [Point([0, 0]).hom, Point([1, 0]).hom, Point([0, 1]).hom]
-        assert not kernels.gp_extends(rows, Point([0, 0]).hom, 2)
-        assert not kernels.gp_extends(rows, Point([2, 0]).hom, 2)
-        assert kernels.gp_extends(rows, Point([1, 1]).hom, 2)
+        assert not kernels.gp_extends(rows, Point([0, 0]).hom)
+        assert not kernels.gp_extends(rows, Point([2, 0]).hom)
+        assert kernels.gp_extends(rows, Point([1, 1]).hom)
         # low-rank stage: third collinear point fails the rank test
         two = [Point([0, 0]).hom, Point([1, 0]).hom]
-        assert not kernels.gp_extends(two, Point([5, 0]).hom, 2)
+        assert not kernels.gp_extends(two, Point([5, 0]).hom)
         # the origin repeated on the line
         line = [Point([0]).hom, Point([1]).hom]
-        assert not kernels.gp_extends(line, Point([0]).hom, 1)
-        assert kernels.gp_extends(line, Point([-1]).hom, 1)
+        assert not kernels.gp_extends(line, Point([0]).hom)
+        assert kernels.gp_extends(line, Point([-1]).hom)
         # directions with leading zeros: the tetrahedron's vertices, then a
         # point on the plane x = y through two of them and the fifth point
         tet = [Point(v).hom for v in ([0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0])]
-        assert kernels.gp_extends(tet, Point([1, 1, 1]).hom, 3)
+        assert kernels.gp_extends(tet, Point([1, 1, 1]).hom)
         five = tet + [Point([1, 1, 1]).hom]
-        assert not kernels.gp_extends(five, Point([2, 2, 5]).hom, 3)
-        assert kernels.gp_extends(five, Point([2, 3, 5]).hom, 3)
+        assert not kernels.gp_extends(five, Point([2, 2, 5]).hom)
+        assert kernels.gp_extends(five, Point([2, 3, 5]).hom)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,19 +11,19 @@ from genpos.search import colorful_face, max_extension
 from conftest import oracle_gp_number, random_degenerate_points, rng_for
 
 
-def recorded(log, d):
+def recorded(log):
     def extends(chosen, h):
         log.append((tuple(chosen), h))
-        return gp_extends(chosen, h, d)
+        return gp_extends(chosen, h)
 
     return extends
 
 
-def recursive_calls(homs, d):
+def recursive_calls(homs):
     """Calls of the recursive include-first branch-and-bound, one frame per
     point, that gp_number ran before the explicit stack."""
     log = []
-    extends = recorded(log, d)
+    extends = recorded(log)
     n = len(homs)
     best = 0
     chosen = []
@@ -53,14 +53,14 @@ def test_same_calls_in_the_same_order_as_the_recursion():
     for trial in range(60):
         d = 1 + trial % 3
         homs = distinct_homs(rng, d, rng.randint(0, 9))
-        best, want = recursive_calls(homs, d)
+        best, want = recursive_calls(homs)
         # rank 0 switches the first-descent rule off: every call is made
         log = []
-        assert max_extension(homs, recorded(log, d), 0) == best
+        assert max_extension(homs, recorded(log), 0) == best
         assert log == want
         # the rule only ever ends the search early
         log = []
-        assert max_extension(homs, recorded(log, d), d + 1) == best
+        assert max_extension(homs, recorded(log), d + 1) == best
         assert log == want[: len(log)]
 
 
@@ -69,11 +69,11 @@ def test_bounds_that_hold_keep_the_answer():
     for trial in range(40):
         d = 1 + trial % 3
         homs = distinct_homs(rng, d, rng.randint(1, 8))
-        best, full = recursive_calls(homs, d)
+        best, full = recursive_calls(homs)
         for lower in range(best + 1):
             for cap in range(best, len(homs) + 2):
                 log = []
-                got = max_extension(homs, recorded(log, d), d + 1, lower=lower, cap=cap)
+                got = max_extension(homs, recorded(log), d + 1, lower=lower, cap=cap)
                 assert got == best
                 assert len(log) <= len(full)
 
@@ -81,7 +81,7 @@ def test_bounds_that_hold_keep_the_answer():
 def test_cap_returns_at_the_first_set_of_its_size():
     homs = [Point(c).hom for c in ([0, 0], [1, 0], [0, 1], [1, 1], [2, 3])]
     log = []
-    assert max_extension(homs, recorded(log, 2), 3, cap=3) == 3
+    assert max_extension(homs, recorded(log), 3, cap=3) == 3
     assert len(log) == 3
 
 
@@ -90,9 +90,9 @@ def test_an_optimal_incumbent_is_handed_back():
     log = []
     # with the rule off, the search proves that no 3 of the 5 collinear
     # points qualify and returns the incumbent
-    assert max_extension(homs, recorded(log, 2), 0, lower=2) == 2
-    assert 0 < len(log) <= len(recursive_calls(homs, 2)[1])
-    assert max_extension([], recorded(log, 2), 3) == 0
+    assert max_extension(homs, recorded(log), 0, lower=2) == 2
+    assert 0 < len(log) <= len(recursive_calls(homs)[1])
+    assert max_extension([], recorded(log), 3) == 0
 
 
 def test_first_descent_settles_flat_inputs():
@@ -100,13 +100,13 @@ def test_first_descent_settles_flat_inputs():
     # per point, then the kept points' hull holds everything
     line = [Point([x, 2 * x + 1]).hom for x in range(1200)]
     log = []
-    assert max_extension(line, recorded(log, 2), 3) == 2
+    assert max_extension(line, recorded(log), 3) == 2
     assert len(log) == 1200
     rng = rng_for("search-plane")
     plane = [Point([a, b, a - b]).hom for a, b in
              {(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(600)}]
     log = []
-    assert max_extension(plane, recorded(log, 3), 4) == 3
+    assert max_extension(plane, recorded(log), 4) == 3
     assert len(log) == len(plane)
 
 
@@ -117,9 +117,9 @@ def test_rule_holds_after_a_pruned_first_descent():
     a, b, c = [0, 0, 0], [1, 0, 0], [0, 1, 0]
     homs = [Point(p).hom for p in (a, b, [2, 0, 0], [3, 0, 0], c)]
     for lower in range(4):
-        assert max_extension(homs, recorded([], 3), 4, lower=lower) == 3
+        assert max_extension(homs, recorded([]), 4, lower=lower) == 3
     log = []
-    assert max_extension(homs, recorded(log, 3), 4, lower=3) == 3
+    assert max_extension(homs, recorded(log), 4, lower=3) == 3
     assert len(log) == 4
 
 
@@ -132,7 +132,7 @@ def test_rule_agrees_with_brute_force_on_low_rank_inputs():
         pts = [Point([sum(rng.randint(-3, 3) * b[t] for b in basis) for t in range(d)])
                for _ in range(rng.randint(1, 8))]
         homs = [p.hom for p in dict.fromkeys(pts)]
-        assert max_extension(homs, recorded([], d), d + 1) == oracle_gp_number(pts)
+        assert max_extension(homs, recorded([]), d + 1) == oracle_gp_number(pts)
 
 
 def test_cap_above_the_item_count_is_clamped():
@@ -150,21 +150,21 @@ def test_bound_is_asked_once_when_the_first_descent_falls_short():
     # answer, so the search ends at the first 6-set instead of proving it
     # optimal
     grid = [Point([x, y]).hom for x in range(3) for y in range(3)]
-    best, full = recursive_calls(grid, 2)
+    best, full = recursive_calls(grid)
     log, asked = [], []
-    assert max_extension(grid, recorded(log, 2), 3,
+    assert max_extension(grid, recorded(log), 3,
                          bound=lambda: asked.append(1) or best) == best == 6
     assert asked == [1]
     assert log == full[: len(log)] and len(log) < len(full)
     # a bound at the incumbent ends the search right after the first descent
     log, asked = [], []
-    assert max_extension(grid, recorded(log, 2), 3, lower=6,
+    assert max_extension(grid, recorded(log), 3, lower=6,
                          bound=lambda: asked.append(1) or 6) == 6
     assert asked == [1]
     assert all(b[0][: len(a[0])] == a[0] for a, b in zip(log, log[1:]))
     # a first descent that reaches the cap never asks
     asked = []
-    assert max_extension(grid, recorded([], 2), 3, cap=4,
+    assert max_extension(grid, recorded([]), 3, cap=4,
                          bound=lambda: asked.append(1) or 6) == 4
     assert asked == []
 
@@ -172,24 +172,24 @@ def test_bound_is_asked_once_when_the_first_descent_falls_short():
 def test_budget_is_checked_on_backtracking():
     grid = [Point([x, y]).hom for x in range(6) for y in range(6)]
     with pytest.raises(BudgetExceeded, match="1000 nodes"):
-        max_extension(grid, recorded([], 2), 3, node_budget=1000)
+        max_extension(grid, recorded([]), 3, node_budget=1000)
     # the budget counts predicate calls: exactly enough of them suffices
     homs = grid[:15]
     log = []
-    best = max_extension(homs, recorded(log, 2), 3)
-    assert max_extension(homs, recorded([], 2), 3, node_budget=len(log)) == best
+    best = max_extension(homs, recorded(log), 3)
+    assert max_extension(homs, recorded([]), 3, node_budget=len(log)) == best
     with pytest.raises(BudgetExceeded):
-        max_extension(homs, recorded([], 2), 3, node_budget=len(log) // 2)
+        max_extension(homs, recorded([]), 3, node_budget=len(log) // 2)
     # a search that never backtracks is never refused
     line = [Point([x]).hom for x in range(50)]
-    assert max_extension(line, recorded([], 1), 2, node_budget=1) == 50
+    assert max_extension(line, recorded([]), 2, node_budget=1) == 50
 
 
-def recursive_colorful_calls(blocks, d):
+def recursive_colorful_calls(blocks):
     """Calls, and the answer, of the recursive depth-first search, one frame
     per block, that find_colorful_face ran before the explicit stack."""
     log = []
-    extends = recorded(log, d)
+    extends = recorded(log)
     chosen, picked = [], []
 
     def rec(i):
@@ -213,18 +213,18 @@ def test_colorful_calls_in_the_same_order_as_the_recursion():
     for trial in range(80):
         d = 1 + trial % 3
         blocks = [distinct_homs(rng, d, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
-        want, want_log = recursive_colorful_calls(blocks, d)
+        want, want_log = recursive_colorful_calls(blocks)
         log = []
-        assert colorful_face(blocks, recorded(log, d)) == want
+        assert colorful_face(blocks, recorded(log)) == want
         assert log == want_log
 
 
 def test_colorful_edge_cases():
     log = []
-    assert colorful_face([], recorded(log, 2)) == []
+    assert colorful_face([], recorded(log)) == []
     # an empty block answers at once, whatever the other blocks hold
     line = [Point([x, 0]).hom for x in range(100)]
-    assert colorful_face([line, line, line, []], recorded(log, 2), node_budget=0) is None
+    assert colorful_face([line, line, line, []], recorded(log), node_budget=0) is None
     assert log == []
 
 
@@ -232,17 +232,17 @@ def test_colorful_budget_is_checked_on_backtracking():
     # four copies of ten collinear points: no colorful face
     line = [Point([x, 2 * x + 1]).hom for x in range(10)]
     log = []
-    assert colorful_face([line] * 4, recorded(log, 2)) is None
+    assert colorful_face([line] * 4, recorded(log)) is None
     assert len(log) > 100
     with pytest.raises(BudgetExceeded, match="^colorful-face search exceeds 100 nodes$"):
-        colorful_face([line] * 4, recorded([], 2), node_budget=100)
+        colorful_face([line] * 4, recorded([]), node_budget=100)
     # the budget counts predicate calls: exactly enough of them suffices
-    assert colorful_face([line] * 4, recorded([], 2), node_budget=len(log)) is None
+    assert colorful_face([line] * 4, recorded([]), node_budget=len(log)) is None
     with pytest.raises(BudgetExceeded):
-        colorful_face([line] * 4, recorded([], 2), node_budget=len(log) - 1)
+        colorful_face([line] * 4, recorded([]), node_budget=len(log) - 1)
     # a search that never backtracks is never refused
     parabola = [Point([t, t * t]).hom for t in range(64)]
     blocks = [parabola[i:i + 8] for i in range(0, 64, 8)]
     log = []
-    assert colorful_face(blocks, recorded(log, 2), node_budget=0) == [0] * 8
+    assert colorful_face(blocks, recorded(log), node_budget=0) == [0] * 8
     assert len(log) == 8

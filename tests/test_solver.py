@@ -294,7 +294,7 @@ class TestWarmStart:
         extends = []
         monkeypatch.setattr(
             "genpos.geometry.gp_extends",
-            lambda rows, new, d, real=solver.gp_extends: extends.append(1) or real(rows, new, d),
+            lambda rows, new, real=solver.gp_extends: extends.append(1) or real(rows, new),
         )
         searched = spy_search(monkeypatch)
         assert fam.gp_number_of_union((0,)) == 3
