@@ -15,7 +15,8 @@ Run as the installed `genpos` script, `python3 -m genpos` or
 
 Environment: GENPOS_BUDGET_FACES caps faces in any constructed complex,
 GENPOS_BUDGET_NODES caps search nodes (each gp_number included, its flat
-index build too) and enumerated subfamilies.
+index build too), the subfamilies check evaluates in either mode and the
+vertex sets complex qstar tests.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from genpos.complexes import (
     skeleton,
     star,
 )
-from genpos.errors import DocumentError, GenposError
+from genpos.errors import BudgetExceeded, DocumentError, GenposError
 from genpos.geometry import gp_number
 
 EXIT_OK = 0
@@ -121,12 +122,8 @@ def build_parser():
         default="auto",
         help="auto = matroid when m <= d+1, else exhaustive when its most predicate "
         "calls (the sum over i of the product of the first i set sizes) fit the "
-        "node budget, else greedy",
-    )
-    p.add_argument(
-        "--exhaustive-reorder",
-        action="store_true",
-        help="greedy only: on failure, run the exhaustive search within the node budget",
+        "node budget, else greedy, whose failures go to the exhaustive search "
+        "within the node budget",
     )
     p.add_argument("--human", action="store_true")
 
@@ -231,11 +228,15 @@ def _cmd_solve(args, node_budget):
     elif method == "exhaustive":
         result = solver.solve_exhaustive(family, node_budget=node_budget)
     else:
-        result = solver.solve_greedy(
-            family,
-            exhaustive_reorder=args.exhaustive_reorder,
-            node_budget=node_budget,
-        )
+        result = solver.solve_greedy(family, node_budget=node_budget)
+        if args.method == "auto" and result.status != "found":
+            # the search settles what greedy cannot; past the node budget,
+            # greedy's answer stands
+            try:
+                result = solver.solve_exhaustive(family, node_budget=node_budget)
+                method = "exhaustive"
+            except BudgetExceeded:
+                pass
     doc = jsonio.result_to_doc(result)
     doc["method"] = method
     _emit(doc, args.human, _render_solve)
@@ -374,7 +375,7 @@ def _cmd_complex(args, face_budget, node_budget):
             _emit(doc, args.human, _render_complex)
             return EXIT_OK
         elif op == "qstar":
-            res = is_q_star(K, need(args.q, "-q"))
+            res = is_q_star(K, need(args.q, "-q"), node_budget)
             doc = {
                 "holds": res.holds,
                 "q": res.q,

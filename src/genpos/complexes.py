@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from genpos.errors import BudgetExceeded
-from genpos.search import colorful_face
+from genpos.search import DEFAULT_NODE_BUDGET, colorful_face
 
 __all__ = [
     "SimplicialComplex",
@@ -370,16 +371,24 @@ class QStarResult:
         return self.holds
 
 
-def is_q_star(K, q):
+def is_q_star(K, q, node_budget=None):
     """q-star property of K (dimension taken from K): more than q vertices,
     and every q-set Y of vertices has a vertex v outside Y such that S + {v}
     is a face for every face S of K[Y] with |S| <= dim K (the empty face
-    included, so v itself must be a vertex)."""
+    included, so v itself must be a vertex). BudgetExceeded is raised up
+    front when the q-sets outnumber node_budget (None: DEFAULT_NODE_BUDGET)."""
     if q < 1:
         raise ValueError("q must be at least 1")
     verts = K.vertices()
     if len(verts) <= q:
         return QStarResult(holds=False, q=q)
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    count = comb(len(verts), q)
+    if count > budget:
+        raise BudgetExceeded(
+            "q-star check would test C(%d, %d) = %d vertex sets, over the budget of %d nodes"
+            % (len(verts), q, count, budget)
+        )
     d = K.dim
     small = [f for f in K.faces if f.bit_count() <= d]
     extenders = {}

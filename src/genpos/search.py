@@ -7,8 +7,9 @@ ground list that a hereditary predicate accepts, in input order: gp_number
 for the points its flat index leaves unsettled, each a bit, under a popcount
 test on the flats through it, and max_uniform_size for matroid elements under
 oracle queries. colorful_face picks one item per block, together accepted by
-such a predicate: solve_exhaustive (and so solve_greedy's reorder fallback)
-for a representative system, and find_colorful_face for a colorful face.
+such a predicate: solve_exhaustive (and so the fallback of `genpos solve`'s
+auto method) for a representative system, and find_colorful_face for a
+colorful face.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ provides:
   matroid analogue driven by max_uniform_size;
 - check_condition, evaluating a bound on every (or a sampled set of) nonempty
   subfamily union;
-- solve_greedy (reorder by the extension bound, then extend step by step,
-  optionally falling back on the exhaustive search), solve_exhaustive (the
-  colorful-face search of genpos.search over all picks, the completeness
-  oracle), and solve_matroid_intersection (complete for m <= d+1);
+- solve_greedy (reorder by the extension bound, then extend step by step),
+  solve_exhaustive (the colorful-face search of genpos.search over all picks,
+  the completeness oracle), and solve_matroid_intersection (complete for
+  m <= d+1);
 - counterexample_family, the construction showing the size condition alone is
   not sufficient once m > d+1 >= 3;
 - general_position_complex and independence_complex of a point multiset.
@@ -249,15 +249,21 @@ class ConditionReport:
     first_violation: SubsetCheck | None
 
 
+def _all_subsets_gate(m, budget):
+    if m > 20 or 2**m - 1 > budget:
+        raise BudgetExceeded("all-subsets mode would enumerate 2^%d - 1 subfamilies" % m)
+
+
 def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
                     subset_budget=None, stop_early=False):
     """Evaluate gp_number(union of X_i, i in I) >= bound(|I|) over nonempty
     subfamilies I.
 
-    mode "all-subsets" enumerates all 2^m - 1 of them (m <= 20, and within
-    subset_budget, which when given also becomes the family's node_budget,
-    the cap on each union's search nodes); mode "sampled" draws ``samples``
-    (at least 1) distinct nonempty subsets with the given random generator.
+    mode "all-subsets" enumerates all 2^m - 1 of them (m <= 20); mode
+    "sampled" draws min(samples, 2^m - 1) distinct nonempty subsets (samples
+    at least 1) with the given random generator. Either count must fit
+    subset_budget (None: DEFAULT_NODE_BUDGET), which when given also becomes
+    the family's node_budget, the cap on each union's search nodes.
     bound is a callable k -> int. With stop_early the scan ends at the first
     violation, so a negative report carries only the checks made up to that
     point. Unions are checked in order of size, so each one is warm-started
@@ -268,10 +274,7 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
         family.node_budget = subset_budget
     budget = DEFAULT_NODE_BUDGET if subset_budget is None else subset_budget
     if mode == "all-subsets":
-        if m > 20 or 2**m - 1 > budget:
-            raise BudgetExceeded(
-                "all-subsets mode would enumerate 2^%d - 1 subfamilies" % m
-            )
+        _all_subsets_gate(m, budget)
         subsets = [
             combo for size in range(1, m + 1) for combo in combinations(range(m), size)
         ]
@@ -282,6 +285,11 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
             # no check at all would make any family "hold"
             raise ValueError("sampled mode needs at least 1 sample, got %d" % samples)
         want = min(samples, 2**m - 1)
+        if want > budget:
+            raise BudgetExceeded(
+                "sampled mode would check %d subfamilies, over the budget of %d"
+                % (want, budget)
+            )
         seen = set()
         while len(seen) < want:
             combo = tuple(i for i in range(m) if rng.random() < 0.5)
@@ -328,7 +336,7 @@ class SgprResult:
         return [p for _, p in self.representatives] if self.representatives else []
 
 
-def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
+def solve_greedy(family, node_budget=None):
     """Two-phase greedy.
 
     Phase 1 assigns positions m down to 1, each time taking the lowest-index
@@ -338,24 +346,12 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
     subfamily is reported as a condition violation (its union's gp_number is
     then provably below greedy_bound). Phase 2 walks positions upward and
     extends by the first fitting point of each set; under a successful phase 1
-    the extension guarantee covers every step.
-
-    With exhaustive_reorder=True a failure falls back on solve_exhaustive
-    within the node budget, and is reported only when no system exists; the
-    answer is then the lexicographically first system. node_budget also caps
-    each gp_number.
+    the extension guarantee covers every step. node_budget caps each
+    gp_number.
     """
     m, d = family.m, family.d
     if node_budget is not None:
         family.node_budget = node_budget
-
-    def fallback(failure):
-        if exhaustive_reorder:
-            result = solve_exhaustive(family, node_budget)
-            if result.status == "found":
-                return result
-        return failure
-
     sizes = [family.gp_number_of_union((i,)) for i in range(m)]
     position_of = [None] * m
     unassigned = list(range(m))
@@ -370,14 +366,14 @@ def solve_greedy(family, exhaustive_reorder=False, node_budget=None):
                 required=greedy_bound(d, len(indices)),
                 ok=False,
             )
-            return fallback(SgprResult(status="condition_violated", violation=violation))
+            return SgprResult(status="condition_violated", violation=violation)
         position_of[j - 1] = pick
         unassigned.remove(pick)
     chosen = []
     for i in position_of:
         p = extend_gp(chosen, family.sets[i])
         if p is None:
-            return fallback(SgprResult(status="not_found"))
+            return SgprResult(status="not_found")
         chosen.append(p)
     reps = tuple(sorted(zip(position_of, chosen)))
     return SgprResult(status="found", representatives=reps)
@@ -439,7 +435,9 @@ def counterexample_family(d, m, seed_param=0, retries=16):
     singletons, so any full pick contains d+1 points on one hyperplane. The
     on-hyperplane points are deterministic rational combinations steered by
     seed_param; the construction re-verifies general position of the last set
-    and the size condition, shifting the parameter on failure. d = 1 is
+    and the size condition, shifting the parameter on failure; that check
+    enumerates every subfamily, so m over 20 raises BudgetExceeded before
+    anything is built, as check_condition would after. d = 1 is
     rejected: there a hyperplane is a single point, the last set could only
     repeat existing points, and no counterexample exists (the size condition
     is exactly the matching condition)."""
@@ -447,6 +445,7 @@ def counterexample_family(d, m, seed_param=0, retries=16):
         raise ValueError("the construction needs d >= 2; at d = 1 the size condition is sharp")
     if m <= d + 1:
         raise ValueError("the size condition is sufficient for m <= d+1; need m > d+1")
+    _all_subsets_gate(m, DEFAULT_NODE_BUDGET)
     base = [_moment_point(t, d) for t in range(1, m)]
     subsets = list(combinations(range(m - 1), d))
     for attempt in range(retries):

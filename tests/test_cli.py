@@ -106,24 +106,45 @@ class TestSolve:
         assert doc["violation"]["indices"] == [0, 1]
         assert doc["violation"]["required"] == greedy_bound(1, 2)
 
-    def test_greedy_reorder_rescues(self, capsys, tmp_path):
-        path = write_doc(tmp_path, "fam.json", {"d": 1, "sets": [[[0]], [[1]]]})
-        code, doc = run_json(
-            capsys, ["solve", path, "--method", "greedy", "--exhaustive-reorder"]
-        )
-        assert code == 0 and doc["status"] == "found"
+    def test_auto_rescues_what_greedy_cannot(self, capsys, tmp_path, monkeypatch):
+        # three single points: at a budget of 2 auto runs greedy, whose
+        # hypothesis fails; the search behind it finds the system, while
+        # --method greedy stays greedy
+        monkeypatch.setenv("GENPOS_BUDGET_NODES", "2")
+        path = write_doc(tmp_path, "fam.json", {"d": 1, "sets": [[[0]], [[1]], [[2]]]})
+        code, doc = run_json(capsys, ["solve", path])
+        assert code == 0 and doc["status"] == "found" and doc["method"] == "exhaustive"
+        assert [r["point"] for r in doc["representatives"]] == [[0], [1], [2]]
+        code, doc = run_json(capsys, ["solve", path, "--method", "greedy"])
+        assert code == 2 and doc["status"] == "condition_violated"
 
-    @pytest.mark.parametrize("argv", [["--method", "exhaustive"],
-                                      ["--method", "greedy", "--exhaustive-reorder"]])
+    def test_reorder_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "-", "--exhaustive-reorder"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --exhaustive-reorder" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--method", "exhaustive"], ["--method", "auto"]])
     def test_search_past_the_product_of_set_sizes(self, capsys, tmp_path, argv):
         # 64 points of a parabola in 8 sets of 8: 8^8 picks, past the
-        # default node budget, and one predicate call per set finds a system
+        # default node budget, and one predicate call per set finds a system;
+        # auto gets there after greedy's hypothesis fails
         pts = [[t, t * t] for t in range(64)]
         sets = [pts[i:i + 8] for i in range(0, 64, 8)]
         path = write_doc(tmp_path, "fam.json", {"d": 2, "sets": sets})
         code, doc = run_json(capsys, ["solve", path, *argv])
-        assert code == 0 and doc["status"] == "found" and doc["method"] == argv[1]
+        assert code == 0 and doc["status"] == "found" and doc["method"] == "exhaustive"
         assert [r["point"] for r in doc["representatives"]] == [X[0] for X in sets]
+
+    def test_auto_answers_no_through_the_search(self, capsys, tmp_path):
+        # {0}, {0} and eight sets of ten points in d = 1: past 10^8 picks, so
+        # auto runs greedy, whose hypothesis fails; the search proves in two
+        # predicate calls that no system exists
+        big = [[t] for t in range(10)]
+        path = write_doc(tmp_path, "fam.json", {"d": 1, "sets": [[[0]], [[0]]] + [big] * 8})
+        code, out = run(capsys, ["solve", path])
+        assert code == 1
+        assert out == '{"status": "not_found", "method": "exhaustive"}\n'
 
     def test_not_found_exits_one(self, capsys, tmp_path):
         path = write_doc(tmp_path, "fam.json", {"d": 2, "sets": [[[0, 0]], [[0, 0]]]})
@@ -583,6 +604,9 @@ class TestAsProcess:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+ISOLATED_12 = {"n_vertices": 12, "facets": [[v] for v in range(12)]}
+
+
 class TestLimitsAsProcess:
     def test_exhaustive_on_thousands_of_singletons(self):
         # one level per set, far beyond any recursion limit
@@ -602,29 +626,94 @@ class TestLimitsAsProcess:
         assert proc.returncode == 1 and proc.stderr == ""
         assert json.loads(proc.stdout) == {"status": "not_found", "method": "exhaustive"}
 
-    @pytest.mark.parametrize("argv", [["--method", "exhaustive"],
-                                      ["--method", "greedy", "--exhaustive-reorder"]])
-    def test_search_past_the_node_budget_exits_three(self, argv):
+    @pytest.mark.parametrize("method, code, out, err", [
+        ("exhaustive", 3, "", "error: colorful-face search exceeds 100 nodes\n"),
+        # auto runs greedy, whose certificate stands when the search behind
+        # it stops at the budget
+        ("auto", 2, '{"status": "condition_violated", "violation": {"indices": '
+         '[0, 1, 2, 3], "gp_number": 2, "required": 25, "ok": false}, '
+         '"method": "greedy"}\n', ""),
+    ], ids=["exhaustive", "auto"])
+    def test_search_past_the_node_budget(self, method, code, out, err):
         # four copies of ten collinear points: proving that no system exists
         # takes about a thousand predicate calls
         line = [[t, 2 * t + 1] for t in range(10)]
-        proc = run_module("genpos", ["solve", "-", *argv], stdin=json.dumps(
+        proc = run_module("genpos", ["solve", "-", "--method", method], stdin=json.dumps(
             {"d": 2, "sets": [line] * 4}), GENPOS_BUDGET_NODES="100")
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr == "error: colorful-face search exceeds 100 nodes\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
     @pytest.mark.parametrize("op, doc", [
         ("gp", {"d": 2, "points": [[t, t * t] for t in range(14)]}),
         ("independence", {"d": 2, "points": [[t, t * t] for t in range(14)]}),
         ("uniformity", {"d": 2, "points": [[t, t * t] for t in range(14)]}),
         ("nerve", {"n_vertices": 1, "members": [[[0]]] * 12}),
+        # closure and betti refuse while reading the 256-face simplex
+        ("closure", {"n_vertices": 8, "facets": [list(range(8))]}),
+        # twelve vertices: 13 faces, whose 0-completion is the full simplex
+        ("completion", ISOLATED_12),
+        # joined with itself: 13 * 13 faces
+        ("join", ISOLATED_12),
+        ("betti", {"n_vertices": 8, "facets": [list(range(8))]}),
     ])
-    def test_face_budget_reaches_every_complex(self, op, doc):
-        proc = run_module("genpos", ["complex", op, "-"], stdin=json.dumps(doc),
+    def test_face_budget_reaches_every_complex(self, op, doc, tmp_path):
+        extra = {
+            "completion": ["-j", "0"],
+            "join": ["--with", write_doc(tmp_path, "other.json", doc)],
+            "betti": ["-k", "1"],
+        }.get(op, [])
+        proc = run_module("genpos", ["complex", op, "-", *extra], stdin=json.dumps(doc),
                           GENPOS_BUDGET_FACES="100")
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "100 faces" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["counterexample", "-d", "2", "-m", "4"], 0, '{"d": 2, "sets": '),
+        (["counterexample", "-d", "1", "-m", "4"], 3, "error: the construction needs d >= 2"),
+        (["counterexample", "-d", "2", "-m", "3"], 3, "error: the size condition is sufficient"),
+        # refused before the last set's 1,140 points are built and checked
+        (["counterexample", "-d", "3", "-m", "21"], 3,
+         "error: all-subsets mode would enumerate 2^21 - 1 subfamilies"),
+        (["witness-search", "-d", "2", "-m", "5", "--trials", "200", "--seed", "1"], 0,
+         '{"d": 2, "sets": '),
+        (["witness-search", "--trials", "3"], 1, '{"found": false, "trials": 3}'),
+        (["witness-search", "-d", "0"], 3, "error: witness-search needs d >= 1"),
+        (["bounds", "--d", "2", "--k", "4"], 0, '{"rows": [{"d": 2, "k": 4, '),
+        (["bounds", "--k", "0"], 3, "error: k must be at least 1"),
+        (["bounds", "--d", "x"], 3, "usage: genpos bounds"),
+    ])
+    def test_family_and_table_commands_exit_with_their_codes(self, argv, code, out):
+        proc = run_module("genpos", argv)
+        assert proc.returncode == code
+        said, silent = (proc.stdout, proc.stderr) if code < 3 else (proc.stderr, proc.stdout)
+        assert said.startswith(out) and silent == ""
+
+    def test_sampled_check_within_the_node_budget(self):
+        # twelve singletons at a budget of 10: both modes refuse up front
+        doc = json.dumps({"d": 1, "sets": [[[t]] for t in range(12)]})
+        for argv, err in [
+            ([], "error: all-subsets mode would enumerate 2^12 - 1 subfamilies\n"),
+            (["--mode", "sampled", "--samples", "500"],
+             "error: sampled mode would check 500 subfamilies, over the budget of 10\n"),
+        ]:
+            proc = run_module("genpos", ["check", "-", "--bound", "hall", *argv], stdin=doc,
+                              GENPOS_BUDGET_NODES="10")
+            assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+        proc = run_module("genpos", ["check", "-", "--mode", "sampled", "--samples", "10"],
+                          stdin=doc, GENPOS_BUDGET_NODES="10")
+        assert proc.returncode == 0 and json.loads(proc.stdout)["n_checks"] == 10
+
+    def test_qstar_within_the_node_budget(self):
+        # 30 isolated vertices: C(30, 8) = 5,852,925 vertex sets at q = 8
+        doc = json.dumps({"n_vertices": 30, "facets": [[v] for v in range(30)]})
+        proc = run_module("genpos", ["complex", "qstar", "-", "-q", "8"], stdin=doc,
+                          GENPOS_BUDGET_NODES="100")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("error: q-star check would test C(30, 8) = 5852925 "
+                               "vertex sets, over the budget of 100 nodes\n")
+        proc = run_module("genpos", ["complex", "qstar", "-", "-q", "1"], stdin=doc,
+                          GENPOS_BUDGET_NODES="100")
+        assert proc.returncode == 0 and json.loads(proc.stdout)["holds"]
 
     def test_index_past_the_node_budget_exits_three(self):
         # the 3 x 3 x 3 cube as one set: its index needs 3,276 nodes

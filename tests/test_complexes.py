@@ -499,6 +499,15 @@ class TestQStar:
             q = rng.randrange(1, 4)
             assert bool(is_q_star(K, q)) == oracle_is_q_star(K, q)
 
+    def test_node_budget(self):
+        # 30 isolated vertices: C(30, 8) q-sets, refused before any is tested
+        K = closure([(v,) for v in range(30)], 30)
+        with pytest.raises(BudgetExceeded, match=r"^q-star check would test C\(30, 8\)"):
+            is_q_star(K, 8, node_budget=100)
+        assert is_q_star(K, 2, node_budget=435)
+        with pytest.raises(BudgetExceeded):
+            is_q_star(K, 2, node_budget=434)
+
     def test_result_is_frozen_dataclass(self):
         res = QStarResult(holds=True, q=1)
         with pytest.raises(Exception):

@@ -1,9 +1,15 @@
 """Bounds, the subfamily size condition, the three solvers, the insufficiency
 construction, and the complexes attached to a configuration."""
 
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +40,10 @@ from genpos import (
     solve_matroid_intersection,
     uniform_connectivity_bound,
 )
-from genpos import geometry, solver
+from genpos import cli, geometry, solver
 from genpos.geometry import FlatIndex
+from genpos.jsonio import family_from_doc, family_to_doc, result_to_doc
+from genpos.solver import SgprResult
 from conftest import (
     oracle_gp,
     oracle_gp_number,
@@ -220,6 +228,18 @@ class TestCheckCondition:
         fam = family_of(1, *[[[i]] for i in range(12)])
         with pytest.raises(BudgetExceeded):
             check_condition(fam, bound=lambda k: k, subset_budget=100)
+
+    def test_sampled_budget(self):
+        # the subfamilies drawn count against the budget as in all-subsets
+        # mode, refused before any is checked
+        fam = family_of(1, *[[[i]] for i in range(12)])
+        with pytest.raises(BudgetExceeded, match="^sampled mode would check 500 subfamilies"):
+            check_condition(fam, bound=lambda k: k, mode="sampled", samples=500,
+                            rng=rng_for("sampled-budget"), subset_budget=10)
+        assert fam._gp_cache == {}
+        report = check_condition(fam, bound=lambda k: k, mode="sampled", samples=10,
+                                 rng=rng_for("sampled-budget"), subset_budget=10)
+        assert len(report.checks) == 10
 
 
 def planted_family(rng, d, m):
@@ -530,32 +550,6 @@ class TestSolveGreedy:
                     assert p in fam.sets[i].points
                 assert in_general_position(res.points())
 
-    def test_reorder_rescues_small_sets(self):
-        # both sets are single points; the greedy hypothesis fails but a
-        # representative system plainly exists, showing the size condition
-        # is sufficient rather than necessary
-        fam = family_of(1, [[0]], [[1]])
-        assert solve_greedy(fam).status == "condition_violated"
-        res = solve_greedy(fam, exhaustive_reorder=True)
-        assert res.status == "found"
-        assert res.points() == [Point([0]), Point([1])]
-
-    def test_reorder_budget(self):
-        # the fallback is the exhaustive search, under the same node budget
-        with pytest.raises(BudgetExceeded, match="^colorful-face search exceeds 100 nodes$"):
-            solve_greedy(collinear_family(), exhaustive_reorder=True, node_budget=100)
-        res = solve_greedy(collinear_family(), exhaustive_reorder=True)
-        assert res.status == "condition_violated"
-
-    def test_reorder_answers_the_first_system(self):
-        # the greedy hypothesis fails on 64 points in 8 sets of 8; the
-        # fallback takes the first point of each set
-        fam = parabola_family(8, 8)
-        assert solve_greedy(fam).status == "condition_violated"
-        res = solve_greedy(fam, exhaustive_reorder=True)
-        assert res == solve_exhaustive(fam)
-        assert res.points() == [X[0] for X in fam.sets]
-
     def test_greedy_threshold_guarantees_success(self):
         # meeting greedy_bound on every subfamily union forces "found"
         rng = rng_for("greedy-guarantee")
@@ -569,6 +563,61 @@ class TestSolveGreedy:
             res = solve_greedy(fam)
             assert res.status == "found"
             assert in_general_position(res.points())
+
+
+def solve_auto(fam, node_budget=None):
+    """Exit code and JSON output of `genpos solve` (auto) on fam, run in
+    process under GENPOS_BUDGET_NODES=node_budget (None: unset)."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "stdin", io.StringIO(json.dumps(family_to_doc(fam)))), \
+            redirect_stdout(out):
+        os.environ.pop("GENPOS_BUDGET_NODES", None)
+        if node_budget is not None:
+            os.environ["GENPOS_BUDGET_NODES"] = str(node_budget)
+        code = cli.main(["solve", "-"])
+    return code, json.loads(out.getvalue())
+
+
+def found_doc(fam, picks):
+    """The output representatives of the pick of position picks[i] in set i."""
+    reps = tuple((i, fam.sets[i][j]) for i, j in enumerate(picks))
+    return result_to_doc(SgprResult(status="found", representatives=reps))["representatives"]
+
+
+class TestSolveAuto:
+    """`genpos solve` (auto) hands greedy's failures to the exhaustive
+    search, within the node budget."""
+
+    def test_rescues_small_sets(self):
+        # three single points: at a budget of 2 auto runs greedy, whose
+        # hypothesis fails although a system plainly exists (the size
+        # condition is sufficient rather than necessary); the search finds it
+        # on its first descent
+        fam = family_of(1, [[0]], [[1]], [[2]])
+        assert solve_greedy(fam).status == "condition_violated"
+        code, doc = solve_auto(fam, node_budget=2)
+        assert code == 0 and doc["method"] == "exhaustive"
+        assert doc["representatives"] == found_doc(fam, [0, 0, 0])
+
+    def test_budget(self):
+        # the worst case, 11,110 predicate calls, is past both budgets, so
+        # auto runs greedy first; the search needs 1,010 calls to prove no
+        # system exists, so at 100 greedy's certificate stands
+        cert = result_to_doc(solve_greedy(collinear_family()))
+        assert cert["status"] == "condition_violated"
+        assert solve_auto(collinear_family(), node_budget=100) == (2, {**cert, "method": "greedy"})
+        assert solve_auto(collinear_family(), node_budget=5000) == (
+            1, {"status": "not_found", "method": "exhaustive"})
+
+    def test_answers_the_first_system(self):
+        # the greedy hypothesis fails on 64 points in 8 sets of 8; the
+        # search takes the first point of each set
+        fam = parabola_family(8, 8)
+        assert solve_greedy(fam).status == "condition_violated"
+        code, doc = solve_auto(fam)
+        assert code == 0 and doc["method"] == "exhaustive"
+        assert doc["representatives"] == found_doc(fam, [0] * 8)
 
 
 class TestSolveExhaustive:
@@ -636,16 +685,39 @@ class TestAgainstOracle:
                 (i, fam.sets[i][j]) for i, j in enumerate(want))
 
     @settings(max_examples=60, deadline=None)
-    @given(planted_families())
-    def test_greedy_with_reorder(self, fam):
-        res = solve_greedy(fam, exhaustive_reorder=True)
-        if oracle_sgpr(fam) is None:
-            assert res.status in ("not_found", "condition_violated")
+    @given(planted_families(max_sets=6).filter(lambda fam: fam.m > fam.d + 1))
+    def test_auto(self, fam):
+        # a budget one call short of the search's worst case sends auto to
+        # greedy, with the search behind it
+        worst, picks = 0, 1
+        for X in fam.sets:
+            picks *= len(X)
+            worst += picks
+        budget = max(worst - 1, 1)
+        want = oracle_sgpr(fam)
+        try:
+            code, doc = solve_auto(fam, budget)
+        except BudgetExceeded:
+            return  # a gp_number or its index past the budget
+        if doc["status"] == "found":
+            assert code == 0 and want is not None
+            reps = doc["representatives"]
+            assert [r["set"] for r in reps] == list(range(fam.m))
+            pts = family_from_doc({"d": fam.d, "sets": [[r["point"]] for r in reps]})
+            pts = [X[0] for X in pts.sets]
+            assert all(p in fam.sets[i].points for i, p in enumerate(pts))
+            assert oracle_gp(pts)
+            if doc["method"] == "exhaustive":
+                assert reps == found_doc(fam, want)
+        elif doc["status"] == "not_found":
+            assert code == 1 and want is None
         else:
-            assert res.status == "found"
-            assert [i for i, _ in res.representatives] == list(range(fam.m))
-            assert all(p in fam.sets[i].points for i, p in res.representatives)
-            assert oracle_gp(res.points())
+            # greedy's certificate stands only when the search stops at the budget
+            assert code == 2 and doc["method"] == "greedy"
+            v = doc["violation"]
+            assert fam.gp_number_of_union(v["indices"]) == v["gp_number"] < v["required"]
+            with pytest.raises(BudgetExceeded):
+                solve_exhaustive(fam, node_budget=budget)
 
     @settings(max_examples=60, deadline=None)
     @given(planted_families())
@@ -696,6 +768,14 @@ class TestSolveMatroid:
 
 
 class TestCounterexample:
+    def test_refuses_before_building(self, monkeypatch):
+        # the verification would enumerate 2^21 - 1 subfamilies; the last
+        # set's C(20, 3) points are never built
+        monkeypatch.setattr(solver, "in_general_position", None)
+        with pytest.raises(BudgetExceeded,
+                           match=r"^all-subsets mode would enumerate 2\^21 - 1 subfamilies$"):
+            counterexample_family(3, 21)
+
     def test_shape_and_verification(self):
         fam = counterexample_family(2, 4)
         assert fam.m == 4
