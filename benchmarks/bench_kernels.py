@@ -18,20 +18,34 @@ complex (j=1) of a 14-vertex graph with edge density 0.8, and the
 3-completion of the independence complex of 10 points in general position
 in d=3 (every set of the 10). Then rows parse, print and take the Betti
 numbers through degree 3 of the join of four 3-point sets (81 facets, 256
-faces): complex_from_doc, complex_to_doc, betti_up_to. The last rows run
-solve_exhaustive on counterexample_family(3, 5), which has no system, and
-on 64 points of a parabola in 8 sets of 8, where the first pick of each set
-works.
+faces): complex_from_doc, complex_to_doc, betti_up_to. One more Betti
+row takes degrees through 2 of the general-position complex, capped at 4
+points a face, of 7 distinct points and one repeat on a line (d=1). The
+last rows run solve_exhaustive on counterexample_family(3, 5), which has no
+system, and on 64 points of a parabola in 8 sets of 8, where the first pick
+of each set works.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
-Run:  python benchmarks/bench_kernels.py [--repeat N]
+With --against PATH every row is also built from the genpos sources under
+PATH/src and timed in the same process, alternating with the rows of this
+checkout's src, run by run; a third column gives the ratio. Each tree is
+imported afresh by dropping every genpos module from sys.modules, as
+verdictbench/run.py does between passes, and the rows of each tree keep the
+functions of their own import. Timings of one tree taken in separate runs
+drift too far apart on a busy host to compare; alternating runs share the
+drift.
+
+Run:  python benchmarks/bench_kernels.py [--repeat N] [--against PATH]
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import os
 import random
+import sys
 import timeit
 from fractions import Fraction
 
@@ -41,7 +55,15 @@ from genpos.geometry import FlatIndex, Point
 from genpos.homology import betti_up_to
 from genpos.jsonio import complex_from_doc, complex_to_doc, family_from_doc, family_to_doc
 from genpos.matroids import AffineMatroid, independence_complex, uniformity_complex
-from genpos.solver import PointFamily, counterexample_family, solve_exhaustive
+from genpos.solver import (
+    PointFamily,
+    counterexample_family,
+    general_position_complex,
+    solve_exhaustive,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 20240815
 
 
 def _rand_matrix(rng, n, m, lo, hi):
@@ -130,6 +152,12 @@ def build_cases(rng):
     cases.append(("complex_from_doc 3x3x3x3", lambda: complex_from_doc(doc)))
     cases.append(("complex_to_doc 3x3x3x3", lambda: complex_to_doc(join)))
     cases.append(("betti_up_to 3x3x3x3", lambda: betti_up_to(join, 3)))
+    # shaped like the bound-path-d1-k2 verdicts of verdictbench's topology
+    # workload: 7 = C(6, 1) + 1 points on a line, one of them repeated
+    line = [Point((t,)) for t in rng.sample(range(-40, 40), 7)]
+    line.append(rng.choice(line))
+    gp_line = general_position_complex(line, max_card=4)
+    cases.append(("betti_up_to gp d=1 k=2", lambda: betti_up_to(gp_line, 2)))
     blocked = counterexample_family(3, 5)
     cases.append(("solve_exhaustive cex d=3 m=5", lambda: solve_exhaustive(blocked)))
     parabola = [Point((t, t * t)) for t in range(64)]
@@ -150,17 +178,54 @@ def _family_doc(rng, d, m, size):
                              for _ in range(m)]}
 
 
+def cases_from(root):
+    """The rows built against the genpos sources under root/src: genpos is
+    imported afresh from there and this script is loaded again, so the
+    copy's module-level imports bind that tree's functions."""
+    src = os.path.join(os.path.abspath(root), "src")
+    if not os.path.isfile(os.path.join(src, "genpos", "__init__.py")):
+        raise SystemExit("bench_kernels: no genpos sources under %s" % src)
+    for name in [n for n in sys.modules if n == "genpos" or n.startswith("genpos.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        spec = importlib.util.spec_from_file_location("bench_kernels_rows", __file__)
+        rows = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(rows)
+    finally:
+        sys.path.remove(src)
+    where = os.path.dirname(os.path.abspath(sys.modules["genpos"].__file__))
+    if where != os.path.join(src, "genpos"):
+        raise SystemExit("bench_kernels: imported genpos from %s, not %s" % (where, src))
+    return rows.build_cases(random.Random(SEED))
+
+
+def best_ms(run, repeat):
+    return min(timeit.repeat(run, number=3, repeat=repeat)) * 1e3 / 3
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--against", metavar="PATH",
+                    help="also time the rows from the genpos sources under PATH/src")
     args = ap.parse_args()
-    rng = random.Random(20240815)
-    cases = build_cases(rng)
-
-    print("%-28s %12s" % ("case", "time (ms)"))
-    for label, run in cases:
-        best = min(timeit.repeat(run, number=3, repeat=args.repeat))
-        print("%-28s %12.3f" % (label, best * 1e3 / 3))
+    if args.against is None:
+        print("%-28s %12s" % ("case", "time (ms)"))
+        for label, run in build_cases(random.Random(SEED)):
+            print("%-28s %12.3f" % (label, best_ms(run, args.repeat)))
+        return
+    here = cases_from(ROOT)
+    there = cases_from(args.against)
+    print("%-28s %12s %12s %8s" % ("case", "this (ms)", "against (ms)", "ratio"))
+    for (label, mine), (_, theirs) in zip(here, there):
+        best = {mine: float("inf"), theirs: float("inf")}
+        for r in range(args.repeat):
+            # alternate which tree goes first, so neither always runs warm
+            for run in (mine, theirs) if r % 2 == 0 else (theirs, mine):
+                best[run] = min(best[run], best_ms(run, 1))
+        print("%-28s %12.3f %12.3f %8.3f"
+              % (label, best[mine], best[theirs], best[mine] / best[theirs]))
 
 
 if __name__ == "__main__":

@@ -123,7 +123,8 @@ def build_parser():
         help="auto = matroid when m <= d+1, else exhaustive when its most predicate "
         "calls (the sum over i of the product of the first i set sizes) fit the "
         "node budget, else greedy, whose failures go to the exhaustive search "
-        "within the node budget",
+        "within the node budget unless its certificate already breaks Hall's "
+        "condition",
     )
     p.add_argument("--human", action="store_true")
 
@@ -230,13 +231,18 @@ def _cmd_solve(args, node_budget):
     else:
         result = solver.solve_greedy(family, node_budget=node_budget)
         if args.method == "auto" and result.status != "found":
-            # the search settles what greedy cannot; past the node budget,
-            # greedy's answer stands
-            try:
-                result = solver.solve_exhaustive(family, node_budget=node_budget)
-                method = "exhaustive"
-            except BudgetExceeded:
-                pass
+            v = result.violation
+            if v is not None and v.gp_number < len(v.indices):
+                # Hall's condition fails on greedy's union: no system exists
+                result = solver.SgprResult(status="not_found")
+            else:
+                # the search settles what greedy cannot; past the node
+                # budget, greedy's answer stands
+                try:
+                    result = solver.solve_exhaustive(family, node_budget=node_budget)
+                    method = "exhaustive"
+                except BudgetExceeded:
+                    pass
     doc = jsonio.result_to_doc(result)
     doc["method"] = method
     _emit(doc, args.human, _render_solve)

@@ -1,5 +1,5 @@
 """Smoke test of benchmarks/bench_kernels.py: the script runs and prints a
-row for every case it builds."""
+row for every case it builds, alone and against a second source tree."""
 
 import importlib.util
 import os
@@ -18,21 +18,40 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 27
+    assert len(labels) == 28
     assert labels[16:] == [
         "independence 9 pts d=3", "uniformity 9 pts d=3",
         "independence 9 coplanar d=3", "uniformity 9 coplanar d=3",
         "completion j=1 graph n=14", "completion j=3 10 pts d=3",
         "complex_from_doc 3x3x3x3", "complex_to_doc 3x3x3x3", "betti_up_to 3x3x3x3",
+        "betti_up_to gp d=1 k=2",
         "solve_exhaustive cex d=3 m=5", "solve_exhaustive 64 parabola",
     ]
 
-    src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, SCRIPT, "--repeat", "1"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script("--repeat", "1")
     rows = [row.rsplit(None, 1) for row in proc.stdout.splitlines()[1:]]
     assert [label for label, _ in rows] == labels
     assert all(float(ms) > 0 for _, ms in rows)
+
+    # against this same checkout: one row per case, two timings and a ratio
+    proc = run_script("--repeat", "1", "--against", ROOT)
+    rows = [row.rsplit(None, 3) for row in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == labels
+    assert all(float(x) > 0 for row in rows for x in row[1:])
+
+
+def test_against_a_tree_without_sources_exits_with_a_message(tmp_path):
+    proc = run_script("--against", str(tmp_path), check=False)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert proc.stderr == "bench_kernels: no genpos sources under %s\n" % (tmp_path / "src")
+
+
+def run_script(*args, check=True):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, SCRIPT, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc

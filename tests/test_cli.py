@@ -137,14 +137,33 @@ class TestSolve:
         assert [r["point"] for r in doc["representatives"]] == [X[0] for X in sets]
 
     def test_auto_answers_no_through_the_search(self, capsys, tmp_path):
-        # {0}, {0} and eight sets of ten points in d = 1: past 10^8 picks, so
-        # auto runs greedy, whose hypothesis fails; the search proves in two
-        # predicate calls that no system exists
-        big = [[t] for t in range(10)]
+        # {0}, {0} and eight copies of {1..9} in d = 1: past 10^7 picks, so
+        # auto runs greedy, whose hypothesis fails on all ten sets, a union
+        # of ten points that meets Hall's condition; the search proves in
+        # two predicate calls that no system exists
+        big = [[t] for t in range(1, 10)]
         path = write_doc(tmp_path, "fam.json", {"d": 1, "sets": [[[0]], [[0]]] + [big] * 8})
         code, out = run(capsys, ["solve", path])
         assert code == 1
         assert out == '{"status": "not_found", "method": "exhaustive"}\n'
+
+    @pytest.mark.parametrize("doc", [
+        # greedy's certificate: {0}, {0}, a union of one point
+        {"d": 1, "sets": [[[0]], [[0]]] + [[[t] for t in range(10)]] * 8},
+        # ten copies of {1..9}: nine points for ten sets
+        {"d": 1, "sets": [[[t] for t in range(1, 10)]] * 10},
+    ], ids=["two-singletons", "ten-copies"])
+    def test_auto_stops_on_a_hall_violation(self, capsys, tmp_path, doc):
+        # greedy's union holds fewer points in general position than it has
+        # sets, so no system exists and the search never runs
+        path = write_doc(tmp_path, "fam.json", doc)
+        code, out = run(capsys, ["solve", path])
+        assert code == 1
+        assert out == '{"status": "not_found", "method": "greedy"}\n'
+        # --method greedy still prints the certificate
+        code, doc = run_json(capsys, ["solve", path, "--method", "greedy"])
+        assert code == 2 and doc["status"] == "condition_violated"
+        assert doc["violation"]["gp_number"] < len(doc["violation"]["indices"])
 
     def test_not_found_exits_one(self, capsys, tmp_path):
         path = write_doc(tmp_path, "fam.json", {"d": 2, "sets": [[[0, 0]], [[0, 0]]]})
@@ -628,19 +647,28 @@ class TestLimitsAsProcess:
 
     @pytest.mark.parametrize("method, code, out, err", [
         ("exhaustive", 3, "", "error: colorful-face search exceeds 100 nodes\n"),
-        # auto runs greedy, whose certificate stands when the search behind
-        # it stops at the budget
+        # auto runs greedy, whose certificate meets Hall's condition (six
+        # points for six sets), so it stands when the search behind it stops
+        # at the budget
         ("auto", 2, '{"status": "condition_violated", "violation": {"indices": '
-         '[0, 1, 2, 3], "gp_number": 2, "required": 25, "ok": false}, '
+         '[0, 1, 2, 3, 4, 5], "gp_number": 6, "required": 31, "ok": false}, '
          '"method": "greedy"}\n', ""),
     ], ids=["exhaustive", "auto"])
     def test_search_past_the_node_budget(self, method, code, out, err):
-        # four copies of ten collinear points: proving that no system exists
-        # takes about a thousand predicate calls
-        line = [[t, 2 * t + 1] for t in range(10)]
+        # four copies of {0..4} and two of {100} in d = 1: the search tries
+        # the 120 distinct picks from the first four sets before it proves
+        # that no system exists
+        five = [[t] for t in range(5)]
         proc = run_module("genpos", ["solve", "-", "--method", method], stdin=json.dumps(
-            {"d": 2, "sets": [line] * 4}), GENPOS_BUDGET_NODES="100")
+            {"d": 1, "sets": [five] * 4 + [[[100]]] * 2}), GENPOS_BUDGET_NODES="100")
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_huge_betti_degree_refused_up_front(self):
+        proc = run_module("genpos", ["complex", "betti", "-", "-k", "100000000"],
+                          stdin=json.dumps(TRIANGLE_BOUNDARY))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: homology through degree 100000000 ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
     @pytest.mark.parametrize("op, doc", [
         ("gp", {"d": 2, "points": [[t, t * t] for t in range(14)]}),

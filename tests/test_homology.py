@@ -1,7 +1,12 @@
 """Reduced rational homology: known spaces, oracle agreement, truncation,
-the sparse exact rank, and the homological connectivity predicate."""
+the sparse exact rank and its pivot map, clearing, and the homological
+connectivity predicate."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     BettiProfile,
@@ -13,6 +18,7 @@ from genpos import (
     join,
     skeleton,
 )
+from genpos import homology
 from genpos.homology import sparse_rank
 from conftest import oracle_betti, oracle_rank, random_complex, rng_for
 
@@ -21,13 +27,15 @@ def points(n):
     return closure([(v,) for v in range(n)], n)
 
 
+# minimal projective plane triangulation, edge links are 5-cycles
+RP2_FACETS = [
+    (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+]
+
+
 def rp2_six_vertices():
-    # minimal projective plane triangulation, edge links are 5-cycles
-    facets = [
-        (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
-        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
-    ]
-    return closure(facets, 6)
+    return closure(RP2_FACETS, 6)
 
 
 class TestKnownSpaces:
@@ -128,6 +136,68 @@ class TestOracleAgreement:
             assert all(b == 0 for b in prof.betti)
 
 
+class TestEveryDegree:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 4), st.sampled_from([0.3, 0.5, 0.8]),
+           st.integers(0, 2**32 - 1))
+    def test_random_complexes_against_the_oracle(self, n, dim, density, seed):
+        K = random_complex(random.Random(seed), n, dim, density)
+        full = oracle_betti(K, up_to=K.dim + 1)
+        # k = dim K + 1 reads no face beyond the top dimension
+        for k in range(K.dim + 2):
+            assert betti_up_to(K, k).betti == full[: k + 1]
+
+
+def spy_on_ranks(monkeypatch):
+    """Check every rank betti_up_to asks for against the Fraction oracle and
+    record (number of columns, pivot map) per call."""
+    calls = []
+
+    def checked(columns, pivots=None):
+        columns = list(columns)
+        rows = 1 + max((r for c in columns for r in c), default=-1)
+        dense = [[c.get(r, 0) for c in columns] for r in range(rows)]
+        pivots = {} if pivots is None else pivots
+        rank = sparse_rank(columns, pivots)
+        assert rank == oracle_rank(dense)
+        calls.append((len(columns), pivots))
+        return rank
+
+    monkeypatch.setattr(homology, "sparse_rank", checked)
+    return calls
+
+
+class TestClearing:
+    @pytest.mark.parametrize("K", [
+        join(rp2_six_vertices(), points(1)),
+        closure([(0,) + tuple(v + 1 for v in f) for f in RP2_FACETS], 7),
+    ], ids=["joined-with-a-point", "apex-first-cone"])
+    def test_cones_over_the_projective_plane(self, K, monkeypatch):
+        calls = spy_on_ranks(monkeypatch)
+        assert betti_up_to(K, 3).betti == (0, 0, 0, 0) == oracle_betti(K, up_to=3)
+        # delta_0 .. delta_2; each skips the rows its predecessor pivoted on
+        # (delta_0 the last vertex, the augmentation's pivot)
+        f = K.f_vector()
+        assert [n for n, _ in calls] == [f[0] - 1, f[1] - len(calls[0][1]),
+                                         f[2] - len(calls[1][1])]
+
+    def test_a_torsion_pivot_clears_a_column(self, monkeypatch):
+        # H^2(RP^2; Z) = Z/2 shows as a pivot 2 in delta_1; a tetrahedron on
+        # the triangle 012 gives delta_2 a column there to clear
+        K = closure(RP2_FACETS + [(0, 1, 2, 6)], 7)
+        calls = spy_on_ranks(monkeypatch)
+        assert betti_up_to(K, 3).betti == (0, 0, 0, 0) == oracle_betti(K, up_to=3)
+        pivots = calls[1][1]
+        assert sorted(abs(col[low]) for low, col in pivots.items())[-1] == 2
+        assert calls[2][0] == K.f_vector()[2] - len(pivots)
+
+    def test_a_fraction_free_step_on_the_coboundary(self, monkeypatch):
+        # in mask order delta_1 reduces a column against a non-unit pivot
+        K = closure(RP2_FACETS + [(1, 3, 6), (0, 4, 5, 6)], 7)
+        spy_on_ranks(monkeypatch)
+        assert betti_up_to(K, 3).betti == (0, 1, 0, 0) == oracle_betti(K, up_to=3)
+
+
 class TestSparseRank:
     def test_matches_oracle_on_random_sparse_columns(self):
         # entries in -3..3 reach the fraction-free branch for non-unit pivots
@@ -158,6 +228,21 @@ class TestSparseRank:
         assert sparse_rank([]) == 0
         assert sparse_rank([{}, {}]) == 0
 
+    def test_pivot_map(self):
+        pivots = {}
+        # the second column meets the pivot 2 and reduces to {0: -1}
+        assert sparse_rank([{0: 1, 1: 2}, {0: 1, 1: 3}, {0: 5, 1: 5}], pivots) == 2
+        assert pivots == {1: {0: 1, 1: 2}, 0: {0: -1}}
+
+    def test_pivot_map_keys_each_column_by_its_lowest_row(self):
+        rng = rng_for("sparse-pivots")
+        for _ in range(100):
+            columns = [{r: rng.choice([-2, -1, 1, 3]) for r in range(6) if rng.random() < 0.4}
+                       for _ in range(rng.randint(0, 8))]
+            pivots = {}
+            assert sparse_rank(columns, pivots) == len(pivots)
+            assert all(col and max(col) == low for low, col in pivots.items())
+
 
 class TestValidationAndBudget:
     def test_rejects_negative_degree(self):
@@ -172,6 +257,14 @@ class TestValidationAndBudget:
         K = closure([tuple(range(10))], 10)
         with pytest.raises(BudgetExceeded):
             betti_up_to(K, 3, max_faces=20)
+
+    def test_huge_degree_refused_up_front(self):
+        with pytest.raises(BudgetExceeded, match="^homology through degree 100000000 "):
+            betti_up_to(points(1), 10**8)
+        # k + 2 face sizes against a budget of 3 faces
+        with pytest.raises(BudgetExceeded):
+            betti_up_to(points(1), 2, max_faces=3)
+        assert betti_up_to(points(1), 1, max_faces=3).betti == (0, 0)
 
     def test_budget_counts_only_needed_sizes(self):
         # 10 vertices but k=0 reads faces of size <= 2 only

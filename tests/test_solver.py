@@ -79,6 +79,15 @@ def collinear_family():
     return family_of(2, line, line, line, line)
 
 
+def hall_family():
+    """Four copies of {0..4} and two of {100} in d = 1: the two {100} sets
+    rule out any system, but the union of all six holds six points, so it
+    meets Hall's condition; the search proves that no system exists in
+    about 670 predicate calls."""
+    five = [[t] for t in range(5)]
+    return family_of(1, five, five, five, five, [[100]], [[100]])
+
+
 def parabola_family(sets, size):
     """``sets`` sets of ``size`` consecutive points of a parabola, all in
     general position together: the first pick of each set works."""
@@ -586,7 +595,8 @@ def found_doc(fam, picks):
 
 
 class TestSolveAuto:
-    """`genpos solve` (auto) hands greedy's failures to the exhaustive
+    """`genpos solve` (auto) answers no when greedy's certificate breaks
+    Hall's condition, and hands greedy's other failures to the exhaustive
     search, within the node budget."""
 
     def test_rescues_small_sets(self):
@@ -601,14 +611,25 @@ class TestSolveAuto:
         assert doc["representatives"] == found_doc(fam, [0, 0, 0])
 
     def test_budget(self):
-        # the worst case, 11,110 predicate calls, is past both budgets, so
-        # auto runs greedy first; the search needs 1,010 calls to prove no
-        # system exists, so at 100 greedy's certificate stands
-        cert = result_to_doc(solve_greedy(collinear_family()))
+        # the worst case, 2,030 predicate calls, is past both budgets, so
+        # auto runs greedy first, whose certificate meets Hall's condition;
+        # the search needs about 670 calls to prove no system exists, so at
+        # 100 greedy's certificate stands
+        cert = result_to_doc(solve_greedy(hall_family()))
         assert cert["status"] == "condition_violated"
-        assert solve_auto(collinear_family(), node_budget=100) == (2, {**cert, "method": "greedy"})
-        assert solve_auto(collinear_family(), node_budget=5000) == (
+        assert cert["violation"]["gp_number"] == len(cert["violation"]["indices"])
+        assert solve_auto(hall_family(), node_budget=100) == (2, {**cert, "method": "greedy"})
+        assert solve_auto(hall_family(), node_budget=1000) == (
             1, {"status": "not_found", "method": "exhaustive"})
+
+    def test_stops_on_a_hall_violation(self):
+        # past the worst case of 11,110 calls auto runs greedy, whose
+        # certificate names the four sets, a union with two points in
+        # general position: no system, and no search
+        cert = result_to_doc(solve_greedy(collinear_family()))
+        assert cert["violation"]["gp_number"] == 2 < len(cert["violation"]["indices"])
+        assert solve_auto(collinear_family(), node_budget=100) == (
+            1, {"status": "not_found", "method": "greedy"})
 
     def test_answers_the_first_system(self):
         # the greedy hypothesis fails on 64 points in 8 sets of 8; the
