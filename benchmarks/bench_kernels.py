@@ -13,7 +13,10 @@ family_to_doc prints the coordinates back from it.
 The complex rows build the independence and uniformity complexes of an
 affine matroid, from a fresh AffineMatroid each time: 9 points in general
 position in d=3, and 9 coplanar points in d=3, whose complexes run in the
-2-dimensional frame of their plane. The completion rows take the clique
+2-dimensional frame of their plane. Two rows build general-position
+complexes: of 16 points in the plane (13 on a parabola, two repeats and a
+midpoint) capped at 3 points a face, and of the 9 points in d=3 with no
+cap. The completion rows take the clique
 complex (j=1) of a 14-vertex graph with edge density 0.8, and the
 3-completion of the independence complex of 10 points in general position
 in d=3 (every set of the 10). Then rows parse, print and take the Betti
@@ -140,6 +143,17 @@ def build_cases(rng):
                             ("uniformity", uniformity_complex)):
             cases.append(("%s %s d=3" % (name, tag),
                           lambda ps=pts, b=build: b(AffineMatroid(ps))))
+    # shaped like the bound-path-d2-k1 verdicts of verdictbench's topology
+    # workload: 13 = 2 C(4, 2) + 1 points on the parabola, two of them
+    # repeated, and the midpoint of two others, capped at 3 points a face
+    parabola = [Point((t, t * t)) for t in rng.sample(range(-40, 40), 13)]
+    a, b = rng.sample(parabola, 2)
+    bent = parabola + rng.sample(parabola, 2) + [
+        Point([(x + y) / 2 for x, y in zip(a.coords, b.coords)])]
+    rng.shuffle(bent)
+    cases.append(("gp complex 16 pts d=2 c=3",
+                  lambda: general_position_complex(bent, max_card=3)))
+    cases.append(("gp complex 9 pts d=3", lambda: general_position_complex(spatial)))
     edges = [(a, b) for a in range(14) for b in range(a + 1, 14) if rng.random() < 0.8]
     graph = closure(edges, 14)
     cases.append(("completion j=1 graph n=14", lambda: completion(graph, 1)))

@@ -273,8 +273,21 @@ def _completion(K, j, max_card, max_faces, what):
 
 
 def induced(K, W):
-    """Subcomplex induced on a vertex subset W (iterable or mask)."""
-    wm = W if isinstance(W, int) else mask_of(W)
+    """Subcomplex induced on a vertex subset W (iterable or mask) of the
+    vertices 0..n-1; a vertex outside them raises ValueError."""
+    n = K.n_vertices
+    if isinstance(W, int):
+        if W < 0:
+            raise ValueError("vertex mask %d is negative" % W)
+        if W >> n:
+            raise ValueError("vertex %d out of range" % (W.bit_length() - 1))
+        wm = W
+    else:
+        wm = 0
+        for v in W:
+            if not 0 <= v < n:
+                raise ValueError("vertex %d out of range" % v)
+            wm |= 1 << v
     faces = {f for f in K.faces if f & ~wm == 0}
     return SimplicialComplex(K.n_vertices, faces, _validated=True)
 
@@ -303,8 +316,11 @@ def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
     ascending vertex tuple, returns a predicate extends(w) telling whether
     t + (w,) is a face; it is asked only for w > t[-1], so grow is called
     once for each face below the cap that does not end at vertex n-1. Faces
-    have at most max_card vertices (None: no cap); at most max_faces faces
-    (None: DEFAULT_FACE_BUDGET), past which BudgetExceeded names what."""
+    have at most max_card vertices (None: no cap; below 0 ValueError is
+    raised); at most max_faces faces (None: DEFAULT_FACE_BUDGET), past which
+    BudgetExceeded names what."""
+    if max_card is not None and max_card < 0:
+        raise ValueError("max_card must be nonnegative, got %d" % max_card)
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     cap = n if max_card is None else max_card
     faces = {0}

@@ -8,7 +8,10 @@ and the incremental general-position test (gp_extends) by radial projection
 from the new point, with the directions to the prefix hashed as lines (see
 genpos._kernels.pure). gp_number does not call gp_extends: it works on a
 FlatIndex, the flats through too many of the points as bitmasks, where
-general position is popcount arithmetic. No floating point is used anywhere.
+general position is popcount arithmetic. The general-position complex and
+the affine matroid's independence complex grow on the same index (gp_grow),
+capped at the flat dimension each level of faces needs. No floating point is
+used anywhere.
 
 A point list is *in general position* when every subset of size at most d+1
 is affinely independent; coordinate-equal entries therefore always break
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 
 from genpos._kernels import gp_extends, int_det, int_rank
 from genpos.errors import BudgetExceeded, DimensionMismatch, NotInGeneralPosition
@@ -298,7 +301,7 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
 class FlatIndex:
     """The flats spanned by a list of distinct points that hold too many of
     them for general position, as bitmasks over the list: every j-flat,
-    1 <= j <= d-1, through at least j+2 of the points, with its dimension j.
+    1 <= j <= top, through at least j+2 of the points, with its dimension j.
 
     A general-position set has at most j+1 points on a j-flat. A point w
     extends a general-position set C unless some indexed j-flat through w
@@ -307,10 +310,15 @@ class FlatIndex:
     the points. So with ``through[i]``, the (mask, j) of the flats through
     point i, general position is popcount arithmetic.
 
+    top caps the dimension (None: d-1, every dimension, which gp_number
+    uses). gp_grow, which grows the general-position and affine
+    independence complexes, needs the j-flats only once its faces have j+1
+    vertices, and builds a new index one dimension deeper at each level.
+
     The index is built lazily (build), once, at a cost of one node per
-    (j+1)-tuple of points, the sum over j of C(n, j+1). Each tuple is taken
-    from its lowest point a: the directions from a to the other j points
-    span the j-flat's direction space, and their Plücker vector (the
+    (j+1)-tuple of points, the sum over j <= top of C(n, j+1). Each tuple
+    is taken from its lowest point a: the directions from a to the other j
+    points span the j-flat's direction space, and their Plücker vector (the
     j-minors, grown one direction at a time by Laplace expansion),
     gcd-reduced with its first nonzero entry positive, names that flat
     among the flats through a, or is zero when the tuple is dependent. So
@@ -319,20 +327,21 @@ class FlatIndex:
     dimension through that point. d = 1 has no flats.
     """
 
-    __slots__ = ("d", "homs", "pos", "flats", "through")
+    __slots__ = ("d", "top", "homs", "pos", "flats", "through")
 
-    def __init__(self, homs, d):
+    def __init__(self, homs, d, top=None):
         # homs: distinct primitive homogeneous vectors, last entry positive
         self.d = d
+        self.top = d - 1 if top is None else top
         self.homs = homs
         self.pos = {h: i for i, h in enumerate(homs)}
         self.flats = None  # [(mask, j)], once built
         self.through = None
 
     def tuples(self):
-        """Nodes a build costs: the number of (j+1)-tuples, 1 <= j <= d-1."""
+        """Nodes a build costs: the number of (j+1)-tuples, 1 <= j <= top."""
         n = len(self.homs)
-        return sum(comb(n, j + 1) for j in range(1, self.d))
+        return sum(comb(n, j + 1) for j in range(1, self.top + 1))
 
     def build(self, node_budget=None):
         """Build the index if it is not built, and return the nodes that
@@ -348,17 +357,17 @@ class FlatIndex:
                 "flat index over %d points in d=%d needs %d nodes, over the budget of %d nodes"
                 % (len(self.homs), self.d, cost, budget)
             )
-        homs, d = self.homs, self.d
+        homs, d, top = self.homs, self.d, self.top
         n = len(homs)
         line_key = _line_key(d)
-        flat_keys = [None, None] + [_flat_key(d, j - 1) for j in range(2, d)]
+        flat_keys = [None, None] + [_flat_key(d, j - 1) for j in range(2, top + 1)]
         flats = []
         through = [[] for _ in range(n)]
-        for a in range(n - 2 if d > 1 else 0):
+        for a in range(n - 2 if top > 0 else 0):
             # the flats through a: each reduced direction from a names a
             # line, and the Plücker vector of j directions a j-flat
             p = homs[a]
-            groups = [{} for _ in range(d)]  # by dimension: key -> points
+            groups = [{} for _ in range(top + 1)]  # by dimension: key -> points
             dirs = {}
             level = []
             group = groups[1]
@@ -366,9 +375,9 @@ class FlatIndex:
                 key = dirs[b] = line_key(p, homs[b])
                 grown = 1 << a | 1 << b
                 group[key] = group.get(key, 0) | grown
-                if d > 2:
+                if top > 1:
                     level.append((grown, key, b + 1))
-            for j in range(2, d):
+            for j in range(2, top + 1):
                 flat_key = flat_keys[j]
                 group = groups[j]
                 deeper = []
@@ -379,10 +388,10 @@ class FlatIndex:
                             continue  # a dependent tuple
                         grown = mask | 1 << b
                         group[key] = group.get(key, 0) | grown
-                        if j + 1 < d:
+                        if j < top:
                             deeper.append((grown, key, b + 1))
                 level = deeper
-            for j in range(1, d):
+            for j in range(1, top + 1):
                 for mask in groups[j].values():
                     if mask.bit_count() < j + 2 or any(
                         k == j and not mask & ~other for other, k in through[a]
@@ -422,6 +431,53 @@ class FlatIndex:
                 return total + mask.bit_count()
             total += 2
             mask &= ~max(live, key=int.bit_count)
+
+
+def gp_grow(vecs, d):
+    """grow for genpos.complexes.levelwise_complex: the faces are the index
+    sets of vecs in general position, where vecs are primitive homogeneous
+    vectors in dimension d, last entry positive, repeats allowed.
+
+    Each distinct vector has one bit, and grow(t) ORs together the bits of
+    t. Then w extends t unless its bit is set already (a repeated point) or
+    an indexed j-flat through w holds j+1 of those bits (FlatIndex). A
+    j-flat can hold j+1 points of t only when j+1 <= len(t), so the index
+    over the distinct vectors goes to top = min(len(t), d) - 1: it is built
+    when the first face of a level asks, and rebuilt one dimension deeper
+    at the next level. Building the j-flats costs about as many keys as the
+    predicate calls already made on faces of j vertices, so the face budget
+    that bounds the enumeration bounds the index too, and no node budget is
+    charged."""
+    distinct = list(dict.fromkeys(vecs))
+    slot = {v: i for i, v in enumerate(distinct)}
+    slots = [slot[v] for v in vecs]
+    index = FlatIndex(distinct, d, 0)  # nothing to build below lines
+
+    def grow(t):
+        nonlocal index
+        chosen = 0
+        for i in t:
+            chosen |= 1 << slots[i]
+        top = min(len(t), d) - 1
+        if top < 1:
+            return lambda w: not chosen >> slots[w] & 1
+        if top > index.top:
+            index = FlatIndex(distinct, d, top)
+            index.build(inf)
+        through = index.through
+
+        def extends(w):
+            s = slots[w]
+            if chosen >> s & 1:
+                return False
+            for mask, j in through[s]:
+                if (mask & chosen).bit_count() > j:
+                    return False
+            return True
+
+        return extends
+
+    return grow
 
 
 def _reducer(args, entries):

@@ -10,8 +10,9 @@ how it is built for every oracle.
 The independence complex of an affine matroid of rank r skips the oracle:
 in a coordinate frame of the points' affine hull (AffineMatroid.frame), a
 set is independent iff it is in general position and has at most r points,
-so it grows through the general-position kernel gp_extends in dimension
-r-1. Every other oracle is asked set by set.
+so it grows as the general-position complex does, by popcounts on the flat
+index of the frame vectors in dimension r-1 (genpos.geometry.gp_grow).
+Every other oracle is asked set by set.
 
 All matroids here are assumed loopless (every singleton independent); the
 affine matroid of a point multiset always is.
@@ -22,10 +23,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from genpos._kernels import gp_extends, int_rank
+from genpos._kernels import int_rank
 from genpos.complexes import _completion, levelwise_complex
 from genpos.errors import OracleError
-from genpos.geometry import PointMultiset, affinely_independent
+from genpos.geometry import PointMultiset, affinely_independent, gp_grow
 from genpos.search import max_extension
 
 __all__ = [
@@ -87,8 +88,9 @@ class AffineMatroid(IndependenceOracle):
     Coordinate-equal points are parallel elements, never loops.
 
     The rank r is the affine rank of the points (one int_rank), and the
-    independence complex runs through gp_extends in the (r-1)-dimensional
-    frame of their affine hull, without oracle queries."""
+    independence complex grows on the flat index of the points' vectors in
+    the (r-1)-dimensional frame of their affine hull, without oracle
+    queries."""
 
     def __init__(self, points, d=None):
         pts = points if isinstance(points, PointMultiset) else PointMultiset(points, d=d)
@@ -316,7 +318,9 @@ def independence_complex(oracle, max_card=None, max_faces=None):
     given), with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past
     it BudgetExceeded is raised). For an AffineMatroid of rank r these are
     the sets of at most r points in general position in the affine hull,
-    grown with gp_extends in its frame."""
+    grown by popcounts on the flat index of the distinct frame vectors
+    (genpos.geometry.gp_grow), indexed only as deep as the faces asked
+    about need."""
     return _independence_complex(oracle, max_card, max_faces, "independence complex")
 
 
@@ -324,10 +328,7 @@ def _independence_complex(oracle, max_card, max_faces, what):
     if isinstance(oracle, AffineMatroid):
         r, vecs = oracle.frame()
         max_card = r if max_card is None else min(max_card, r)
-
-        def grow(t):
-            rows = [vecs[i] for i in t]
-            return lambda w: gp_extends(rows, vecs[w])
+        grow = gp_grow(vecs, r - 1)
     else:
         def grow(t):
             base = frozenset(t)

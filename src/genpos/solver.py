@@ -30,13 +30,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from genpos.complexes import SimplicialComplex, levelwise_complex
+from genpos.complexes import levelwise_complex
 from genpos.errors import BudgetExceeded, ConstructionError
 from genpos.geometry import (
     FlatIndex,
     Point,
     PointMultiset,
     extend_gp,
+    gp_grow,
     gp_number,
     in_general_position,
 )
@@ -484,18 +485,16 @@ def general_position_complex(X, max_card=None, max_faces=None):
     """Complex on one vertex per entry of X (multiplicity kept) whose faces
     are the index sets in general position, up to size max_card. Equals the
     d-th completion of the independence complex of X: general position is
-    exactly 'every at-most-(d+1)-subset affinely independent'."""
-    pts = X.points if isinstance(X, PointMultiset) else tuple(X)
-    n = len(pts)
-    if n == 0:
-        return SimplicialComplex(0, [0], _validated=True)
-    homs = [p.hom for p in pts]
+    exactly 'every at-most-(d+1)-subset affinely independent'.
 
-    def grow(t):
-        rows = [homs[i] for i in t]
-        return lambda w: gp_extends(rows, homs[w])
-
-    return levelwise_complex(n, grow, max_card, max_faces, "general-position complex")
+    The levels grow by popcounts on the flat index of the distinct points
+    in R^d (geometry.gp_grow), indexed only as deep as the faces asked
+    about need. At most max_faces faces (None: DEFAULT_FACE_BUDGET; past
+    it BudgetExceeded is raised)."""
+    homs = [p.hom for p in X]
+    d = len(homs[0]) - 1 if homs else 0  # no points: no level asks for flats
+    return levelwise_complex(len(homs), gp_grow(homs, d), max_card, max_faces,
+                             "general-position complex")
 
 
 def independence_complex(X, max_card=None, max_faces=None):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -300,6 +301,37 @@ class TestComplexOps:
             capsys, ["complex", "induced", path, "--vertices", "0,1"]
         )
         assert code == 0 and doc["facets"] == [[0, 1]]
+
+    @pytest.mark.parametrize("vertices, message", [
+        (["--vertices=-1"], "vertex -1 out of range"),
+        (["--vertices", "0,7"], "vertex 7 out of range"),
+    ])
+    def test_induced_refuses_vertices_outside_the_complex(self, capsys, tmp_path,
+                                                          vertices, message):
+        path = write_doc(tmp_path, "k.json", {"n_vertices": 3, "facets": [[0, 1, 2]]})
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(["complex", "induced", path, *vertices])
+        assert exc.value.code == 3
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv", [
+        ["gp", "--max-card", "-1"],
+        ["independence", "--max-card", "-1"],
+        ["uniformity", "--max-card", "-1"],
+        ["completion", "-j", "1", "--max-card", "-2"],
+    ])
+    def test_negative_max_card_is_refused(self, capsys, tmp_path, argv):
+        doc = FIVE_POINTS if argv[0] != "completion" else TRIANGLE_BOUNDARY
+        path = write_doc(tmp_path, "in.json", doc)
+        op, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(["complex", op, path, *rest])
+        assert exc.value.code == 3
+        assert capsys.readouterr() == (
+            "", "error: max_card must be nonnegative, got %s\n" % rest[-1])
+        # a cap of 0 keeps the empty face
+        code, out = run_json(capsys, ["complex", op, path, *rest[:-1], "0"])
+        assert code == 0 and out["facets"] == [[]]
 
     def test_join(self, capsys, tmp_path):
         a = write_doc(tmp_path, "a.json", {"n_vertices": 2, "facets": [[0], [1]]})
@@ -694,6 +726,21 @@ class TestLimitsAsProcess:
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "100 faces" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("op", ["gp", "independence"])
+    def test_face_budget_stops_thousands_of_points_at_once(self, op):
+        # 1,500 points in d = 3 pass 5,000 faces among the pairs, before
+        # any level needs the flat index
+        rng = random.Random(1500)
+        doc = {"d": 3, "points": [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(3)]
+                                  for _ in range(1500)]}
+        t0 = time.perf_counter()
+        proc = run_module("genpos", ["complex", op, "-"], stdin=json.dumps(doc),
+                          GENPOS_BUDGET_FACES="5000")
+        assert time.perf_counter() - t0 < 2
+        assert (proc.returncode, proc.stdout) == (3, "")
+        what = "general-position" if op == "gp" else "independence"
+        assert proc.stderr == "error: %s complex exceeds 5000 faces\n" % what
 
     @pytest.mark.parametrize("argv, code, out", [
         (["counterexample", "-d", "2", "-m", "4"], 0, '{"d": 2, "sets": '),

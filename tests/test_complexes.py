@@ -26,6 +26,7 @@ from genpos import (
     star,
 )
 from genpos.complexes import bits_of, levelwise_complex, mask_of
+from genpos.geometry import FlatIndex, Point
 from genpos.matroids import (
     AffineMatroid,
     ExplicitMatroid,
@@ -336,6 +337,17 @@ class TestInducedAndSkeleton:
         K = full_triangle()
         assert induced(K, ()).faces == {0}
 
+    @pytest.mark.parametrize("W, message", [
+        ((0, 7), "vertex 7 out of range"),
+        ((-1,), "vertex -1 out of range"),
+        ((0, 3), "vertex 3 out of range"),
+        (0b1001, "vertex 3 out of range"),
+        (-1, "vertex mask -1 is negative"),
+    ])
+    def test_induced_refuses_vertices_outside_the_complex(self, W, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            induced(full_triangle(), W)
+
     def test_skeleton_known(self):
         K = full_triangle()
         assert skeleton(K, 1) == triangle_boundary()
@@ -645,8 +657,31 @@ class TestLevelwiseEnumerator:
         assert levelwise_complex(0, lambda t: None).faces == {0}
         assert levelwise_complex(3, lambda t: lambda w: True, max_card=0).faces == {0}
 
-    @settings(max_examples=25, deadline=None)
-    @given(planted_points(max_distinct=7), st.data())
+    def test_negative_cap_is_refused_by_every_builder(self):
+        pts = [Point((0, 0)), Point((1, 0)), Point((0, 1))]
+        for build in (
+            lambda cap: levelwise_complex(3, lambda t: lambda w: True, max_card=cap),
+            lambda cap: levelwise_complex(0, lambda t: None, max_card=cap),
+            lambda cap: general_position_complex(pts, max_card=cap),
+            lambda cap: general_position_complex([], max_card=cap),
+            lambda cap: matroid_independence_complex(AffineMatroid(pts), max_card=cap),
+            lambda cap: matroid_independence_complex(UniformMatroid(3, 2), max_card=cap),
+            lambda cap: uniformity_complex(AffineMatroid(pts), max_card=cap),
+            lambda cap: completion(closure([(0, 1)], 3), 1, max_card=cap),
+        ):
+            assert build(0).faces == {0}
+            for cap in (-1, -2):
+                with pytest.raises(ValueError, match="^max_card must be nonnegative, got %d$"
+                                   % cap):
+                    build(cap)
+
+    # the gp complex grows by popcounts on the flat index of its distinct
+    # points in R^d, so points of low rank (collinear points in d = 3, say)
+    # are indexed in R^d and not in a frame; d = 4 runs the deepest flat key
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(planted_points(max_distinct=7), planted_points(dims=(4, 4), max_distinct=7),
+                     low_rank_points()), st.data())
     def test_general_position_complex(self, case, data):
         pts = case[1][:7]
         max_card = data.draw(st.one_of(st.none(), st.integers(0, len(pts))))
@@ -656,6 +691,59 @@ class TestLevelwiseEnumerator:
         _check_budget_boundary(
             lambda max_faces: general_position_complex(pts, max_card, max_faces),
             K, "general-position complex")
+
+    @pytest.mark.parametrize("coords, max_card", [
+        # three points on a line in d = 3, with a fourth off it: the pair
+        # level needs the lines
+        ([(0, 0, 0), (1, 2, 3), (2, 4, 6), (0, 1, 0)], 3),
+        # four coplanar points in d = 3, no three on a line: the triple
+        # level needs the planes
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 4),
+        # five points on a hyperplane of d = 4, in general position in it:
+        # the level of four points needs the 3-flats
+        ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
+          (0, 0, 0, 1)], 4),
+        ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
+          (0, 0, 0, 1)], 5),
+    ])
+    def test_flats_are_indexed_as_deep_as_each_level_needs(self, coords, max_card):
+        pts = [Point(c) for c in coords]
+        n = len(pts)
+        want = _brute_faces(n, lambda vs: oracle_gp([pts[i] for i in vs]), max_card)
+        # every point but the last lies on one flat, which holds one point
+        # more than general position allows: under a cap that reaches it,
+        # its set is no face while all its subsets are; under a lower cap
+        # every capped subset of it is a face
+        flat = (1 << n - 1) - 1
+        if flat.bit_count() <= max_card:
+            assert flat not in want
+            assert all(flat ^ 1 << v in want for v in bits_of(flat))
+        else:
+            assert all(f in want for f in range(flat + 1)
+                       if f & flat == f and f.bit_count() <= max_card)
+        assert general_position_complex(pts, max_card).faces == want
+        assert matroid_independence_complex(AffineMatroid(pts), max_card).faces == {
+            f for f in want if oracle_affinely_independent([pts[i] for i in bits_of(f)])}
+
+    def test_the_index_is_built_only_for_the_levels_asked(self, monkeypatch):
+        built = []
+        build = FlatIndex.build
+
+        def spy(index, node_budget=None):
+            built.append(index.top)
+            return build(index, node_budget)
+
+        monkeypatch.setattr(FlatIndex, "build", spy)
+        pts = [Point((t, t * t, t ** 3)) for t in range(8)] + [Point((0, 0, 0))]
+        assert general_position_complex(pts, max_card=2).f_vector() == (9, 35)
+        assert matroid_independence_complex(AffineMatroid(pts), 2).f_vector() == (9, 35)
+        assert built == []
+        general_position_complex(pts, max_card=3)
+        assert built == [1]
+        built.clear()
+        general_position_complex(pts)
+        assert built == [1, 2]
 
     # affine matroids build the independence complex in the frame of their
     # affine hull; an ExplicitMatroid listing the same independent sets
