@@ -23,10 +23,12 @@ in d=3 (every set of the 10). Then rows parse, print and take the Betti
 numbers through degree 3 of the join of four 3-point sets (81 facets, 256
 faces): complex_from_doc, complex_to_doc, betti_up_to. One more Betti
 row takes degrees through 2 of the general-position complex, capped at 4
-points a face, of 7 distinct points and one repeat on a line (d=1). The
-last rows run solve_exhaustive on counterexample_family(3, 5), which has no
-system, and on 64 points of a parabola in 8 sets of 8, where the first pick
-of each set works.
+points a face, of 7 distinct points and one repeat on a line (d=1). Two
+rows run check_condition over every union of a fresh family: the rows of
+a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
+pool under the greedy bound. The last rows run solve_exhaustive on
+counterexample_family(3, 5), which has no system, and on 64 points of a
+parabola in 8 sets of 8, where the first pick of each set works.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
@@ -60,8 +62,10 @@ from genpos.jsonio import complex_from_doc, complex_to_doc, family_from_doc, fam
 from genpos.matroids import AffineMatroid, independence_complex, uniformity_complex
 from genpos.solver import (
     PointFamily,
+    check_condition,
     counterexample_family,
     general_position_complex,
+    greedy_bound,
     solve_exhaustive,
 )
 
@@ -172,6 +176,19 @@ def build_cases(rng):
     line.append(rng.choice(line))
     gp_line = general_position_complex(line, max_card=4)
     cases.append(("betti_up_to gp d=1 k=2", lambda: betti_up_to(gp_line, 2)))
+    # a fresh family per call, so that its union cache cannot answer;
+    # shaped like verdictbench's grid-rows-4 (degenerate, the grid under a
+    # rational affine map) and greedy-check-m4 (decide)
+    rows = [[Point((Fraction(3 * x + y, 2), Fraction(x - 2 * y, 3))) for x in range(4)]
+            for y in range(4)]
+    cases.append(("check hall grid rows 4x4",
+                  lambda: check_condition(PointFamily(d=2, sets=rows), lambda k: k)))
+    ts = rng.sample(range(-70, 70), greedy_bound(2, 4) + 2)
+    pool = [Point((t, t * t)) for t in ts]
+    greedy_sets = [pool + [Point((t, t * t))] for t in range(70, 74)]
+    cases.append(("check greedy pool m=4",
+                  lambda: check_condition(PointFamily(d=2, sets=greedy_sets),
+                                          lambda k: greedy_bound(2, k))))
     blocked = counterexample_family(3, 5)
     cases.append(("solve_exhaustive cex d=3 m=5", lambda: solve_exhaustive(blocked)))
     parabola = [Point((t, t * t)) for t in range(64)]

@@ -27,6 +27,7 @@ from itertools import combinations
 from math import comb, gcd, inf, lcm
 
 from genpos._kernels import gp_extends, int_det, int_rank
+from genpos.complexes import bits_of
 from genpos.errors import BudgetExceeded, DimensionMismatch, NotInGeneralPosition
 from genpos.search import DEFAULT_NODE_BUDGET, max_extension
 
@@ -228,8 +229,12 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
     """Maximum size of a sub-multiset in general position.
 
     Repeated coordinates never help (a duplicate pair is affinely
-    dependent), so only the distinct points U of X count, in input order.
+    dependent), so only the distinct points U of X count.
 
+    - X is a point list, or, when an index is given, an int whose bits
+      pick points of index.homs (bit i for index.homs[i]). A point list
+      becomes such a mask over the given index, or over a new index of its
+      distinct points, and both forms run the same code from there.
     - lower and cap are bounds on the answer that the caller already holds
       (PointFamily takes them from sub-unions). When lower reaches cap or
       the number of points, it is the answer.
@@ -245,36 +250,41 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
       points), as in the kernelisation of Froese, Kanj, Nichterlein and
       Niedermeier, "Finding points in general position" (2017).
     - The points left go through genpos.search.max_extension with the rest
-      of the budget: w extends a chosen set C unless an indexed j-flat
-      through w holds j+1 points of C, a popcount. The line cover of those
-      points (FlatIndex.cover) is the bound the search asks for when it
-      must prove its incumbent optimal.
+      of the budget, in ascending bit order: w extends a chosen set C
+      unless an indexed j-flat through w holds j+1 points of C, a popcount.
+      The line cover of those points (FlatIndex.cover) is the bound the
+      search asks for when it must prove its incumbent optimal.
 
     Past the budget, in the build or the search, BudgetExceeded is raised.
     Bounds that hold leave the answer unchanged.
     """
-    pts = _as_points(X)
-    homs = list(dict.fromkeys(p.hom for p in pts))
-    n = len(homs)
+    if isinstance(X, int):
+        if index is None:
+            raise ValueError("gp_number of a bitmask needs index=")
+        union = X
+    else:
+        pts = _as_points(X)
+        if index is None:
+            index = FlatIndex(list(dict.fromkeys(p.hom for p in pts)), _common_dim(pts, 0))
+        pos = index.pos
+        union = 0
+        for p in pts:
+            union |= 1 << pos[p.hom]
+    n = union.bit_count()
     cap = n if cap is None else min(cap, n)
     if lower >= cap:
         return lower
-    if index is None:
-        index = FlatIndex(homs, _common_dim(pts))
     d = index.d
     if index.flats is None:
-        rank = int_rank(homs)
+        homs = index.homs
+        rank = int_rank([homs[i] for i in bits_of(union)])
         if rank <= d:
             return rank
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     spent = index.build(budget)
-    pos = index.pos
-    union = 0
-    for h in homs:
-        union |= 1 << pos[h]
     crowded = index.crowded(union)
     free = (union & ~crowded).bit_count()
-    items = [bit for bit in (1 << pos[h] for h in homs) if bit & crowded]
+    items = [1 << i for i in bits_of(crowded)]
     if not items:
         return free
     through = index.through

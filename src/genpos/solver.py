@@ -36,6 +36,7 @@ from genpos.geometry import (
     FlatIndex,
     Point,
     PointMultiset,
+    _common_dim,
     extend_gp,
     gp_grow,
     gp_number,
@@ -164,15 +165,19 @@ class PointFamily:
     DEFAULT_NODE_BUDGET); check_condition sets it from its subset_budget and
     solve_greedy from its node_budget, when given. Every union's gp_number
     shares one FlatIndex over the family's distinct points, built by the
-    first union that needs it and charged to that union's nodes. When that
-    index alone would cost more than node_budget, each union is indexed on
-    its own instead, within the same budget."""
+    first union that needs it and charged to that union's nodes. With the
+    index the family keeps one bitmask per set over it, so a union's points
+    are the OR of its sets' masks, and gp_number runs on that mask. When
+    the index alone would cost more than node_budget, each union goes to
+    gp_number as its point list and is indexed on its own instead, within
+    the same budget."""
 
     d: int
     sets: tuple
     node_budget: int | None = field(default=None, repr=False)
     _gp_cache: dict = field(default_factory=dict, repr=False)
     _index: FlatIndex | None = field(default=None, repr=False)
+    _masks: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         sets = tuple(
@@ -221,15 +226,20 @@ class PointFamily:
                 alone = cache.get(frozenset((i,)))
                 if alone is not None and (cap is None or rest + alone < cap):
                     cap = rest + alone
-            if self._index is None:
-                homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
-                self._index = FlatIndex(list(homs), self.d)
             index = self._index
+            if index is None:
+                homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
+                index = self._index = FlatIndex(list(homs), self.d)
+                pos = index.pos
+                self._masks = [sum({1 << pos[p.hom] for p in X.points}) for X in self.sets]
             budget = DEFAULT_NODE_BUDGET if self.node_budget is None else self.node_budget
             if index.flats is None and index.tuples() > budget:
-                index = None  # gp_number indexes just the union
-            got = gp_number(self.union_points(key), self.node_budget,
-                            lower=lower, cap=cap, index=index)
+                union, index = self.union_points(key), None  # indexed alone
+            else:
+                union = 0
+                for i in key:
+                    union |= self._masks[i]
+            got = gp_number(union, self.node_budget, lower=lower, cap=cap, index=index)
             cache[key] = got
         return got
 
@@ -438,7 +448,9 @@ def counterexample_family(d, m, seed_param=0, retries=16):
     seed_param; the construction re-verifies general position of the last set
     and the size condition, shifting the parameter on failure; that check
     enumerates every subfamily, so m over 20 raises BudgetExceeded before
-    anything is built, as check_condition would after. d = 1 is
+    anything is built, as check_condition would after. Below that the
+    re-check's gp_number searches can still pass the node budget and raise
+    BudgetExceeded: in d = 2 from m = 12, after about a minute. d = 1 is
     rejected: there a hyperplane is a single point, the last set could only
     repeat existing points, and no counterexample exists (the size condition
     is exactly the matching condition)."""
@@ -490,9 +502,10 @@ def general_position_complex(X, max_card=None, max_faces=None):
     The levels grow by popcounts on the flat index of the distinct points
     in R^d (geometry.gp_grow), indexed only as deep as the faces asked
     about need. At most max_faces faces (None: DEFAULT_FACE_BUDGET; past
-    it BudgetExceeded is raised)."""
+    it BudgetExceeded is raised). Points of mixed dimensions raise
+    DimensionMismatch."""
+    d = _common_dim(X, 0)  # mixed dimensions raise; no points: no level asks for flats
     homs = [p.hom for p in X]
-    d = len(homs[0]) - 1 if homs else 0  # no points: no level asks for flats
     return levelwise_complex(len(homs), gp_grow(homs, d), max_card, max_faces,
                              "general-position complex")
 

@@ -150,6 +150,26 @@ class TestGpNumber:
             pts = random_degenerate_points(rng, d, rng.randint(0, 8))
             assert gp_number(pts) == oracle_gp_number(pts)
 
+    def test_mask_over_an_index_matches_the_point_list(self):
+        # random masks over one index of the distinct points: the shared
+        # index after its first build, a fresh unbuilt one every third mask
+        # (the affine-rank shortcut runs on the mask's points)
+        rng = rng_for("phi-mask")
+        for _ in range(12):
+            d = rng.randint(1, 3)
+            distinct = list(dict.fromkeys(random_degenerate_points(rng, d, rng.randint(1, 9))))
+            homs = [p.hom for p in distinct]
+            shared = FlatIndex(homs, d)
+            for t in range(8):
+                mask = rng.getrandbits(len(homs))
+                index = FlatIndex(homs, d) if t % 3 == 0 else shared
+                pts = [p for i, p in enumerate(distinct) if mask >> i & 1]
+                assert gp_number(mask, index=index) == gp_number(pts), (homs, mask)
+
+    def test_a_bare_mask_needs_an_index(self):
+        with pytest.raises(ValueError, match="needs index="):
+            gp_number(5)
+
     def test_twelve_points_plane(self):
         # grid points force many collinear triples; independent oracle below
         rng = rng_for("phi-12")

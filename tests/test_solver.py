@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from genpos import (
     BudgetExceeded,
     ConstructionError,
+    DimensionMismatch,
     Point,
     PointFamily,
     PointMultiset,
@@ -498,6 +499,29 @@ def test_union_gp_numbers_match_oracle(case, data):
         assert c.gp_number == oracle[key], c.indices
 
 
+@st.composite
+def shared_point_families(draw):
+    """Families in d = 2 or 3 over one planted pool: each set draws points
+    of the pool in its own order, repeats allowed, and one set is empty."""
+    d, pool = draw(planted_points(dims=(2, 3), max_distinct=8))
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+    sets = draw(st.lists(pick, min_size=1, max_size=3))
+    sets.insert(draw(st.integers(0, len(sets))), [])
+    return PointFamily(d=d, sets=[PointMultiset(X, d=d) for X in sets])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_point_families(), st.randoms(use_true_random=False))
+def test_unions_of_shared_points_match_oracle(fam, rnd):
+    # every union, asked in a random order so warm starts vary, from the
+    # OR of its sets' masks over the family's index, against brute force
+    combos = [c for k in range(1, fam.m + 1) for c in combinations(range(fam.m), k)]
+    rnd.shuffle(combos)
+    for combo in combos:
+        distinct = list(dict.fromkeys(fam.union_points(combo)))
+        assert fam.gp_number_of_union(combo) == oracle_gp_number(distinct), combo
+
+
 def test_general_position_unions_are_counted_without_search(monkeypatch):
     # every union of sets in general position together: all points are
     # free, so no union searches
@@ -849,6 +873,10 @@ class TestConfigurationComplexes:
     def test_empty_input(self):
         K = general_position_complex(PointMultiset([], d=2))
         assert K.n_vertices == 0 and K.faces == frozenset({0})
+
+    def test_mixed_dimensions_refused(self):
+        with pytest.raises(DimensionMismatch):
+            general_position_complex([Point((0, 0)), Point((1, 2, 3)), Point((5, 1))])
 
     def test_faces_match_predicate(self):
         rng = rng_for("gpc-pred")
