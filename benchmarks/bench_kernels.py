@@ -26,7 +26,9 @@ row takes degrees through 2 of the general-position complex, capped at 4
 points a face, of 7 distinct points and one repeat on a line (d=1). Two
 rows run check_condition over every union of a fresh family: the rows of
 a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
-pool under the greedy bound. The last rows run solve_exhaustive on
+pool under the greedy bound. One row builds counterexample_family(2, 10),
+a fresh family each call, whose re-check tests each of its 1,023 unions
+against its size. The last rows run solve_exhaustive on
 counterexample_family(3, 5), which has no system, and on 64 points of a
 parabola in 8 sets of 8, where the first pick of each set works.
 
@@ -189,6 +191,7 @@ def build_cases(rng):
     cases.append(("check greedy pool m=4",
                   lambda: check_condition(PointFamily(d=2, sets=greedy_sets),
                                           lambda k: greedy_bound(2, k))))
+    cases.append(("counterexample d=2 m=10", lambda: counterexample_family(2, 10)))
     blocked = counterexample_family(3, 5)
     cases.append(("solve_exhaustive cex d=3 m=5", lambda: solve_exhaustive(blocked)))
     parabola = [Point((t, t * t)) for t in range(64)]

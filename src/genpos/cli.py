@@ -140,7 +140,8 @@ def build_parser():
     p.add_argument("--mode", choices=("all-subsets", "sampled"), default="all-subsets")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--all-checks", action="store_true", help="include every check in the output")
+    p.add_argument("--all-checks", action="store_true",
+                   help="include every check, with each union's exact gp_number, in the output")
     p.add_argument("--human", action="store_true")
 
     p = sub.add_parser("complex", help="build complexes and apply operations")
@@ -283,6 +284,7 @@ def _cmd_check(args, node_budget):
         samples=args.samples,
         rng=rng,
         subset_budget=node_budget,
+        exact=args.all_checks,
     )
     doc = jsonio.report_to_doc(report, include_checks=args.all_checks)
     doc["bound"] = args.bound
@@ -424,7 +426,7 @@ def _cmd_witness_search(args, node_budget):
             )
         family = jsonio.family_from_doc({"d": args.d, "sets": sets})
         report = solver.check_condition(
-            family, lambda k: k, subset_budget=node_budget, stop_early=True
+            family, lambda k: k, subset_budget=node_budget, stop_early=True, exact=False
         )
         if not report.holds:
             continue

@@ -13,7 +13,10 @@ provides:
   back through the connectivity route; uniform_connectivity_bound is the
   matroid analogue driven by max_uniform_size;
 - check_condition, evaluating a bound on every (or a sampled set of) nonempty
-  subfamily union;
+  subfamily union: with exact=True (the default) each union's gp_number,
+  with exact=False only whether it reaches the bound, each search stopping
+  there (PointFamily.capped_gp_number_of_union), so that only a violated
+  union's gp_number is exact;
 - solve_greedy (reorder by the extension bound, then extend step by step),
   solve_exhaustive (the colorful-face search of genpos.search over all picks,
   the completeness oracle), and solve_matroid_intersection (complete for
@@ -170,12 +173,15 @@ class PointFamily:
     are the OR of its sets' masks, and gp_number runs on that mask. When
     the index alone would cost more than node_budget, each union goes to
     gp_number as its point list and is indexed on its own instead, within
-    the same budget."""
+    the same budget. Beside the memo of exact gp_numbers the family keeps
+    one of lower bounds, left by capped_gp_number_of_union's threshold
+    queries."""
 
     d: int
     sets: tuple
     node_budget: int | None = field(default=None, repr=False)
     _gp_cache: dict = field(default_factory=dict, repr=False)
+    _gp_floors: dict = field(default_factory=dict, repr=False)
     _index: FlatIndex | None = field(default=None, repr=False)
     _masks: list | None = field(default=None, repr=False)
 
@@ -210,36 +216,61 @@ class PointFamily:
 
             gp(X_{I-i}) <= gp(X_I) <= gp(X_{I-i}) + gp(X_i).
 
-        The largest cached left side is the search's incumbent and the
-        smallest cached right side its cap. Only cached values are used, so
-        any order of calls gives the same answers."""
-        key = frozenset(indices)
-        cache = self._gp_cache
+        The largest cached left side, or lower bound on one left by
+        capped_gp_number_of_union, is the search's incumbent, and the
+        smallest cached right side, from exact values only, its cap. Only
+        memoized values are used, so any order of calls gives the same
+        answers."""
+        return self._union_gp(frozenset(indices), None)
+
+    def capped_gp_number_of_union(self, indices, req):
+        """gp_number of the union of the sets in indices when it is below
+        req; otherwise some value of at least req, not necessarily the
+        gp_number: the search stops once it reaches req. An answer below req
+        is exact and cached as gp_number_of_union's are. One of at least req
+        is kept apart as a lower bound, which can be the incumbent of a
+        larger union's search but never its cap, since a cap needs the exact
+        gp(X_{I-i}) and gp(X_i)."""
+        return self._union_gp(frozenset(indices), req)
+
+    def _union_gp(self, key, req):
+        cache, floors = self._gp_cache, self._gp_floors
         got = cache.get(key)
-        if got is None:
-            lower, cap = 0, None
+        if got is not None:
+            return got
+        lower = floors.get(key, 0)
+        if req is not None and lower >= req:
+            return lower
+        cap = None
+        for i in key:
+            rest = key - {i}
+            exact = cache.get(rest)
+            if exact is None:
+                lower = max(lower, floors.get(rest, 0))
+                continue
+            lower = max(lower, exact)
+            alone = cache.get(frozenset((i,)))
+            if alone is not None and (cap is None or exact + alone < cap):
+                cap = exact + alone
+        if req is not None and (cap is None or req < cap):
+            cap = req
+        index = self._index
+        if index is None:
+            homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
+            index = self._index = FlatIndex(list(homs), self.d)
+            pos = index.pos
+            self._masks = [sum({1 << pos[p.hom] for p in X.points}) for X in self.sets]
+        budget = DEFAULT_NODE_BUDGET if self.node_budget is None else self.node_budget
+        if index.flats is None and index.tuples() > budget:
+            union, index = self.union_points(key), None  # indexed alone
+        else:
+            union = 0
             for i in key:
-                rest = cache.get(key - {i})
-                if rest is None:
-                    continue
-                lower = max(lower, rest)
-                alone = cache.get(frozenset((i,)))
-                if alone is not None and (cap is None or rest + alone < cap):
-                    cap = rest + alone
-            index = self._index
-            if index is None:
-                homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
-                index = self._index = FlatIndex(list(homs), self.d)
-                pos = index.pos
-                self._masks = [sum({1 << pos[p.hom] for p in X.points}) for X in self.sets]
-            budget = DEFAULT_NODE_BUDGET if self.node_budget is None else self.node_budget
-            if index.flats is None and index.tuples() > budget:
-                union, index = self.union_points(key), None  # indexed alone
-            else:
-                union = 0
-                for i in key:
-                    union |= self._masks[i]
-            got = gp_number(union, self.node_budget, lower=lower, cap=cap, index=index)
+                union |= self._masks[i]
+        got = gp_number(union, self.node_budget, lower=lower, cap=cap, index=index)
+        if req is not None and got >= req:
+            floors[key] = got
+        else:
             cache[key] = got
         return got
 
@@ -266,7 +297,7 @@ def _all_subsets_gate(m, budget):
 
 
 def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
-                    subset_budget=None, stop_early=False):
+                    subset_budget=None, stop_early=False, exact=True):
     """Evaluate gp_number(union of X_i, i in I) >= bound(|I|) over nonempty
     subfamilies I.
 
@@ -279,6 +310,13 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     violation, so a negative report carries only the checks made up to that
     point. Unions are checked in order of size, so each one is warm-started
     from its cached sub-unions (PointFamily.gp_number_of_union).
+
+    With exact=False each union is only tested against its requirement
+    (PointFamily.capped_gp_number_of_union): its search stops once it
+    reaches bound(|I|). holds, the checks made and first_violation are the
+    same as with exact=True, and a failing check's gp_number is exact, but a
+    passing check's gp_number is then some value of at least required, not
+    necessarily the union's gp_number.
     """
     m = family.m
     if subset_budget is not None:
@@ -312,8 +350,11 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     checks = []
     first_violation = None
     for combo in subsets:
-        got = family.gp_number_of_union(combo)
         req = bound(len(combo))
+        if exact:
+            got = family.gp_number_of_union(combo)
+        else:
+            got = family.capped_gp_number_of_union(combo, req)
         ok = got >= req
         check = SubsetCheck(indices=combo, gp_number=got, required=req, ok=ok)
         checks.append(check)
@@ -351,8 +392,10 @@ def solve_greedy(family, node_budget=None):
     """Two-phase greedy.
 
     Phase 1 assigns positions m down to 1, each time taking the lowest-index
-    unassigned set whose own gp_number (family.gp_number_of_union, so it is
-    cached and shares the family's index) reaches extension_bound(d, position);
+    unassigned set whose own gp_number reaches extension_bound(d, position).
+    No position asks for more than extension_bound(d, m), so each set's
+    gp_number is searched only up to that (family.capped_gp_number_of_union,
+    so it is cached and shares the family's index);
     if none qualifies the greedy hypothesis fails and the unassigned
     subfamily is reported as a condition violation (its union's gp_number is
     then provably below greedy_bound). Phase 2 walks positions upward and
@@ -363,7 +406,8 @@ def solve_greedy(family, node_budget=None):
     m, d = family.m, family.d
     if node_budget is not None:
         family.node_budget = node_budget
-    sizes = [family.gp_number_of_union((i,)) for i in range(m)]
+    top = extension_bound(d, m)
+    sizes = [family.capped_gp_number_of_union((i,), top) for i in range(m)]
     position_of = [None] * m
     unassigned = list(range(m))
     for j in range(m, 0, -1):
@@ -448,9 +492,9 @@ def counterexample_family(d, m, seed_param=0, retries=16):
     seed_param; the construction re-verifies general position of the last set
     and the size condition, shifting the parameter on failure; that check
     enumerates every subfamily, so m over 20 raises BudgetExceeded before
-    anything is built, as check_condition would after. Below that the
-    re-check's gp_number searches can still pass the node budget and raise
-    BudgetExceeded: in d = 2 from m = 12, after about a minute. d = 1 is
+    anything is built, as check_condition would after. Below that it tests
+    each union only against its size (check_condition with exact=False), so
+    in d = 2 m = 12 takes well under a second and m = 16 about two. d = 1 is
     rejected: there a hyperplane is a single point, the last set could only
     repeat existing points, and no counterexample exists (the size condition
     is exactly the matching condition)."""
@@ -480,7 +524,7 @@ def counterexample_family(d, m, seed_param=0, retries=16):
         )
         if not in_general_position(extra):
             continue
-        report = check_condition(family, bound=lambda k: k, mode="all-subsets")
+        report = check_condition(family, bound=lambda k: k, exact=False)
         if report.holds:
             return family
     raise ConstructionError(

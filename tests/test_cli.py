@@ -495,18 +495,24 @@ class TestEnvironmentBudgets:
         assert got == code and doc["method"] == method
 
     def test_node_budget_stops_gp_number(self, capsys, monkeypatch):
-        # the 6 x 6 grid in one set: its search runs to millions of nodes
+        # the 6 x 6 grid in one set: its exact search, which --all-checks
+        # prints, runs to millions of nodes
         monkeypatch.setenv("GENPOS_BUDGET_NODES", "1000")
         doc = {"d": 2, "sets": [[[x, y] for x in range(6) for y in range(6)]]}
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         t0 = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
-            cli.entry(["check", "-", "--bound", "hall"])
+            cli.entry(["check", "-", "--bound", "hall", "--all-checks"])
         assert time.perf_counter() - t0 < 2
         assert exc.value.code == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "1000 nodes" in err and err.count("\n") == 1
+        # without --all-checks the grid need only reach 1 point, within the
+        # index build's C(36, 2) = 630 nodes
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out = run_json(capsys, ["check", "-", "--bound", "hall"])
+        assert code == 0 and out["holds"] and out["n_checks"] == 1
 
     def test_coplanar_points_need_no_index(self, capsys, monkeypatch):
         # 500 points on one plane in space: their affine rank is 3, which

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations
@@ -377,8 +378,10 @@ class TestWarmStart:
         with pytest.raises(BudgetExceeded):
             check_condition(PointFamily(d=2, sets=[grid]), bound=lambda k: k,
                             subset_budget=1000)
+        # greedy searches each set only up to extension_bound(2, m): with
+        # m = 5 that is 13, past the grid's 12, so its search is a full one
         with pytest.raises(BudgetExceeded):
-            solve_greedy(PointFamily(d=2, sets=[grid, grid[:3]]), node_budget=1000)
+            solve_greedy(PointFamily(d=2, sets=[grid] + [grid[:3]] * 4), node_budget=1000)
         fam = PointFamily(d=2, sets=[grid[:6], grid[6:12]])
         assert check_condition(fam, bound=lambda k: 2 * k, subset_budget=1000).holds
         assert fam.node_budget == 1000
@@ -520,6 +523,62 @@ def test_unions_of_shared_points_match_oracle(fam, rnd):
     for combo in combos:
         distinct = list(dict.fromkeys(fam.union_points(combo)))
         assert fam.gp_number_of_union(combo) == oracle_gp_number(distinct), combo
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_point_families(), st.sampled_from(sorted(cli._BOUND_FORMS)), st.booleans())
+def test_threshold_checks_agree_with_exact_ones(fam, name, stop_early):
+    # each union searched only up to its requirement, under check's hall,
+    # greedy and g bounds: the same verdict, the same checks and the same
+    # (exact) first violation; a passing check holds a value between its
+    # requirement and the union's gp_number
+    bound = cli._BOUND_FORMS[name](fam.d)
+    exact = check_condition(PointFamily(d=fam.d, sets=fam.sets), bound, stop_early=stop_early)
+    capped = check_condition(PointFamily(d=fam.d, sets=fam.sets), bound, stop_early=stop_early,
+                             exact=False)
+    assert capped.holds == exact.holds
+    assert len(capped.checks) == len(exact.checks)
+    assert capped.first_violation == exact.first_violation
+    for c, e in zip(capped.checks, exact.checks):
+        assert (c.indices, c.required, c.ok) == (e.indices, e.required, e.ok)
+        if c.ok:
+            assert c.required <= c.gp_number <= e.gp_number
+        else:
+            assert c.gp_number == e.gp_number
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_point_families(), st.randoms(use_true_random=False))
+def test_lower_bounds_never_leak_into_exact_answers(fam, rnd):
+    # threshold queries at random requirements first, in a random order,
+    # then exact ones in another: every answer below its requirement, every
+    # cached value and every exact answer is the union's gp_number
+    combos = [c for k in range(1, fam.m + 1) for c in combinations(range(fam.m), k)]
+    oracle = {c: oracle_gp_number(list(dict.fromkeys(fam.union_points(c)))) for c in combos}
+    rnd.shuffle(combos)
+    for combo in combos:
+        req = rnd.randint(0, oracle[combo] + 1)
+        got = fam.capped_gp_number_of_union(combo, req)
+        assert got == oracle[combo] if got < req else req <= got <= oracle[combo], combo
+    assert all(got == oracle[tuple(sorted(key))] for key, got in fam._gp_cache.items())
+    rnd.shuffle(combos)
+    for combo in combos:
+        assert fam.gp_number_of_union(combo) == oracle[combo], combo
+
+
+def test_a_lower_bound_is_no_cap():
+    # two 3 x 3 grids, each holding 6 points in general position, asked
+    # only for 2: were those bounds taken as exact, they would cap the
+    # union's 10 at 2 + 2
+    fam = PointFamily(d=2, sets=[[[x, y] for x in range(3) for y in range(3)],
+                                 [[x, y] for x in range(3, 6) for y in range(3, 6)]])
+    assert fam.capped_gp_number_of_union((0,), 2) == 2
+    assert fam.capped_gp_number_of_union((1,), 2) == 2
+    assert fam._gp_cache == {}
+    assert fam.gp_number_of_union((0, 1)) == oracle_gp_number(fam.union_points()) == 10
+    # once exact, a singleton answers every threshold from the cache
+    assert fam.gp_number_of_union((0,)) == 6
+    assert fam.capped_gp_number_of_union((0,), 2) == 6
 
 
 def test_general_position_unions_are_counted_without_search(monkeypatch):
@@ -833,6 +892,16 @@ class TestCounterexample:
         assert fam.m == 5
         assert [len(X) for X in fam.sets] == [1, 1, 1, 1, 4]
         assert check_condition(fam, bound=lambda k: k).holds
+        assert solve_exhaustive(fam).status == "not_found"
+
+    def test_twelve_sets_in_the_plane(self):
+        # the re-check tests each union against its size only: m = 12 ran
+        # its exact gp_numbers past the default node budget
+        t0 = time.perf_counter()
+        fam = counterexample_family(2, 12)
+        assert time.perf_counter() - t0 < 5
+        assert fam.m == 12 and len(fam.sets[-1]) == comb(11, 2)
+        assert check_condition(fam, bound=lambda k: k, exact=False).holds
         assert solve_exhaustive(fam).status == "not_found"
 
     def test_last_set_in_general_position(self):
