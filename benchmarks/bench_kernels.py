@@ -23,10 +23,13 @@ in d=3 (every set of the 10). Then rows parse, print and take the Betti
 numbers through degree 3 of the join of four 3-point sets (81 facets, 256
 faces): complex_from_doc, complex_to_doc, betti_up_to. One more Betti
 row takes degrees through 2 of the general-position complex, capped at 4
-points a face, of 7 distinct points and one repeat on a line (d=1). Two
+points a face, of 7 distinct points and one repeat on a line (d=1). Three
 rows run check_condition over every union of a fresh family: the rows of
 a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
-pool under the greedy bound. One row builds counterexample_family(2, 10),
+pool under the greedy bound, once printing every union's gp_number
+(--all-checks) and once testing each union against its bound only. One
+row runs solve_greedy on a fresh family of 5 sets sharing a 63-point
+parabola pool. One row builds counterexample_family(2, 10),
 a fresh family each call, whose re-check tests each of its 1,023 unions
 against its size. The last rows run solve_exhaustive on
 counterexample_family(3, 5), which has no system, and on 64 points of a
@@ -69,6 +72,7 @@ from genpos.solver import (
     general_position_complex,
     greedy_bound,
     solve_exhaustive,
+    solve_greedy,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -191,6 +195,15 @@ def build_cases(rng):
     cases.append(("check greedy pool m=4",
                   lambda: check_condition(PointFamily(d=2, sets=greedy_sets),
                                           lambda k: greedy_bound(2, k))))
+    cases.append(("check greedy m=4",
+                  lambda: check_condition(PointFamily(d=2, sets=greedy_sets),
+                                          lambda k: greedy_bound(2, k), exact=False)))
+    # shaped like greedy-solve-m5 (decide)
+    ts = rng.sample(range(-70, 70), greedy_bound(2, 5) + 2)
+    pool = [Point((t, t * t)) for t in ts]
+    solve_sets = [pool + [Point((t, t * t))] for t in range(70, 75)]
+    cases.append(("greedy solve d=2 m=5",
+                  lambda: solve_greedy(PointFamily(d=2, sets=solve_sets))))
     cases.append(("counterexample d=2 m=10", lambda: counterexample_family(2, 10)))
     blocked = counterexample_family(3, 5)
     cases.append(("solve_exhaustive cex d=3 m=5", lambda: solve_exhaustive(blocked)))

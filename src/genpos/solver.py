@@ -14,9 +14,10 @@ provides:
   matroid analogue driven by max_uniform_size;
 - check_condition, evaluating a bound on every (or a sampled set of) nonempty
   subfamily union: with exact=True (the default) each union's gp_number,
-  with exact=False only whether it reaches the bound, each search stopping
-  there (PointFamily.capped_gp_number_of_union), so that only a violated
-  union's gp_number is exact;
+  with exact=False only whether it reaches the bound, by a greedy witness
+  where one settles it and otherwise by a search stopping there
+  (PointFamily.capped_gp_number_of_union), so that only a violated union's
+  gp_number is exact;
 - solve_greedy (reorder by the extension bound, then extend step by step),
   solve_exhaustive (the colorful-face search of genpos.search over all picks,
   the completeness oracle), and solve_matroid_intersection (complete for
@@ -29,11 +30,10 @@ provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from genpos.complexes import levelwise_complex
+from genpos.complexes import bits_of, levelwise_complex
 from genpos.errors import BudgetExceeded, ConstructionError
 from genpos.geometry import (
     FlatIndex,
@@ -168,14 +168,23 @@ class PointFamily:
     DEFAULT_NODE_BUDGET); check_condition sets it from its subset_budget and
     solve_greedy from its node_budget, when given. Every union's gp_number
     shares one FlatIndex over the family's distinct points, built by the
-    first union that needs it and charged to that union's nodes. With the
-    index the family keeps one bitmask per set over it, so a union's points
+    first union that needs it and charged to that union's nodes. The family
+    keeps one bitmask per set over the index's points, so a union's points
     are the OR of its sets' masks, and gp_number runs on that mask. When
     the index alone would cost more than node_budget, each union goes to
     gp_number as its point list and is indexed on its own instead, within
     the same budget. Beside the memo of exact gp_numbers the family keeps
     one of lower bounds, left by capped_gp_number_of_union's threshold
-    queries."""
+    queries.
+
+    A threshold query tries a witness before the index is built: any two
+    distinct points are in general position, and past that the union's
+    points are kept greedily, in index order, while gp_extends accepts
+    them. A witness that reaches the query's cap settles it, so the index
+    is built only when a witness cannot settle a union. The witnesses of a
+    family stop once the prefix rows they examine add up to the smaller of
+    the index's tuples and node_budget, so a family that needs the index
+    pays at most about twice its cost."""
 
     d: int
     sets: tuple
@@ -184,6 +193,7 @@ class PointFamily:
     _gp_floors: dict = field(default_factory=dict, repr=False)
     _index: FlatIndex | None = field(default=None, repr=False)
     _masks: list | None = field(default=None, repr=False)
+    _witness_rows: int = field(default=0, repr=False)
 
     def __post_init__(self):
         sets = tuple(
@@ -226,7 +236,8 @@ class PointFamily:
     def capped_gp_number_of_union(self, indices, req):
         """gp_number of the union of the sets in indices when it is below
         req; otherwise some value of at least req, not necessarily the
-        gp_number: the search stops once it reaches req. An answer below req
+        gp_number: a witness or the search stops once it reaches req (see
+        the class docstring). An answer below req
         is exact and cached as gp_number_of_union's are. One of at least req
         is kept apart as a lower bound, which can be the incumbent of a
         larger union's search but never its cap, since a cap needs the exact
@@ -252,27 +263,61 @@ class PointFamily:
             alone = cache.get(frozenset((i,)))
             if alone is not None and (cap is None or exact + alone < cap):
                 cap = exact + alone
-        if req is not None and (cap is None or req < cap):
-            cap = req
         index = self._index
         if index is None:
             homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
             index = self._index = FlatIndex(list(homs), self.d)
             pos = index.pos
             self._masks = [sum({1 << pos[p.hom] for p in X.points}) for X in self.sets]
+        union = 0
+        for i in key:
+            union |= self._masks[i]
         budget = DEFAULT_NODE_BUDGET if self.node_budget is None else self.node_budget
+        if req is not None:
+            n = union.bit_count()
+            lower = max(lower, min(n, 2))  # two distinct points are in general position
+            if lower >= req:
+                return lower
+            if cap is None or req < cap:
+                cap = req
+            if index.flats is None and lower < cap < n:
+                lower = max(lower, self._witness(union, cap, min(index.tuples(), budget)))
+                if lower >= cap:
+                    (floors if lower >= req else cache)[key] = lower
+                    return lower
         if index.flats is None and index.tuples() > budget:
             union, index = self.union_points(key), None  # indexed alone
-        else:
-            union = 0
-            for i in key:
-                union |= self._masks[i]
         got = gp_number(union, self.node_budget, lower=lower, cap=cap, index=index)
         if req is not None and got >= req:
             floors[key] = got
         else:
             cache[key] = got
         return got
+
+    def _witness(self, union, cap, limit):
+        """Size of a general-position subset of the union's points, grown
+        greedily in index order by gp_extends until it holds cap points or
+        can no longer reach cap. Each gp_extends call examines the rows
+        chosen so far; the family adds them up in _witness_rows, and no
+        witness takes it past limit."""
+        spent = self._witness_rows
+        if spent >= limit:
+            return 0
+        homs = self._index.homs
+        chosen = []
+        left = union.bit_count()
+        for i in bits_of(union):
+            k = len(chosen)
+            if k + left < cap or spent + k > limit:
+                break
+            left -= 1
+            spent += k
+            if gp_extends(chosen, homs[i]):
+                chosen.append(homs[i])
+                if k + 1 == cap:
+                    break
+        self._witness_rows = spent
+        return len(chosen)
 
 
 @dataclass(frozen=True)
@@ -312,11 +357,15 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     from its cached sub-unions (PointFamily.gp_number_of_union).
 
     With exact=False each union is only tested against its requirement
-    (PointFamily.capped_gp_number_of_union): its search stops once it
+    (PointFamily.capped_gp_number_of_union): a greedy witness tries to meet
+    bound(|I|) before the family's index is built, which then happens only
+    when a witness cannot settle a union, and a search stops once it
     reaches bound(|I|). holds, the checks made and first_violation are the
     same as with exact=True, and a failing check's gp_number is exact, but a
     passing check's gp_number is then some value of at least required, not
-    necessarily the union's gp_number.
+    necessarily the union's gp_number. In all-subsets mode the family's
+    lower bounds on unions more than one set smaller than the union being
+    checked are dropped: no union reads them.
     """
     m = family.m
     if subset_budget is not None:
@@ -349,7 +398,15 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
         raise ValueError("unknown mode %r" % (mode,))
     checks = []
     first_violation = None
+    # in all-subsets mode a union reads the lower bounds of unions one set
+    # smaller, and no union after it reads those of smaller ones
+    floors = family._gp_floors if mode == "all-subsets" else {}
+    size = 0
     for combo in subsets:
+        if len(combo) > size:
+            size = len(combo)
+            for key in [key for key in floors if len(key) < size - 1]:
+                del floors[key]
         req = bound(len(combo))
         if exact:
             got = family.gp_number_of_union(combo)
@@ -394,8 +451,10 @@ def solve_greedy(family, node_budget=None):
     Phase 1 assigns positions m down to 1, each time taking the lowest-index
     unassigned set whose own gp_number reaches extension_bound(d, position).
     No position asks for more than extension_bound(d, m), so each set's
-    gp_number is searched only up to that (family.capped_gp_number_of_union,
-    so it is cached and shares the family's index);
+    gp_number is sought only up to that (family.capped_gp_number_of_union,
+    so it is cached): a greedy witness of that many points settles a set
+    with no index, and only a set where it falls short builds the family's
+    index;
     if none qualifies the greedy hypothesis fails and the unassigned
     subfamily is reported as a condition violation (its union's gp_number is
     then provably below greedy_bound). Phase 2 walks positions upward and
@@ -477,10 +536,6 @@ def solve_matroid_intersection(family):
 # the insufficiency construction
 
 
-def _moment_point(t, d):
-    return Point([Fraction(t) ** i for i in range(1, d + 1)])
-
-
 def counterexample_family(d, m, seed_param=0, retries=16):
     """Family meeting the size condition (every union of |I| sets holds |I|
     points in general position) yet admitting no representative system.
@@ -503,21 +558,22 @@ def counterexample_family(d, m, seed_param=0, retries=16):
     if m <= d + 1:
         raise ValueError("the size condition is sufficient for m <= d+1; need m > d+1")
     _all_subsets_gate(m, DEFAULT_NODE_BUDGET)
-    base = [_moment_point(t, d) for t in range(1, m)]
+    curve = [[t**i for i in range(1, d + 1)] for t in range(1, m)]
+    base = [Point(c) for c in curve]
     subsets = list(combinations(range(m - 1), d))
     for attempt in range(retries):
         shift = abs(seed_param) + attempt * (len(subsets) + 2)
         extra = []
         for idx, combo in enumerate(subsets):
-            c = Fraction(1, idx + 2 + shift)
             # affine combination of the d spanning points with weights
-            # (1 - c - ... - c^(d-1), c, c^2, ...): lands on their hull
-            weights = [c**j for j in range(1, d)]
-            weights.insert(0, 1 - sum(weights))
-            coords = [Fraction(0)] * d
-            for w, i in zip(weights, combo):
-                coords = [a + w * b for a, b in zip(coords, base[i].coords)]
-            extra.append(Point(coords))
+            # (1 - c - ... - c^(d-1), c, c^2, ...), c = 1/q: the integer
+            # weights q^(d-1-j) over q^(d-1); it lands on their hull
+            q = idx + 2 + shift
+            weights = [q ** (d - 1 - j) for j in range(1, d)]
+            den = q ** (d - 1)
+            weights.insert(0, den - sum(weights))
+            nums = [sum(w * curve[i][k] for w, i in zip(weights, combo)) for k in range(d)]
+            extra.append(Point.from_ratios(nums, [den] * d))
         family = PointFamily(
             d=d,
             sets=[PointMultiset([p]) for p in base] + [PointMultiset(extra, d=d)],

@@ -508,8 +508,8 @@ class TestEnvironmentBudgets:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "1000 nodes" in err and err.count("\n") == 1
-        # without --all-checks the grid need only reach 1 point, within the
-        # index build's C(36, 2) = 630 nodes
+        # without --all-checks the grid need only reach 1 point, which any
+        # two of its points settle with no index
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         code, out = run_json(capsys, ["check", "-", "--bound", "hall"])
         assert code == 0 and out["holds"] and out["n_checks"] == 1
@@ -797,14 +797,21 @@ class TestLimitsAsProcess:
         assert proc.returncode == 0 and json.loads(proc.stdout)["holds"]
 
     def test_index_past_the_node_budget_exits_three(self):
-        # the 3 x 3 x 3 cube as one set: its index needs 3,276 nodes
+        # the 3 x 3 x 3 cube as one set: its index needs 3,276 nodes, which
+        # the exact gp_number that --all-checks prints cannot do without
         doc = {"d": 3, "sets": [[[x, y, z] for x in range(3) for y in range(3)
                                  for z in range(3)]]}
-        proc = run_module("genpos", ["check", "-", "--bound", "hall"], stdin=json.dumps(doc),
-                          GENPOS_BUDGET_NODES="3000")
+        proc = run_module("genpos", ["check", "-", "--bound", "hall", "--all-checks"],
+                          stdin=json.dumps(doc), GENPOS_BUDGET_NODES="3000")
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "needs 3276 nodes, over the budget of 3000 nodes" in proc.stderr
+        # the threshold run needs only 1 point, which any two points settle
+        # with no index
+        proc = run_module("genpos", ["check", "-", "--bound", "hall"], stdin=json.dumps(doc),
+                          GENPOS_BUDGET_NODES="3000")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["holds"]
 
 
 # seven points in the plane: three collinear triples, and the origin twice;

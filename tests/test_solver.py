@@ -1,6 +1,7 @@
 """Bounds, the subfamily size condition, the three solvers, the insufficiency
 construction, and the complexes attached to a configuration."""
 
+import hashlib
 import io
 import json
 import os
@@ -503,11 +504,12 @@ def test_union_gp_numbers_match_oracle(case, data):
 
 
 @st.composite
-def shared_point_families(draw):
-    """Families in d = 2 or 3 over one planted pool: each set draws points
-    of the pool in its own order, repeats allowed, and one set is empty."""
-    d, pool = draw(planted_points(dims=(2, 3), max_distinct=8))
-    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+def shared_point_families(draw, dims=(2, 3), max_distinct=8, picks=(1, 5)):
+    """Families in d = 2 or 3 (or dims) over one planted pool: each set
+    draws 1 to 5 (or picks) points of the pool in its own order, repeats
+    allowed, and one set is empty."""
+    d, pool = draw(planted_points(dims=dims, max_distinct=max_distinct))
+    pick = st.lists(st.sampled_from(pool), min_size=picks[0], max_size=picks[1])
     sets = draw(st.lists(pick, min_size=1, max_size=3))
     sets.insert(draw(st.integers(0, len(sets))), [])
     return PointFamily(d=d, sets=[PointMultiset(X, d=d) for X in sets])
@@ -579,6 +581,95 @@ def test_a_lower_bound_is_no_cap():
     # once exact, a singleton answers every threshold from the cache
     assert fam.gp_number_of_union((0,)) == 6
     assert fam.capped_gp_number_of_union((0,), 2) == 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_point_families(dims=(1, 3), max_distinct=10, picks=(2, 8)),
+       st.randoms(use_true_random=False))
+def test_witnesses_settle_thresholds_soundly(fam, rnd):
+    # threshold queries, at requirements up to two past the answer or one
+    # below the union's distinct points, each on a fresh family, where a
+    # greedy witness may settle it before any index is built, and on one
+    # family in turn: one met is met by the union, one missed gives the
+    # union's gp_number; exact queries after them stay exact
+    combos = [c for k in range(1, fam.m + 1) for c in combinations(range(fam.m), k)]
+    union = {c: list(dict.fromkeys(fam.union_points(c))) for c in combos}
+    oracle = {c: oracle_gp_number(union[c]) for c in combos}
+    rnd.shuffle(combos)
+    for combo in combos:
+        req = rnd.randint(1, max(oracle[combo] + 2, len(union[combo]) - 1))
+        for family in (PointFamily(d=fam.d, sets=fam.sets), fam):
+            got = family.capped_gp_number_of_union(combo, req)
+            assert req <= got <= oracle[combo] if got >= req else got == oracle[combo], combo
+    rnd.shuffle(combos)
+    for combo in combos:
+        assert fam.gp_number_of_union(combo) == oracle[combo], combo
+
+
+class TestWitness:
+    def spy_rows(self, monkeypatch):
+        """Log the prefix rows of every gp_extends call the solver makes."""
+        rows = []
+        real = solver.gp_extends
+        monkeypatch.setattr(solver, "gp_extends",
+                            lambda chosen, new: rows.append(len(chosen)) or real(chosen, new))
+        return rows
+
+    def test_greedy_solve_builds_no_index(self):
+        # five sets sharing greedy_bound(2, 5) + 2 parabola points, one more
+        # point each: a witness of extension_bound(2, 5) = 13 points settles
+        # each set's size
+        ts = rng_for("witness-greedy").sample(range(-70, 70), greedy_bound(2, 5) + 2)
+        pool = [[t, t * t] for t in ts]
+        fam = family_of(2, *[pool + [[t, t * t]] for t in range(70, 75)])
+        assert solve_greedy(fam).status == "found"
+        assert fam._index.flats is None
+
+    def test_a_witness_at_an_exact_cap_is_exact(self):
+        # two rows of the 4 x 4 grid: each row's 2 is exact (its affine
+        # rank), so their union is capped at 4 below the requirement 5, and a
+        # witness of 4 points is the union's gp_number
+        fam = PointFamily(d=2, sets=[[[x, y] for x in range(4)] for y in range(2)])
+        assert fam.capped_gp_number_of_union((0,), 3) == 2
+        assert fam.capped_gp_number_of_union((1,), 3) == 2
+        assert fam.capped_gp_number_of_union((0, 1), 5) == 4
+        assert fam._gp_cache[frozenset((0, 1))] == 4
+        assert fam._index.flats is None
+
+    def test_a_witness_stops_once_it_cannot_reach_its_cap(self, monkeypatch):
+        # six points on a line, asked for 5: after two kept and two
+        # rejected, the two points left cannot make 5
+        rows = self.spy_rows(monkeypatch)
+        fam = family_of(2, [[t, 2 * t + 1] for t in range(6)])
+        assert fam.capped_gp_number_of_union((0,), 5) == 2
+        assert rows == [0, 1, 2, 2]
+
+    @pytest.mark.parametrize("node_budget, limit", [(None, 276), (100, 100)])
+    def test_witnesses_stop_at_the_spending_limit(self, monkeypatch, node_budget, limit):
+        # four sets of 6 parabola points: the family's index holds
+        # C(24, 2) = 276 tuples, and witnesses may examine as many prefix
+        # rows as the smaller of that and the node budget. Each pair asks
+        # for 11 of its 12 points, 55 rows, so the pairs pass the limit;
+        # past it every union is still answered, by gp_number.
+        rows = self.spy_rows(monkeypatch)
+        fam = family_of(2, *[[[t, t * t] for t in range(6 * i, 6 * i + 6)] for i in range(4)])
+        fam.node_budget = node_budget
+        spent, calls = [], []
+        for size in (1, 2):
+            for combo in combinations(range(4), size):
+                n = 6 * size
+                assert n - 1 <= fam.capped_gp_number_of_union(combo, n - 1) <= n
+                spent.append(sum(rows))
+                calls.append(len(rows))
+        assert fam._index.tuples() == 276
+        assert fam._witness_rows == sum(rows) <= limit
+        # the limit was reached, and then no witness ran
+        assert spent[-1] > limit - 12 and calls[-1] == calls[-2]
+        # built once the witnesses stopped, unless over the node budget
+        assert (fam._index.flats is None) == (node_budget is not None)
+        for size in (1, 2):
+            for combo in combinations(range(4), size):
+                assert fam.gp_number_of_union(combo) == 6 * size
 
 
 def test_general_position_unions_are_counted_without_search(monkeypatch):
@@ -918,6 +1009,26 @@ class TestCounterexample:
             counterexample_family(1, 4)
         with pytest.raises(ValueError):
             counterexample_family(2, 3)
+
+    @pytest.mark.parametrize("d, m, seed, digest", [
+        (2, 6, 7, "3a78151d331da2247aa8a2f00c8684e101bc5378b08d60490978f5252d40d290"),
+        (3, 5, 3, "169d4c98d8db781a0d216bc8b38098ed1a8209839f7acdbc33a7da24485492dd"),
+        (4, 7, 2, "7b55041da67ddd44bc20c56ad41eb2654696e767633a5edd1c67f29c06041bcc"),
+        (2, 9, 50, "081d80bb7fb6299bc00d215fa809f03c7a87cddcb703eb247301dd5e50092aed"),
+    ])
+    def test_printed_families_are_pinned(self, d, m, seed, digest):
+        # the last set's points, c = 1/q on the hyperplane of d curve
+        # points, built from integer weights over q^(d-1)
+        doc = json.dumps(family_to_doc(counterexample_family(d, m, seed)))
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+    def test_lower_bounds_kept_one_size_deep(self):
+        # the re-check's threshold queries leave a lower bound on most
+        # unions; each size reads only the one below, so at m = 14 no more
+        # than the 14 unions of 13 sets and the whole family keep one
+        fam = counterexample_family(2, 14)
+        assert len(fam._gp_floors) <= 15
+        assert all(len(key) >= 13 for key in fam._gp_floors)
 
     def test_impossible_retry_budget(self):
         with pytest.raises(ConstructionError):
