@@ -8,7 +8,10 @@ gp_number's flat index: the 6x6 grid (d=2), the 3x3x3 cube and 40 points on
 the moment curve (d=3). The jsonio rows parse and print a decide-sized pair
 of family documents (d=2 and d=3, about 3,200 integer and 800 "p/q"
 coordinates): family_from_doc builds each point's homogeneous vector, and
-family_to_doc prints the coordinates back from it.
+family_to_doc prints the coordinates back from it. The cli row parses the
+six command-line shapes that verdictbench sends (solve, check twice,
+complex betti, complex gp, counterexample) through cli.parse_args, the
+parse cli.main uses; in a tree without it, through build_parser().parse_args.
 
 The complex rows build the independence and uniformity complexes of an
 affine matroid, from a fresh AffineMatroid each time: 9 points in general
@@ -59,6 +62,7 @@ import sys
 import timeit
 from fractions import Fraction
 
+from genpos import cli
 from genpos._kernels import gp_extends, int_det, int_rank
 from genpos.complexes import closure, completion
 from genpos.geometry import FlatIndex, Point
@@ -145,6 +149,16 @@ def build_cases(rng):
     families = [family_from_doc(doc) for doc in docs]
     cases.append(("family_to_doc 4k coords",
                   lambda: [family_to_doc(fam) for fam in families]))
+    # the argv shapes verdictbench sends, through the parse cli.main uses
+    # (build_parser().parse_args in a tree without cli.parse_args)
+    parse = getattr(cli, "parse_args", None) or cli.build_parser().parse_args
+    argvs = [["solve", "-", "--method", "auto"],
+             ["check", "-", "--bound", "hall", "--all-checks"],
+             ["check", "-", "--bound", "g"],
+             ["complex", "betti", "-", "-k", "2"],
+             ["complex", "gp", "-", "--max-card", "3"],
+             ["counterexample", "-d", "2", "-m", "5"]]
+    cases.append(("cli parse 6 argv", lambda: [parse(argv) for argv in argvs]))
     spatial = _gp_points(rng, 3, 9, 30)
     coplanar = [Point((x, y, x - 2 * y + 1)) for x, y in
                 (p.coords for p in _gp_points(rng, 2, 9, 30))]

@@ -113,6 +113,7 @@ def build_parser():
     top = _Parser(prog="genpos", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version="genpos %s" % __version__)
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    top.commands = sub.choices  # each subcommand's own parser, by name
 
     p = sub.add_parser("solve", help="find a general-position representative system")
     p.add_argument("input", nargs="?", default="-", help="family JSON file or - for stdin")
@@ -191,6 +192,24 @@ def build_parser():
     p.add_argument("--human", action="store_true")
 
     return top
+
+
+def parse_args(argv=None):
+    """The namespace of build_parser().parse_args(argv), in one pass when
+    argv[0] names a subcommand: that subcommand's parser reads the rest of
+    argv alone, and what it leaves over is refused by the top parser, as
+    parse_args refuses it. Anything else (--version, -h, no arguments, an
+    unknown command) goes to the top parser as it is."""
+    top = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = top.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        top.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +434,11 @@ def _render_no_witness(doc):
 def _cmd_witness_search(args, node_budget):
     if args.d < 1 or args.m < 1:
         raise DocumentError("witness-search needs d >= 1 and m >= 1")
+    for value, name, least in ((args.trials, "--trials", 1),
+                               (args.coord_range, "--coord-range", 0),
+                               (args.max_set_size, "--max-set-size", 1)):
+        if value < least:
+            raise DocumentError("witness-search needs %s >= %d" % (name, least))
     rng = random.Random(args.seed)
     R = args.coord_range
     for _ in range(args.trials):
@@ -463,7 +487,10 @@ def _cmd_bounds(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run the subcommand argv names (None: sys.argv[1:]) and return its
+    exit code. argv is read by parse_args, in one pass through the
+    subcommand's own parser; usage errors exit 3 from there."""
+    args = parse_args(argv)
     face_budget = _env_budget("GENPOS_BUDGET_FACES")
     node_budget = _env_budget("GENPOS_BUDGET_NODES")
     if args.command == "solve":

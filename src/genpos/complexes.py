@@ -68,10 +68,9 @@ class SimplicialComplex:
         if n_vertices < 0:
             raise ValueError("n_vertices must be nonnegative")
         fs = frozenset(faces)
-        limit = 1 << n_vertices
         if not _validated:
             for f in fs:
-                if not 0 <= f < limit:
+                if f < 0 or f >> n_vertices:
                     raise ValueError("face %r out of vertex range" % (bits_of(f),))
                 for v in bits_of(f):
                     if f ^ (1 << v) not in fs:
@@ -109,8 +108,13 @@ class SimplicialComplex:
         return mask_of(vertices) in self.faces
 
     def vertices(self):
-        """Vertices actually present, i.e. v with {v} a face."""
-        return [v for v in range(self.n_vertices) if (1 << v) in self.faces]
+        """Vertices actually present, i.e. v with {v} a face: probed one by
+        one when there are no more of them than faces, else read from the
+        faces, so a few faces on a huge vertex range answer at once."""
+        faces = self.faces
+        if self.n_vertices <= len(faces):
+            return [v for v in range(self.n_vertices) if (1 << v) in faces]
+        return sorted(f.bit_length() - 1 for f in faces if f.bit_count() == 1)
 
     def facets(self):
         """Maximal faces as masks, sorted lexicographically as vertex
@@ -177,12 +181,11 @@ def closure(facets, n_vertices, max_faces=None):
     checking it per face.
     """
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
-    limit = 1 << n_vertices
     faces = set()
     add = faces.add
     for facet in facets:
         f = facet if isinstance(facet, int) else mask_of(facet)
-        if not 0 <= f < limit:
+        if f < 0 or f >> n_vertices:
             raise ValueError("facet %r out of vertex range" % (facet,))
         if f in faces:
             continue
@@ -364,7 +367,7 @@ def nerve(family, max_faces=None):
         vsets.append(vs)
 
     def grow(t):
-        common = (1 << n) - 1
+        common = -1
         for i in t:
             common &= vsets[i]
         return lambda i: common & vsets[i]

@@ -130,12 +130,17 @@ class PointMultiset:
 
     Duplicates are kept: multiplicity matters to the complex builders even
     though it never helps general position. An empty multiset must be given
-    its dimension explicitly.
+    its dimension explicitly. _validated=True takes points as given: a
+    tuple of Points, each of dimension d.
     """
 
     __slots__ = ("points", "d")
 
-    def __init__(self, points, d=None):
+    def __init__(self, points, d=None, _validated=False):
+        if _validated:
+            self.points = points
+            self.d = d
+            return
         pts = tuple(p if isinstance(p, Point) else Point(p) for p in points)
         if pts:
             dims = {len(p.hom) - 1 for p in pts}

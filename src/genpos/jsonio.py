@@ -12,8 +12,11 @@ more digits than that limit ("1e4300"), since it could not be printed.
 
 Points go straight to their primitive homogeneous integer vectors
 (geometry.Point.hom): JSON integers as they are, "p/q" strings as two
-integers, every other string through Fraction. Output coordinates are
-printed from that vector, as an integer or a lowest-terms "p/q" string.
+integers, every other string through Fraction. Each point list is read in
+one pass, which checks every point's length and builds its vector; the
+name of a point ("sets[i][j]", "points[j]") is formatted only when it is
+refused. Output coordinates are printed from that vector, as an integer or
+a lowest-terms "p/q" string.
 
 Family document:     {"d": 2, "sets": [[["1/2", 0], [3, 4]], ...]}
 Complex document:    {"n_vertices": 5, "facets": [[0, 1, 2], [3], ...]}
@@ -31,7 +34,7 @@ from math import gcd
 
 from genpos.complexes import bits_of, closure, mask_of
 from genpos.errors import DocumentError
-from genpos.geometry import Point, PointMultiset
+from genpos.geometry import Point, PointMultiset, _primitive
 from genpos.solver import PointFamily
 
 __all__ = [
@@ -164,22 +167,36 @@ def _require(doc, key, kind, what):
     return val
 
 
-def _point_from_doc(coords, d, where):
-    if not isinstance(coords, list):
-        raise DocumentError("%s: point must be a list of coordinates" % where)
-    if len(coords) != d:
-        raise DocumentError(
-            "%s: point has %d coordinates, dimension is %d" % (where, len(coords), d)
-        )
-    nums, dens = [], []
-    try:
-        for c in coords:
-            num, den = _ratio(c)
-            nums.append(num)
-            dens.append(den)
-    except DocumentError as exc:
-        raise DocumentError("%s: %s" % (where, exc)) from None
-    return Point.from_ratios(nums, dens)
+def _points(raw, d, where, *at):
+    """The PointMultiset of the point list raw, in one pass: each point a
+    list of d coordinates, its homogeneous vector (*coords, 1) when every
+    coordinate is a plain int and _primitive of the parsed ratios otherwise.
+    An error names the point as where % (*at, j), formatted only then."""
+    pts = []
+    new = Point.__new__
+    for j, coords in enumerate(raw):
+        try:
+            if not isinstance(coords, list):
+                raise DocumentError("point must be a list of coordinates")
+            if len(coords) != d:
+                raise DocumentError(
+                    "point has %d coordinates, dimension is %d" % (len(coords), d)
+                )
+            if _INT.issuperset(map(type, coords)):
+                hom = (*coords, 1)
+            else:
+                nums, dens = [], []
+                for c in coords:
+                    num, den = _ratio(c)
+                    nums.append(num)
+                    dens.append(den)
+                hom = _primitive(nums, dens)
+        except DocumentError as exc:
+            raise DocumentError("%s: %s" % (where % (*at, j), exc)) from None
+        p = new(Point)
+        p.hom = hom
+        pts.append(p)
+    return PointMultiset(tuple(pts), d, _validated=True)
 
 
 def points_from_doc(doc):
@@ -187,9 +204,7 @@ def points_from_doc(doc):
     d = _require(doc, "d", int, "points")
     if d < 1:
         raise DocumentError("dimension must be at least 1")
-    raw = _require(doc, "points", list, "points")
-    pts = [_point_from_doc(c, d, "points[%d]" % i) for i, c in enumerate(raw)]
-    return PointMultiset(pts, d=d)
+    return _points(_require(doc, "points", list, "points"), d, "points[%d]")
 
 
 def family_from_doc(doc):
@@ -203,10 +218,7 @@ def family_from_doc(doc):
     for i, entry in enumerate(raw):
         if not isinstance(entry, list):
             raise DocumentError("sets[%d] must be a list of points" % i)
-        pts = [
-            _point_from_doc(c, d, "sets[%d][%d]" % (i, j)) for j, c in enumerate(entry)
-        ]
-        sets.append(PointMultiset(pts, d=d))
+        sets.append(_points(entry, d, "sets[%d][%d]", i))
     return PointFamily(d=d, sets=sets)
 
 

@@ -18,8 +18,9 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 35
+    assert len(labels) == 36
     assert labels[16:] == [
+        "cli parse 6 argv",
         "independence 9 pts d=3", "uniformity 9 pts d=3",
         "independence 9 coplanar d=3", "uniformity 9 coplanar d=3",
         "gp complex 16 pts d=2 c=3", "gp complex 9 pts d=3",

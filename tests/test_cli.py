@@ -759,6 +759,18 @@ class TestLimitsAsProcess:
          '{"d": 2, "sets": '),
         (["witness-search", "--trials", "3"], 1, '{"found": false, "trials": 3}'),
         (["witness-search", "-d", "0"], 3, "error: witness-search needs d >= 1"),
+        # refused up front: no vacuous negative answer, no randrange text
+        (["witness-search", "--trials", "-5"], 3, "error: witness-search needs --trials >= 1\n"),
+        (["witness-search", "--trials", "0"], 3, "error: witness-search needs --trials >= 1\n"),
+        (["witness-search", "--coord-range", "-1"], 3,
+         "error: witness-search needs --coord-range >= 0\n"),
+        (["witness-search", "--max-set-size", "0"], 3,
+         "error: witness-search needs --max-set-size >= 1\n"),
+        # d and m are checked first
+        (["witness-search", "-m", "0", "--trials", "0"], 3,
+         "error: witness-search needs d >= 1 and m >= 1\n"),
+        (["witness-search", "--coord-range", "0", "--max-set-size", "1", "--trials", "1"], 1,
+         '{"found": false, "trials": 1}\n'),
         (["bounds", "--d", "2", "--k", "4"], 0, '{"rows": [{"d": 2, "k": 4, '),
         (["bounds", "--k", "0"], 3, "error: k must be at least 1"),
         (["bounds", "--d", "x"], 3, "usage: genpos bounds"),
@@ -867,3 +879,101 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
         cli.entry(["solve", "--method", "nope"])
     assert exc.value.code == 3
     assert "invalid choice" in capsys.readouterr().err
+
+
+# a family, a point list and a complex, enough for each subcommand to answer
+FAMILY = json.dumps({"d": 2, "sets": [[[0, 0], [1, 0]], [[0, 1], [2, 2]], [[3, 1]]]})
+POINTS = json.dumps(FIVE_POINTS)
+COMPLEX = json.dumps(TRIANGLE_BOUNDARY)
+
+# every subcommand, answering
+ANSWERING = [
+    (["solve", "-"], FAMILY),
+    (["solve", "-", "--method", "greedy", "--human"], FAMILY),
+    (["check", "-", "--bound", "hall", "--all-checks"], FAMILY),
+    (["check", "-", "--mode", "sampled", "--samples", "3", "--seed", "1"], FAMILY),
+    (["complex", "gp", "-", "--max-card", "3"], POINTS),
+    (["complex", "betti", "-", "-k", "1"], COMPLEX),
+    (["complex", "induced", "-", "--vertices", "0-1"], COMPLEX),
+    (["counterexample", "-d", "2", "-m", "4"], ""),
+    (["witness-search", "--trials", "2"], ""),
+    (["bounds", "--d", "1-2", "--k", "1,3", "--human"], ""),
+]
+USAGE_TABLE = ANSWERING + [
+    # usage errors and the top parser's own answers
+    (["solve", "--bogus"], FAMILY),
+    (["solve", "a", "b"], ""),
+    (["complex"], ""),
+    (["complex", "nope"], ""),
+    (["counterexample", "-d", "2"], ""),
+    (["solve", "--method", "x"], ""),
+    (["check", "-h"], ""),
+    (["solve", "--version"], ""),
+    (["bogus"], ""),
+    ([], ""),
+    (["--version"], ""),
+    (["-h"], ""),
+    (["complex", "betti", "-", "-k"], COMPLEX),
+    (["bounds", "--d", "1-0"], ""),
+    (["bounds", "--d", "x"], ""),
+    (["solve", "--", "-"], FAMILY),
+    (["check", "-", "--", "--all-checks"], FAMILY),
+    (["witness-search", "-d", "2", "extra", "--seed", "1"], ""),
+    # -h after each subcommand
+    *[([command, "-h"], "") for command in
+      ("solve", "complex", "counterexample", "witness-search", "bounds")],
+    (["complex", "gp", "-", "--help"], POINTS),
+    # an option given twice: the last one counts
+    (["solve", "-", "--method", "matroid", "--method", "exhaustive"], FAMILY),
+    (["bounds", "--d", "1", "--d", "3", "--k", "2"], ""),
+    (["complex", "betti", "-", "-k", "0", "-k", "1"], COMPLEX),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", USAGE_TABLE, ids=lambda x: " ".join(x)
+                         if isinstance(x, list) else None)
+def test_direct_parse_matches_the_top_parser(capsys, monkeypatch, argv, stdin):
+    # cli.entry against build_parser().parse_args and the same dispatch:
+    # stdout, stderr and the exit code byte for byte
+    def outcome():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(list(argv))
+        return (exc.value.code, *capsys.readouterr())
+
+    direct = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "parse_args", lambda argv=None: cli.build_parser().parse_args(argv))
+        reference = outcome()
+    assert direct == reference
+    assert direct[0] in (0, 1, 2, 3)
+
+
+def test_direct_parse_sets_the_command_and_each_default():
+    top = cli.build_parser()
+    for argv, _ in ANSWERING:
+        assert cli.parse_args(argv) == top.parse_args(argv)
+    assert cli.parse_args(["bounds"]).command == "bounds"
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["qstar", "-", "-q", "1"], {"facets": [[0, 1], [1, 2]]}),
+    (["closure", "-"], {"facets": [[0, 1], [1, 2]]}),
+    (["betti", "-", "-k", "1"], {"facets": [[0, 1], [1, 2]]}),
+    (["nerve", "-"], {"members": [[[0, 1]], [[1, 2]], [[2]]]}),
+])
+def test_a_huge_vertex_range_answers_at_once(capsys, monkeypatch, argv, doc):
+    # a few faces on a million vertices read the vertices from the faces
+    def answer(n):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n_vertices": n, **doc})))
+        t0 = time.perf_counter()
+        code = cli.main(["complex", *argv])
+        took = time.perf_counter() - t0
+        out = json.loads(capsys.readouterr().out)
+        if out.get("n_vertices") == n:
+            out["n_vertices"] = "n"
+        return took, code, out
+
+    took, code, out = answer(10 ** 6)
+    assert took < 1
+    assert (code, out) == answer(5)[1:]

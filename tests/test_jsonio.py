@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from genpos import (
     BudgetExceeded,
+    DimensionMismatch,
     DocumentError,
     Point,
     PointFamily,
@@ -432,3 +433,105 @@ class TestIntegerFirstPoints:
             assert str(got.value) == "sets[0][0]: %s" % exc
         else:
             assert parse_rational(bad) == want
+
+
+# -- whole documents in one pass against the per-coordinate reference ---------
+
+
+def reference_accepts(obj):
+    try:
+        reference_parse(obj)
+    except DocumentError:
+        return False
+    return True
+
+
+GOOD = COORD.filter(reference_accepts)
+# a list of d coordinates with one the reference refuses, at any position
+BAD_COORD = st.one_of(
+    st.booleans(), st.floats(allow_nan=False), st.none(), st.just([1]),
+    st.builds("{}/0".format, st.integers(-99, 99)), st.sampled_from(["abc", "", "1/2/3"]),
+)
+
+
+@st.composite
+def point_lists(draw, d, n):
+    """n points of d coordinates, all plain ints or mixed kinds."""
+    ints = st.lists(st.integers(-9, 9), min_size=d, max_size=d)
+    mixed = st.lists(GOOD, min_size=d, max_size=d)
+    return draw(st.lists(st.one_of(ints, mixed), min_size=n, max_size=n))
+
+
+@st.composite
+def bad_points(draw, d):
+    """A point the parse refuses, and the message that names why."""
+    kind = draw(st.sampled_from(["coordinate", "length", "type"]))
+    if kind == "length":
+        coords = draw(st.lists(st.integers(-9, 9), max_size=4).filter(lambda c: len(c) != d))
+        return coords, "point has %d coordinates, dimension is %d" % (len(coords), d)
+    if kind == "type":
+        return draw(st.sampled_from([7, "1/2", None, {"x": 1}])), \
+            "point must be a list of coordinates"
+    coords = draw(st.lists(COORD, min_size=d - 1, max_size=d - 1))
+    coords.insert(draw(st.integers(0, d - 1)), draw(BAD_COORD))
+    for c in coords:  # the first coordinate the reference refuses names it
+        try:
+            reference_parse(c)
+        except DocumentError as exc:
+            return coords, str(exc)
+
+
+@st.composite
+def families(draw):
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    return d, [draw(point_lists(d, n)) for n in sizes]
+
+
+def assert_reference_points(X, d, raw):
+    assert isinstance(X, PointMultiset) and X.d == d and type(X.points) is tuple
+    assert [p.hom for p in X] == [reference_hom([reference_parse(c) for c in coords])
+                                  for coords in raw]
+    assert all(type(p) is Point and all(type(v) is int for v in p.hom) for p in X)
+
+
+class TestWholeDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(families(), st.data())
+    def test_families_match_the_reference(self, family, data):
+        d, sets = family
+        fam = family_from_doc({"d": d, "sets": sets})
+        assert fam.d == d and fam.m == len(sets)
+        for X, raw in zip(fam.sets, sets):
+            assert_reference_points(X, d, raw)
+        # one bad point at (i, j), with good points on either side of it
+        i = data.draw(st.integers(0, len(sets) - 1))
+        j = data.draw(st.integers(0, len(sets[i])))
+        bad, message = data.draw(bad_points(d))
+        sets[i].insert(j, bad)
+        with pytest.raises(DocumentError) as got:
+            family_from_doc({"d": d, "sets": sets})
+        assert str(got.value) == "sets[%d][%d]: %s" % (i, j, message)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(d), point_lists(d, 6), bad_points(d), st.integers(0, 6))))
+    def test_point_lists_match_the_reference(self, drawn):
+        d, raw, (bad, message), j = drawn
+        assert_reference_points(points_from_doc({"d": d, "points": raw}), d, raw)
+        raw.insert(j, bad)
+        with pytest.raises(DocumentError) as got:
+            points_from_doc({"d": d, "points": raw})
+        assert str(got.value) == "points[%d]: %s" % (j, message)
+
+    def test_the_public_constructor_still_checks_dimensions(self):
+        with pytest.raises(DimensionMismatch, match="mixed point dimensions"):
+            PointMultiset([Point([1]), Point([1, 2])])
+        with pytest.raises(DimensionMismatch, match="mixed point dimensions"):
+            PointMultiset([[1, 2], [3]], d=2)
+        with pytest.raises(DimensionMismatch, match="declared d=3"):
+            PointMultiset([Point([1, 2])], d=3)
+        with pytest.raises(ValueError, match="explicit dimension"):
+            PointMultiset([])
+        X = PointMultiset([[1, 2], Point(["1/2", 0])])
+        assert type(X.points) is tuple and X.d == 2 and X[1] == Point([F(1, 2), 0])
