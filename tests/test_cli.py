@@ -759,6 +759,9 @@ class TestLimitsAsProcess:
          '{"d": 2, "sets": '),
         (["witness-search", "--trials", "3"], 1, '{"found": false, "trials": 3}'),
         (["witness-search", "-d", "0"], 3, "error: witness-search needs d >= 1"),
+        (["bounds", "--d", "2", "--k", "4"], 0, '{"rows": [{"d": 2, "k": 4, '),
+        (["bounds", "--k", "0"], 3, "error: k must be at least 1"),
+        (["bounds", "--d", "x"], 3, "usage: genpos bounds"),
         # refused up front: no vacuous negative answer, no randrange text
         (["witness-search", "--trials", "-5"], 3, "error: witness-search needs --trials >= 1\n"),
         (["witness-search", "--trials", "0"], 3, "error: witness-search needs --trials >= 1\n"),
@@ -771,9 +774,6 @@ class TestLimitsAsProcess:
          "error: witness-search needs d >= 1 and m >= 1\n"),
         (["witness-search", "--coord-range", "0", "--max-set-size", "1", "--trials", "1"], 1,
          '{"found": false, "trials": 1}\n'),
-        (["bounds", "--d", "2", "--k", "4"], 0, '{"rows": [{"d": 2, "k": 4, '),
-        (["bounds", "--k", "0"], 3, "error: k must be at least 1"),
-        (["bounds", "--d", "x"], 3, "usage: genpos bounds"),
     ])
     def test_family_and_table_commands_exit_with_their_codes(self, argv, code, out):
         proc = run_module("genpos", argv)
