@@ -10,8 +10,8 @@ Enumerating operators accept face budgets and cardinality caps so that large
 completions can be built only up to the sizes a truncated homology computation
 needs. Complexes given by a hereditary predicate (general-position and
 independence complexes, nerves) and completions, among them the uniformity
-complex of every matroid, are all grown by one enumerator,
-levelwise_complex.
+complex of every matroid, are all grown by one enumerator, levelwise_complex,
+on face masks alone: each grow reads the mask its level stores.
 """
 
 from __future__ import annotations
@@ -255,12 +255,12 @@ def _completion(K, j, max_card, max_faces, what):
     small = K.faces
     large = set()
 
-    def grow(t):
-        face = mask_of(t)
-        if len(t) <= j:
+    def grow(face):
+        size = face.bit_count()
+        if size <= j:
             return lambda w: face | 1 << w in small
-        seen = small if len(t) == j + 1 else large
-        subs = [face ^ 1 << u for u in t]
+        seen = small if size == j + 1 else large
+        subs = [face ^ 1 << u for u in bits_of(face)]
 
         def extends(w):
             bit = 1 << w
@@ -315,29 +315,29 @@ def join(K, L, max_faces=None):
 
 def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
     """Complex on n vertices whose faces are closed downward, grown level by
-    level in ascending vertex order. grow(t), for a face t given as an
-    ascending vertex tuple, returns a predicate extends(w) telling whether
-    t + (w,) is a face; it is asked only for w > t[-1], so grow is called
-    once for each face below the cap that does not end at vertex n-1. Faces
-    have at most max_card vertices (None: no cap; below 0 ValueError is
-    raised); at most max_faces faces (None: DEFAULT_FACE_BUDGET), past which
-    BudgetExceeded names what."""
+    level in ascending vertex order, each level a list of face masks. grow,
+    given a stored mask, returns a predicate extends(w) telling whether
+    face | 1 << w is a face, asked only for w >= face.bit_length(); so grow
+    is called once per face below the cap not ending at vertex n-1, in
+    level order. Faces have at most max_card vertices (None: no cap; below
+    0 ValueError is raised); at most max_faces faces (None:
+    DEFAULT_FACE_BUDGET), past which BudgetExceeded names what."""
     if max_card is not None and max_card < 0:
         raise ValueError("max_card must be nonnegative, got %d" % max_card)
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     cap = n if max_card is None else max_card
     faces = {0}
-    level = [((), 0)]
+    level = [0]
     size = 1
     while level and size <= cap:
         nxt = []
-        for t, face in level:
-            low = t[-1] + 1 if t else 0
+        for face in level:
+            low = face.bit_length()
             if low == n:
                 continue  # no vertex lies above the last
-            for w in filter(grow(t), range(low, n)):
+            for w in filter(grow(face), range(low, n)):
                 grown = face | 1 << w
-                nxt.append((t + (w,), grown))
+                nxt.append(grown)
                 faces.add(grown)
                 if len(faces) > budget:
                     raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
@@ -366,9 +366,9 @@ def nerve(family, max_faces=None):
             raise ValueError("nerve members must each contain a vertex")
         vsets.append(vs)
 
-    def grow(t):
+    def grow(face):
         common = -1
-        for i in t:
+        for i in bits_of(face):
             common &= vsets[i]
         return lambda i: common & vsets[i]
 

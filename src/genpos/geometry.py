@@ -255,10 +255,10 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
       points), as in the kernelisation of Froese, Kanj, Nichterlein and
       Niedermeier, "Finding points in general position" (2017).
     - The points left go through genpos.search.max_extension with the rest
-      of the budget, in ascending bit order: w extends a chosen set C
-      unless an indexed j-flat through w holds j+1 points of C, a popcount.
-      The line cover of those points (FlatIndex.cover) is the bound the
-      search asks for when it must prove its incumbent optimal.
+      of the budget, as one-bit masks in ascending order: w extends the OR
+      C of those chosen unless an indexed j-flat through w holds j+1 points
+      of C, a popcount. The line cover of those points (FlatIndex.cover) is
+      the bound the search asks for when it must prove its incumbent optimal.
 
     Past the budget, in the build or the search, BudgetExceeded is raised.
     Bounds that hold leave the answer unchanged.
@@ -295,9 +295,8 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
     through = index.through
 
     def extends(chosen, w):
-        c = sum(chosen)  # distinct bits
         for mask, j in through[w.bit_length() - 1]:
-            if (mask & c).bit_count() > j:
+            if (mask & chosen).bit_count() > j:
                 return False
         return True
 
@@ -453,27 +452,27 @@ def gp_grow(vecs, d):
     sets of vecs in general position, where vecs are primitive homogeneous
     vectors in dimension d, last entry positive, repeats allowed.
 
-    Each distinct vector has one bit, and grow(t) ORs together the bits of
-    t. Then w extends t unless its bit is set already (a repeated point) or
-    an indexed j-flat through w holds j+1 of those bits (FlatIndex). A
-    j-flat can hold j+1 points of t only when j+1 <= len(t), so the index
-    over the distinct vectors goes to top = min(len(t), d) - 1: it is built
-    when the first face of a level asks, and rebuilt one dimension deeper
-    at the next level. Building the j-flats costs about as many keys as the
-    predicate calls already made on faces of j vertices, so the face budget
-    that bounds the enumeration bounds the index too, and no node budget is
-    charged."""
+    Each distinct vector has one bit, and grow(face) ORs together the bits
+    of the vectors its mask picks. Then w extends the face unless its bit is
+    set already (a repeated point) or an indexed j-flat through w holds j+1
+    of those bits (FlatIndex). A j-flat can hold j+1 of a face's k points
+    only when j+1 <= k, so the index over the distinct vectors goes to
+    top = min(k, d) - 1: it is built when the first face of a level asks,
+    and rebuilt one dimension deeper at the next level. Building the j-flats
+    costs about as many keys as the predicate calls already made on faces
+    of j vertices, so the face budget that bounds the enumeration bounds the
+    index too, and no node budget is charged."""
     distinct = list(dict.fromkeys(vecs))
     slot = {v: i for i, v in enumerate(distinct)}
     slots = [slot[v] for v in vecs]
     index = FlatIndex(distinct, d, 0)  # nothing to build below lines
 
-    def grow(t):
+    def grow(face):
         nonlocal index
         chosen = 0
-        for i in t:
+        for i in bits_of(face):
             chosen |= 1 << slots[i]
-        top = min(len(t), d) - 1
+        top = min(face.bit_count(), d) - 1
         if top < 1:
             return lambda w: not chosen >> slots[w] & 1
         if top > index.top:

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import gcd
 
 from genpos._kernels import int_rank
-from genpos.complexes import _completion, levelwise_complex
+from genpos.complexes import _completion, bits_of, levelwise_complex
 from genpos.errors import OracleError
 from genpos.geometry import PointMultiset, affinely_independent, gp_grow
 from genpos.search import max_extension
@@ -286,8 +286,8 @@ def max_uniform_size(oracle):
     default node budget)."""
     r = oracle.full_rank
     return max_extension(
-        range(oracle.ground_size),
-        lambda cur, e: _extends_uniform(oracle, cur, e, r),
+        [1 << e for e in range(oracle.ground_size)],
+        lambda cur, e: _extends_uniform(oracle, bits_of(cur), e.bit_length() - 1, r),
         r,
     )
 
@@ -330,8 +330,8 @@ def _independence_complex(oracle, max_card, max_faces, what):
         max_card = r if max_card is None else min(max_card, r)
         grow = gp_grow(vecs, r - 1)
     else:
-        def grow(t):
-            base = frozenset(t)
+        def grow(face):
+            base = frozenset(bits_of(face))
             return lambda w: oracle.is_independent(base | {w})
 
     return levelwise_complex(oracle.ground_size, grow, max_card, max_faces, what)

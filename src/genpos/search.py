@@ -3,13 +3,13 @@ never limited by Python's recursion limit, with every predicate call one node
 charged against a budget.
 
 max_extension, the branch-and-bound maximiser, grows the largest subset of a
-ground list that a hereditary predicate accepts, in input order: gp_number
-for the points its flat index leaves unsettled, each a bit, under a popcount
-test on the flats through it, and max_uniform_size for matroid elements under
-oracle queries. colorful_face picks one item per block, together accepted by
-such a predicate: solve_exhaustive (and so the fallback of `genpos solve`'s
-auto method) for a representative system, and find_colorful_face for a
-colorful face.
+list of one-bit masks that a hereditary predicate, handed the OR of those
+chosen, accepts in input order: gp_number for the points its flat index
+leaves unsettled, under a popcount test on the flats through each, and
+max_uniform_size for matroid elements under oracle queries. colorful_face
+picks one item per block, together accepted by a predicate of the chosen
+list: solve_exhaustive (and so the fallback of `genpos solve`'s auto method)
+for a representative system, and find_colorful_face for a colorful face.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ DEFAULT_NODE_BUDGET = 10**7
 
 def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
                   bound=None, nodes=0):
-    """Size of the largest sublist of ``items`` whose every prefix is accepted
-    by ``extends(chosen, item)``, found by include-first depth-first search.
+    """Size of the largest sublist of ``items``, distinct one-bit masks,
+    whose every prefix is accepted by ``extends(chosen, item)``, chosen the
+    int OR of the prefix, found by include-first depth-first search.
 
     ``extends`` must be hereditary and, below ``rank`` chosen items, a plain
     independence test of a matroid on ``items``. A branch is cut when the
@@ -59,25 +60,25 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
     if best >= cap:
         return best
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    chosen = []
+    chosen = 0
     picked = []  # input positions of chosen, the stack of pending exclusions
     first = True
     i = 0
     while True:
-        while i < n and len(chosen) + n - i > best:
+        while i < n and len(picked) + n - i > best:
             nodes += 1
             item = items[i]
             if extends(chosen, item):
-                chosen.append(item)
+                chosen |= item
                 picked.append(i)
-                if len(chosen) > best:
-                    best = len(chosen)
+                if len(picked) > best:
+                    best = len(picked)
                     if best >= cap:
                         return best
             i += 1
         if first:
             first = False
-            if len(chosen) < rank:
+            if len(picked) < rank:
                 return best
             if bound is not None:
                 cap = min(cap, bound())
@@ -88,7 +89,7 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
         if nodes > budget:
             raise BudgetExceeded("search exceeds %d nodes" % budget)
         i = picked.pop() + 1
-        chosen.pop()
+        chosen ^= items[i - 1]
 
 
 def colorful_face(blocks, extends, node_budget=None):

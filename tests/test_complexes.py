@@ -638,20 +638,20 @@ class TestLevelwiseEnumerator:
         # a hereditary predicate: sets with no two consecutive vertices
         grown = []
 
-        def grow(t):
-            grown.append(t)
-            return lambda w: not t or w != t[-1] + 1
+        def grow(face):
+            grown.append(face)
+            return lambda w: not face << 1 >> w & 1
 
         K = levelwise_complex(7, grow, max_card=3)
         want = _brute_faces(7, lambda vs: all(b - a > 1 for a, b in zip(vs, vs[1:])), 3)
         assert K.faces == want
         # faces below the cap that do not end at the last vertex (no vertex
-        # lies above it) are grown, each once, as ascending tuples and in
-        # level order
-        assert all(a < b for t in grown for a, b in zip(t, t[1:]))
-        assert sorted(map(mask_of, grown)) == sorted(
+        # lies above it) are grown, each once, as the masks the complex
+        # stores, level by level and lexicographically within a level
+        assert all(type(f) is int and f in K.faces for f in grown)
+        assert sorted(grown) == sorted(
             f for f in want if f.bit_count() < 3 and f.bit_length() < 7)
-        assert [len(t) for t in grown] == sorted(len(t) for t in grown)
+        assert grown == sorted(grown, key=lambda f: (f.bit_count(), bits_of(f)))
 
     def test_empty_vertex_set(self):
         assert levelwise_complex(0, lambda t: None).faces == {0}

@@ -7,6 +7,7 @@ import pytest
 
 from genpos import BudgetExceeded, Point
 from genpos._kernels import gp_extends
+from genpos.complexes import bits_of
 from genpos.search import colorful_face, max_extension
 from conftest import oracle_gp_number, random_degenerate_points, rng_for
 
@@ -17,6 +18,18 @@ def recorded(log):
         return gp_extends(chosen, h)
 
     return extends
+
+
+def maximise(homs, log, *args, **kwargs):
+    """max_extension over homs, item i the one-bit mask 1 << i: its chosen
+    mask is read back as the list of homs that recorded(log) checks, so
+    the log reads as the recursive search's."""
+    extends = recorded(log)
+
+    def on_masks(chosen, item):
+        return extends([homs[i] for i in bits_of(chosen)], homs[item.bit_length() - 1])
+
+    return max_extension([1 << i for i in range(len(homs))], on_masks, *args, **kwargs)
 
 
 def recursive_calls(homs):
@@ -56,11 +69,11 @@ def test_same_calls_in_the_same_order_as_the_recursion():
         best, want = recursive_calls(homs)
         # rank 0 switches the first-descent rule off: every call is made
         log = []
-        assert max_extension(homs, recorded(log), 0) == best
+        assert maximise(homs, log, 0) == best
         assert log == want
         # the rule only ever ends the search early
         log = []
-        assert max_extension(homs, recorded(log), d + 1) == best
+        assert maximise(homs, log, d + 1) == best
         assert log == want[: len(log)]
 
 
@@ -73,7 +86,7 @@ def test_bounds_that_hold_keep_the_answer():
         for lower in range(best + 1):
             for cap in range(best, len(homs) + 2):
                 log = []
-                got = max_extension(homs, recorded(log), d + 1, lower=lower, cap=cap)
+                got = maximise(homs, log, d + 1, lower=lower, cap=cap)
                 assert got == best
                 assert len(log) <= len(full)
 
@@ -81,7 +94,7 @@ def test_bounds_that_hold_keep_the_answer():
 def test_cap_returns_at_the_first_set_of_its_size():
     homs = [Point(c).hom for c in ([0, 0], [1, 0], [0, 1], [1, 1], [2, 3])]
     log = []
-    assert max_extension(homs, recorded(log), 3, cap=3) == 3
+    assert maximise(homs, log, 3, cap=3) == 3
     assert len(log) == 3
 
 
@@ -90,9 +103,9 @@ def test_an_optimal_incumbent_is_handed_back():
     log = []
     # with the rule off, the search proves that no 3 of the 5 collinear
     # points qualify and returns the incumbent
-    assert max_extension(homs, recorded(log), 0, lower=2) == 2
+    assert maximise(homs, log, 0, lower=2) == 2
     assert 0 < len(log) <= len(recursive_calls(homs)[1])
-    assert max_extension([], recorded(log), 3) == 0
+    assert maximise([], log, 3) == 0
 
 
 def test_first_descent_settles_flat_inputs():
@@ -100,13 +113,13 @@ def test_first_descent_settles_flat_inputs():
     # per point, then the kept points' hull holds everything
     line = [Point([x, 2 * x + 1]).hom for x in range(1200)]
     log = []
-    assert max_extension(line, recorded(log), 3) == 2
+    assert maximise(line, log, 3) == 2
     assert len(log) == 1200
     rng = rng_for("search-plane")
     plane = [Point([a, b, a - b]).hom for a, b in
              {(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(600)}]
     log = []
-    assert max_extension(plane, recorded(log), 4) == 3
+    assert maximise(plane, log, 4) == 3
     assert len(log) == len(plane)
 
 
@@ -117,9 +130,9 @@ def test_rule_holds_after_a_pruned_first_descent():
     a, b, c = [0, 0, 0], [1, 0, 0], [0, 1, 0]
     homs = [Point(p).hom for p in (a, b, [2, 0, 0], [3, 0, 0], c)]
     for lower in range(4):
-        assert max_extension(homs, recorded([]), 4, lower=lower) == 3
+        assert maximise(homs, [], 4, lower=lower) == 3
     log = []
-    assert max_extension(homs, recorded(log), 4, lower=3) == 3
+    assert maximise(homs, log, 4, lower=3) == 3
     assert len(log) == 4
 
 
@@ -132,7 +145,7 @@ def test_rule_agrees_with_brute_force_on_low_rank_inputs():
         pts = [Point([sum(rng.randint(-3, 3) * b[t] for b in basis) for t in range(d)])
                for _ in range(rng.randint(1, 8))]
         homs = [p.hom for p in dict.fromkeys(pts)]
-        assert max_extension(homs, recorded([]), d + 1) == oracle_gp_number(pts)
+        assert maximise(homs, [], d + 1) == oracle_gp_number(pts)
 
 
 def test_cap_above_the_item_count_is_clamped():
@@ -140,7 +153,7 @@ def test_cap_above_the_item_count_is_clamped():
     # any search can hold; a larger cap changes nothing and the bound is
     # never asked
     log, asked = [], []
-    got = max_extension(list(range(6)), lambda chosen, h: log.append(h) or True, 0,
+    got = max_extension([1 << i for i in range(6)], lambda chosen, h: log.append(h) or True, 0,
                         cap=9, bound=lambda: asked.append(1) or 6)
     assert got == 6 and len(log) == 6 and asked == []
 
@@ -152,19 +165,19 @@ def test_bound_is_asked_once_when_the_first_descent_falls_short():
     grid = [Point([x, y]).hom for x in range(3) for y in range(3)]
     best, full = recursive_calls(grid)
     log, asked = [], []
-    assert max_extension(grid, recorded(log), 3,
+    assert maximise(grid, log, 3,
                          bound=lambda: asked.append(1) or best) == best == 6
     assert asked == [1]
     assert log == full[: len(log)] and len(log) < len(full)
     # a bound at the incumbent ends the search right after the first descent
     log, asked = [], []
-    assert max_extension(grid, recorded(log), 3, lower=6,
+    assert maximise(grid, log, 3, lower=6,
                          bound=lambda: asked.append(1) or 6) == 6
     assert asked == [1]
     assert all(b[0][: len(a[0])] == a[0] for a, b in zip(log, log[1:]))
     # a first descent that reaches the cap never asks
     asked = []
-    assert max_extension(grid, recorded([]), 3, cap=4,
+    assert maximise(grid, [], 3, cap=4,
                          bound=lambda: asked.append(1) or 6) == 4
     assert asked == []
 
@@ -172,17 +185,17 @@ def test_bound_is_asked_once_when_the_first_descent_falls_short():
 def test_budget_is_checked_on_backtracking():
     grid = [Point([x, y]).hom for x in range(6) for y in range(6)]
     with pytest.raises(BudgetExceeded, match="1000 nodes"):
-        max_extension(grid, recorded([]), 3, node_budget=1000)
+        maximise(grid, [], 3, node_budget=1000)
     # the budget counts predicate calls: exactly enough of them suffices
     homs = grid[:15]
     log = []
-    best = max_extension(homs, recorded(log), 3)
-    assert max_extension(homs, recorded([]), 3, node_budget=len(log)) == best
+    best = maximise(homs, log, 3)
+    assert maximise(homs, [], 3, node_budget=len(log)) == best
     with pytest.raises(BudgetExceeded):
-        max_extension(homs, recorded([]), 3, node_budget=len(log) // 2)
+        maximise(homs, [], 3, node_budget=len(log) // 2)
     # a search that never backtracks is never refused
     line = [Point([x]).hom for x in range(50)]
-    assert max_extension(line, recorded([]), 2, node_budget=1) == 50
+    assert maximise(line, [], 2, node_budget=1) == 50
 
 
 def recursive_colorful_calls(blocks):

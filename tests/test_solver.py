@@ -44,6 +44,7 @@ from genpos import (
     uniform_connectivity_bound,
 )
 from genpos import cli, geometry, solver
+from genpos.complexes import bits_of
 from genpos.geometry import FlatIndex
 from genpos.jsonio import family_from_doc, family_to_doc, result_to_doc
 from genpos.solver import SgprResult
@@ -407,14 +408,14 @@ def lines2(a, layers):
 
 
 def spy_search(monkeypatch):
-    """Log the chosen list of every predicate call that gp_number's search
-    makes."""
+    """Log the chosen set of every predicate call that gp_number's search
+    makes, as the list of its one-bit masks."""
     calls = []
     real = geometry.max_extension
 
     def max_extension(items, extends, *args, **kwargs):
         def logged(chosen, w):
-            calls.append(list(chosen))
+            calls.append([1 << i for i in bits_of(chosen)])
             return extends(chosen, w)
 
         return real(items, logged, *args, **kwargs)
