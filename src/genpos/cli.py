@@ -91,6 +91,8 @@ def _emit(doc, human, render):
 
 
 def _int_list(text):
+    """A list like 1,3,5-9 as its ranges in input order, unexpanded, so that
+    a long range costs nothing to parse."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -98,12 +100,29 @@ def _int_list(text):
             lo, hi = part.split("-", 1) if not part.startswith("-") else (part, "")
             if hi == "":
                 raise argparse.ArgumentTypeError("bad range %r" % part)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.append(range(int(lo), int(hi) + 1))
         else:
-            out.append(int(part))
-    if not out:
+            out.append(range(int(part), int(part) + 1))
+    if not any(out):
         raise argparse.ArgumentTypeError("empty list")
     return out
+
+
+def _expand(ranges):
+    return [v for r in ranges for v in r]
+
+
+def _vertex_mask(ranges, n):
+    """The vertices of ranges as a mask, refusing the first one outside
+    0..n-1 in input order as induced does, before any range is expanded."""
+    mask = 0
+    for r in ranges:
+        if not r:
+            continue
+        if r[0] < 0 or r[-1] >= n:
+            raise ValueError("vertex %d out of range" % (r[0] if r[0] < 0 else max(r[0], n)))
+        mask |= (1 << len(r)) - 1 << r[0]
+    return mask
 
 
 @functools.cache
@@ -187,8 +206,8 @@ def build_parser():
     p.add_argument("--human", action="store_true")
 
     p = sub.add_parser("bounds", help="tabulate all bounds over d and k ranges")
-    p.add_argument("--d", type=_int_list, default=[1, 2, 3], help="list like 1,2,3 or 1-3")
-    p.add_argument("--k", type=_int_list, default=[1, 2, 3, 4, 5], help="list or range")
+    p.add_argument("--d", type=_int_list, default=[range(1, 4)], help="list like 1,2,3 or 1-3")
+    p.add_argument("--k", type=_int_list, default=[range(1, 6)], help="list or range")
     p.add_argument("--human", action="store_true")
 
     return top
@@ -383,7 +402,7 @@ def _cmd_complex(args, face_budget, node_budget):
         elif op == "skeleton":
             K = skeleton(K, need(args.skeleton_dim, "-s"))
         elif op == "induced":
-            K = induced(K, need(args.vertices, "--vertices"))
+            K = induced(K, _vertex_mask(need(args.vertices, "--vertices"), K.n_vertices))
         elif op == "join":
             other = jsonio.complex_from_doc(
                 _read_doc(need(args.second, "--with")), max_faces=face_budget
@@ -481,7 +500,7 @@ def _render_bounds(doc):
 
 
 def _cmd_bounds(args):
-    table = solver.bound_table(args.d, args.k)
+    table = solver.bound_table(_expand(args.d), _expand(args.k))
     _emit({"rows": list(table.rows)}, args.human, _render_bounds)
     return EXIT_OK
 

@@ -239,8 +239,22 @@ def completion(K, j, max_card=None, max_faces=None):
     (default: no truncation beyond n_vertices), with at most max_faces faces
     (None: DEFAULT_FACE_BUDGET; past it BudgetExceeded is raised). Requires
     j >= dim K; the completion of the empty complex is empty, and j > dim K
-    returns K."""
-    return _completion(K, j, max_card, max_faces, "completion")
+    returns K.
+
+    For j >= 0 every vertex of a face is a vertex of K, so K is relabelled
+    onto its own vertices in order, completed there and mapped back: a few
+    faces on a huge vertex range answer at once, with the same faces grown
+    in the same order."""
+    verts = K.vertices() if j >= 0 else None
+    if verts is None or len(verts) == K.n_vertices:
+        return _completion(K, j, max_card, max_faces, "completion")
+    label = {v: i for i, v in enumerate(verts)}
+    own = SimplicialComplex(
+        len(verts), {mask_of(label[v] for v in bits_of(f)) for f in K.faces}, _validated=True)
+    done = _completion(own, j, max_card, max_faces, "completion")
+    return SimplicialComplex(
+        K.n_vertices, {mask_of(verts[i] for i in bits_of(f)) for f in done.faces},
+        _validated=True)
 
 
 def _completion(K, j, max_card, max_faces, what):

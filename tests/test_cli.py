@@ -302,6 +302,20 @@ class TestComplexOps:
         )
         assert code == 0 and doc["facets"] == [[0, 1]]
 
+    @pytest.mark.parametrize("ranges, listed", [
+        ("1-3,5", "1,2,3,5"),
+        ("4-6,0-1", "4,5,6,0,1"),
+        ("3-3,6-2,0", "3,0"),
+        ("2-5,3-4", "2,3,4,5"),
+        ("0-6", "0,1,2,3,4,5,6"),
+    ])
+    def test_induced_ranges_match_their_expanded_list(self, capsys, tmp_path, ranges, listed):
+        path = write_doc(tmp_path, "k.json",
+                         {"n_vertices": 7, "facets": [[0, 1, 2, 3], [3, 4, 5], [5, 6]]})
+        got = run_json(capsys, ["complex", "induced", path, "--vertices", ranges])
+        assert got == run_json(capsys, ["complex", "induced", path, "--vertices", listed])
+        assert got[0] == 0
+
     @pytest.mark.parametrize("vertices, message", [
         (["--vertices=-1"], "vertex -1 out of range"),
         (["--vertices", "0,7"], "vertex 7 out of range"),
@@ -572,13 +586,27 @@ class TestExitContract:
 
 
 def run_module(module, args, stdin="", **environ):
+    return run_python(["-m", module, *args], stdin, **environ)
+
+
+def run_python(args, stdin="", **environ):
     src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
     env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, *args],
         input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+# runs the command line after it in a child and prints that child's exit
+# code, stdout, stderr and peak RSS in KB as JSON
+WITH_PEAK_RSS = (
+    "import json, resource, subprocess, sys; "
+    "p = subprocess.run(sys.argv[1:], capture_output=True, text=True); "
+    "print(json.dumps([p.returncode, p.stdout, p.stderr, "
+    "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))"
+)
 
 
 @pytest.mark.parametrize("bomb", ["1e100000000", "1e-100000000"])
@@ -665,6 +693,18 @@ ISOLATED_12 = {"n_vertices": 12, "facets": [[v] for v in range(12)]}
 
 
 class TestLimitsAsProcess:
+    def test_a_long_vertex_range_is_refused_unexpanded(self, tmp_path):
+        # ten million vertices asked of a 4-vertex complex: the first one
+        # outside it is refused before the range is expanded
+        path = write_doc(tmp_path, "k.json", {"n_vertices": 4, "facets": [[0, 1, 2], [2, 3]]})
+        t0 = time.perf_counter()
+        proc = run_python(["-c", WITH_PEAK_RSS, sys.executable, "-m", "genpos", "complex",
+                           "induced", path, "--vertices", "0-10000000"])
+        took = time.perf_counter() - t0
+        code, out, err, peak_kb = json.loads(proc.stdout)
+        assert (code, out, err) == (3, "", "error: vertex 4 out of range\n")
+        assert took < 1 and peak_kb < 30 * 1024
+
     def test_exhaustive_on_thousands_of_singletons(self):
         # one level per set, far beyond any recursion limit
         doc = {"d": 2, "sets": [[[t, t * t]] for t in range(1200)]}
@@ -961,6 +1001,7 @@ def test_direct_parse_sets_the_command_and_each_default():
     (["closure", "-"], {"facets": [[0, 1], [1, 2]]}),
     (["betti", "-", "-k", "1"], {"facets": [[0, 1], [1, 2]]}),
     (["nerve", "-"], {"members": [[[0, 1]], [[1, 2]], [[2]]]}),
+    (["completion", "-", "-j", "1"], {"facets": [[0, 1], [1, 2], [0, 2], [2, 3]]}),
 ])
 def test_a_huge_vertex_range_answers_at_once(capsys, monkeypatch, argv, doc):
     # a few faces on a million vertices read the vertices from the faces
