@@ -36,7 +36,11 @@ parabola pool. One row builds counterexample_family(2, 10),
 a fresh family each call, whose re-check tests each of its 1,023 unions
 against its size. The last rows run solve_exhaustive on
 counterexample_family(3, 5), which has no system, and on 64 points of a
-parabola in 8 sets of 8, where the first pick of each set works.
+parabola in 8 sets of 8, where the first pick of each set works. Two rows
+close the table: the general-position complex of 300 random points in d=3
+capped at 2 points a face (45,151 faces, no flat index), which times the
+levelwise enumerator on a wide, shallow complex, and gp_number of the 6x6
+grid, which times the branch-and-bound maximiser.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
@@ -65,7 +69,7 @@ from fractions import Fraction
 from genpos import cli
 from genpos._kernels import gp_extends, int_det, int_rank
 from genpos.complexes import closure, completion
-from genpos.geometry import FlatIndex, Point
+from genpos.geometry import FlatIndex, Point, gp_number
 from genpos.homology import betti_up_to
 from genpos.jsonio import complex_from_doc, complex_to_doc, family_from_doc, family_to_doc
 from genpos.matroids import AffineMatroid, independence_complex, uniformity_complex
@@ -224,6 +228,11 @@ def build_cases(rng):
     parabola = [Point((t, t * t)) for t in range(64)]
     spread = PointFamily(d=2, sets=[parabola[i:i + 8] for i in range(0, 64, 8)])
     cases.append(("solve_exhaustive 64 parabola", lambda: solve_exhaustive(spread)))
+    wide = [Point([rng.randint(-1000, 1000) for _ in range(3)]) for _ in range(300)]
+    cases.append(("gp complex 300 pts d=3 c=2",
+                  lambda: general_position_complex(wide, max_card=2)))
+    grid = [Point((x, y)) for x in range(6) for y in range(6)]
+    cases.append(("gp_number 6x6 grid", lambda: gp_number(grid)))
     return cases
 
 

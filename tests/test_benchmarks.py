@@ -1,9 +1,12 @@
-"""Smoke test of benchmarks/bench_kernels.py: the script runs and prints a
-row for every case it builds, alone and against a second source tree."""
+"""Smoke tests of the scripts under benchmarks/: bench_kernels.py runs and
+prints a row for every case it builds, alone and against a second source
+tree; verdict_digest.py prints one well-formed digest line per workload and
+seed, the same each run, and writes nothing under verdictbench/."""
 
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -11,6 +14,7 @@ import genpos
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "benchmarks", "bench_kernels.py")
+DIGEST = os.path.join(ROOT, "benchmarks", "verdict_digest.py")
 
 
 def test_bench_kernels_prints_every_row():
@@ -18,7 +22,7 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 36
+    assert len(labels) == 38
     assert labels[16:] == [
         "cli parse 6 argv",
         "independence 9 pts d=3", "uniformity 9 pts d=3",
@@ -30,6 +34,7 @@ def test_bench_kernels_prints_every_row():
         "check hall grid rows 4x4", "check greedy pool m=4", "check greedy m=4",
         "greedy solve d=2 m=5", "counterexample d=2 m=10",
         "solve_exhaustive cex d=3 m=5", "solve_exhaustive 64 parabola",
+        "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid",
     ]
 
     proc = run_script("--repeat", "1")
@@ -50,11 +55,21 @@ def test_against_a_tree_without_sources_exits_with_a_message(tmp_path):
     assert proc.stderr == "bench_kernels: no genpos sources under %s\n" % (tmp_path / "src")
 
 
-def run_script(*args, check=True):
+def test_verdict_digest_repeats_itself_and_writes_nothing():
+    bench = os.path.join(ROOT, "verdictbench")
+    before = sorted(os.listdir(bench))
+    runs = [run_script(ROOT, "--seeds", "7", "--workloads", "topology", script=DIGEST).stdout
+            for _ in range(2)]
+    assert re.fullmatch(r"topology seed=7 steps=[1-9][0-9]* sha256=[0-9a-f]{64}\n", runs[0])
+    assert runs[1] == runs[0]
+    assert sorted(os.listdir(bench)) == before
+
+
+def run_script(*args, check=True, script=SCRIPT):
     src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, SCRIPT, *args],
+    proc = subprocess.run([sys.executable, script, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     if check:
         assert proc.returncode == 0, proc.stderr

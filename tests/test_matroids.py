@@ -258,6 +258,24 @@ class TestUniformity:
                 assert is_uniform(m, S) == oracle_is_uniform(m, S, r)
 
 
+    def test_matches_oracle_explicit_and_uniform(self):
+        # the generic oracles, whose search reads each chosen mask back as
+        # elements: an ExplicitMatroid listing the independent sets of a
+        # random affine or partition matroid truncated to a random rank (a
+        # matroid again), and a UniformMatroid of random rank
+        rng = rng_for("unif-explicit")
+        for trial in range(40):
+            n = rng.randrange(1, 8)
+            base = (random_affine_matroid(rng, n) if trial % 2
+                    else random_partition_matroid(rng, n))
+            top = rng.randint(1, base.full_rank)
+            m = ExplicitMatroid(n, [
+                bits_of(f) for f in range(1 << n)
+                if f.bit_count() <= top and base.is_independent(bits_of(f))])
+            assert max_uniform_size(m) == oracle_max_uniform_size(m)
+            u = UniformMatroid(n, rng.randint(1, n + 1))
+            assert max_uniform_size(u) == oracle_max_uniform_size(u) == n
+
     def test_greedy_basis_that_does_not_extend(self):
         # the first basis a, b, c blocks each later point (each lies on a
         # side of the triangle), yet the unit square a, x, y, z is uniform
