@@ -108,10 +108,6 @@ def _int_list(text):
     return out
 
 
-def _expand(ranges):
-    return [v for r in ranges for v in r]
-
-
 def _vertex_mask(ranges, n):
     """The vertices of ranges as a mask, refusing the first one outside
     0..n-1 in input order as induced does, before any range is expanded."""
@@ -500,7 +496,7 @@ def _render_bounds(doc):
 
 
 def _cmd_bounds(args):
-    table = solver.bound_table(_expand(args.d), _expand(args.k))
+    table = solver.bound_table([v for r in args.d for v in r], [v for r in args.k for v in r])
     _emit({"rows": list(table.rows)}, args.human, _render_bounds)
     return EXIT_OK
 

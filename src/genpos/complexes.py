@@ -245,8 +245,7 @@ def completion(K, j, max_card=None, max_faces=None):
     onto its own vertices in order, completed there and mapped back: a few
     faces on a huge vertex range answer at once, with the same faces grown
     in the same order."""
-    verts = K.vertices() if j >= 0 else None
-    if verts is None or len(verts) == K.n_vertices:
+    if j < 0 or len(verts := K.vertices()) == K.n_vertices:
         return _completion(K, j, max_card, max_faces, "completion")
     label = {v: i for i, v in enumerate(verts)}
     own = SimplicialComplex(

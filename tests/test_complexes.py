@@ -320,26 +320,6 @@ class TestCompletion:
         _check_budget_boundary(lambda max_faces: completion(K, j, max_faces=max_faces),
                                K, "completion")
 
-    @settings(max_examples=40, deadline=None)
-    @given(_facet_lists, st.booleans(), st.integers(0, 3))
-    def test_spread_vertices_complete_as_packed_ones(self, case, above, gap):
-        # vertex v moved to gap + 3v on a larger range, with no vertex
-        # between: for j >= 0 the completion has the same faces, moved, and
-        # refuses one face short of them with the same message
-        n, facets = case
-        K = closure(facets, n)
-        spread = closure([[gap + 3 * v for v in bits_of(f)] for f in facets], 3 * n + gap + 2)
-        j = K.dim + above
-        if j < 0:
-            return
-        got = completion(K, j)
-        moved = completion(spread, j)
-        assert moved.n_vertices == spread.n_vertices
-        assert moved.faces == {mask_of(gap + 3 * v for v in bits_of(f)) for f in got.faces}
-        if got.faces:
-            _check_budget_boundary(lambda max_faces: completion(spread, j, max_faces=max_faces),
-                                   moved, "completion")
-
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 9])
     def test_a_few_faces_on_a_huge_vertex_range_complete_at_once(self, n):
         facets = [(0, 1), (1, 2), (0, 2), (2, 3)]
