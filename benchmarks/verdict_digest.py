@@ -18,7 +18,6 @@ verdictbench/run.py's own (load_genpos, call, workloads.WORKLOADS), read
 without writing bytecode under verdictbench/ or ROOT/src.
 
 Run:  python benchmarks/verdict_digest.py ROOT [--seeds 7,4242]
-                                               [--workloads decide,topology]
 """
 
 from __future__ import annotations
@@ -55,18 +54,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("root", help="a checkout whose src/ holds genpos")
     ap.add_argument("--seeds", default="7,4242", help="comma-separated seeds")
-    ap.add_argument("--workloads", default=",".join(workloads.WORKLOADS),
-                    help="comma-separated workloads, of %s" % ", ".join(workloads.WORKLOADS))
     args = ap.parse_args(argv)
-    names = args.workloads.split(",")
-    for name in names:
-        if name not in workloads.WORKLOADS:
-            ap.error("unknown workload %r" % name)
     seeds = [int(s) for s in args.seeds.split(",")]
     for name in run.CLEARED_ENV:
         os.environ.pop(name, None)
     _, cli, _ = run.load_genpos(os.path.abspath(args.root))
-    for name in names:
+    for name in workloads.WORKLOADS:
         for seed in seeds:
             steps, hexdigest = digest(cli, workloads.WORKLOADS[name](seed))
             print("%s seed=%d steps=%d sha256=%s" % (name, seed, steps, hexdigest))

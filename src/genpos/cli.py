@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -106,19 +107,6 @@ def _int_list(text):
     if not any(out):
         raise argparse.ArgumentTypeError("empty list")
     return out
-
-
-def _vertex_mask(ranges, n):
-    """The vertices of ranges as a mask, refusing the first one outside
-    0..n-1 in input order as induced does, before any range is expanded."""
-    mask = 0
-    for r in ranges:
-        if not r:
-            continue
-        if r[0] < 0 or r[-1] >= n:
-            raise ValueError("vertex %d out of range" % (r[0] if r[0] < 0 else max(r[0], n)))
-        mask |= (1 << len(r)) - 1 << r[0]
-    return mask
 
 
 @functools.cache
@@ -398,7 +386,7 @@ def _cmd_complex(args, face_budget, node_budget):
         elif op == "skeleton":
             K = skeleton(K, need(args.skeleton_dim, "-s"))
         elif op == "induced":
-            K = induced(K, _vertex_mask(need(args.vertices, "--vertices"), K.n_vertices))
+            K = induced(K, itertools.chain.from_iterable(need(args.vertices, "--vertices")))
         elif op == "join":
             other = jsonio.complex_from_doc(
                 _read_doc(need(args.second, "--with")), max_faces=face_budget
@@ -496,7 +484,8 @@ def _render_bounds(doc):
 
 
 def _cmd_bounds(args):
-    table = solver.bound_table([v for r in args.d for v in r], [v for r in args.k for v in r])
+    table = solver.bound_table(list(itertools.chain.from_iterable(args.d)),
+                              list(itertools.chain.from_iterable(args.k)))
     _emit({"rows": list(table.rows)}, args.human, _render_bounds)
     return EXIT_OK
 

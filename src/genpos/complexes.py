@@ -244,7 +244,9 @@ def completion(K, j, max_card=None, max_faces=None):
     For j >= 0 every vertex of a face is a vertex of K, so K is relabelled
     onto its own vertices in order, completed there and mapped back: a few
     faces on a huge vertex range answer at once, with the same faces grown
-    in the same order."""
+    in the same order. When K has every vertex the relabel is the identity
+    and is skipped: it would double the time of such a completion
+    (benchmarks/bench_kernels.py, the two completion rows)."""
     if j < 0 or len(verts := K.vertices()) == K.n_vertices:
         return _completion(K, j, max_card, max_faces, "completion")
     label = {v: i for i, v in enumerate(verts)}

@@ -270,13 +270,13 @@ def is_uniform(oracle, subset):
 
 
 def _extends_uniform(oracle, current, e, r):
-    # current is uniform; test current + {e}. New rank-size subsets are
-    # exactly those through e.
-    if len(current) + 1 <= r:
-        return oracle.is_independent(frozenset(current) | {e})
+    # current (a mask) is uniform; test current + {e}. New rank-size
+    # subsets are exactly those through e.
+    if current.bit_count() < r:
+        return oracle.is_independent(frozenset(bits_of(current)) | {e})
     return all(
         oracle.is_independent(frozenset(t) | {e})
-        for t in combinations(current, r - 1)
+        for t in combinations(bits_of(current), r - 1)
     )
 
 
@@ -287,7 +287,7 @@ def max_uniform_size(oracle):
     r = oracle.full_rank
     return max_extension(
         [1 << e for e in range(oracle.ground_size)],
-        lambda cur, e: _extends_uniform(oracle, bits_of(cur), e.bit_length() - 1, r),
+        lambda cur, e: _extends_uniform(oracle, cur, e.bit_length() - 1, r),
         r,
     )
 

@@ -58,9 +58,10 @@ def test_against_a_tree_without_sources_exits_with_a_message(tmp_path):
 def test_verdict_digest_repeats_itself_and_writes_nothing():
     bench = os.path.join(ROOT, "verdictbench")
     before = sorted(os.listdir(bench))
-    runs = [run_script(ROOT, "--seeds", "7", "--workloads", "topology", script=DIGEST).stdout
-            for _ in range(2)]
-    assert re.fullmatch(r"topology seed=7 steps=[1-9][0-9]* sha256=[0-9a-f]{64}\n", runs[0])
+    runs = [run_script(ROOT, "--seeds", "7", script=DIGEST).stdout for _ in range(2)]
+    assert re.fullmatch("".join(
+        r"%s seed=7 steps=[1-9][0-9]* sha256=[0-9a-f]{64}\n" % name
+        for name in ("decide", "topology", "degenerate")), runs[0])
     assert runs[1] == runs[0]
     assert sorted(os.listdir(bench)) == before
 
