@@ -31,19 +31,15 @@ from genpos.errors import (
     DimensionMismatch,
     DocumentError,
     GenposError,
-    NotInGeneralPosition,
     OracleError,
 )
 from genpos.geometry import (
-    Hyperplane,
     Point,
     PointMultiset,
     affinely_independent,
     extend_gp,
     gp_number,
     in_general_position,
-    keeps_general_position,
-    spanned_hyperplanes,
 )
 from genpos.homology import BettiProfile, betti_up_to, is_homologically_k_connected
 from genpos.matroids import (
@@ -93,7 +89,6 @@ __all__ = [
     # errors
     "GenposError",
     "DimensionMismatch",
-    "NotInGeneralPosition",
     "BudgetExceeded",
     "OracleError",
     "ConstructionError",
@@ -101,12 +96,9 @@ __all__ = [
     # geometry
     "Point",
     "PointMultiset",
-    "Hyperplane",
     "affinely_independent",
-    "keeps_general_position",
     "in_general_position",
     "gp_number",
-    "spanned_hyperplanes",
     "extend_gp",
     # complexes
     "SimplicialComplex",

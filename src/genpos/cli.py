@@ -200,15 +200,22 @@ def build_parser():
 def parse_args(argv=None):
     """The namespace of build_parser().parse_args(argv), in one pass when
     argv[0] names a subcommand: that subcommand's parser reads the rest of
-    argv alone, and what it leaves over is refused by the top parser, as
-    parse_args refuses it. Anything else (--version, -h, no arguments, an
-    unknown command) goes to the top parser as it is."""
+    argv alone. Anything else (--version, -h, no arguments, an unknown
+    command) goes to the top parser as it is.
+
+    A positional after an option (complex star -v 1 FILE) is left over by
+    that pass, because the optional input positional was filled with its
+    default together with the first one. Only then is argv parsed again,
+    intermixed, which is several times slower; what that leaves over is
+    refused by the top parser, as parse_args refuses it."""
     top = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = top.commands.get(argv[0]) if argv else None
     if sub is None:
         return top.parse_args(argv)
     args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        args, extras = sub.parse_known_intermixed_args(argv[1:])
     if extras:
         top.error("unrecognized arguments: %s" % " ".join(extras))
     args.command = argv[0]

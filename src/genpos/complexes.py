@@ -292,7 +292,11 @@ def _completion(K, j, max_card, max_faces, what):
 
 def induced(K, W):
     """Subcomplex induced on a vertex subset W (iterable or mask) of the
-    vertices 0..n-1; a vertex outside them raises ValueError."""
+    vertices 0..n-1; a vertex outside them raises ValueError.
+
+    Every vertex of an iterable W is range-checked in order, but only the
+    vertices of K go into the mask, since faces use no other bits: a long
+    list of vertices absent from K builds no long ints."""
     n = K.n_vertices
     if isinstance(W, int):
         if W < 0:
@@ -301,11 +305,13 @@ def induced(K, W):
             raise ValueError("vertex %d out of range" % (W.bit_length() - 1))
         wm = W
     else:
+        present = set(K.vertices())
         wm = 0
         for v in W:
             if not 0 <= v < n:
                 raise ValueError("vertex %d out of range" % v)
-            wm |= 1 << v
+            if v in present:
+                wm |= 1 << v
     faces = {f for f in K.faces if f & ~wm == 0}
     return SimplicialComplex(K.n_vertices, faces, _validated=True)
 

@@ -9,10 +9,6 @@ class DimensionMismatch(GenposError, ValueError):
     """Points of different ambient dimensions were mixed in one operation."""
 
 
-class NotInGeneralPosition(GenposError, ValueError):
-    """An operation required its input points to be in general position."""
-
-
 class BudgetExceeded(GenposError, RuntimeError):
     """An enumeration or search exceeded its configured resource budget."""
 

@@ -3,7 +3,7 @@
 Points live in d-dimensional rational space and carry a primitive integer
 homogeneous vector (numerators scaled to a common positive denominator,
 divided by the content), so every affine predicate runs on integers in the
-kernels (genpos._kernels): independence and hyperplanes through ranks and determinants,
+kernels (genpos._kernels): affine independence through an exact rank,
 and the incremental general-position test (gp_extends) by radial projection
 from the new point, with the directions to the prefix hashed as lines (see
 genpos._kernels.pure). gp_number does not call gp_extends: it works on a
@@ -20,27 +20,23 @@ general position (a repeated point is a dependent pair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb, gcd, inf, lcm
 
-from genpos._kernels import gp_extends, int_det, int_rank
+from genpos._kernels import gp_extends, int_rank
 from genpos.complexes import bits_of
-from genpos.errors import BudgetExceeded, DimensionMismatch, NotInGeneralPosition
+from genpos.errors import BudgetExceeded, DimensionMismatch
 from genpos.search import DEFAULT_NODE_BUDGET, max_extension
 
 __all__ = [
     "Point",
     "PointMultiset",
-    "Hyperplane",
     "affinely_independent",
     "in_general_position",
-    "keeps_general_position",
     "gp_number",
     "FlatIndex",
-    "spanned_hyperplanes",
     "extend_gp",
 ]
 
@@ -199,21 +195,6 @@ def affinely_independent(points):
     if len(pts) > d + 1:
         return False
     return int_rank([p.hom for p in pts]) == len(pts)
-
-
-def keeps_general_position(prefix, p):
-    """True iff appending ``p`` to ``prefix`` keeps general position.
-
-    ``prefix`` must already be in general position; this is the incremental
-    form of in_general_position and the hot predicate of every solver.
-    """
-    pts = _as_points(prefix)
-    if not isinstance(p, Point):
-        p = Point(p)
-    d = _common_dim(pts, fallback=p.d)
-    if p.d != d:
-        raise DimensionMismatch("point has d=%d, prefix has d=%d" % (p.d, d))
-    return gp_extends([q.hom for q in pts], p.hom)
 
 
 def in_general_position(points):
@@ -539,73 +520,6 @@ def _flat_key(n, k):
             for t, s in enumerate(cols)
         ))
     return _reducer("v, p", entries)
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine hyperplane {x : normal . x = offset} with a canonical exact
-    representation: integer coefficients of content 1, first nonzero normal
-    entry positive."""
-
-    normal: tuple
-    offset: int
-
-    def contains(self, point):
-        p = point if isinstance(point, Point) else Point(point)
-        if p.d != len(self.normal):
-            raise DimensionMismatch("point has d=%d, hyperplane has d=%d" % (p.d, len(self.normal)))
-        s = sum(n * x for n, x in zip(self.normal, p.hom[:-1]))
-        return s == self.offset * p.hom[-1]
-
-    @classmethod
-    def through(cls, points):
-        """The hyperplane spanned by d affinely independent points in
-        dimension d."""
-        pts = _as_points(points)
-        if not pts:
-            raise ValueError("need points to span a hyperplane")
-        d = _common_dim(pts)
-        if len(pts) != d:
-            raise ValueError("a hyperplane in dimension %d is spanned by %d points" % (d, d))
-        if not affinely_independent(pts):
-            raise NotInGeneralPosition("spanning points are affinely dependent")
-        return _hyperplane_through([p.hom for p in pts], d)
-
-    def __repr__(self):
-        return "Hyperplane(normal=%r, offset=%r)" % (self.normal, self.offset)
-
-
-def _hyperplane_through(homs, d):
-    # Null vector of the d x (d+1) homogeneous matrix via signed cofactors.
-    coefs = []
-    for j in range(d + 1):
-        sub = [[row[t] for t in range(d + 1) if t != j] for row in homs]
-        c = int_det(sub)
-        coefs.append(-c if j % 2 else c)
-    g = gcd(*coefs)
-    coefs = [c // g for c in coefs]
-    for c in coefs[:d]:
-        if c != 0:
-            if c < 0:
-                coefs = [-x for x in coefs]
-            break
-    return Hyperplane(normal=tuple(coefs[:d]), offset=-coefs[d])
-
-
-def spanned_hyperplanes(S):
-    """All hyperplanes spanned by d-subsets of S (S must be in general
-    position). For |S| >= d the result has exactly C(|S|, d) members: distinct
-    d-subsets of a general-position set span distinct hyperplanes."""
-    pts = _as_points(S)
-    if not in_general_position(pts):
-        raise NotInGeneralPosition("spanned_hyperplanes needs a general-position input")
-    if not pts:
-        return frozenset()
-    d = _common_dim(pts)
-    out = set()
-    for combo in combinations(pts, d):
-        out.add(_hyperplane_through([p.hom for p in combo], d))
-    return frozenset(out)
 
 
 def extend_gp(S, T):

@@ -148,10 +148,14 @@ def random_point(rng, d, spread=20):
 
 def random_gp_points(rng, d, size, spread=60, max_tries=4000, keeps=None):
     """Incrementally built general-position set. ``keeps(prefix, cand)``
-    accepts a candidate; the package predicate is the default, for speed,
-    and tests of that predicate pass oracle_keeps_gp."""
+    accepts a candidate; the package kernel gp_extends on the homogeneous
+    vectors is the default, for speed, and tests of that kernel pass
+    oracle_keeps_gp."""
     if keeps is None:
-        from genpos.geometry import keeps_general_position as keeps
+        from genpos._kernels import gp_extends
+
+        def keeps(prefix, cand):
+            return gp_extends([p.hom for p in prefix], cand.hom)
 
     pts = []
     tries = 0

@@ -1018,3 +1018,35 @@ def test_a_huge_vertex_range_answers_at_once(capsys, monkeypatch, argv, doc):
     took, code, out = answer(10 ** 6)
     assert took < 1
     assert (code, out) == answer(5)[1:]
+
+
+def test_a_long_in_range_vertex_list_induces_at_once(capsys, monkeypatch):
+    # the million vertices are range-checked, but only the complex's own
+    # go into the mask
+    def answer(vertices):
+        doc = {"n_vertices": 10 ** 6, "facets": [[0, 1], [1, 2], [2, 999999]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        t0 = time.perf_counter()
+        code = cli.main(["complex", "induced", "-", "--vertices", vertices])
+        return time.perf_counter() - t0, code, capsys.readouterr().out
+
+    took, code, out = answer("0-999998")
+    assert took < 1
+    assert (code, out) == answer("0-2")[1:]
+    assert json.loads(out)["facets"] == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["completion", "-j", "1"],
+    ["star", "-v", "1"],
+    ["induced", "--vertices", "0-2"],
+    ["betti", "-k", "1", "--human"],
+])
+def test_options_before_the_input_file_read_it(capsys, tmp_path, argv):
+    # the file after an option is the input, as it is before the options
+    path = write_doc(tmp_path, "k.json",
+                     {"n_vertices": 4, "facets": [[0, 1], [1, 2], [0, 2], [2, 3]]})
+    op, *options = argv
+    late = run(capsys, ["complex", op, *options, path])
+    assert late == run(capsys, ["complex", op, path, *options])
+    assert late[0] == 0

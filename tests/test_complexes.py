@@ -358,6 +358,12 @@ class TestInducedAndSkeleton:
         with pytest.raises(ValueError, match="^%s$" % message):
             induced(full_triangle(), W)
 
+    def test_absent_vertices_are_range_checked_but_leave_the_mask(self):
+        K = closure([(0, 1)], 4)  # vertices 2 and 3 are absent
+        assert induced(K, (3, 2, 0)) == closure([(0,)], 4)
+        with pytest.raises(ValueError, match="^vertex 4 out of range$"):
+            induced(K, (3, 4, 0))
+
     def test_skeleton_known(self):
         K = full_triangle()
         assert skeleton(K, 1) == triangle_boundary()

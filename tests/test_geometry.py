@@ -1,6 +1,6 @@
 """Exact rational point geometry: canonical homogeneous coordinates, affine
-independence, general position predicates, gp_number, spanned hyperplanes,
-and the one-point extension step."""
+independence, general position predicates, gp_number and the one-point
+extension step."""
 
 from fractions import Fraction as F
 from itertools import combinations
@@ -13,16 +13,12 @@ from hypothesis import strategies as st
 from genpos import (
     BudgetExceeded,
     DimensionMismatch,
-    Hyperplane,
-    NotInGeneralPosition,
     Point,
     PointMultiset,
     affinely_independent,
     extend_gp,
     gp_number,
     in_general_position,
-    keeps_general_position,
-    spanned_hyperplanes,
 )
 from genpos import geometry
 from genpos.geometry import FlatIndex
@@ -126,7 +122,7 @@ class TestPredicates:
             d = rng.randint(1, 3)
             prefix = random_gp_points(rng, d, rng.randint(0, d + 3), spread=10)
             cand = random_point(rng, d, 10)
-            assert keeps_general_position(prefix, cand) == oracle_gp(prefix + [cand])
+            assert (extend_gp(prefix, [cand]) is not None) == oracle_gp(prefix + [cand])
 
 class TestGpNumber:
     def test_three_collinear_plus_one(self):
@@ -388,62 +384,6 @@ def test_gp_number_matches_oracle_on_planted_points(case):
     crowded = index.crowded((1 << len(distinct)) - 1)
     rest = [p for i, p in enumerate(distinct) if crowded >> i & 1]
     assert want == len(distinct) - len(rest) + oracle_gp_number(rest)
-
-
-class TestHyperplanes:
-    def test_triangle_spans(self):
-        tri = PointMultiset([Point([0, 0]), Point([1, 0]), Point([0, 1])])
-        hps = spanned_hyperplanes(tri)
-        assert hps == frozenset(
-            {
-                Hyperplane(normal=(0, 1), offset=0),
-                Hyperplane(normal=(1, 0), offset=0),
-                Hyperplane(normal=(1, 1), offset=1),
-            }
-        )
-
-    def test_count_is_binomial(self):
-        rng = rng_for("hp-count")
-        from math import comb
-
-        for d, k in [(1, 4), (2, 5), (3, 5)]:
-            pts = random_gp_points(rng, d, k)
-            assert len(spanned_hyperplanes(PointMultiset(pts))) == comb(k, d)
-
-    def test_each_hyperplane_contains_its_spanning_points(self):
-        rng = rng_for("hp-contains")
-        pts = random_gp_points(rng, 2, 6)
-        for h in spanned_hyperplanes(PointMultiset(pts)):
-            assert sum(1 for p in pts if h.contains(p)) == 2
-
-    def test_requires_general_position(self):
-        with pytest.raises(NotInGeneralPosition):
-            spanned_hyperplanes(
-                PointMultiset([Point([0, 0]), Point([1, 0]), Point([2, 0])])
-            )
-
-    def test_canonical_normal(self):
-        h = Hyperplane.through([Point([0, 2]), Point([4, 2])])
-        assert h.normal == (0, 1) and h.offset == 2
-        assert h.contains(Point([-7, 2]))
-        assert not h.contains(Point([0, 0]))
-
-    def test_offset_scaling_canonicalized(self):
-        a = Hyperplane.through([Point([0, F(1, 2)]), Point([1, F(1, 2)])])
-        assert a.normal == (0, 2) and a.offset == 1
-
-    def test_through_validates_input(self):
-        with pytest.raises(ValueError):
-            Hyperplane.through([])
-        with pytest.raises(ValueError):
-            Hyperplane.through([Point([0, 0])])  # needs d=2 points
-        with pytest.raises(NotInGeneralPosition):
-            Hyperplane.through([Point([0, 0]), Point([0, 0])])
-
-    def test_through_one_dimensional(self):
-        h = Hyperplane.through([Point([F(3, 4)])])
-        assert h.contains(Point([F(3, 4)]))
-        assert not h.contains(Point([1]))
 
 
 class TestExtendGp:
