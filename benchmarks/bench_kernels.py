@@ -32,7 +32,9 @@ a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
 pool under the greedy bound, once printing every union's gp_number
 (--all-checks) and once testing each union against its bound only. One
 row runs solve_greedy on a fresh family of 5 sets sharing a 63-point
-parabola pool. One row builds counterexample_family(2, 10),
+parabola pool, and one runs solve_matroid_intersection on a fresh family
+of 4 sets in d=3, 18 points in all: 17 on one plane, repeats among them,
+and one point off it. One row builds counterexample_family(2, 10),
 a fresh family each call, whose re-check tests each of its 1,023 unions
 against its size. The last rows run solve_exhaustive on
 counterexample_family(3, 5), which has no system, and on 64 points of a
@@ -81,6 +83,7 @@ from genpos.solver import (
     greedy_bound,
     solve_exhaustive,
     solve_greedy,
+    solve_matroid_intersection,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -222,6 +225,14 @@ def build_cases(rng):
     solve_sets = [pool + [Point((t, t * t))] for t in range(70, 75)]
     cases.append(("greedy solve d=2 m=5",
                   lambda: solve_greedy(PointFamily(d=2, sets=solve_sets))))
+    # shaped like auto-matroid-d3 (decide): m <= d+1 sets of a few points,
+    # mostly coplanar, with repeats; the last set's last point leaves the plane
+    plane = [Point((x, y, x - 2 * y + 1)) for x, y in
+             ((0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (3, 1), (2, 3), (4, 4))]
+    matroid_sets = [plane[0:4] + [plane[0]], plane[2:6], plane[4:8] + [plane[4]],
+                    plane[0:2] + plane[6:7] + [Point((1, 1, 5))]]
+    cases.append(("solve matroid d=3 m=4",
+                  lambda: solve_matroid_intersection(PointFamily(d=3, sets=matroid_sets))))
     cases.append(("counterexample d=2 m=10", lambda: counterexample_family(2, 10)))
     blocked = counterexample_family(3, 5)
     cases.append(("solve_exhaustive cex d=3 m=5", lambda: solve_exhaustive(blocked)))

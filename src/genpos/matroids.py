@@ -5,14 +5,19 @@ matroids, greedy rank, maximum common independent sets by shortest augmenting
 paths in the exchange graph, and the uniformity layer: a set is uniform when
 it is independent or all its rank-size subsets are, so the uniform sets form
 a complex, the (rank-1)-completion of the independence complex, and that is
-how it is built for every oracle.
+how it is built for every oracle but the affine one.
 
-The independence complex of an affine matroid of rank r skips the oracle:
-in a coordinate frame of the points' affine hull (AffineMatroid.frame), a
-set is independent iff it is in general position and has at most r points,
-so it grows as the general-position complex does, by popcounts on the flat
-index of the frame vectors in dimension r-1 (genpos.geometry.gp_grow).
-Every other oracle is asked set by set.
+An affine matroid of rank r skips the oracle. In a coordinate frame of the
+points' affine hull (AffineMatroid.frame), a set is independent iff it is
+in general position and has at most r points, and uniform iff it is in
+general position. So its independence and uniformity complexes grow as the
+general-position complex does, by popcounts on the flat index of the frame
+vectors in dimension r-1 (genpos.geometry.gp_grow); its largest uniform set
+is gp_number of the distinct frame vectors; and the exchange questions of
+matroid intersection (IndependenceOracle.exchanges) are answered from the
+Plücker vectors of the current set and of each set one smaller. The
+partition matroid answers them from its blocks. Every other oracle is
+asked set by set.
 
 All matroids here are assumed loopless (every singleton independent); the
 affine matroid of a point multiset always is.
@@ -20,13 +25,21 @@ affine matroid of a point multiset always is.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import gcd
 
 from genpos._kernels import int_rank
 from genpos.complexes import _completion, bits_of, levelwise_complex
 from genpos.errors import OracleError
-from genpos.geometry import PointMultiset, affinely_independent, gp_grow
+from genpos.geometry import (
+    FlatIndex,
+    PointMultiset,
+    _flat_key,
+    affinely_independent,
+    gp_grow,
+    gp_number,
+)
 from genpos.search import max_extension
 
 __all__ = [
@@ -43,12 +56,16 @@ __all__ = [
     "independence_complex",
 ]
 
+_DEPENDENT = "augmentation produced a dependent set; an oracle is not a matroid"
+
 
 class IndependenceOracle:
     """Matroid given by ground-set size and a memoized independence predicate.
 
-    Subclasses implement _independent(frozenset). rank_hint, when provided,
-    is trusted as the rank of the full ground set.
+    Subclasses implement _independent(frozenset), and may answer the
+    exchange questions of matroid_intersection from their own structure
+    (exchanges). rank_hint, when provided, is trusted as the rank of the
+    full ground set.
     """
 
     def __init__(self, ground_size, rank_hint=None):
@@ -73,6 +90,17 @@ class IndependenceOracle:
     def _independent(self, s):
         raise NotImplementedError
 
+    def exchanges(self, current):
+        """can(u, y): whether current - {u} + {y} is independent, for u in
+        current, or None for current + {y}, and y outside current. The
+        exchange questions of matroid_intersection; OracleError is raised
+        when current itself is dependent. This default asks is_independent
+        set by set."""
+        current = frozenset(current)
+        if not self.is_independent(current):
+            raise OracleError(_DEPENDENT)
+        return lambda u, y: self.is_independent((current - {u}) | {y})
+
     @property
     def full_rank(self):
         if self._full_rank is None:
@@ -87,10 +115,11 @@ class AffineMatroid(IndependenceOracle):
     """Element i is the i-th point; independence is affine independence.
     Coordinate-equal points are parallel elements, never loops.
 
-    The rank r is the affine rank of the points (one int_rank), and the
-    independence complex grows on the flat index of the points' vectors in
-    the (r-1)-dimensional frame of their affine hull, without oracle
-    queries."""
+    The rank r is the affine rank of the points (one int_rank). The
+    independence and uniformity complexes, max_uniform_size and the exchange
+    questions are answered from the points' vectors in the
+    (r-1)-dimensional frame of their affine hull, without oracle queries;
+    only rank and is_uniform ask set by set."""
 
     def __init__(self, points, d=None):
         pts = points if isinstance(points, PointMultiset) else PointMultiset(points, d=d)
@@ -104,6 +133,27 @@ class AffineMatroid(IndependenceOracle):
     @property
     def full_rank(self):
         return self.frame()[0]
+
+    def exchanges(self, current):
+        """can(u, y) from Plücker vectors in the frame, whose vectors have
+        length r: a set is independent iff the Plücker vector of its frame
+        vectors (genpos.geometry._flat_key, folded vector by vector) is
+        nonzero. The vectors of C = current and of each C - u are folded
+        once, so each question is one more fold. This is the
+        fundamental-circuit test of Cunningham, "Improved bounds for matroid
+        partition and intersection algorithms" (1986): y enters C - u iff
+        it is outside span(C), or u is on y's circuit in C."""
+        r, vecs = self.frame()
+        c = sorted(current)
+        full = _plucker(vecs, c, r)
+        if full is None:
+            raise OracleError(_DEPENDENT)
+        # u -> the fold that adds one vector to C - u's Plücker vector
+        step = {u: partial(_flat_key(r, len(c) - 1),
+                           _plucker(vecs, [e for e in c if e != u], r)) for u in c}
+        if len(c) < r:  # a basis has no room
+            step[None] = partial(_flat_key(r, len(c)), full)
+        return lambda u, y: u in step and step[u](vecs[y]) is not None
 
     def frame(self):
         """(r, vectors): the affine rank r of the points and each point's
@@ -137,6 +187,19 @@ def _primitive(v):
     return tuple(x // g for x in v)
 
 
+def _plucker(vecs, elems, r):
+    """The reduced Plücker vector of the length-r vectors of elems, or None
+    when they are dependent."""
+    if len(elems) > r:
+        return None
+    v = (1,)
+    for k, e in enumerate(elems):
+        v = _flat_key(r, k)(v, vecs[e])
+        if v is None:
+            return None
+    return v
+
+
 class PartitionMatroid(IndependenceOracle):
     """At most one element per block; blocks must partition the ground set."""
 
@@ -161,6 +224,16 @@ class PartitionMatroid(IndependenceOracle):
                 return False
             seen.add(b)
         return True
+
+    def exchanges(self, current):
+        """can(u, y) from the blocks: y's block holds no element of current,
+        or only u."""
+        block_of = self._block_of
+        held = {}
+        for e in current:
+            if held.setdefault(block_of[e], e) != e:
+                raise OracleError(_DEPENDENT)
+        return lambda u, y: held.get(block_of[y], u) == u
 
 
 class UniformMatroid(IndependenceOracle):
@@ -200,9 +273,11 @@ def rank(oracle, subset):
 
 
 def _augmenting_path(m1, m2, current, n):
+    can1 = m1.exchanges(current)
+    can2 = m2.exchanges(current)
     outside = [e for e in range(n) if e not in current]
-    sources = [y for y in outside if m1.is_independent(current | {y})]
-    sinks = {y for y in outside if m2.is_independent(current | {y})}
+    sources = [y for y in outside if can1(None, y)]
+    sinks = {y for y in outside if can2(None, y)}
     for y in sources:
         if y in sinks:
             return [y]
@@ -215,9 +290,8 @@ def _augmenting_path(m1, m2, current, n):
         u = queue[qi]
         qi += 1
         if u in current:
-            base = current - {u}
             for y in outside:
-                if y not in parent and m1.is_independent(base | {y}):
+                if y not in parent and can1(u, y):
                     parent[y] = u
                     if y in sinks:
                         path = [y]
@@ -228,7 +302,7 @@ def _augmenting_path(m1, m2, current, n):
                     queue.append(y)
         else:
             for x in sorted(current):
-                if x not in parent and m2.is_independent((current - {x}) | {u}):
+                if x not in parent and can2(x, u):
                     parent[x] = u
                     queue.append(x)
     return None
@@ -238,9 +312,12 @@ def matroid_intersection(m1, m2):
     """Maximum common independent set, deterministic.
 
     Shortest augmenting paths in the exchange graph, breadth-first with
-    ascending-element tie-breaking. Augmenting along a shortest path always
-    yields a common independent set one larger; if that fails the oracles do
-    not describe matroids and OracleError is raised.
+    ascending-element tie-breaking, each edge one exchange question
+    (IndependenceOracle.exchanges). Augmenting along a shortest path always
+    yields a common independent set one larger; each set is checked, by m1
+    then m2, as the next exchange questions are set up, and if one is
+    dependent the oracles do not describe matroids and OracleError is
+    raised.
     """
     if m1.ground_size != m2.ground_size:
         raise ValueError("matroids must share a ground set")
@@ -251,10 +328,6 @@ def matroid_intersection(m1, m2):
         if path is None:
             return frozenset(current)
         current ^= set(path)
-        if not (m1.is_independent(current) and m2.is_independent(current)):
-            raise OracleError(
-                "augmentation produced a dependent set; an oracle is not a matroid"
-            )
 
 
 def is_uniform(oracle, subset):
@@ -280,11 +353,27 @@ def _extends_uniform(oracle, current, e, r):
     )
 
 
-def max_uniform_size(oracle):
-    """Largest size of a uniform set, by the shared branch-and-bound over
-    elements in ascending order (genpos.search.max_extension, within its
-    default node budget)."""
+def _loopless_rank(oracle):
     r = oracle.full_rank
+    if r == 0 and oracle.ground_size:
+        raise ValueError("a matroid of rank 0 on a nonempty ground set has loops")
+    return r
+
+
+def max_uniform_size(oracle):
+    """Largest size of a uniform set. For an AffineMatroid of rank r >= 2
+    this is gp_number of its distinct frame vectors in dimension r-1,
+    within gp_number's node budget, and at r <= 1 every set is uniform.
+    Other oracles go through the shared branch-and-bound over elements in
+    ascending order (genpos.search.max_extension, within its default node
+    budget). A matroid of rank 0 on a nonempty ground set has loops, which
+    this module excludes, and raises ValueError."""
+    r = _loopless_rank(oracle)
+    if isinstance(oracle, AffineMatroid):
+        if r <= 1:
+            return oracle.ground_size
+        distinct = list(dict.fromkeys(oracle.frame()[1]))
+        return gp_number((1 << len(distinct)) - 1, index=FlatIndex(distinct, r - 1))
     return max_extension(
         [1 << e for e in range(oracle.ground_size)],
         lambda cur, e: _extends_uniform(oracle, cur, e.bit_length() - 1, r),
@@ -297,18 +386,21 @@ def uniformity_complex(oracle, max_card=None, max_faces=None):
     with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
     BudgetExceeded is raised).
 
-    For every oracle this is the (r-1)-completion of the independence
-    complex under the same cap: a set of at most r elements is uniform iff
-    it is independent, and a larger one iff all its r-subsets are. A
-    matroid of rank 0 on a nonempty ground set has loops, which this module
-    excludes, and raises ValueError.
+    For an AffineMatroid of rank r >= 2 this is the general-position complex
+    of its frame vectors in dimension r-1 (genpos.geometry.gp_grow), and at
+    r <= 1 the full simplex. For every other oracle it is the
+    (r-1)-completion of the independence complex under the same cap: a set
+    of at most r elements is uniform iff it is independent, and a larger
+    one iff all its r-subsets are. A matroid of rank 0 on a nonempty ground
+    set has loops, which this module excludes, and raises ValueError.
     """
     n = oracle.ground_size
-    r = oracle.full_rank
-    if r == 0 and n:
-        raise ValueError("a matroid of rank 0 on a nonempty ground set has loops")
+    r = _loopless_rank(oracle)
     cap = min(n, r + 3) if max_card is None else max_card
     what = "uniformity complex"
+    if isinstance(oracle, AffineMatroid):
+        grow = gp_grow(oracle.frame()[1], r - 1) if r > 1 else lambda face: lambda w: True
+        return levelwise_complex(n, grow, cap, max_faces, what)
     independent = _independence_complex(oracle, min(cap, r), max_faces, what)
     return _completion(independent, r - 1, cap, max_faces, what)
 

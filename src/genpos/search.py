@@ -6,10 +6,12 @@ max_extension, the branch-and-bound maximiser, grows the largest subset of a
 list of one-bit masks that a hereditary predicate, handed the OR of those
 chosen, accepts in input order: gp_number for the points its flat index
 leaves unsettled, under a popcount test on the flats through each, and
-max_uniform_size for matroid elements under oracle queries. colorful_face
-picks one item per block, together accepted by a predicate of the chosen
-list: solve_exhaustive (and so the fallback of `genpos solve`'s auto method)
-for a representative system, and find_colorful_face for a colorful face.
+max_uniform_size for the elements of a matroid asked by oracle queries
+(every matroid but the affine one, which goes through gp_number).
+colorful_face picks one item per block, together accepted by a predicate of
+the chosen list: solve_exhaustive (and so the fallback of `genpos solve`'s
+auto method) for a representative system, and find_colorful_face for a
+colorful face.
 """
 
 from __future__ import annotations

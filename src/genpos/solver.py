@@ -511,7 +511,10 @@ def solve_matroid_intersection(family):
     """Complete decision for m <= d+1 via the intersection of the affine
     matroid on the disjoint union with the partition matroid of the family:
     a common independent set of size m is exactly a representative system
-    (m <= d+1 points are in general position iff affinely independent)."""
+    (m <= d+1 points are in general position iff affinely independent).
+    Neither matroid is asked set by set: the affine side answers each
+    exchange question from Plücker vectors of the current set, and the
+    partition side from its blocks (matroids.IndependenceOracle.exchanges)."""
     m, d = family.m, family.d
     if m > d + 1:
         raise ValueError("matroid route needs m <= d+1 (got m=%d, d=%d)" % (m, d))

@@ -6,6 +6,7 @@ from genpos import (
     AffineMatroid,
     BudgetExceeded,
     ExplicitMatroid,
+    IndependenceOracle,
     OracleError,
     PartitionMatroid,
     Point,
@@ -24,6 +25,7 @@ from conftest import (
     oracle_max_uniform_size,
     random_degenerate_points,
     random_gp_points,
+    random_planted_points,
     rng_for,
 )
 
@@ -216,6 +218,92 @@ class TestIntersection:
             matroid_intersection(ExplicitMatroid(4, f1), ExplicitMatroid(4, f2))
 
 
+class AskedSetBySet(IndependenceOracle):
+    """Another oracle's _independent behind the default exchange questions,
+    which ask is_independent set by set."""
+
+    def __init__(self, inner):
+        super().__init__(inner.ground_size)
+        self.inner = inner
+
+    def _independent(self, s):
+        return self.inner._independent(s)
+
+
+def flattened(rng, d, pts):
+    """pts as they are, or moved onto a hyperplane (d >= 2) or a line (d =
+    3): collinear and coplanar points with a frame of lower rank."""
+    kind = rng.randrange(3) if d >= 2 else 0
+    if kind == 1:
+        return [Point([*p.coords[:-1], sum(p.coords[:-1]) + 1]) for p in pts]
+    if kind == 2 and d == 3:
+        return [Point([x, 2 * x - 1, 3 - x]) for x in (p.coords[0] for p in pts)]
+    return pts
+
+
+class TestExchanges:
+    def test_intersection_matches_asking_set_by_set(self):
+        # repeated, collinear and coplanar points in d = 1..3, against
+        # random partitions, in both argument orders
+        rng = rng_for("mi-exchanges")
+        for trial in range(90):
+            d = 1 + trial % 3
+            pts = flattened(rng, d, random_planted_points(rng, d, rng.randrange(1, 10)))
+            blocks = random_partition_matroid(rng, len(pts)).blocks
+            affine, partition = AffineMatroid(pts), PartitionMatroid(blocks)
+            slow = [AskedSetBySet(affine), AskedSetBySet(partition)]
+            assert matroid_intersection(affine, partition) == matroid_intersection(*slow)
+            assert matroid_intersection(partition, affine) == matroid_intersection(*slow[::-1])
+
+    def test_every_question_matches_is_independent(self):
+        rng = rng_for("exchanges-all")
+        for trial in range(40):
+            d = 1 + trial % 3
+            n = rng.randrange(1, 7)
+            pts = flattened(rng, d, random_planted_points(rng, d, n))
+            for m in (AffineMatroid(pts), random_partition_matroid(rng, len(pts))):
+                n = m.ground_size
+                for mask in range(1 << n):
+                    current = frozenset(bits_of(mask))
+                    if not m.is_independent(current):
+                        continue
+                    can = m.exchanges(current)
+                    for y in set(range(n)) - current:
+                        for u in [None, *current]:
+                            swapped = (current - {u}) | {y}
+                            assert can(u, y) == m.is_independent(swapped)
+
+    @pytest.mark.parametrize("oracle, dependent", [
+        (collinear_plus_one(), {0, 1, 2}),
+        (AffineMatroid([Point([1, 1]), Point([1, 1])]), {0, 1}),
+        (AffineMatroid([Point([t]) for t in range(4)]), {0, 1, 2}),
+        (PartitionMatroid([(0, 1), (2,)]), {0, 1}),
+        (UniformMatroid(4, 2), {0, 1, 2}),
+        (ExplicitMatroid(3, [(), (0,), (1,)]), {0, 1}),
+    ])
+    def test_a_dependent_set_is_refused(self, oracle, dependent):
+        with pytest.raises(OracleError, match="an oracle is not a matroid"):
+            oracle.exchanges(dependent)
+
+    def test_affine_questions_skip_the_oracle(self, monkeypatch):
+        asked = []
+        independent = AffineMatroid._independent
+        monkeypatch.setattr(AffineMatroid, "_independent",
+                            lambda self, s: asked.append(s) or independent(self, s))
+        rng = rng_for("affine-spy")
+        for d in (1, 2, 3):
+            pts = flattened(rng, d, random_planted_points(rng, d, 8))
+            m = AffineMatroid(pts)
+            partition = random_partition_matroid(rng, len(pts))
+            matroid_intersection(m, partition)
+            matroid_intersection(partition, m)
+            uniformity_complex(m)
+            max_uniform_size(m)
+        assert asked == []
+        is_uniform(m, range(len(pts)))  # the spy does see the oracle asked
+        assert asked
+
+
 class TestUniformity:
     def test_uniform_matroid_everything_uniform(self):
         m = UniformMatroid(6, 3)
@@ -235,6 +323,24 @@ class TestUniformity:
         m = AffineMatroid(pts)
         assert is_uniform(m, range(4))
         assert max_uniform_size(m) == 4
+
+    def test_rank_zero_has_loops(self):
+        with pytest.raises(ValueError, match="rank 0 on a nonempty ground set has loops"):
+            max_uniform_size(UniformMatroid(3, 0))
+        assert max_uniform_size(UniformMatroid(0, 0)) == 0
+
+    def test_equal_points_are_uniform(self):
+        # rank 1: every set is uniform, up to the cap
+        m = AffineMatroid([Point([2, 5])] * 4)
+        assert max_uniform_size(m) == 4
+        assert len(uniformity_complex(m).faces) == 16
+        assert len(uniformity_complex(m, max_card=2).faces) == 11
+
+    def test_moment_curve_within_the_node_budget(self):
+        # any 4 points of the moment curve in d = 3 are independent, and
+        # gp_number's flat index answers 40 of them at once
+        m = AffineMatroid([Point([t, t * t, t ** 3]) for t in range(40)])
+        assert max_uniform_size(m) == 40
 
     def test_single_block_partition(self):
         # rank 1: all rank-size subsets are singletons, always independent
