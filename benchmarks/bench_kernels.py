@@ -15,8 +15,12 @@ parse cli.main uses; in a tree without it, through build_parser().parse_args.
 
 The complex rows build the independence and uniformity complexes of an
 affine matroid, from a fresh AffineMatroid each time: 9 points in general
-position in d=3, and 9 coplanar points in d=3, whose complexes run in the
-2-dimensional frame of their plane. Two rows build general-position
+position in d=3, and 9 coplanar points in d=3, whose complexes grow on
+their own vectors in R^3 under a flat index capped at the matroid's rank 3.
+The next row runs `complex uniformity --rank 3 --max-card 4` on 24 points
+of the moment curve in d=3 (12,951 faces) through cli.main, stdout
+captured, so that against an older tree it times that tree's path for the
+truncated matroid. Two rows build general-position
 complexes: of 16 points in the plane (13 on a parabola, two repeats and a
 midpoint) capped at 3 points a face, and of the 9 points in d=3 with no
 cap. The completion rows take the clique
@@ -61,7 +65,10 @@ Run:  python benchmarks/bench_kernels.py [--repeat N] [--against PATH]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
+import json
 import os
 import random
 import sys
@@ -174,6 +181,9 @@ def build_cases(rng):
                             ("uniformity", uniformity_complex)):
             cases.append(("%s %s d=3" % (name, tag),
                           lambda ps=pts, b=build: b(AffineMatroid(ps))))
+    moment = json.dumps({"d": 3, "points": [[t, t * t, t ** 3] for t in range(24)]})
+    truncated = ["complex", "uniformity", "-", "--rank", "3", "--max-card", "4"]
+    cases.append(("cli uniformity --rank 3 n=24", lambda: _cli_main(truncated, moment)))
     # shaped like the bound-path-d2-k1 verdicts of verdictbench's topology
     # workload: 13 = 2 C(4, 2) + 1 points on the parabola, two of them
     # repeated, and the midpoint of two others, capped at 3 points a face
@@ -245,6 +255,17 @@ def build_cases(rng):
     grid = [Point((x, y)) for x in range(6) for y in range(6)]
     cases.append(("gp_number 6x6 grid", lambda: gp_number(grid)))
     return cases
+
+
+def _cli_main(argv, stdin):
+    """cli.main(argv) reading stdin from a string, its stdout discarded."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+    finally:
+        sys.stdin = saved
 
 
 def _family_doc(rng, d, m, size):

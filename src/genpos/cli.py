@@ -32,7 +32,6 @@ import sys
 from genpos import homology, jsonio, matroids, solver
 from genpos import __version__
 from genpos.complexes import (
-    bits_of,
     completion,
     induced,
     is_q_star,
@@ -165,7 +164,8 @@ def build_parser():
     p.add_argument("--vertices", type=_int_list, help="induced: vertex list like 0,2,5")
     p.add_argument("--with", dest="second", metavar="FILE", help="join: the other complex")
     p.add_argument("--max-card", type=int, help="cap face size during construction")
-    p.add_argument("--rank", type=int, help="uniformity: matroid rank override")
+    p.add_argument("--rank", type=int, metavar="R",
+                   help="uniformity: truncate the matroid to rank R")
     p.add_argument("--human", action="store_true")
 
     p = sub.add_parser(
@@ -363,18 +363,9 @@ def _cmd_complex(args, face_budget, node_budget):
                 pts, max_card=args.max_card, max_faces=face_budget
             )
         else:
-            oracle = matroids.AffineMatroid(pts)
-            if args.rank is not None:
-                # the matroid truncated to rank --rank: its independent sets
-                # are those of size at most --rank
-                small = matroids.independence_complex(
-                    oracle, max_card=args.rank, max_faces=face_budget
-                )
-                oracle = matroids.ExplicitMatroid(
-                    len(pts), [bits_of(f) for f in small.faces]
-                )
             K = matroids.uniformity_complex(
-                oracle, max_card=args.max_card, max_faces=face_budget
+                matroids.AffineMatroid(pts, rank=args.rank),
+                max_card=args.max_card, max_faces=face_budget,
             )
     elif op == "nerve":
         members = jsonio.subcomplexes_from_doc(_read_doc(args.input), max_faces=face_budget)

@@ -9,9 +9,9 @@ from the new point, with the directions to the prefix hashed as lines (see
 genpos._kernels.pure). gp_number does not call gp_extends: it works on a
 FlatIndex, the flats through too many of the points as bitmasks, where
 general position is popcount arithmetic. The general-position complex and
-the affine matroid's independence complex grow on the same index (gp_grow),
-capped at the flat dimension each level of faces needs. No floating point is
-used anywhere.
+the affine matroid's independence and uniformity complexes grow on the same
+index (gp_grow), capped at the flat dimension each level of faces needs and
+at the matroid's rank. No floating point is used anywhere.
 
 A point list is *in general position* when every subset of size at most d+1
 is affinely independent; coordinate-equal entries therefore always break
@@ -224,10 +224,15 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
     - lower and cap are bounds on the answer that the caller already holds
       (PointFamily takes them from sub-unions). When lower reaches cap or
       the number of points, it is the answer.
-    - Unless the index is built already, the affine rank r of U comes
-      next (one elimination, int_rank). When r <= d, U lies in an
-      (r-1)-flat and the answer is r: any r+1 of its points are dependent,
-      and r independent points are in general position.
+    - An index capped at top = r-2 below d-1 asks instead for the largest
+      subset in general position at rank r (no j-flat, j <= r-2, through
+      j+2 of its points): the largest uniform set of the points' affine
+      matroid truncated to rank r (genpos.matroids.max_uniform_size). With
+      every dimension indexed, r is d+1.
+    - Unless the index is built already, the affine rank s of U comes
+      next (one elimination, int_rank). When s < r, U lies in an
+      (s-1)-flat and the answer is s: any s+1 of its points are dependent,
+      and s independent points are in general position.
     - Otherwise the FlatIndex over U, or the given index over a superset
       of U, is built if it is not yet; each tuple it hashes is one node of
       node_budget (None: DEFAULT_NODE_BUDGET). A point of U is *free* when
@@ -260,11 +265,11 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
     cap = n if cap is None else min(cap, n)
     if lower >= cap:
         return lower
-    d = index.d
+    full = index.top + 2  # the rank sought: d+1 unless the index is capped lower
     if index.flats is None:
         homs = index.homs
         rank = int_rank([homs[i] for i in bits_of(union)])
-        if rank <= d:
+        if rank < full:
             return rank
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     spent = index.build(budget)
@@ -284,7 +289,7 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
     return free + max_extension(
         items,
         extends,
-        d + 1,
+        full,
         lower=max(lower - free, 0),
         cap=cap - free,
         node_budget=budget,
@@ -305,10 +310,12 @@ class FlatIndex:
     the points. So with ``through[i]``, the (mask, j) of the flats through
     point i, general position is popcount arithmetic.
 
-    top caps the dimension (None: d-1, every dimension, which gp_number
-    uses). gp_grow, which grows the general-position and affine
-    independence complexes, needs the j-flats only once its faces have j+1
-    vertices, and builds a new index one dimension deeper at each level.
+    top caps the dimension (None: d-1, every dimension, which general
+    position asks for). An affine matroid of rank r asks for j <= r-2
+    (genpos.matroids.max_uniform_size). gp_grow, which grows the
+    general-position complex and the affine matroid's complexes, needs the
+    j-flats only once its faces have j+1 vertices, and builds a new index
+    one dimension deeper at each level.
 
     The index is built lazily (build), once, at a cost of one node per
     (j+1)-tuple of points, the sum over j <= top of C(n, j+1). Each tuple
@@ -428,36 +435,41 @@ class FlatIndex:
             mask &= ~max(live, key=int.bit_count)
 
 
-def gp_grow(vecs, d):
+def gp_grow(vecs, rank):
     """grow for genpos.complexes.levelwise_complex: the faces are the index
-    sets of vecs in general position, where vecs are primitive homogeneous
-    vectors in dimension d, last entry positive, repeats allowed.
+    sets of vecs in general position at rank ``rank``, where vecs are
+    primitive homogeneous vectors in dimension d, last entry positive,
+    repeats allowed: no j-flat with j <= rank-2 holds j+2 of their points.
+    At rank d+1 that is general position in R^d; at the rank r of the
+    points' affine matroid, or below it, these are the uniform sets of that
+    matroid truncated to rank r, and capped at r points a face the
+    independent ones. At rank 1 or less every set is a face.
 
     Each distinct vector has one bit, and grow(face) ORs together the bits
     of the vectors its mask picks. Then w extends the face unless its bit is
-    set already (a repeated point) or an indexed j-flat through w holds j+1
-    of those bits (FlatIndex). A j-flat can hold j+1 of a face's k points
-    only when j+1 <= k, so the index over the distinct vectors goes to
-    top = min(k, d) - 1: it is built when the first face of a level asks,
-    and rebuilt one dimension deeper at the next level. Building the j-flats
-    costs about as many keys as the predicate calls already made on faces
-    of j vertices, so the face budget that bounds the enumeration bounds the
-    index too, and no node budget is charged."""
+    set already (a repeated point, a 0-flat) or an indexed j-flat through w
+    holds j+1 of those bits (FlatIndex). A j-flat can hold j+1 of a face's
+    k points only when j+1 <= k, so the index over the distinct vectors goes
+    to top = min(k, rank-1) - 1: it is built when the first face of a level
+    asks, and rebuilt one dimension deeper at the next level. Building the
+    j-flats costs about as many keys as the predicate calls already made on
+    faces of j vertices, so the face budget that bounds the enumeration
+    bounds the index too, and no node budget is charged."""
     distinct = list(dict.fromkeys(vecs))
     slot = {v: i for i, v in enumerate(distinct)}
     slots = [slot[v] for v in vecs]
-    index = FlatIndex(distinct, d, 0)  # nothing to build below lines
+    index = None  # nothing to build below lines
 
     def grow(face):
         nonlocal index
         chosen = 0
         for i in bits_of(face):
             chosen |= 1 << slots[i]
-        top = min(face.bit_count(), d) - 1
+        top = min(face.bit_count(), rank - 1) - 1
         if top < 1:
-            return lambda w: not chosen >> slots[w] & 1
-        if top > index.top:
-            index = FlatIndex(distinct, d, top)
+            return (lambda w: True) if top < 0 else (lambda w: not chosen >> slots[w] & 1)
+        if index is None or top > index.top:
+            index = FlatIndex(distinct, len(distinct[0]) - 1, top)
             index.build(inf)
         through = index.through
 

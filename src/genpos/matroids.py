@@ -7,17 +7,19 @@ it is independent or all its rank-size subsets are, so the uniform sets form
 a complex, the (rank-1)-completion of the independence complex, and that is
 how it is built for every oracle but the affine one.
 
-An affine matroid of rank r skips the oracle. In a coordinate frame of the
-points' affine hull (AffineMatroid.frame), a set is independent iff it is
-in general position and has at most r points, and uniform iff it is in
-general position. So its independence and uniformity complexes grow as the
-general-position complex does, by popcounts on the flat index of the frame
-vectors in dimension r-1 (genpos.geometry.gp_grow); its largest uniform set
-is gp_number of the distinct frame vectors; and the exchange questions of
-matroid intersection (IndependenceOracle.exchanges) are answered from the
-Plücker vectors of the current set and of each set one smaller. The
-partition matroid answers them from its blocks. Every other oracle is
-asked set by set.
+An affine matroid of rank r skips the oracle, and r is all it needs beside
+its points: its affine rank, or a smaller rank it is truncated to. A set of
+points is uniform iff no j-flat with j <= r-2 holds j+2 of them (general
+position at rank r), and independent iff it is uniform and has at most r
+points. So its independence and uniformity complexes grow as the
+general-position complex does, by popcounts on a flat index of the
+points' homogeneous vectors capped at dimension r-2 (genpos.geometry.gp_grow);
+its largest uniform set is gp_number over such an index; and the exchange
+questions of matroid intersection (IndependenceOracle.exchanges) are
+answered from the Plücker vectors of the current set and of each set one
+smaller. The partition matroid answers them from its blocks. Every other
+oracle is asked set by set, each query charged to the node budget of the
+search for its largest uniform set.
 
 All matroids here are assumed loopless (every singleton independent); the
 affine matroid of a point multiset always is.
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from math import gcd
+from math import comb, inf
 
 from genpos._kernels import int_rank
 from genpos.complexes import _completion, bits_of, levelwise_complex
-from genpos.errors import OracleError
+from genpos.errors import BudgetExceeded, OracleError
 from genpos.geometry import (
     FlatIndex,
     PointMultiset,
@@ -40,7 +42,7 @@ from genpos.geometry import (
     gp_grow,
     gp_number,
 )
-from genpos.search import max_extension
+from genpos.search import DEFAULT_NODE_BUDGET, max_extension
 
 __all__ = [
     "IndependenceOracle",
@@ -112,89 +114,65 @@ class IndependenceOracle:
 
 
 class AffineMatroid(IndependenceOracle):
-    """Element i is the i-th point; independence is affine independence.
+    """Element i is the i-th point; independence is affine independence,
+    truncated to sets of at most ``rank`` points when rank is given.
     Coordinate-equal points are parallel elements, never loops.
 
-    The rank r is the affine rank of the points (one int_rank). The
-    independence and uniformity complexes, max_uniform_size and the exchange
-    questions are answered from the points' vectors in the
-    (r-1)-dimensional frame of their affine hull, without oracle queries;
-    only rank and is_uniform ask set by set."""
+    The rank r is the affine rank of the points (one int_rank), or rank if
+    that is smaller. A set is independent iff it has at most r points and
+    they are in general position, and uniform iff they are in general
+    position at rank r: no j-flat with j <= r-2 holds j+2 of them. So the
+    independence and uniformity complexes, max_uniform_size and the
+    exchange questions are answered from the points' own homogeneous
+    vectors (homs), without oracle queries; only rank and is_uniform ask
+    set by set."""
 
-    def __init__(self, points, d=None):
+    def __init__(self, points, d=None, rank=None):
+        if rank is not None and rank < 0:
+            raise ValueError("rank must be nonnegative")
         pts = points if isinstance(points, PointMultiset) else PointMultiset(points, d=d)
         super().__init__(len(pts))
         self.points = pts
-        self._frame = None
+        self.homs = [p.hom for p in pts]
+        self._cap = inf if rank is None else rank
 
     def _independent(self, s):
-        return affinely_independent([self.points[i] for i in sorted(s)])
+        return len(s) <= self._cap and affinely_independent([self.points[i] for i in sorted(s)])
 
     @property
     def full_rank(self):
-        return self.frame()[0]
+        if self._full_rank is None:
+            self._full_rank = min(int_rank(self.homs), self._cap)
+        return self._full_rank
 
     def exchanges(self, current):
-        """can(u, y) from Plücker vectors in the frame, whose vectors have
-        length r: a set is independent iff the Plücker vector of its frame
-        vectors (genpos.geometry._flat_key, folded vector by vector) is
-        nonzero. The vectors of C = current and of each C - u are folded
-        once, so each question is one more fold. This is the
+        """can(u, y) from Plücker vectors of the points' homogeneous vectors,
+        of length d+1: a set of at most r points is independent iff the
+        Plücker vector of its vectors (genpos.geometry._flat_key, folded
+        vector by vector) is nonzero. The vectors of C = current and of each
+        C - u are folded once, so each question is one more fold. This is the
         fundamental-circuit test of Cunningham, "Improved bounds for matroid
         partition and intersection algorithms" (1986): y enters C - u iff
         it is outside span(C), or u is on y's circuit in C."""
-        r, vecs = self.frame()
+        r, vecs, n = self.full_rank, self.homs, self.points.d + 1
         c = sorted(current)
-        full = _plucker(vecs, c, r)
+        full = _plucker(vecs, c, n) if len(c) <= r else None
         if full is None:
             raise OracleError(_DEPENDENT)
         # u -> the fold that adds one vector to C - u's Plücker vector
-        step = {u: partial(_flat_key(r, len(c) - 1),
-                           _plucker(vecs, [e for e in c if e != u], r)) for u in c}
+        step = {u: partial(_flat_key(n, len(c) - 1),
+                           _plucker(vecs, [e for e in c if e != u], n)) for u in c}
         if len(c) < r:  # a basis has no room
-            step[None] = partial(_flat_key(r, len(c)), full)
+            step[None] = partial(_flat_key(n, len(c)), full)
         return lambda u, y: u in step and step[u](vecs[y]) is not None
 
-    def frame(self):
-        """(r, vectors): the affine rank r of the points and each point's
-        primitive homogeneous vector in a coordinate frame of their affine
-        hull, r-1 coordinates chosen greedily plus the homogeneous one.
 
-        The chosen columns have rank r, as the rows do, so projecting onto
-        them is injective on the row space: every linear dependency among
-        the points' homogeneous vectors, hence every affine dependency, is
-        kept exactly."""
-        if self._frame is None:
-            homs = [p.hom for p in self.points]
-            d = self.points.d
-            r = int_rank(homs)
-            vecs = homs
-            if r < d + 1:
-                cols = []
-                for c in range(d):
-                    if len(cols) == r - 1:
-                        break
-                    if int_rank([[h[j] for j in (*cols, c, d)] for h in homs]) == len(cols) + 2:
-                        cols.append(c)
-                cols.append(d)
-                vecs = [_primitive([h[j] for j in cols]) for h in homs]
-            self._frame = (r, vecs)
-        return self._frame
-
-
-def _primitive(v):
-    g = gcd(*v)
-    return tuple(x // g for x in v)
-
-
-def _plucker(vecs, elems, r):
-    """The reduced Plücker vector of the length-r vectors of elems, or None
-    when they are dependent."""
-    if len(elems) > r:
-        return None
+def _plucker(vecs, elems, n):
+    """The reduced Plücker vector of the length-n vectors of elems, at most
+    n of them, or None when they are dependent."""
     v = (1,)
     for k, e in enumerate(elems):
-        v = _flat_key(r, k)(v, vecs[e])
+        v = _flat_key(n, k)(v, vecs[e])
         if v is None:
             return None
     return v
@@ -342,17 +320,6 @@ def is_uniform(oracle, subset):
     return all(oracle.is_independent(frozenset(c)) for c in combinations(sorted(s), r))
 
 
-def _extends_uniform(oracle, current, e, r):
-    # current (a mask) is uniform; test current + {e}. New rank-size
-    # subsets are exactly those through e.
-    if current.bit_count() < r:
-        return oracle.is_independent(frozenset(bits_of(current)) | {e})
-    return all(
-        oracle.is_independent(frozenset(t) | {e})
-        for t in combinations(bits_of(current), r - 1)
-    )
-
-
 def _loopless_rank(oracle):
     r = oracle.full_rank
     if r == 0 and oracle.ground_size:
@@ -362,23 +329,41 @@ def _loopless_rank(oracle):
 
 def max_uniform_size(oracle):
     """Largest size of a uniform set. For an AffineMatroid of rank r >= 2
-    this is gp_number of its distinct frame vectors in dimension r-1,
-    within gp_number's node budget, and at r <= 1 every set is uniform.
-    Other oracles go through the shared branch-and-bound over elements in
-    ascending order (genpos.search.max_extension, within its default node
-    budget). A matroid of rank 0 on a nonempty ground set has loops, which
-    this module excludes, and raises ValueError."""
+    this is gp_number of its distinct points over a flat index capped at
+    dimension r-2, within gp_number's node budget, and at r <= 1 every set
+    is uniform. Other oracles go through the shared branch-and-bound over
+    elements in ascending order (genpos.search.max_extension), where a set
+    of k >= r elements extends by e when each (r-1)-subset joined by e is
+    independent, and below r when the whole set joined by e is: each of
+    those queries is one node of DEFAULT_NODE_BUDGET, charged before it is
+    asked, and BudgetExceeded is raised past it. A matroid of rank 0 on a
+    nonempty ground set has loops, which this module excludes, and raises
+    ValueError."""
     r = _loopless_rank(oracle)
     if isinstance(oracle, AffineMatroid):
         if r <= 1:
             return oracle.ground_size
-        distinct = list(dict.fromkeys(oracle.frame()[1]))
-        return gp_number((1 << len(distinct)) - 1, index=FlatIndex(distinct, r - 1))
-    return max_extension(
-        [1 << e for e in range(oracle.ground_size)],
-        lambda cur, e: _extends_uniform(oracle, cur, e.bit_length() - 1, r),
-        r,
-    )
+        distinct = list(dict.fromkeys(oracle.homs))
+        index = FlatIndex(distinct, oracle.points.d, r - 2)
+        return gp_number((1 << len(distinct)) - 1, index=index)
+    budget = DEFAULT_NODE_BUDGET
+    asked = 0
+
+    def extends(chosen, item):
+        nonlocal asked
+        k = chosen.bit_count()
+        asked += 1 if k < r else comb(k, r - 1)
+        if asked > budget:
+            raise BudgetExceeded("search exceeds %d nodes" % budget)
+        e = item.bit_length() - 1
+        if k < r:
+            return oracle.is_independent(frozenset(bits_of(chosen)) | {e})
+        # chosen is uniform: the new rank-size subsets are those through e
+        return all(oracle.is_independent(frozenset(t) | {e})
+                   for t in combinations(bits_of(chosen), r - 1))
+
+    return max_extension([1 << e for e in range(oracle.ground_size)], extends, r,
+                         node_budget=budget)
 
 
 def uniformity_complex(oracle, max_card=None, max_faces=None):
@@ -386,21 +371,20 @@ def uniformity_complex(oracle, max_card=None, max_faces=None):
     with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
     BudgetExceeded is raised).
 
-    For an AffineMatroid of rank r >= 2 this is the general-position complex
-    of its frame vectors in dimension r-1 (genpos.geometry.gp_grow), and at
-    r <= 1 the full simplex. For every other oracle it is the
-    (r-1)-completion of the independence complex under the same cap: a set
-    of at most r elements is uniform iff it is independent, and a larger
-    one iff all its r-subsets are. A matroid of rank 0 on a nonempty ground
-    set has loops, which this module excludes, and raises ValueError.
+    For an AffineMatroid of rank r this is the general-position complex of
+    its points at rank r (genpos.geometry.gp_grow): the full simplex at
+    r <= 1. For every other oracle it is the (r-1)-completion of the
+    independence complex under the same cap: a set of at most r elements
+    is uniform iff it is independent, and a larger one iff all its
+    r-subsets are. A matroid of rank 0 on a nonempty ground set has loops,
+    which this module excludes, and raises ValueError.
     """
     n = oracle.ground_size
     r = _loopless_rank(oracle)
     cap = min(n, r + 3) if max_card is None else max_card
     what = "uniformity complex"
     if isinstance(oracle, AffineMatroid):
-        grow = gp_grow(oracle.frame()[1], r - 1) if r > 1 else lambda face: lambda w: True
-        return levelwise_complex(n, grow, cap, max_faces, what)
+        return levelwise_complex(n, gp_grow(oracle.homs, r), cap, max_faces, what)
     independent = _independence_complex(oracle, min(cap, r), max_faces, what)
     return _completion(independent, r - 1, cap, max_faces, what)
 
@@ -409,8 +393,8 @@ def independence_complex(oracle, max_card=None, max_faces=None):
     """Complex of independent sets (dimension rank-1; no cap needed unless
     given), with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past
     it BudgetExceeded is raised). For an AffineMatroid of rank r these are
-    the sets of at most r points in general position in the affine hull,
-    grown by popcounts on the flat index of the distinct frame vectors
+    the sets of at most r points in general position at rank r, grown by
+    popcounts on the flat index of its distinct points
     (genpos.geometry.gp_grow), indexed only as deep as the faces asked
     about need."""
     return _independence_complex(oracle, max_card, max_faces, "independence complex")
@@ -418,9 +402,9 @@ def independence_complex(oracle, max_card=None, max_faces=None):
 
 def _independence_complex(oracle, max_card, max_faces, what):
     if isinstance(oracle, AffineMatroid):
-        r, vecs = oracle.frame()
+        r = oracle.full_rank
         max_card = r if max_card is None else min(max_card, r)
-        grow = gp_grow(vecs, r - 1)
+        grow = gp_grow(oracle.homs, r)
     else:
         def grow(face):
             base = frozenset(bits_of(face))

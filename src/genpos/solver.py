@@ -609,7 +609,7 @@ def general_position_complex(X, max_card=None, max_faces=None):
     DimensionMismatch."""
     d = _common_dim(X, 0)  # mixed dimensions raise; no points: no level asks for flats
     homs = [p.hom for p in X]
-    return levelwise_complex(len(homs), gp_grow(homs, d), max_card, max_faces,
+    return levelwise_complex(len(homs), gp_grow(homs, d + 1), max_card, max_faces,
                              "general-position complex")
 
 

@@ -245,7 +245,8 @@ def low_rank_points(draw, max_size=8):
     """Hypothesis strategy for (d, points), d = 1..3: points on a random
     j-flat with 0 <= j < d, so of affine rank at most j+1 <= d, with
     repeats. j = 0 gives identical points. planted_points rarely has rank
-    below d+1; this is the cover for the affine-hull frame."""
+    below d+1; this is the cover for affine matroids of lower rank, whose
+    flat index stops below dimension d-1."""
     d = draw(st.integers(1, 3))
     j = draw(st.integers(0, d - 1))
     vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d)

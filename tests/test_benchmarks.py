@@ -22,11 +22,12 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 39
+    assert len(labels) == 40
     assert labels[16:] == [
         "cli parse 6 argv",
         "independence 9 pts d=3", "uniformity 9 pts d=3",
         "independence 9 coplanar d=3", "uniformity 9 coplanar d=3",
+        "cli uniformity --rank 3 n=24",
         "gp complex 16 pts d=2 c=3", "gp complex 9 pts d=3",
         "completion j=1 graph n=14", "completion j=3 10 pts d=3",
         "complex_from_doc 3x3x3x3", "complex_to_doc 3x3x3x3", "betti_up_to 3x3x3x3",

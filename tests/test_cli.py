@@ -705,6 +705,19 @@ class TestLimitsAsProcess:
         assert (code, out, err) == (3, "", "error: vertex 4 out of range\n")
         assert took < 1 and peak_kb < 30 * 1024
 
+    def test_truncated_uniformity_grows_on_the_points(self, tmp_path):
+        # 80 points of the moment curve in d = 3 truncated to rank 3: every
+        # set of at most 3 is uniform, 1 + 80 + C(80, 2) + C(80, 3) faces,
+        # grown from the points with no list of independent sets beside them
+        doc = {"d": 3, "points": [[t, t * t, t ** 3] for t in range(80)]}
+        path = write_doc(tmp_path, "moment.json", doc)
+        proc = run_python(["-c", WITH_PEAK_RSS, sys.executable, "-m", "genpos", "complex",
+                           "uniformity", path, "--rank", "3", "--max-card", "3"])
+        code, out, err, took, peak_kb = json.loads(proc.stdout)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n_faces"] == 85401
+        assert peak_kb < 60 * 1024
+
     def test_exhaustive_on_thousands_of_singletons(self):
         # one level per set, far beyond any recursion limit
         doc = {"d": 2, "sets": [[[t, t * t]] for t in range(1200)]}
@@ -896,6 +909,25 @@ def test_uniformity_rank_output_is_pinned(rank, dim, n_faces, digest):
     doc = json.loads(proc.stdout)
     assert (doc["dim"], doc["n_faces"]) == (dim, n_faces)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_uniformity_rank_face_budget_names_the_uniformity_complex():
+    # the truncated matroid's uniform sets grow as one complex, which the
+    # face budget names
+    proc = run_module("genpos", ["complex", "uniformity", "-", "--rank", "2"],
+                      stdin=json.dumps(RANK_POINTS), GENPOS_BUDGET_FACES="10")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: uniformity complex exceeds 10 faces\n"
+
+
+def test_uniformity_rank_above_max_card_answers_within_the_face_budget():
+    # the empty face and 7 vertices: nothing past --max-card is built, so
+    # the 8 faces answer within a budget of 8
+    proc = run_module("genpos", ["complex", "uniformity", "-", "--rank", "3",
+                                 "--max-card", "1"],
+                      stdin=json.dumps(RANK_POINTS), GENPOS_BUDGET_FACES="8")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["n_faces"] == 8
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):

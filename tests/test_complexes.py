@@ -33,6 +33,7 @@ from genpos.matroids import (
     ExplicitMatroid,
     PartitionMatroid,
     UniformMatroid,
+    max_uniform_size,
     uniformity_complex,
 )
 from genpos.matroids import independence_complex as matroid_independence_complex
@@ -616,22 +617,30 @@ def _affine_and_explicit(pts):
             independent)
 
 
+def _explicit_truncation(pts, top):
+    """An ExplicitMatroid listing the independent sets of the affine matroid
+    of pts truncated to rank top, found by brute force."""
+    return ExplicitMatroid(len(pts), [
+        bits_of(f) for f in range(1 << len(pts)) if f.bit_count() <= top
+        and oracle_affinely_independent([pts[i] for i in bits_of(f)])])
+
+
 @st.composite
 def _matroids(draw):
     """A loopless matroid on at most 8 elements: an AffineMatroid of
-    planted or low-rank points (d = 1..4), a PartitionMatroid, a
+    planted or low-rank points (d = 1..4), the same truncated to rank
+    R >= 1 (what complex uniformity --rank R builds), a PartitionMatroid, a
     UniformMatroid of rank r >= 1, or an ExplicitMatroid listing the
-    independent sets of an affine matroid truncated to rank R >= 1 (what
-    complex uniformity --rank R builds)."""
-    kind = draw(st.sampled_from(("affine", "partition", "uniform", "explicit")))
-    if kind in ("affine", "explicit"):
+    independent sets of a truncated affine matroid."""
+    kind = draw(st.sampled_from(("affine", "truncated", "partition", "uniform", "explicit")))
+    if kind in ("affine", "truncated", "explicit"):
         pts = draw(st.one_of(planted_points(max_distinct=7), low_rank_points()))[1][:8]
         if kind == "affine":
             return AffineMatroid(pts)
         top = draw(st.integers(1, 4))
-        return ExplicitMatroid(len(pts), [
-            bits_of(f) for f in range(1 << len(pts)) if f.bit_count() <= top
-            and oracle_affinely_independent([pts[i] for i in bits_of(f)])])
+        if kind == "truncated":
+            return AffineMatroid(pts, rank=top)
+        return _explicit_truncation(pts, top)
     n = draw(st.integers(0, 7))
     if kind == "uniform":
         return UniformMatroid(n, draw(st.integers(1, 8)))
@@ -693,7 +702,8 @@ class TestLevelwiseEnumerator:
 
     # the gp complex grows by popcounts on the flat index of its distinct
     # points in R^d, so points of low rank (collinear points in d = 3, say)
-    # are indexed in R^d and not in a frame; d = 4 runs the deepest flat key
+    # are indexed in R^d, as an affine matroid's are; d = 4 runs the deepest
+    # flat key
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(planted_points(max_distinct=7), planted_points(dims=(4, 4), max_distinct=7),
@@ -761,8 +771,8 @@ class TestLevelwiseEnumerator:
         general_position_complex(pts)
         assert built == [1, 2]
 
-    # affine matroids build the independence complex in the frame of their
-    # affine hull; an ExplicitMatroid listing the same independent sets
+    # affine matroids build the independence complex on their own points,
+    # by popcounts; an ExplicitMatroid listing the same independent sets
     # takes the generic oracle path, so each is checked against the other
     # and brute force, on planted points and on points of low affine rank,
     # and so is the uniformity complex completed from each
@@ -803,6 +813,21 @@ class TestLevelwiseEnumerator:
             _check_budget_boundary(
                 lambda max_faces: uniformity_complex(oracle, max_faces=max_faces),
                 K, "uniformity complex")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(planted_points(max_distinct=7), low_rank_points()), st.integers(1, 4))
+    def test_truncated_affine_matroid(self, case, top):
+        # AffineMatroid(pts, rank=top) on its own points, against the
+        # ExplicitMatroid listing its independent sets on the oracle path
+        pts = case[1][:8]
+        truncated, explicit = AffineMatroid(pts, rank=top), _explicit_truncation(pts, top)
+        assert truncated.full_rank == explicit.full_rank
+        for max_card in (None, *range(len(pts) + 1)):
+            assert matroid_independence_complex(truncated, max_card) == \
+                matroid_independence_complex(explicit, max_card)
+            assert uniformity_complex(truncated, max_card) == \
+                uniformity_complex(explicit, max_card)
+        assert max_uniform_size(truncated) == max_uniform_size(explicit)
 
     @settings(max_examples=80, deadline=None)
     @given(_matroids())

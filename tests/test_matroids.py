@@ -1,5 +1,8 @@
 """Matroid oracles, rank, intersection, and the uniformity layer."""
 
+import time
+from math import comb
+
 import pytest
 
 from genpos import (
@@ -17,6 +20,7 @@ from genpos import (
     rank,
     uniformity_complex,
 )
+from genpos import matroids
 from genpos.matroids import independence_complex, is_uniform
 from genpos.complexes import bits_of
 from conftest import (
@@ -232,7 +236,7 @@ class AskedSetBySet(IndependenceOracle):
 
 def flattened(rng, d, pts):
     """pts as they are, or moved onto a hyperplane (d >= 2) or a line (d =
-    3): collinear and coplanar points with a frame of lower rank."""
+    3): collinear and coplanar points of affine rank below d+1."""
     kind = rng.randrange(3) if d >= 2 else 0
     if kind == 1:
         return [Point([*p.coords[:-1], sum(p.coords[:-1]) + 1]) for p in pts]
@@ -293,12 +297,13 @@ class TestExchanges:
         rng = rng_for("affine-spy")
         for d in (1, 2, 3):
             pts = flattened(rng, d, random_planted_points(rng, d, 8))
-            m = AffineMatroid(pts)
-            partition = random_partition_matroid(rng, len(pts))
-            matroid_intersection(m, partition)
-            matroid_intersection(partition, m)
-            uniformity_complex(m)
-            max_uniform_size(m)
+            for m in (AffineMatroid(pts), AffineMatroid(pts, rank=2)):
+                partition = random_partition_matroid(rng, len(pts))
+                matroid_intersection(m, partition)
+                matroid_intersection(partition, m)
+                independence_complex(m)
+                uniformity_complex(m)
+                max_uniform_size(m)
         assert asked == []
         is_uniform(m, range(len(pts)))  # the spy does see the oracle asked
         assert asked
@@ -381,6 +386,39 @@ class TestUniformity:
             assert max_uniform_size(m) == oracle_max_uniform_size(m)
             u = UniformMatroid(n, rng.randint(1, n + 1))
             assert max_uniform_size(u) == oracle_max_uniform_size(u) == n
+
+    def test_oracle_queries_count_against_the_node_budget(self, monkeypatch):
+        # UniformMatroid(16, 8) takes every element on its first descent:
+        # one query per element below rank 8, then C(k, 7) for the k chosen
+        asked = 8 + sum(comb(k, 7) for k in range(8, 16))
+        monkeypatch.setattr(matroids, "DEFAULT_NODE_BUDGET", asked)
+        assert max_uniform_size(UniformMatroid(16, 8)) == 16
+        monkeypatch.setattr(matroids, "DEFAULT_NODE_BUDGET", asked - 1)
+        with pytest.raises(BudgetExceeded, match="^search exceeds %d nodes$" % (asked - 1)):
+            max_uniform_size(UniformMatroid(16, 8))
+        # C(30, 15) queries on one descent of 30 nodes: refused before they
+        # are asked
+        monkeypatch.setattr(matroids, "DEFAULT_NODE_BUDGET", 10**4)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="^search exceeds 10000 nodes$"):
+            max_uniform_size(UniformMatroid(30, 15))
+        assert time.perf_counter() - t0 < 1
+
+    def test_truncation_caps_the_rank(self):
+        # the unit square and its centre in the plane, truncated to rank 2:
+        # every pair is independent, every set of distinct points uniform
+        pts = [Point(p) for p in ([0, 0], [2, 0], [0, 2], [2, 2], [1, 1], [1, 1])]
+        m = AffineMatroid(pts, rank=2)
+        assert m.full_rank == 2 and rank(m, range(6)) == 2
+        assert not m.is_independent({0, 1, 2})
+        assert is_uniform(m, range(5)) and not is_uniform(m, range(6))
+        assert max_uniform_size(m) == 5
+        # at or above the affine rank, truncation leaves the matroid as it is
+        assert AffineMatroid(pts, rank=3).full_rank == AffineMatroid(pts, rank=7).full_rank == 3
+        assert max_uniform_size(AffineMatroid(pts, rank=7)) == max_uniform_size(
+            AffineMatroid(pts)) == 4
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            AffineMatroid(pts, rank=-1)
 
     def test_greedy_basis_that_does_not_extend(self):
         # the first basis a, b, c blocks each later point (each lies on a
