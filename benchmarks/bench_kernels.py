@@ -46,7 +46,10 @@ parabola in 8 sets of 8, where the first pick of each set works. Two rows
 close the table: the general-position complex of 300 random points in d=3
 capped at 2 points a face (45,151 faces, no flat index), which times the
 levelwise enumerator on a wide, shallow complex, and gp_number of the 6x6
-grid, which times the branch-and-bound maximiser.
+grid, which times the branch-and-bound maximiser. The last row runs
+solve_matroid_intersection on a fresh family of 8 singletons on the
+moment curve in d=12, whose exchange questions ask of up to 8 points in
+a space of 12 dimensions.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
@@ -254,6 +257,9 @@ def build_cases(rng):
                   lambda: general_position_complex(wide, max_card=2)))
     grid = [Point((x, y)) for x in range(6) for y in range(6)]
     cases.append(("gp_number 6x6 grid", lambda: gp_number(grid)))
+    curve = [[Point([t ** i for i in range(1, 13)])] for t in range(8)]
+    cases.append(("solve matroid d=12 m=8",
+                  lambda: solve_matroid_intersection(PointFamily(d=12, sets=curve))))
     return cases
 
 

@@ -92,19 +92,18 @@ def _emit(doc, human, render):
 
 def _int_list(text):
     """A list like 1,3,5-9 as its ranges in input order, unexpanded, so that
-    a long range costs nothing to parse."""
+    a long range costs nothing to parse. A range whose end is below its
+    start is refused."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
             lo, hi = part.split("-", 1) if not part.startswith("-") else (part, "")
-            if hi == "":
+            if hi == "" or int(hi) < int(lo):
                 raise argparse.ArgumentTypeError("bad range %r" % part)
             out.append(range(int(lo), int(hi) + 1))
         else:
             out.append(range(int(part), int(part) + 1))
-    if not any(out):
-        raise argparse.ArgumentTypeError("empty list")
     return out
 
 

@@ -14,12 +14,13 @@ position at rank r), and independent iff it is uniform and has at most r
 points. So its independence and uniformity complexes grow as the
 general-position complex does, by popcounts on a flat index of the
 points' homogeneous vectors capped at dimension r-2 (genpos.geometry.gp_grow);
-its largest uniform set is gp_number over such an index; and the exchange
-questions of matroid intersection (IndependenceOracle.exchanges) are
-answered from the Plücker vectors of the current set and of each set one
-smaller. The partition matroid answers them from its blocks. Every other
-oracle is asked set by set, each query charged to the node budget of the
-search for its largest uniform set.
+its largest uniform set is gp_number over such an index; and each exchange
+question of matroid intersection (IndependenceOracle.exchanges) asks of at
+most r <= d+1 points, which are independent iff in general position, so
+the general-position kernel answers it (genpos._kernels.gp_extends). The
+partition matroid answers them from its blocks. Every other oracle is
+asked set by set, each query charged to the node budget of the search for
+its largest uniform set.
 
 All matroids here are assumed loopless (every singleton independent); the
 affine matroid of a point multiset always is.
@@ -27,17 +28,15 @@ affine matroid of a point multiset always is.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations
 from math import comb, inf
 
-from genpos._kernels import int_rank
+from genpos._kernels import gp_extends, int_rank
 from genpos.complexes import _completion, bits_of, levelwise_complex
 from genpos.errors import BudgetExceeded, OracleError
 from genpos.geometry import (
     FlatIndex,
     PointMultiset,
-    _flat_key,
     affinely_independent,
     gp_grow,
     gp_number,
@@ -62,7 +61,7 @@ _DEPENDENT = "augmentation produced a dependent set; an oracle is not a matroid"
 
 
 class IndependenceOracle:
-    """Matroid given by ground-set size and a memoized independence predicate.
+    """Matroid given by ground-set size and an independence predicate.
 
     Subclasses implement _independent(frozenset), and may answer the
     exchange questions of matroid_intersection from their own structure
@@ -75,19 +74,14 @@ class IndependenceOracle:
             raise ValueError("ground_size must be nonnegative")
         self.ground_size = ground_size
         self.rank_hint = rank_hint
-        self._memo = {frozenset(): True}
         self._full_rank = None
 
     def is_independent(self, subset):
         s = frozenset(subset)
-        cached = self._memo.get(s)
-        if cached is None:
-            for e in s:
-                if not 0 <= e < self.ground_size:
-                    raise ValueError("element %r out of ground range" % (e,))
-            cached = self._independent(s)
-            self._memo[s] = cached
-        return cached
+        for e in s:
+            if not 0 <= e < self.ground_size:
+                raise ValueError("element %r out of ground range" % (e,))
+        return self._independent(s)
 
     def _independent(self, s):
         raise NotImplementedError
@@ -146,36 +140,23 @@ class AffineMatroid(IndependenceOracle):
         return self._full_rank
 
     def exchanges(self, current):
-        """can(u, y) from Plücker vectors of the points' homogeneous vectors,
-        of length d+1: a set of at most r points is independent iff the
-        Plücker vector of its vectors (genpos.geometry._flat_key, folded
-        vector by vector) is nonzero. The vectors of C = current and of each
-        C - u are folded once, so each question is one more fold. This is the
-        fundamental-circuit test of Cunningham, "Improved bounds for matroid
-        partition and intersection algorithms" (1986): y enters C - u iff
-        it is outside span(C), or u is on y's circuit in C."""
-        r, vecs, n = self.full_rank, self.homs, self.points.d + 1
-        c = sorted(current)
-        full = _plucker(vecs, c, n) if len(c) <= r else None
-        if full is None:
+        """can(u, y) from the general-position kernel: a set of at most
+        r <= d+1 points is independent iff it is in general position, so
+        C - u + y is independent iff gp_extends(C - u, y), where C =
+        current has at most r points and is independent (one int_rank).
+        This is the fundamental-circuit test of Cunningham, "Improved
+        bounds for matroid partition and intersection algorithms" (1986):
+        y enters C - u iff it is outside span(C), or u is on y's circuit
+        in C."""
+        vecs, c = self.homs, sorted(current)
+        rows = [vecs[e] for e in c]
+        if len(c) > self.full_rank or int_rank(rows) != len(c):
             raise OracleError(_DEPENDENT)
-        # u -> the fold that adds one vector to C - u's Plücker vector
-        step = {u: partial(_flat_key(n, len(c) - 1),
-                           _plucker(vecs, [e for e in c if e != u], n)) for u in c}
-        if len(c) < r:  # a basis has no room
-            step[None] = partial(_flat_key(n, len(c)), full)
-        return lambda u, y: u in step and step[u](vecs[y]) is not None
-
-
-def _plucker(vecs, elems, n):
-    """The reduced Plücker vector of the length-n vectors of elems, at most
-    n of them, or None when they are dependent."""
-    v = (1,)
-    for k, e in enumerate(elems):
-        v = _flat_key(n, k)(v, vecs[e])
-        if v is None:
-            return None
-    return v
+        # u -> the vectors of C - u, in general position
+        rest = {u: rows[:i] + rows[i + 1:] for i, u in enumerate(c)}
+        if len(c) < self.full_rank:  # a basis has no room
+            rest[None] = rows
+        return lambda u, y: u in rest and gp_extends(rest[u], vecs[y])
 
 
 class PartitionMatroid(IndependenceOracle):
@@ -254,12 +235,14 @@ def _augmenting_path(m1, m2, current, n):
     can1 = m1.exchanges(current)
     can2 = m2.exchanges(current)
     outside = [e for e in range(n) if e not in current]
-    sources = [y for y in outside if can1(None, y)]
     sinks = {y for y in outside if can2(None, y)}
-    for y in sources:
-        if y in sinks:
+    for y in outside:  # the first sink that is a source: a path of one
+        if y in sinks and can1(None, y):
             return [y]
-    if not sources or not sinks:
+    if not sinks:
+        return None
+    sources = [y for y in outside if y not in sinks and can1(None, y)]
+    if not sources:
         return None
     parent = {y: None for y in sources}
     queue = list(sources)
@@ -291,11 +274,12 @@ def matroid_intersection(m1, m2):
 
     Shortest augmenting paths in the exchange graph, breadth-first with
     ascending-element tie-breaking, each edge one exchange question
-    (IndependenceOracle.exchanges). Augmenting along a shortest path always
-    yields a common independent set one larger; each set is checked, by m1
-    then m2, as the next exchange questions are set up, and if one is
-    dependent the oracles do not describe matroids and OracleError is
-    raised.
+    (IndependenceOracle.exchanges). The sinks are asked first, so a path of
+    one asks m1 of no element past it. Augmenting along a shortest path
+    always yields a common independent set one larger; each set is
+    checked, by m1 then m2, as the next exchange questions are set up, and
+    if one is dependent the oracles do not describe matroids and
+    OracleError is raised.
     """
     if m1.ground_size != m2.ground_size:
         raise ValueError("matroids must share a ground set")

@@ -513,8 +513,9 @@ def solve_matroid_intersection(family):
     a common independent set of size m is exactly a representative system
     (m <= d+1 points are in general position iff affinely independent).
     Neither matroid is asked set by set: the affine side answers each
-    exchange question from Plücker vectors of the current set, and the
-    partition side from its blocks (matroids.IndependenceOracle.exchanges)."""
+    exchange question with the general-position kernel on the current set
+    less one point, and the partition side from its blocks
+    (matroids.IndependenceOracle.exchanges)."""
     m, d = family.m, family.d
     if m > d + 1:
         raise ValueError("matroid route needs m <= d+1 (got m=%d, d=%d)" % (m, d))

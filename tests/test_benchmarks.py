@@ -22,7 +22,7 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 40
+    assert len(labels) == 41
     assert labels[16:] == [
         "cli parse 6 argv",
         "independence 9 pts d=3", "uniformity 9 pts d=3",
@@ -35,7 +35,7 @@ def test_bench_kernels_prints_every_row():
         "check hall grid rows 4x4", "check greedy pool m=4", "check greedy m=4",
         "greedy solve d=2 m=5", "solve matroid d=3 m=4", "counterexample d=2 m=10",
         "solve_exhaustive cex d=3 m=5", "solve_exhaustive 64 parabola",
-        "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid",
+        "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid", "solve matroid d=12 m=8",
     ]
 
     proc = run_script("--repeat", "1")

@@ -305,7 +305,7 @@ class TestComplexOps:
     @pytest.mark.parametrize("ranges, listed", [
         ("1-3,5", "1,2,3,5"),
         ("4-6,0-1", "4,5,6,0,1"),
-        ("3-3,6-2,0", "3,0"),
+        ("3-3,0", "3,0"),
         ("2-5,3-4", "2,3,4,5"),
         ("0-6", "0,1,2,3,4,5,6"),
     ])
@@ -315,6 +315,21 @@ class TestComplexOps:
         got = run_json(capsys, ["complex", "induced", path, "--vertices", ranges])
         assert got == run_json(capsys, ["complex", "induced", path, "--vertices", listed])
         assert got[0] == 0
+
+    @pytest.mark.parametrize("argv, part", [
+        (["complex", "induced", "k.json", "--vertices", "0,3-1"], "3-1"),
+        (["complex", "induced", "k.json", "--vertices", "3-1"], "3-1"),
+        (["bounds", "--d", "1,3-2"], "3-2"),
+        (["bounds", "--k", "2-5,1-0"], "1-0"),
+    ])
+    def test_reversed_ranges_are_refused(self, capsys, argv, part):
+        # refused while parsing, before any input is read
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(argv)
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(": error: argument %s: bad range %r\n"
+                                          % (argv[-2], part))
 
     @pytest.mark.parametrize("vertices, message", [
         (["--vertices=-1"], "vertex -1 out of range"),
@@ -718,6 +733,18 @@ class TestLimitsAsProcess:
         assert json.loads(out)["n_faces"] == 85401
         assert peak_kb < 60 * 1024
 
+    def test_matroid_intersection_in_high_dimension(self):
+        # ten singletons on the moment curve in d = 16: each exchange
+        # question is one general-position test of at most 10 points
+        doc = {"d": 16, "sets": [[[t ** i for i in range(1, 17)]] for t in range(10)]}
+        proc = run_python(["-c", WITH_PEAK_RSS, sys.executable, "-m", "genpos", "solve", "-"],
+                          stdin=json.dumps(doc))
+        code, out, err, took, peak_kb = json.loads(proc.stdout)
+        assert (code, err) == (0, "")
+        out = json.loads(out)
+        assert out["status"] == "found" and out["method"] == "matroid"
+        assert took < 1 and peak_kb < 60 * 1024
+
     def test_exhaustive_on_thousands_of_singletons(self):
         # one level per set, far beyond any recursion limit
         doc = {"d": 2, "sets": [[[t, t * t]] for t in range(1200)]}
@@ -827,6 +854,10 @@ class TestLimitsAsProcess:
          "error: witness-search needs d >= 1 and m >= 1\n"),
         (["witness-search", "--coord-range", "0", "--max-set-size", "1", "--trials", "1"], 1,
          '{"found": false, "trials": 1}\n'),
+        # a range whose end is below its start is refused, alone or in a list
+        (["complex", "induced", "k.json", "--vertices", "0,3-1"], 3, "usage: genpos complex"),
+        (["complex", "induced", "k.json", "--vertices", "3-1"], 3, "usage: genpos complex"),
+        (["bounds", "--d", "1,3-2"], 3, "usage: genpos bounds"),
     ])
     def test_family_and_table_commands_exit_with_their_codes(self, argv, code, out):
         proc = run_module("genpos", argv)

@@ -1,6 +1,7 @@
 """Matroid oracles, rank, intersection, and the uniformity layer."""
 
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -120,19 +121,16 @@ class TestOracles:
         with pytest.raises(ValueError):
             UniformMatroid(-1, 0)
 
-    def test_memoization(self):
-        calls = []
-
-        class Counting(UniformMatroid):
-            def _independent(self, s):
-                calls.append(s)
-                return super()._independent(s)
-
-        m = Counting(4, 2)
-        m.is_independent({0, 1})
-        m.is_independent({0, 1})
-        m.is_independent([1, 0])
-        assert len(calls) == 1
+    def test_queries_are_not_kept(self):
+        # the budgeted search asks 184,756 sets of 10 of 20 elements; none
+        # of them outlives its question
+        tracemalloc.start()
+        try:
+            assert max_uniform_size(UniformMatroid(20, 10)) == 20
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestRank:
@@ -235,37 +233,42 @@ class AskedSetBySet(IndependenceOracle):
 
 
 def flattened(rng, d, pts):
-    """pts as they are, or moved onto a hyperplane (d >= 2) or a line (d =
-    3): collinear and coplanar points of affine rank below d+1."""
+    """pts as they are, or moved onto a hyperplane (d >= 2) or a line (d >=
+    3): points sharing a hyperplane or a line, of affine rank below d+1."""
     kind = rng.randrange(3) if d >= 2 else 0
     if kind == 1:
         return [Point([*p.coords[:-1], sum(p.coords[:-1]) + 1]) for p in pts]
-    if kind == 2 and d == 3:
-        return [Point([x, 2 * x - 1, 3 - x]) for x in (p.coords[0] for p in pts)]
+    if kind == 2 and d >= 3:
+        return [Point([x, 2 * x - 1, 3 - x, *range(d - 3)]) for x in (p.coords[0] for p in pts)]
     return pts
+
+
+def exchange_family(rng, d, n):
+    """An affine matroid on n planted points in d dimensions, flattened or
+    not, truncated to a random rank half the time."""
+    pts = flattened(rng, d, random_planted_points(rng, d, n))
+    return AffineMatroid(pts, rank=rng.choice([None, rng.randint(1, d + 1)]))
 
 
 class TestExchanges:
     def test_intersection_matches_asking_set_by_set(self):
-        # repeated, collinear and coplanar points in d = 1..3, against
-        # random partitions, in both argument orders
+        # repeated, collinear and coplanar points in d = 1..6, truncated or
+        # not, against random partitions, in both argument orders
         rng = rng_for("mi-exchanges")
-        for trial in range(90):
-            d = 1 + trial % 3
-            pts = flattened(rng, d, random_planted_points(rng, d, rng.randrange(1, 10)))
-            blocks = random_partition_matroid(rng, len(pts)).blocks
-            affine, partition = AffineMatroid(pts), PartitionMatroid(blocks)
+        for trial in range(120):
+            d = 1 + trial % 6
+            affine = exchange_family(rng, d, rng.randrange(1, 10))
+            partition = random_partition_matroid(rng, affine.ground_size)
             slow = [AskedSetBySet(affine), AskedSetBySet(partition)]
             assert matroid_intersection(affine, partition) == matroid_intersection(*slow)
             assert matroid_intersection(partition, affine) == matroid_intersection(*slow[::-1])
 
     def test_every_question_matches_is_independent(self):
         rng = rng_for("exchanges-all")
-        for trial in range(40):
-            d = 1 + trial % 3
-            n = rng.randrange(1, 7)
-            pts = flattened(rng, d, random_planted_points(rng, d, n))
-            for m in (AffineMatroid(pts), random_partition_matroid(rng, len(pts))):
+        for trial in range(72):
+            d = 1 + trial % 6
+            affine = exchange_family(rng, d, rng.randrange(1, 8))
+            for m in (affine, random_partition_matroid(rng, affine.ground_size)):
                 n = m.ground_size
                 for mask in range(1 << n):
                     current = frozenset(bits_of(mask))
@@ -284,6 +287,8 @@ class TestExchanges:
         (PartitionMatroid([(0, 1), (2,)]), {0, 1}),
         (UniformMatroid(4, 2), {0, 1, 2}),
         (ExplicitMatroid(3, [(), (0,), (1,)]), {0, 1}),
+        # independent points, one more than the truncated rank
+        (AffineMatroid([Point([0, 0]), Point([1, 0]), Point([0, 1])], rank=2), {0, 1, 2}),
     ])
     def test_a_dependent_set_is_refused(self, oracle, dependent):
         with pytest.raises(OracleError, match="an oracle is not a matroid"):
