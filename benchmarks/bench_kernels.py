@@ -46,10 +46,13 @@ parabola in 8 sets of 8, where the first pick of each set works. Two rows
 close the table: the general-position complex of 300 random points in d=3
 capped at 2 points a face (45,151 faces, no flat index), which times the
 levelwise enumerator on a wide, shallow complex, and gp_number of the 6x6
-grid, which times the branch-and-bound maximiser. The last row runs
+grid, which times the branch-and-bound maximiser. The next row runs
 solve_matroid_intersection on a fresh family of 8 singletons on the
 moment curve in d=12, whose exchange questions ask of up to 8 points in
-a space of 12 dimensions.
+a space of 12 dimensions. The last row runs the Hall check of the 4x4
+row on the rows of the 6x6 grid, a fresh family each call: its 63 unions
+make about 45,000 calls of gp_number's predicate, so the caps that each
+union takes from its sub-unions are timed at a real size.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
@@ -219,8 +222,11 @@ def build_cases(rng):
     # a fresh family per call, so that its union cache cannot answer;
     # shaped like verdictbench's grid-rows-4 (degenerate, the grid under a
     # rational affine map) and greedy-check-m4 (decide)
-    rows = [[Point((Fraction(3 * x + y, 2), Fraction(x - 2 * y, 3))) for x in range(4)]
-            for y in range(4)]
+    def grid_rows(n):
+        return [[Point((Fraction(3 * x + y, 2), Fraction(x - 2 * y, 3))) for x in range(n)]
+                for y in range(n)]
+
+    rows = grid_rows(4)
     cases.append(("check hall grid rows 4x4",
                   lambda: check_condition(PointFamily(d=2, sets=rows), lambda k: k)))
     ts = rng.sample(range(-70, 70), greedy_bound(2, 4) + 2)
@@ -260,6 +266,9 @@ def build_cases(rng):
     curve = [[Point([t ** i for i in range(1, 13)])] for t in range(8)]
     cases.append(("solve matroid d=12 m=8",
                   lambda: solve_matroid_intersection(PointFamily(d=12, sets=curve))))
+    big_rows = grid_rows(6)
+    cases.append(("check hall grid rows 6x6",
+                  lambda: check_condition(PointFamily(d=2, sets=big_rows), lambda k: k)))
     return cases
 
 

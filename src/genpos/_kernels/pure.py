@@ -110,25 +110,18 @@ def gp_extends(rows, new_row):
     need checking, and the radial projection from p decides them: every d of
     the directions q - p must be linearly independent. Cost O(k^(d-1)) set
     operations instead of C(k, d) determinants. A point on its own is in
-    general position, and so is any pair of distinct points; the vectors are
-    canonical, so distinct points are unequal vectors.
+    general position, and so is any pair of distinct points, or in d = 1 any
+    set of them; the vectors are canonical, so distinct points are unequal
+    vectors.
     """
     k = len(rows)
-    if k == 0:
-        return True
-    if k == 1:
-        return rows[0] != new_row
     d = len(new_row) - 1
+    if k <= 1 or d == 1:
+        return new_row not in rows
     if k < d:
         mat = list(rows)
         mat.append(new_row)
         return int_rank(mat) == k + 1
-    if d == 1:
-        x, w = new_row
-        for qx, qw in rows:
-            if qx * w == x * qw:
-                return False
-        return True
     return _through(new_row, d, rows)
 
 

@@ -28,6 +28,7 @@ import json
 import os
 import random
 import sys
+from bisect import bisect_left
 
 from genpos import homology, jsonio, matroids, solver
 from genpos import __version__
@@ -340,6 +341,22 @@ def _render_complex(doc):
     )
 
 
+def _induced_on(K, ranges):
+    """K induced on the vertices in ranges (from _int_list), each checked by
+    its ends: the first vertex out of range in input order is refused as
+    induced refuses it, and only K's own vertices in a range, found by
+    bisection, reach induced."""
+    n = K.n_vertices
+    for r in ranges:
+        if r.start < 0 or r.stop > n:
+            raise ValueError("vertex %d out of range" % (r.start if r.start < 0 else max(r.start, n)))
+    present = K.vertices()
+    inside = set()
+    for r in ranges:
+        inside.update(present[bisect_left(present, r.start):bisect_left(present, r.stop)])
+    return induced(K, inside)
+
+
 def _cmd_complex(args, face_budget, node_budget):
     op = args.op
 
@@ -383,7 +400,7 @@ def _cmd_complex(args, face_budget, node_budget):
         elif op == "skeleton":
             K = skeleton(K, need(args.skeleton_dim, "-s"))
         elif op == "induced":
-            K = induced(K, itertools.chain.from_iterable(need(args.vertices, "--vertices")))
+            K = _induced_on(K, need(args.vertices, "--vertices"))
         elif op == "join":
             other = jsonio.complex_from_doc(
                 _read_doc(need(args.second, "--with")), max_faces=face_budget

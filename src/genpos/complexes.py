@@ -267,6 +267,15 @@ def _completion(K, j, max_card, max_faces, what):
         raise ValueError("completion needs j >= dim K (%d < %d)" % (j, K.dim))
     if not K.faces:
         return K
+    if j < 0:
+        # K is {∅}, completed to every set of at most max_card vertices:
+        # counted before it grows, the empty face never refused
+        n, budget = K.n_vertices, DEFAULT_FACE_BUDGET if max_faces is None else max_faces
+        total = 1
+        for size in range(1, min(n, n if max_card is None else max_card) + 1):
+            total += comb(n, size)
+            if total > budget:
+                raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
     small = K.faces
     large = set()
 

@@ -211,7 +211,7 @@ def in_general_position(points):
     return True
 
 
-def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
+def gp_number(X, node_budget=None, *, cap=None, index=None):
     """Maximum size of a sub-multiset in general position.
 
     Repeated coordinates never help (a duplicate pair is affinely
@@ -221,9 +221,9 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
       pick points of index.homs (bit i for index.homs[i]). A point list
       becomes such a mask over the given index, or over a new index of its
       distinct points, and both forms run the same code from there.
-    - lower and cap are bounds on the answer that the caller already holds
-      (PointFamily takes them from sub-unions). When lower reaches cap or
-      the number of points, it is the answer.
+    - cap is a bound on the answer that the caller already holds
+      (PointFamily takes it from sub-unions): the search returns as soon as
+      it finds a subset in general position of that size.
     - An index capped at top = r-2 below d-1 asks instead for the largest
       subset in general position at rank r (no j-flat, j <= r-2, through
       j+2 of its points): the largest uniform set of the points' affine
@@ -244,10 +244,10 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
       of the budget, as one-bit masks in ascending order: w extends the OR
       C of those chosen unless an indexed j-flat through w holds j+1 points
       of C, a popcount. The line cover of those points (FlatIndex.cover) is
-      the bound the search asks for when it must prove its incumbent optimal.
+      the bound the search asks for when it must prove its best size optimal.
 
     Past the budget, in the build or the search, BudgetExceeded is raised.
-    Bounds that hold leave the answer unchanged.
+    A cap that holds leaves the answer unchanged.
     """
     if isinstance(X, int):
         if index is None:
@@ -261,10 +261,6 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
         union = 0
         for p in pts:
             union |= 1 << pos[p.hom]
-    n = union.bit_count()
-    cap = n if cap is None else min(cap, n)
-    if lower >= cap:
-        return lower
     full = index.top + 2  # the rank sought: d+1 unless the index is capped lower
     if index.flats is None:
         homs = index.homs
@@ -290,8 +286,7 @@ def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
         items,
         extends,
         full,
-        lower=max(lower - free, 0),
-        cap=cap - free,
+        cap=None if cap is None else cap - free,
         node_budget=budget,
         bound=lambda: index.cover(crowded),
         nodes=spent,

@@ -23,8 +23,7 @@ __all__ = ["DEFAULT_NODE_BUDGET", "colorful_face", "max_extension"]
 DEFAULT_NODE_BUDGET = 10**7
 
 
-def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
-                  bound=None, nodes=0):
+def max_extension(items, extends, rank, cap=None, node_budget=None, bound=None, nodes=0):
     """Size of the largest sublist of ``items``, distinct one-bit masks,
     whose every prefix is accepted by ``extends(chosen, item)``, chosen the
     int OR of the prefix, found by include-first depth-first search.
@@ -33,8 +32,6 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
     independence test of a matroid on ``items``. A branch is cut when the
     items left cannot beat the best size so far.
 
-    - lower: a size the answer is known to reach. Only larger sets are
-      sought; lower is returned when none exists.
     - cap: a size the answer is known not to exceed, clamped to
       len(items). The search returns as soon as it finds a set of that size.
     - bound: a zero-argument callable returning another such size, for
@@ -49,19 +46,17 @@ def max_extension(items, extends, rank, lower=0, cap=None, node_budget=None,
       therefore overruns it by less than one descent, and a search that
       never backtracks is never refused.
 
-    The first descent takes every item the predicate accepts. If it keeps
-    s < ``rank`` items, each item it rejected was dependent on the kept
-    prefix, so the items it tested span a flat of rank s, where no accepted
-    set has more than s items; with the items it left untested (none, or
-    too few to beat the best size) nothing beats the best size, and the
-    search ends there.
+    The first descent tests every item and takes each one the predicate
+    accepts. If it keeps s < ``rank`` items, each item it rejected was
+    dependent on the kept prefix, so the items span a flat of rank s, where
+    no accepted set has more than s items, and the search ends there.
     """
     n = len(items)
-    best = lower
     cap = n if cap is None else min(cap, n)
-    if best >= cap:
-        return best
+    if cap <= 0:
+        return 0
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    best = 0
     chosen = 0
     picked = []  # input positions of chosen, the stack of pending exclusions
     first = True

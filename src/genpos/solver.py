@@ -175,7 +175,8 @@ class PointFamily:
     gp_number as its point list and is indexed on its own instead, within
     the same budget. Beside the memo of exact gp_numbers the family keeps
     one of lower bounds, left by capped_gp_number_of_union's threshold
-    queries.
+    queries; a union reads only those of unions one set smaller, so the
+    first union of k sets asked drops those of fewer than k - 1 sets.
 
     A threshold query tries a witness before the index is built: any two
     distinct points are in general position, and past that the union's
@@ -191,6 +192,7 @@ class PointFamily:
     node_budget: int | None = field(default=None, repr=False)
     _gp_cache: dict = field(default_factory=dict, repr=False)
     _gp_floors: dict = field(default_factory=dict, repr=False)
+    _floors_size: int = field(default=0, repr=False)
     _index: FlatIndex | None = field(default=None, repr=False)
     _masks: list | None = field(default=None, repr=False)
     _witness_rows: int = field(default=0, repr=False)
@@ -219,29 +221,21 @@ class PointFamily:
         return out
 
     def gp_number_of_union(self, indices):
-        """gp_number of the union of the sets in indices, warm-started from
-        the cached unions one set smaller: removing X_i cannot enlarge a
-        general-position subset, and a general-position subset of X_I splits
-        into general-position parts in X_{I-i} and X_i, so
-
-            gp(X_{I-i}) <= gp(X_I) <= gp(X_{I-i}) + gp(X_i).
-
-        The largest cached left side, or lower bound on one left by
-        capped_gp_number_of_union, is the search's incumbent, and the
-        smallest cached right side, from exact values only, its cap. Only
-        memoized values are used, so any order of calls gives the same
-        answers."""
+        """gp_number of the union of the sets in indices, its search capped
+        by the smallest gp(X_{I-i}) + gp(X_i) over exact cached values: a
+        general-position subset of X_I splits into general-position parts in
+        X_{I-i} and X_i. A cap that holds leaves the answer unchanged."""
         return self._union_gp(frozenset(indices), None)
 
     def capped_gp_number_of_union(self, indices, req):
         """gp_number of the union of the sets in indices when it is below
         req; otherwise some value of at least req, not necessarily the
-        gp_number: a witness or the search stops once it reaches req (see
-        the class docstring). An answer below req
-        is exact and cached as gp_number_of_union's are. One of at least req
-        is kept apart as a lower bound, which can be the incumbent of a
-        larger union's search but never its cap, since a cap needs the exact
-        gp(X_{I-i}) and gp(X_i)."""
+        gp_number. Any bound on a union one set smaller, or min(n, 2) for n
+        distinct points, bounds the union from below and answers once it
+        reaches req; otherwise a witness or the search, capped at req too,
+        stops there (see the class docstring). An answer below req is exact
+        and cached as gp_number_of_union's are; one of at least req is kept
+        as a lower bound, never as a cap, which needs exact values."""
         return self._union_gp(frozenset(indices), req)
 
     def _union_gp(self, key, req):
@@ -249,9 +243,12 @@ class PointFamily:
         got = cache.get(key)
         if got is not None:
             return got
-        lower = floors.get(key, 0)
-        if req is not None and lower >= req:
-            return lower
+        if len(key) > self._floors_size:
+            # a union reads the lower bounds of unions one set smaller only
+            self._floors_size = len(key)
+            for rest in [rest for rest in floors if len(rest) < len(key) - 1]:
+                del floors[rest]
+        lower = 0  # settles threshold queries only
         cap = None
         for i in key:
             rest = key - {i}
@@ -282,12 +279,12 @@ class PointFamily:
                 cap = req
             if index.flats is None and lower < cap < n:
                 lower = max(lower, self._witness(union, cap, min(index.tuples(), budget)))
-                if lower >= cap:
-                    (floors if lower >= req else cache)[key] = lower
-                    return lower
+            if lower >= cap:
+                (floors if lower >= req else cache)[key] = lower
+                return lower
         if index.flats is None and index.tuples() > budget:
             union, index = self.union_points(key), None  # indexed alone
-        got = gp_number(union, self.node_budget, lower=lower, cap=cap, index=index)
+        got = gp_number(union, self.node_budget, cap=cap, index=index)
         if req is not None and got >= req:
             floors[key] = got
         else:
@@ -353,8 +350,8 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     the family's node_budget, the cap on each union's search nodes.
     bound is a callable k -> int. With stop_early the scan ends at the first
     violation, so a negative report carries only the checks made up to that
-    point. Unions are checked in order of size, so each one is warm-started
-    from its cached sub-unions (PointFamily.gp_number_of_union).
+    point. Unions are checked in order of size, so each one's search is
+    capped from its cached sub-unions (PointFamily.gp_number_of_union).
 
     With exact=False each union is only tested against its requirement
     (PointFamily.capped_gp_number_of_union): a greedy witness tries to meet
@@ -363,9 +360,7 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     reaches bound(|I|). holds, the checks made and first_violation are the
     same as with exact=True, and a failing check's gp_number is exact, but a
     passing check's gp_number is then some value of at least required, not
-    necessarily the union's gp_number. In all-subsets mode the family's
-    lower bounds on unions more than one set smaller than the union being
-    checked are dropped: no union reads them.
+    necessarily the union's gp_number.
     """
     m = family.m
     if subset_budget is not None:
@@ -398,15 +393,7 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
         raise ValueError("unknown mode %r" % (mode,))
     checks = []
     first_violation = None
-    # in all-subsets mode a union reads the lower bounds of unions one set
-    # smaller, and no union after it reads those of smaller ones
-    floors = family._gp_floors if mode == "all-subsets" else {}
-    size = 0
     for combo in subsets:
-        if len(combo) > size:
-            size = len(combo)
-            for key in [key for key in floors if len(key) < size - 1]:
-                del floors[key]
         req = bound(len(combo))
         if exact:
             got = family.gp_number_of_union(combo)

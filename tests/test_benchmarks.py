@@ -22,7 +22,7 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 41
+    assert len(labels) == 42
     assert labels[16:] == [
         "cli parse 6 argv",
         "independence 9 pts d=3", "uniformity 9 pts d=3",
@@ -36,6 +36,7 @@ def test_bench_kernels_prints_every_row():
         "greedy solve d=2 m=5", "solve matroid d=3 m=4", "counterexample d=2 m=10",
         "solve_exhaustive cex d=3 m=5", "solve_exhaustive 64 parabola",
         "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid", "solve matroid d=12 m=8",
+        "check hall grid rows 6x6",
     ]
 
     proc = run_script("--repeat", "1")

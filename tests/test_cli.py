@@ -308,6 +308,8 @@ class TestComplexOps:
         ("3-3,0", "3,0"),
         ("2-5,3-4", "2,3,4,5"),
         ("0-6", "0,1,2,3,4,5,6"),
+        ("3-6,0-4", "3,4,5,6,0,1,2,4"),
+        ("5,1-2,0-6,2-3", "5,1,2,0,3,4,6"),
     ])
     def test_induced_ranges_match_their_expanded_list(self, capsys, tmp_path, ranges, listed):
         path = write_doc(tmp_path, "k.json",
@@ -334,6 +336,11 @@ class TestComplexOps:
     @pytest.mark.parametrize("vertices, message", [
         (["--vertices=-1"], "vertex -1 out of range"),
         (["--vertices", "0,7"], "vertex 7 out of range"),
+        # the first vertex out of range in input order, read from the ends
+        (["--vertices", "5,0-10"], "vertex 5 out of range"),
+        (["--vertices", "1-10,5"], "vertex 3 out of range"),
+        (["--vertices", "1,3,-1"], "vertex 3 out of range"),
+        (["--vertices=-1,5"], "vertex -1 out of range"),
     ])
     def test_induced_refuses_vertices_outside_the_complex(self, capsys, tmp_path,
                                                           vertices, message):
@@ -719,6 +726,32 @@ class TestLimitsAsProcess:
         code, out, err, took, peak_kb = json.loads(proc.stdout)
         assert (code, out, err) == (3, "", "error: vertex 4 out of range\n")
         assert took < 1 and peak_kb < 30 * 1024
+
+    @pytest.mark.parametrize("vertices, code, err", [
+        ("0-99999999", 0, ""),
+        ("0-1000000000", 3, "error: vertex 1000000000 out of range\n"),
+    ])
+    def test_long_ranges_are_read_by_their_ends(self, tmp_path, vertices, code, err):
+        # two edges on a document claiming 10^9 vertices: a long range in
+        # it induces on the complex's own vertices, and one past it is
+        # refused by its end, neither walked vertex by vertex
+        path = write_doc(tmp_path, "k.json", {"n_vertices": 10 ** 9, "facets": [[0, 1], [1, 2]]})
+        proc = run_python(["-c", WITH_PEAK_RSS, sys.executable, "-m", "genpos", "complex",
+                           "induced", path, "--vertices", vertices])
+        got, out, stderr, took, _ = json.loads(proc.stdout)
+        assert (got, stderr) == (code, err) and took < 1
+        if code == 0:
+            assert json.loads(out)["facets"] == [[0, 1], [1, 2]]
+
+    def test_an_over_budget_completion_of_the_empty_face_is_refused_at_once(self, tmp_path):
+        # the (-1)-completion of {∅} on 10,000 vertices is every set of
+        # them: its faces are counted and refused before any is grown
+        path = write_doc(tmp_path, "k.json", {"n_vertices": 10000, "facets": [[]]})
+        proc = run_python(["-c", WITH_PEAK_RSS, sys.executable, "-m", "genpos", "complex",
+                           "completion", path, "-j", "-1"])
+        code, out, err, took, peak_kb = json.loads(proc.stdout)
+        assert (code, out, err) == (3, "", "error: completion exceeds 1048576 faces\n")
+        assert took < 1 and peak_kb < 60 * 1024
 
     def test_truncated_uniformity_grows_on_the_points(self, tmp_path):
         # 80 points of the moment curve in d = 3 truncated to rank 3: every

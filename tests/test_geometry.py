@@ -256,9 +256,8 @@ class TestGpNumber:
             d = rng.randint(1, 3)
             pts = random_degenerate_points(rng, d, rng.randint(1, 8))
             want = oracle_gp_number(pts)
-            for lower in range(want + 1):
-                assert gp_number(pts, lower=lower, cap=want) == want
-                assert gp_number(pts, lower=lower, cap=len(pts)) == want
+            for cap in range(want, len(pts) + 2):
+                assert gp_number(pts, cap=cap) == want
 
 
 def brute_flats(pts, d):

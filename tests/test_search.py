@@ -83,12 +83,11 @@ def test_bounds_that_hold_keep_the_answer():
         d = 1 + trial % 3
         homs = distinct_homs(rng, d, rng.randint(1, 8))
         best, full = recursive_calls(homs)
-        for lower in range(best + 1):
-            for cap in range(best, len(homs) + 2):
-                log = []
-                got = maximise(homs, log, d + 1, lower=lower, cap=cap)
-                assert got == best
-                assert len(log) <= len(full)
+        for cap in range(best, len(homs) + 2):
+            log = []
+            got = maximise(homs, log, d + 1, cap=cap)
+            assert got == best
+            assert len(log) <= len(full)
 
 
 def test_cap_returns_at_the_first_set_of_its_size():
@@ -96,16 +95,6 @@ def test_cap_returns_at_the_first_set_of_its_size():
     log = []
     assert maximise(homs, log, 3, cap=3) == 3
     assert len(log) == 3
-
-
-def test_an_optimal_incumbent_is_handed_back():
-    homs = [Point([x, 0]).hom for x in range(5)]
-    log = []
-    # with the rule off, the search proves that no 3 of the 5 collinear
-    # points qualify and returns the incumbent
-    assert maximise(homs, log, 0, lower=2) == 2
-    assert 0 < len(log) <= len(recursive_calls(homs)[1])
-    assert maximise([], log, 3) == 0
 
 
 def test_first_descent_settles_flat_inputs():
@@ -121,19 +110,8 @@ def test_first_descent_settles_flat_inputs():
     log = []
     assert maximise(plane, log, 4) == 3
     assert len(log) == len(plane)
-
-
-def test_rule_holds_after_a_pruned_first_descent():
-    # with the incumbent 3, the first descent keeps a and b, rejects two
-    # more points of their line and stops before c: the points it tested lie
-    # on that line, and c alone cannot beat the incumbent
-    a, b, c = [0, 0, 0], [1, 0, 0], [0, 1, 0]
-    homs = [Point(p).hom for p in (a, b, [2, 0, 0], [3, 0, 0], c)]
-    for lower in range(4):
-        assert maximise(homs, [], 4, lower=lower) == 3
-    log = []
-    assert maximise(homs, log, 4, lower=3) == 3
-    assert len(log) == 4
+    # no items: nothing to descend into
+    assert maximise([], [], 3) == 0
 
 
 def test_rule_agrees_with_brute_force_on_low_rank_inputs():
@@ -169,12 +147,6 @@ def test_bound_is_asked_once_when_the_first_descent_falls_short():
                          bound=lambda: asked.append(1) or best) == best == 6
     assert asked == [1]
     assert log == full[: len(log)] and len(log) < len(full)
-    # a bound at the incumbent ends the search right after the first descent
-    log, asked = [], []
-    assert maximise(grid, log, 3, lower=6,
-                         bound=lambda: asked.append(1) or 6) == 6
-    assert asked == [1]
-    assert all(b[0][: len(a[0])] == a[0] for a, b in zip(log, log[1:]))
     # a first descent that reaches the cap never asks
     asked = []
     assert maximise(grid, [], 3, cap=4,

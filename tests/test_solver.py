@@ -273,8 +273,8 @@ def planted_family(rng, d, m):
 
 class TestWarmStart:
     def test_every_check_matches_brute_force(self, monkeypatch):
-        # all-subsets mode warm-starts each union from its sub-unions;
-        # sampled mode mostly finds no cached sub-union and runs cold
+        # all-subsets mode caps each union's search from its sub-unions;
+        # sampled mode mostly finds no cached sub-union and runs uncapped
         calls = self.spy(monkeypatch)
         rng = rng_for("warm-start")
         oracle = {}
@@ -295,7 +295,7 @@ class TestWarmStart:
                         oracle[key] = oracle_gp_number(pts)
                     assert c.gp_number == oracle[key], (trial, c.indices)
                     assert c.ok == (c.gp_number >= bound(len(c.indices)))
-        assert any(lower for lower, _ in calls) and any(cap for _, cap in calls)
+        assert any(calls)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_grid_row_unions_have_closed_form(self, n):
@@ -310,9 +310,9 @@ class TestWarmStart:
         calls = []
         real = solver.gp_number
 
-        def gp_number(X, node_budget=None, *, lower=0, cap=None, index=None):
-            calls.append((lower, cap))
-            return real(X, node_budget, lower=lower, cap=cap, index=index)
+        def gp_number(X, node_budget=None, *, cap=None, index=None):
+            calls.append(cap)
+            return real(X, node_budget, cap=cap, index=index)
 
         monkeypatch.setattr(solver, "gp_number", gp_number)
         return calls
@@ -333,7 +333,7 @@ class TestWarmStart:
         assert fam.gp_number_of_union((0,)) == 3
         assert fam.gp_number_of_union((1,)) == 4
         assert fam.gp_number_of_union((0, 1)) == 7
-        assert calls[-1] == (4, 7)
+        assert calls[-1] == 7
         assert extends == [] and searched == []
 
     def test_cap_counts_the_free_points(self, monkeypatch):
@@ -356,24 +356,15 @@ class TestWarmStart:
         assert check_condition(fam, lambda k: 2 * k).holds
         assert [cost for cost in builds if cost] == [comb(16, 2)]
 
-    def test_lower_alone_when_no_singleton_is_cached(self, monkeypatch):
-        # only X_{0,1} is cached: it bounds X_{0,1,2} from below, and no cap
-        # can be formed without a cached singleton
+    def test_no_cap_without_a_cached_singleton(self, monkeypatch):
+        # only X_{0,1} is cached: no cap gp(X_{I-i}) + gp(X_i) can be formed
+        # for X_{0,1,2} without a cached singleton
         fam = family_of(2, [[0, 0], [1, 0]], [[2, 0], [0, 1]], [[3, 0], [1, 1], [2, 2]])
         calls = self.spy(monkeypatch)
         assert fam.gp_number_of_union((0, 1)) == 3
         assert fam.gp_number_of_union((0, 1, 2)) == 5
-        assert calls == [(0, None), (3, None)]
+        assert calls == [None, None]
         assert oracle_gp_number(fam.union_points()) == 5
-
-    def test_lower_is_the_answer(self, monkeypatch):
-        # a third set adding only points on the line of the first two: the
-        # incumbent from X_{0,1} is optimal, and the search returns it
-        fam = family_of(2, [[0, 0], [1, 0]], [[2, 0], [3, 0]], [[4, 0], [5, 0]])
-        calls = self.spy(monkeypatch)
-        report = check_condition(fam, bound=lambda k: 2)
-        assert [c.gp_number for c in report.checks] == [2] * 7
-        assert calls[-1] == (2, 4)
 
     def test_node_budget_reaches_each_union(self):
         grid = [[x, y] for x in range(6) for y in range(6)]
@@ -462,7 +453,7 @@ class TestLineCover:
                 assert union_cover(fam, combo) == (2 * size, 2 * size)
 
     def test_one_set_is_capped_by_its_cover(self):
-        # no sub-union warm-starts a single set; the cover 12 of the 6 x 6
+        # no sub-union caps a single set; the cover 12 of the 6 x 6
         # grid ends the search at the first 12-set, well within the budget
         grid = [[x, y] for x in range(6) for y in range(6)]
         fam = PointFamily(d=2, sets=[grid], node_budget=10**5)
@@ -477,8 +468,8 @@ class TestLineCover:
         for combo in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
             fam.gp_number_of_union(combo)
         calls = spy_search(monkeypatch)
-        # gp(X_{0,1}) = 6 is the incumbent, and the union's 12 distinct
-        # points lie on the three columns x = 0, 1, 2, so the cover is 6
+        # gp(X_{0,1}) = 6, and the union's 12 distinct points lie on the
+        # three columns x = 0, 1, 2, so the cover is 6
         assert fam._gp_cache[frozenset((0, 1))] == 6
         assert union_cover(fam, (0, 1, 2)) == (6, 6)
         assert fam.gp_number_of_union((0, 1, 2)) == 6
@@ -519,7 +510,7 @@ def shared_point_families(draw, dims=(2, 3), max_distinct=8, picks=(1, 5)):
 @settings(max_examples=60, deadline=None)
 @given(shared_point_families(), st.randoms(use_true_random=False))
 def test_unions_of_shared_points_match_oracle(fam, rnd):
-    # every union, asked in a random order so warm starts vary, from the
+    # every union, asked in a random order so the caps vary, from the
     # OR of its sets' masks over the family's index, against brute force
     combos = [c for k in range(1, fam.m + 1) for c in combinations(range(fam.m), k)]
     rnd.shuffle(combos)
@@ -1030,6 +1021,16 @@ class TestCounterexample:
         fam = counterexample_family(2, 14)
         assert len(fam._gp_floors) <= 15
         assert all(len(key) >= 13 for key in fam._gp_floors)
+
+    def test_lower_bounds_kept_one_size_deep_when_sampled(self):
+        # sampled unions also come in order of size, so a sampled re-check
+        # keeps bounds on the two largest sizes it reaches only
+        fam = PointFamily(d=2, sets=counterexample_family(2, 10).sets)
+        report = check_condition(fam, bound=lambda k: k, mode="sampled", samples=300,
+                                 rng=rng_for("floors-sampled"), exact=False)
+        assert report.holds
+        top = len(report.checks[-1].indices)
+        assert fam._gp_floors and all(len(key) >= top - 1 for key in fam._gp_floors)
 
     def test_impossible_retry_budget(self):
         with pytest.raises(ConstructionError):
