@@ -12,6 +12,8 @@ family_to_doc prints the coordinates back from it. The cli row parses the
 six command-line shapes that verdictbench sends (solve, check twice,
 complex betti, complex gp, counterexample) through cli.parse_args, the
 parse cli.main uses; in a tree without it, through build_parser().parse_args.
+The fallback row parses the same six spelled --opt=value, a shape only
+argparse reads, so argparse's own path stays timed.
 
 The complex rows build the independence and uniformity complexes of an
 affine matroid, from a fresh AffineMatroid each time: 9 points in general
@@ -179,6 +181,14 @@ def build_cases(rng):
              ["complex", "gp", "-", "--max-card", "3"],
              ["counterexample", "-d", "2", "-m", "5"]]
     cases.append(("cli parse 6 argv", lambda: [parse(argv) for argv in argvs]))
+    # the same six spelled --opt=value, a shape only argparse reads
+    spelled = [["solve", "-", "--method=auto"],
+               ["check", "-", "--bound=hall", "--all-checks"],
+               ["check", "-", "--bound=g"],
+               ["complex", "betti", "-", "--up-to=2"],
+               ["complex", "gp", "-", "--max-card=3"],
+               ["counterexample", "-d=2", "-m=5"]]
+    cases.append(("cli parse 6 argv fallback", lambda: [parse(argv) for argv in spelled]))
     spatial = _gp_points(rng, 3, 9, 30)
     coplanar = [Point((x, y, x - 2 * y + 1)) for x, y in
                 (p.coords for p in _gp_points(rng, 2, 9, 30))]

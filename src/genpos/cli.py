@@ -28,11 +28,11 @@ import json
 import os
 import random
 import sys
-from bisect import bisect_left
 
 from genpos import homology, jsonio, matroids, solver
 from genpos import __version__
 from genpos.complexes import (
+    _vertices_in,
     completion,
     induced,
     is_q_star,
@@ -194,30 +194,104 @@ def build_parser():
     p.add_argument("--k", type=_int_list, default=[range(1, 6)], help="list or range")
     p.add_argument("--human", action="store_true")
 
+    for p in top.commands.values():
+        p.table = _action_table(p)
     return top
+
+
+def _action_table(parser):
+    """What _quick reads of parser, off its own actions: the store and
+    store_true actions by their exact option strings, the positionals in
+    order, each dest's default and the required options. None when argparse
+    could read a plain argv otherwise: a string default that argparse
+    converts (with a type) or checks (a positional's, with choices), a
+    positional taking other than one value, or a required positional after
+    an optional one."""
+    options, positionals, defaults, required = {}, [], {}, set()
+    for action in parser._actions:
+        if isinstance(action.default, str) and (action.type is not None or (
+                action.choices is not None and not action.option_strings)):
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        plain = type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+        if action.option_strings:
+            if plain and action.nargs in (None, 0):
+                options.update(dict.fromkeys(action.option_strings, action))
+                if action.required:
+                    required.add(action)
+        elif plain and (action.nargs == "?" or action.nargs is None
+                        and all(p.nargs is None for p in positionals)):
+            positionals.append(action)
+        else:
+            return None
+    return options, positionals, {**parser._defaults, **defaults}, required
+
+
+def _quick(table, argv):
+    """The namespace argparse gives for argv, read in one walk off table
+    (from _action_table): exact option strings, their values not starting
+    with "-", and positionals ("-" among them) anywhere, filled in order.
+    None for any other shape, a missing required argument, a failed type or
+    choice, or a surplus positional: argparse judges those."""
+    if table is None:
+        return None
+    options, positionals, defaults, required = table
+    values = dict(defaults)
+    seen = set()
+    pending = iter(positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] == "-" and token != "-":
+            action = options.get(token)
+            if action is None:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")  # a missing value reads as one with a "-"
+            if token[:1] == "-":
+                return None
+        else:
+            action = next(pending, None)
+            if action is None:
+                return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # argparse's own message for it
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(action.nargs is None for action in pending) or not required <= seen:
+        return None
+    return argparse.Namespace(**values)
 
 
 def parse_args(argv=None):
     """The namespace of build_parser().parse_args(argv), in one pass when
-    argv[0] names a subcommand: that subcommand's parser reads the rest of
-    argv alone. Anything else (--version, -h, no arguments, an unknown
+    argv[0] names a subcommand: the rest of argv is read off that
+    subcommand's action table (_quick) or, when its shape is not plain, by
+    its parser. Anything else (--version, -h, no arguments, an unknown
     command) goes to the top parser as it is.
 
-    A positional after an option (complex star -v 1 FILE) is left over by
-    that pass, because the optional input positional was filled with its
-    default together with the first one. Only then is argv parsed again,
-    intermixed, which is several times slower; what that leaves over is
-    refused by the top parser, as parse_args refuses it."""
+    The parser leaves over a positional after an option (complex betti --up
+    1 FILE); only then is argv parsed again, intermixed. A single
+    intermixed pass would report a bad option value before a bad positional
+    (complex nope -k x). What is left over is refused by the top parser."""
     top = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = top.commands.get(argv[0]) if argv else None
     if sub is None:
         return top.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        args, extras = sub.parse_known_intermixed_args(argv[1:])
-    if extras:
-        top.error("unrecognized arguments: %s" % " ".join(extras))
+    args = _quick(sub.table, argv[1:])
+    if args is None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            args, extras = sub.parse_known_intermixed_args(argv[1:])
+        if extras:
+            top.error("unrecognized arguments: %s" % " ".join(extras))
     args.command = argv[0]
     return args
 
@@ -342,19 +416,11 @@ def _render_complex(doc):
 
 
 def _induced_on(K, ranges):
-    """K induced on the vertices in ranges (from _int_list), each checked by
-    its ends: the first vertex out of range in input order is refused as
-    induced refuses it, and only K's own vertices in a range, found by
-    bisection, reach induced."""
-    n = K.n_vertices
-    for r in ranges:
-        if r.start < 0 or r.stop > n:
-            raise ValueError("vertex %d out of range" % (r.start if r.start < 0 else max(r.start, n)))
+    """K induced on the vertices in ranges (from _int_list), each read by
+    its ends as induced reads one range: the first vertex out of range in
+    input order is refused, and only K's own vertices reach induced."""
     present = K.vertices()
-    inside = set()
-    for r in ranges:
-        inside.update(present[bisect_left(present, r.start):bisect_left(present, r.stop)])
-    return induced(K, inside)
+    return induced(K, {v for r in ranges for v in _vertices_in(r, K.n_vertices, present)})
 
 
 def _cmd_complex(args, face_budget, node_budget):
@@ -506,8 +572,8 @@ def _cmd_bounds(args):
 
 def main(argv=None):
     """Run the subcommand argv names (None: sys.argv[1:]) and return its
-    exit code. argv is read by parse_args, in one pass through the
-    subcommand's own parser; usage errors exit 3 from there."""
+    exit code. argv is read by parse_args, in one pass off the
+    subcommand's own action table or parser; usage errors exit 3 there."""
     args = parse_args(argv)
     face_budget = _env_budget("GENPOS_BUDGET_FACES")
     node_budget = _env_budget("GENPOS_BUDGET_NODES")

@@ -16,6 +16,7 @@ on face masks alone: each grow reads the mask its level stores.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -267,10 +268,12 @@ def _completion(K, j, max_card, max_faces, what):
         raise ValueError("completion needs j >= dim K (%d < %d)" % (j, K.dim))
     if not K.faces:
         return K
-    if j < 0:
-        # K is {∅}, completed to every set of at most max_card vertices:
-        # counted before it grows, the empty face never refused
-        n, budget = K.n_vertices, DEFAULT_FACE_BUDGET if max_faces is None else max_faces
+    if j <= 0:
+        # K is {∅}, completed to every set of at most max_card vertices, or
+        # its own v = len(K.faces) - 1 isolated vertices, completed to every
+        # set of them: counted before it grows, the empty face never refused
+        n = K.n_vertices if j < 0 else len(K.faces) - 1
+        budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
         total = 1
         for size in range(1, min(n, n if max_card is None else max_card) + 1):
             total += comb(n, size)
@@ -305,7 +308,8 @@ def induced(K, W):
 
     Every vertex of an iterable W is range-checked in order, but only the
     vertices of K go into the mask, since faces use no other bits: a long
-    list of vertices absent from K builds no long ints."""
+    list of vertices absent from K builds no long ints. A step-1 range is
+    read by its ends (_vertices_in), so a long one answers at once."""
     n = K.n_vertices
     if isinstance(W, int):
         if W < 0:
@@ -313,6 +317,8 @@ def induced(K, W):
         if W >> n:
             raise ValueError("vertex %d out of range" % (W.bit_length() - 1))
         wm = W
+    elif isinstance(W, range) and W.step == 1:
+        wm = mask_of(_vertices_in(W, n, K.vertices()))
     else:
         present = set(K.vertices())
         wm = 0
@@ -323,6 +329,15 @@ def induced(K, W):
                 wm |= 1 << v
     faces = {f for f in K.faces if f & ~wm == 0}
     return SimplicialComplex(K.n_vertices, faces, _validated=True)
+
+
+def _vertices_in(r, n, present):
+    """The vertices of present (sorted, as K.vertices()) in the step-1
+    range r, found by bisection, after r is refused at its first vertex
+    outside 0..n-1, as induced refuses a vertex of an iterable."""
+    if r and (r.start < 0 or r.stop > n):
+        raise ValueError("vertex %d out of range" % (r.start if r.start < 0 else max(r.start, n)))
+    return present[bisect_left(present, r.start):bisect_left(present, r.stop)]
 
 
 def skeleton(K, s):

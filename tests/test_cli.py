@@ -11,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import genpos
 from genpos import (
@@ -753,6 +755,30 @@ class TestLimitsAsProcess:
         assert (code, out, err) == (3, "", "error: completion exceeds 1048576 faces\n")
         assert took < 1 and peak_kb < 60 * 1024
 
+    def test_an_over_budget_completion_of_isolated_vertices_is_refused_at_once(self, tmp_path):
+        # the 0-completion of 2,000 isolated vertices is every set of them:
+        # counted and refused before any is grown
+        path = write_doc(tmp_path, "k.json",
+                         {"n_vertices": 2000, "facets": [[v] for v in range(2000)]})
+        proc = run_python(["-c", WITH_PEAK_RSS, sys.executable, "-m", "genpos", "complex",
+                           "completion", path, "-j", "0"])
+        code, out, err, took, peak_kb = json.loads(proc.stdout)
+        assert (code, out, err) == (3, "", "error: completion exceeds 1048576 faces\n")
+        assert took < 1 and peak_kb < 60 * 1024
+
+    @pytest.mark.parametrize("budget, code, err", [
+        ("1024", 0, ""),
+        ("1023", 3, "error: completion exceeds 1023 faces\n"),
+    ])
+    def test_isolated_vertices_complete_within_the_face_budget(self, budget, code, err):
+        # 10 isolated vertices complete at j = 0 to all 2^10 sets of them
+        doc = {"n_vertices": 10, "facets": [[v] for v in range(10)]}
+        proc = run_module("genpos", ["complex", "completion", "-", "-j", "0"],
+                          stdin=json.dumps(doc), GENPOS_BUDGET_FACES=budget)
+        assert (proc.returncode, proc.stderr) == (code, err)
+        if code == 0:
+            assert json.loads(proc.stdout)["n_faces"] == 1024
+
     def test_truncated_uniformity_grows_on_the_points(self, tmp_path):
         # 80 points of the moment curve in d = 3 truncated to rank 3: every
         # set of at most 3 is uniform, 1 + 80 + C(80, 2) + C(80, 3) faces,
@@ -1063,33 +1089,119 @@ USAGE_TABLE = ANSWERING + [
     (["solve", "-", "--method", "matroid", "--method", "exhaustive"], FAMILY),
     (["bounds", "--d", "1", "--d", "3", "--k", "2"], ""),
     (["complex", "betti", "-", "-k", "0", "-k", "1"], COMPLEX),
+    # shapes only argparse reads: an = spelling, values with a leading -,
+    # and a bad positional before a bad option value, reported first
+    (["solve", "-", "--method=greedy"], FAMILY),
+    (["counterexample", "-d", "-1", "-m", "4"], ""),
+    (["complex", "betti", "-", "-k", "-1"], COMPLEX),
+    (["complex", "join", "-", "--with", "-h"], COMPLEX),
+    (["complex", "nope", "-k", "x"], ""),
 ]
+# an abbreviated option before the input: the top parser leaves the input
+# over, and parse_args reads it, intermixed
+LATE_INPUT = [(["complex", "betti", "--up", "1", "-"], COMPLEX)]
+USAGE_TABLE += LATE_INPUT
 
 
-@pytest.mark.parametrize("argv, stdin", USAGE_TABLE, ids=lambda x: " ".join(x)
-                         if isinstance(x, list) else None)
+def outcome(capsys, monkeypatch, argv, stdin):
+    """cli.entry(argv) reading stdin: its exit code, stdout and stderr."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    with pytest.raises(SystemExit) as exc:
+        cli.entry(list(argv))
+    return (exc.value.code, *capsys.readouterr())
+
+
+def argv_ids(x):
+    return " ".join(x) if isinstance(x, list) else None
+
+
+@pytest.mark.parametrize("argv, stdin", [row for row in USAGE_TABLE if row not in LATE_INPUT],
+                         ids=argv_ids)
 def test_direct_parse_matches_the_top_parser(capsys, monkeypatch, argv, stdin):
     # cli.entry against build_parser().parse_args and the same dispatch:
     # stdout, stderr and the exit code byte for byte
-    def outcome():
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        with pytest.raises(SystemExit) as exc:
-            cli.entry(list(argv))
-        return (exc.value.code, *capsys.readouterr())
-
-    direct = outcome()
+    direct = outcome(capsys, monkeypatch, argv, stdin)
     with monkeypatch.context() as m:
         m.setattr(cli, "parse_args", lambda argv=None: cli.build_parser().parse_args(argv))
-        reference = outcome()
+        reference = outcome(capsys, monkeypatch, argv, stdin)
     assert direct == reference
     assert direct[0] in (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("argv, stdin", USAGE_TABLE, ids=argv_ids)
+def test_quick_read_matches_argparse(capsys, monkeypatch, argv, stdin):
+    # cli.entry against the same parse_args with the quick read skipped
+    direct = outcome(capsys, monkeypatch, argv, stdin)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_quick", lambda table, argv: None)
+        assert outcome(capsys, monkeypatch, argv, stdin) == direct
+
+
 def test_direct_parse_sets_the_command_and_each_default():
+    # every answering argv takes the quick read
     top = cli.build_parser()
     for argv, _ in ANSWERING:
+        assert cli._quick(top.commands[argv[0]].table, argv[1:]) is not None, argv
         assert cli.parse_args(argv) == top.parse_args(argv)
     assert cli.parse_args(["bounds"]).command == "bounds"
+
+
+def _argv_pieces(sub):
+    """Strategies for the pieces of an argv drawn from sub's own actions:
+    those of its required arguments, and one for any piece. A piece is an
+    option with a value, a positional, or a token only argparse reads (an
+    abbreviation, an = spelling, -h, --, an unknown option). Values are
+    good or bad for the action's type or choices, some with a leading -."""
+    good = {int: ["0", "1", "2"], cli._int_list: ["1-2", "1,3", "2"], None: ["-", "a.json"]}
+    bad = st.sampled_from(["nope", "x", "-1", "-h", "3-1", ""])
+    odd = ["--", "-h", "--help", "--bogus", "-z", "-1", "a.json"]
+    pieces, required = [], []
+    for action in sub._actions[1:]:  # all but -h
+        fits = st.sampled_from(list(action.choices or good[action.type]))
+        value = st.one_of(fits, fits, bad)  # two good values in three
+        if action.option_strings:
+            for option in action.option_strings:
+                odd += [option + "=1", option + "1", option + "=-"]
+                if option.startswith("--") and len(option) > 4:
+                    odd.append(option[:4])
+            option = st.sampled_from(action.option_strings)
+            piece = (option.map(lambda o: [o]) if action.nargs == 0
+                     else st.tuples(option, value).map(list))
+        else:
+            piece = value.map(lambda v: [v])
+        pieces.append(piece)
+        if action.required:
+            required.append(piece)
+    return required, st.one_of(*pieces, st.sampled_from(odd).map(lambda t: [t]))
+
+
+@st.composite
+def _drawn_argv(draw):
+    top = cli.build_parser()
+    name = draw(st.sampled_from(sorted(top.commands)))
+    required, piece = _argv_pieces(top.commands[name])
+    pieces = draw(st.lists(piece, max_size=5))
+    if draw(st.booleans()):
+        pieces += [draw(p) for p in required]
+    pieces = draw(st.permutations(pieces))
+    return [name] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_drawn_argv())
+def test_quick_read_matches_argparse_on_drawn_argv(capsys, monkeypatch, argv):
+    # where the quick read answers, argparse answers the same namespace;
+    # on every draw cli.entry answers the same as with it skipped
+    stdin = {"complex": COMPLEX, "solve": FAMILY, "check": FAMILY}.get(argv[0], "")
+    quick = cli._quick(cli.build_parser().commands[argv[0]].table, argv[1:])
+    direct = outcome(capsys, monkeypatch, argv, stdin)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_quick", lambda table, argv: None)
+        if quick is not None:
+            quick.command = argv[0]
+            assert cli.parse_args(argv) == quick
+        assert outcome(capsys, monkeypatch, argv, stdin) == direct
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -294,6 +294,20 @@ class TestCompletion:
         with pytest.raises(BudgetExceeded):
             completion(K, 0, max_faces=50)
 
+    def test_isolated_vertices_are_counted_at_the_boundary(self):
+        # the 0-completion of 10 isolated vertices is all 2^10 sets of them
+        K = closure([(v,) for v in range(10)], 10)
+        assert len(completion(K, 0, max_faces=1024)) == 1024
+        with pytest.raises(BudgetExceeded, match="^completion exceeds 1023 faces$"):
+            completion(K, 0, max_faces=1023)
+
+    def test_isolated_vertices_over_budget_are_refused_before_they_grow(self):
+        K = closure([(v,) for v in range(2000)], 2000)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="^completion exceeds 1048576 faces$"):
+            completion(K, 0)
+        assert time.perf_counter() - t0 < 1
+
     @settings(max_examples=60, deadline=None)
     @given(_facet_lists, st.booleans())
     def test_matches_oracle_with_caps(self, case, above):
@@ -364,6 +378,23 @@ class TestInducedAndSkeleton:
         assert induced(K, (3, 2, 0)) == closure([(0,)], 4)
         with pytest.raises(ValueError, match="^vertex 4 out of range$"):
             induced(K, (3, 4, 0))
+
+    def test_a_long_range_is_read_by_its_ends(self):
+        # two edges on 10^9 vertices: a step-1 range is bisected on the
+        # complex's own vertices, not walked, and refused at the same first
+        # vertex out of range as its walk
+        K = closure([(0, 1), (1, 2)], 10 ** 9)
+        t0 = time.perf_counter()
+        got = induced(K, range(10 ** 7))
+        assert time.perf_counter() - t0 < 0.1
+        assert got == induced(K, range(3)) == induced(K, [0, 1, 2]) == K
+        assert induced(K, range(1, 2)) == induced(K, [1])
+        for W, message in ((range(-1, 3), "vertex -1 out of range"),
+                           (range(10 ** 9 - 2, 10 ** 9 + 5), "vertex 1000000000 out of range"),
+                           (range(10 ** 9 + 3, 10 ** 9 + 5), "vertex 1000000003 out of range")):
+            for walked in (W, iter(W)):
+                with pytest.raises(ValueError, match="^%s$" % message):
+                    induced(K, walked)
 
     def test_skeleton_known(self):
         K = full_triangle()
