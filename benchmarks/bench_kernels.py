@@ -8,7 +8,9 @@ gp_number's flat index: the 6x6 grid (d=2), the 3x3x3 cube and 40 points on
 the moment curve (d=3). The jsonio rows parse and print a decide-sized pair
 of family documents (d=2 and d=3, about 3,200 integer and 800 "p/q"
 coordinates): family_from_doc builds each point's homogeneous vector, and
-family_to_doc prints the coordinates back from it. The cli row parses the
+family_to_doc prints the coordinates back from it. One more row parses the
+same pair with every coordinate a "p/q" string, as in the affine-mapped
+grids of verdictbench's degenerate workload. The cli row parses the
 six command-line shapes that verdictbench sends (solve, check twice,
 complex betti, complex gp, counterexample) through cli.parse_args, the
 parse cli.main uses; in a tree without it, through build_parser().parse_args.
@@ -168,6 +170,9 @@ def build_cases(rng):
     docs = [_family_doc(rng, 2, 20, 50), _family_doc(rng, 3, 20, 33)]
     cases.append(("family_from_doc 4k coords",
                   lambda: [family_from_doc(doc) for doc in docs]))
+    ratio_docs = [_all_ratios(doc) for doc in docs]
+    cases.append(("family_from_doc 4k ratio coords",
+                  lambda: [family_from_doc(doc) for doc in ratio_docs]))
     families = [family_from_doc(doc) for doc in docs]
     cases.append(("family_to_doc 4k coords",
                   lambda: [family_to_doc(fam) for fam in families]))
@@ -303,6 +308,17 @@ def _family_doc(rng, d, m, size):
 
     return {"d": d, "sets": [[[coord() for _ in range(d)] for _ in range(size)]
                              for _ in range(m)]}
+
+
+def _all_ratios(doc):
+    """doc with every coordinate x written as the "p/q" string of x/2 + 1/3,
+    in lowest terms, as the affine-mapped grids of verdictbench's degenerate
+    workload are written."""
+    def ratio(c):
+        q = Fraction(c) / 2 + Fraction(1, 3)
+        return "%d/%d" % (q.numerator, q.denominator)
+
+    return {"d": doc["d"], "sets": [[[ratio(c) for c in p] for p in X] for X in doc["sets"]]}
 
 
 def cases_from(root):

@@ -118,6 +118,8 @@ def _primitive(nums, dens):
     vec = [n * (den // q) for n, q in zip(nums, dens)]
     vec.append(den)
     g = gcd(*vec)
+    if g == 1:
+        return tuple(vec)
     return tuple(v // g for v in vec)
 
 
@@ -262,18 +264,23 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
         for p in pts:
             union |= 1 << pos[p.hom]
     full = index.top + 2  # the rank sought: d+1 unless the index is capped lower
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    spent = 0
     if index.flats is None:
         homs = index.homs
         rank = int_rank([homs[i] for i in bits_of(union)])
         if rank < full:
             return rank
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    spent = index.build(budget)
+        spent = index.build(budget)
     crowded = index.crowded(union)
     free = (union & ~crowded).bit_count()
-    items = [1 << i for i in bits_of(crowded)]
-    if not items:
+    if not crowded:
         return free
+    items = []
+    rest = crowded
+    while rest:
+        items.append(rest & -rest)
+        rest &= rest - 1
     through = index.through
 
     def extends(chosen, w):
@@ -344,7 +351,11 @@ class FlatIndex:
         """Build the index if it is not built, and return the nodes that
         cost (0 if it was built). BudgetExceeded is raised, before any
         work, when the tuples outnumber node_budget (None:
-        DEFAULT_NODE_BUDGET)."""
+        DEFAULT_NODE_BUDGET). A group holds the points above its lowest
+        point a, which joins it only if it is kept; directions from a are
+        kept only when top > 1. Flats, and each through[i], come out in order
+        of lowest point, j, and first affinely independent (j+1)-tuple,
+        which cover's greedy tie-break depends on."""
         if self.flats is not None:
             return 0
         cost = self.tuples()
@@ -364,16 +375,17 @@ class FlatIndex:
             # the flats through a: each reduced direction from a names a
             # line, and the Plücker vector of j directions a j-flat
             p = homs[a]
-            groups = [{} for _ in range(top + 1)]  # by dimension: key -> points
+            groups = [{} for _ in range(top + 1)]  # by dimension: key -> points above a
             dirs = {}
             level = []
             group = groups[1]
             for b in range(a + 1, n):
-                key = dirs[b] = line_key(p, homs[b])
-                grown = 1 << a | 1 << b
-                group[key] = group.get(key, 0) | grown
+                key = line_key(p, homs[b])
+                bit = 1 << b
+                group[key] = group.get(key, 0) | bit
                 if top > 1:
-                    level.append((grown, key, b + 1))
+                    dirs[b] = key
+                    level.append((bit, key, b + 1))
             for j in range(2, top + 1):
                 flat_key = flat_keys[j]
                 group = groups[j]
@@ -390,10 +402,11 @@ class FlatIndex:
                 level = deeper
             for j in range(1, top + 1):
                 for mask in groups[j].values():
-                    if mask.bit_count() < j + 2 or any(
+                    if mask.bit_count() <= j or any(
                         k == j and not mask & ~other for other, k in through[a]
                     ):
                         continue  # too few points, or recorded at a lower point
+                    mask |= 1 << a
                     flat = (mask, j)
                     flats.append(flat)
                     while mask:

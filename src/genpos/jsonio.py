@@ -12,11 +12,13 @@ more digits than that limit ("1e4300"), since it could not be printed.
 
 Points go straight to their primitive homogeneous integer vectors
 (geometry.Point.hom): JSON integers as they are, "p/q" strings as two
-integers, every other string through Fraction. Each point list is read in
-one pass, which checks every point's length and builds its vector; the
-name of a point ("sets[i][j]", "points[j]") is formatted only when it is
-refused. Output coordinates are printed from that vector, as an integer or
-a lowest-terms "p/q" string.
+integers, every other string through Fraction. A string is "p/q" when it is
+ASCII, p is digits after at most one "-" and q is digits; a zero q, or a
+part past the limit on digits, is refused with Fraction's message. Each
+point list is read in one pass, which checks every point's length and
+builds its vector; the name of a point ("sets[i][j]", "points[j]") is
+formatted only when it is refused. Output coordinates are printed from that
+vector, as an integer or a lowest-terms "p/q" string.
 
 Family document:     {"d": 2, "sets": [[["1/2", 0], [3, 4]], ...]}
 Complex document:    {"n_vertices": 5, "facets": [[0, 1, 2], [3], ...]}
@@ -52,7 +54,6 @@ __all__ = [
 ]
 
 
-_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE][-+]?(\d[\d_]*)\s*")
 _INT = {int}
 
@@ -63,22 +64,23 @@ def _ratio(obj):
     every coordinate. DocumentError names what is wrong with obj."""
     if type(obj) is int:
         return obj, 1
-    if isinstance(obj, bool):
-        raise DocumentError("booleans are not coordinates: %r" % (obj,))
-    if isinstance(obj, int):
-        return int(obj), 1
-    if isinstance(obj, float):
-        raise DocumentError(
-            "JSON floats are inexact; write %r as a string like \"1/10\"" % (obj,)
-        )
     if not isinstance(obj, str):
+        if isinstance(obj, bool):
+            raise DocumentError("booleans are not coordinates: %r" % (obj,))
+        if isinstance(obj, int):
+            return int(obj), 1
+        if isinstance(obj, float):
+            raise DocumentError(
+                "JSON floats are inexact; write %r as a string like \"1/10\"" % (obj,)
+            )
         raise DocumentError("expected a rational, got %r" % (obj,))
-    ratio = _RATIO.fullmatch(obj)
-    if ratio is None:
+    num, slash, den = obj.partition("/")
+    ratio = slash and obj.isascii() and den.isdigit() and num.removeprefix("-").isdigit()
+    if not ratio:
         _refuse_huge_exponent(obj)
     try:
-        if ratio is not None:
-            num, den = int(ratio[1]), int(ratio[2])
+        if ratio:
+            num, den = int(num), int(den)  # ValueError past the limit on digits
             if den:
                 return num, den
         q = Fraction(obj)

@@ -59,33 +59,37 @@ def max_extension(items, extends, rank, cap=None, node_budget=None, bound=None, 
     best = 0
     chosen = 0
     picked = []  # input positions of chosen, the stack of pending exclusions
+    depth = 0  # len(picked)
     first = True
     i = 0
     while True:
-        while i < n and len(picked) + n - i > best:
-            nodes += 1
+        start = i
+        while depth + n - i > best:  # so i < n, as depth <= best
             item = items[i]
             if extends(chosen, item):
                 chosen |= item
                 picked.append(i)
-                if len(picked) > best:
-                    best = len(picked)
+                depth += 1
+                if depth > best:
+                    best = depth
                     if best >= cap:
                         return best
             i += 1
+        nodes += i - start
         if first:
             first = False
-            if len(picked) < rank:
+            if depth < rank:
                 return best
             if bound is not None:
                 cap = min(cap, bound())
                 if best >= cap:
                     return best
-        if not picked:
+        if not depth:
             return best
         if nodes > budget:
             raise BudgetExceeded("search exceeds %d nodes" % budget)
         i = picked.pop() + 1
+        depth -= 1
         chosen ^= items[i - 1]
 
 

@@ -196,6 +196,7 @@ class PointFamily:
     _index: FlatIndex | None = field(default=None, repr=False)
     _masks: list | None = field(default=None, repr=False)
     _witness_rows: int = field(default=0, repr=False)
+    _singles: tuple = field(init=False, repr=False)  # frozenset((i,)) for each set i
 
     def __post_init__(self):
         sets = tuple(
@@ -208,6 +209,7 @@ class PointFamily:
             if X.d != self.d:
                 raise ValueError("set dimension %d != family dimension %d" % (X.d, self.d))
         object.__setattr__(self, "sets", sets)
+        self._singles = tuple(frozenset((i,)) for i in range(len(sets)))
 
     @property
     def m(self):
@@ -250,16 +252,18 @@ class PointFamily:
                 del floors[rest]
         lower = 0  # settles threshold queries only
         cap = None
+        singles = self._singles
         for i in key:
-            rest = key - {i}
-            exact = cache.get(rest)
-            if exact is None:
-                lower = max(lower, floors.get(rest, 0))
-                continue
-            lower = max(lower, exact)
-            alone = cache.get(frozenset((i,)))
-            if alone is not None and (cap is None or exact + alone < cap):
-                cap = exact + alone
+            rest = key - singles[i]
+            sub = cache.get(rest)  # exact, or else a lower bound
+            if sub is None:
+                sub = floors.get(rest, 0)
+            else:
+                alone = cache.get(singles[i])
+                if alone is not None and (cap is None or sub + alone < cap):
+                    cap = sub + alone
+            if sub > lower:
+                lower = sub
         index = self._index
         if index is None:
             homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)

@@ -22,8 +22,10 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 43
-    assert labels[16:] == [
+    assert len(labels) == 44
+    assert labels[14:17] == ["family_from_doc 4k coords", "family_from_doc 4k ratio coords",
+                             "family_to_doc 4k coords"]
+    assert labels[17:] == [
         "cli parse 6 argv", "cli parse 6 argv fallback",
         "independence 9 pts d=3", "uniformity 9 pts d=3",
         "independence 9 coplanar d=3", "uniformity 9 coplanar d=3",

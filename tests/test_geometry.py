@@ -235,15 +235,23 @@ class TestGpNumber:
     def test_search_gets_what_the_build_leaves(self, monkeypatch):
         # the 6 x 6 grid's index costs C(36, 2) = 630 nodes before its search
         grid = [Point([x, y]) for x in range(6) for y in range(6)]
-        nodes = []
-        real = geometry.max_extension
-        monkeypatch.setattr(geometry, "max_extension", lambda items, extends, *args, **kw: real(
-            items, lambda chosen, w: nodes.append(1) or extends(chosen, w), *args, **kw))
+        nodes = count_predicate_calls(monkeypatch)
         assert gp_number(grid) == 12
         search = len(nodes)
         assert gp_number(grid, node_budget=search + 630) == 12
         with pytest.raises(BudgetExceeded):
             gp_number(grid, node_budget=search + 100)
+
+    @pytest.mark.parametrize("pts, answer, calls", [
+        ([(x, y) for x in range(6) for y in range(6)], 12, 40_201),
+        ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)], 8, 109_641),
+    ], ids=["6x6 grid", "3x3x3 cube"])
+    def test_predicate_calls_are_pinned(self, monkeypatch, pts, answer, calls):
+        # the work of the search, for a change to its order or bounds to
+        # measure itself against
+        nodes = count_predicate_calls(monkeypatch)
+        assert gp_number([Point(p) for p in pts]) == answer
+        assert len(nodes) == calls
 
     def test_seven_by_seven_grid_within_the_default_budget(self):
         # no sub-union caps a direct call; the line cover of the rows does
@@ -258,6 +266,16 @@ class TestGpNumber:
             want = oracle_gp_number(pts)
             for cap in range(want, len(pts) + 2):
                 assert gp_number(pts, cap=cap) == want
+
+
+def count_predicate_calls(monkeypatch):
+    """A list that gains an entry at each call of the predicate that
+    gp_number hands to max_extension."""
+    nodes = []
+    real = geometry.max_extension
+    monkeypatch.setattr(geometry, "max_extension", lambda items, extends, *args, **kw: real(
+        items, lambda chosen, w: nodes.append(1) or extends(chosen, w), *args, **kw))
+    return nodes
 
 
 def brute_flats(pts, d):
@@ -301,8 +319,14 @@ class TestFlatIndex:
             got = flats_of(index)
             want = brute_flats(pts, d)
             assert len(got) == len(set(got)) and set(got) == want, trial
+            # in order of lowest point, j, and first affinely independent
+            # (j+1)-tuple, which the greedy cover's tie-break depends on
+            order = [(min(on), j, next(t for t in combinations(sorted(on), j + 1)
+                                       if oracle_rank([pts[i].hom for i in t]) == j + 1))
+                     for on, j in got]
+            assert order == sorted(order), trial
             for i in range(len(pts)):
-                assert set(index.through[i]) == {f for f in index.flats if f[0] >> i & 1}
+                assert index.through[i] == tuple(f for f in index.flats if f[0] >> i & 1)
             dims |= {j for _, j in want}
         assert dims == set(range(1, d))
 

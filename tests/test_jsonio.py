@@ -54,6 +54,11 @@ class TestRationalCodec:
         assert parse_rational("1e3") == F(1000)
         assert parse_rational("2.5E-1") == F(1, 4)
         assert parse_rational("6/8") == F(3, 4)
+        # a negative zero, then signs, spaces, underscores and non-ASCII
+        # digits, which only Fraction reads
+        for text, want in (("-0/7", 0), ("+1/2", F(1, 2)), (" 1/2", F(1, 2)),
+                           ("1_0/3", F(10, 3)), ("\u0663/2", F(3, 2)), ("\uff11/2", F(1, 2))):
+            assert parse_rational(text) == want, text
 
     def test_refuses_exponents_over_the_digit_limit(self):
         t0 = time.perf_counter()
@@ -423,6 +428,8 @@ class TestIntegerFirstPoints:
         "1" * 5000 + "/3", "3/" + "1" * 5000, "-" + "2" * 5000 + "/7", "1" * 5000,
         "1" * 5000 + ".5", "1/0", "0/0", "3/-4", "abc", "", " ", "1/2/3", "1_/2",
         "\u0661/\u0662", True, False, 0.5, float("inf"), None, [1], {"a": 1},
+        "+1/2", " 1/2", "1_0/3", "\u0663/2", "\uff11/2", "\u00b2/3", "-0/7", "1/00",
+        "1" * 4301 + "/3", "3/" + "1" * 4301,
     ])
     def test_rejections_match_the_fraction_reference(self, bad):
         try:
