@@ -15,15 +15,14 @@ Run as the installed `genpos` script, `python3 -m genpos` or
 
 Environment: GENPOS_BUDGET_FACES caps faces in any constructed complex,
 GENPOS_BUDGET_NODES caps search nodes (each gp_number included, its flat
-index build too), the subfamilies check evaluates in either mode and the
-vertex sets complex qstar tests.
+index build too), the subfamilies check evaluates in either mode, the
+vertex sets complex qstar tests and the rows of the bounds table.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import random
@@ -194,104 +193,37 @@ def build_parser():
     p.add_argument("--k", type=_int_list, default=[range(1, 6)], help="list or range")
     p.add_argument("--human", action="store_true")
 
-    for p in top.commands.values():
-        p.table = _action_table(p)
     return top
 
 
-def _action_table(parser):
-    """What _quick reads of parser, off its own actions: the store and
-    store_true actions by their exact option strings, the positionals in
-    order, each dest's default and the required options. None when argparse
-    could read a plain argv otherwise: a string default that argparse
-    converts (with a type) or checks (a positional's, with choices), a
-    positional taking other than one value, or a required positional after
-    an optional one."""
-    options, positionals, defaults, required = {}, [], {}, set()
-    for action in parser._actions:
-        if isinstance(action.default, str) and (action.type is not None or (
-                action.choices is not None and not action.option_strings)):
-            return None
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        plain = type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
-        if action.option_strings:
-            if plain and action.nargs in (None, 0):
-                options.update(dict.fromkeys(action.option_strings, action))
-                if action.required:
-                    required.add(action)
-        elif plain and (action.nargs == "?" or action.nargs is None
-                        and all(p.nargs is None for p in positionals)):
-            positionals.append(action)
-        else:
-            return None
-    return options, positionals, {**parser._defaults, **defaults}, required
-
-
-def _quick(table, argv):
-    """The namespace argparse gives for argv, read in one walk off table
-    (from _action_table): exact option strings, their values not starting
-    with "-", and positionals ("-" among them) anywhere, filled in order.
-    None for any other shape, a missing required argument, a failed type or
-    choice, or a surplus positional: argparse judges those."""
-    if table is None:
-        return None
-    options, positionals, defaults, required = table
-    values = dict(defaults)
-    seen = set()
-    pending = iter(positionals)
-    tokens = iter(argv)
-    for token in tokens:
-        if token[:1] == "-" and token != "-":
-            action = options.get(token)
-            if action is None:
-                return None
-            seen.add(action)
-            if action.nargs == 0:
-                values[action.dest] = action.const
-                continue
-            token = next(tokens, "-")  # a missing value reads as one with a "-"
-            if token[:1] == "-":
-                return None
-        else:
-            action = next(pending, None)
-            if action is None:
-                return None
-        try:
-            value = token if action.type is None else action.type(token)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None  # argparse's own message for it
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    if any(action.nargs is None for action in pending) or not required <= seen:
-        return None
-    return argparse.Namespace(**values)
-
-
 def parse_args(argv=None):
-    """The namespace of build_parser().parse_args(argv), in one pass when
-    argv[0] names a subcommand: the rest of argv is read off that
-    subcommand's action table (_quick) or, when its shape is not plain, by
-    its parser. Anything else (--version, -h, no arguments, an unknown
-    command) goes to the top parser as it is.
+    """A fresh copy of the namespace build_parser().parse_args(argv) gives
+    (None: sys.argv[1:]), parsed once per distinct argv (_parse). The copy
+    shares its values, such as --vertices' list, with the memo."""
+    argv = sys.argv[1:] if argv is None else argv
+    return argparse.Namespace(**vars(_parse(tuple(argv))))
+
+
+@functools.cache
+def _parse(argv):
+    """The namespace for the argv tuple: the rest goes to the parser of the
+    subcommand argv[0] names, anything else (--version, -h, no arguments,
+    an unknown command) to the top parser. A usage error, -h or --version
+    exits here, so it is not memoised and prints its message every time.
 
     The parser leaves over a positional after an option (complex betti --up
     1 FILE); only then is argv parsed again, intermixed. A single
     intermixed pass would report a bad option value before a bad positional
     (complex nope -k x). What is left over is refused by the top parser."""
     top = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     sub = top.commands.get(argv[0]) if argv else None
     if sub is None:
         return top.parse_args(argv)
-    args = _quick(sub.table, argv[1:])
-    if args is None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if extras:
-            args, extras = sub.parse_known_intermixed_args(argv[1:])
-        if extras:
-            top.error("unrecognized arguments: %s" % " ".join(extras))
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        args, extras = sub.parse_known_intermixed_args(argv[1:])
+    if extras:
+        top.error("unrecognized arguments: %s" % " ".join(extras))
     args.command = argv[0]
     return args
 
@@ -563,17 +495,22 @@ def _render_bounds(doc):
     return "\n".join(lines)
 
 
-def _cmd_bounds(args):
-    table = solver.bound_table(list(itertools.chain.from_iterable(args.d)),
-                              list(itertools.chain.from_iterable(args.k)))
+def _cmd_bounds(args, node_budget):
+    # one row per (d, k): counted off the ranges before any is expanded
+    rows = sum(r.stop - r.start for r in args.d) * sum(r.stop - r.start for r in args.k)
+    budget = solver.DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    if rows > budget:
+        raise BudgetExceeded("bounds table would have %d rows, over the budget of %d nodes"
+                             % (rows, budget))
+    table = solver.bound_table([d for r in args.d for d in r], [k for r in args.k for k in r])
     _emit({"rows": list(table.rows)}, args.human, _render_bounds)
     return EXIT_OK
 
 
 def main(argv=None):
     """Run the subcommand argv names (None: sys.argv[1:]) and return its
-    exit code. argv is read by parse_args, in one pass off the
-    subcommand's own action table or parser; usage errors exit 3 there."""
+    exit code. argv is read by parse_args, by the subcommand's own parser
+    and memoised per distinct argv; usage errors exit 3 there."""
     args = parse_args(argv)
     face_budget = _env_budget("GENPOS_BUDGET_FACES")
     node_budget = _env_budget("GENPOS_BUDGET_NODES")
@@ -587,7 +524,7 @@ def main(argv=None):
         return _cmd_counterexample(args)
     if args.command == "witness-search":
         return _cmd_witness_search(args, node_budget)
-    return _cmd_bounds(args)
+    return _cmd_bounds(args, node_budget)
 
 
 def entry(argv=None):

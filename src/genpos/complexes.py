@@ -208,9 +208,17 @@ def star(K, v):
     contains every face through v as well as the links."""
     if not 0 <= v < K.n_vertices:
         raise ValueError("vertex %d out of range" % v)
+    return SimplicialComplex(K.n_vertices, _star_faces(K, v), _validated=True)
+
+
+def _star_faces(K, v):
+    """The faces S of K with S + {v} a face: none when v lies above every
+    face, read off the largest face so that a vertex far past K's faces
+    builds no 1 << v."""
+    if v >= max(K.faces, default=0).bit_length():
+        return set()
     vb = 1 << v
-    faces = {f for f in K.faces if (f | vb) in K.faces}
-    return SimplicialComplex(K.n_vertices, faces, _validated=True)
+    return {f for f in K.faces if (f | vb) in K.faces}
 
 
 def neighborhood(K, v, d):
@@ -221,11 +229,10 @@ def neighborhood(K, v, d):
         raise ValueError("neighborhood needs d == dim K (%d != %d)" % (d, K.dim))
     if not 0 <= v < K.n_vertices:
         raise ValueError("vertex %d out of range" % v)
-    vb = 1 << v
-    st = {f for f in K.faces if (f | vb) in K.faces}
+    st = _star_faces(K, v)
     result = set(st)
     for f in K.by_size(d + 1):
-        if f & vb:
+        if f >> v & 1:
             continue
         if d == 0 or all((f ^ (1 << u)) in st for u in bits_of(f)):
             result.add(f)

@@ -917,12 +917,28 @@ class TestLimitsAsProcess:
         (["complex", "induced", "k.json", "--vertices", "0,3-1"], 3, "usage: genpos complex"),
         (["complex", "induced", "k.json", "--vertices", "3-1"], 3, "usage: genpos complex"),
         (["bounds", "--d", "1,3-2"], 3, "usage: genpos bounds"),
+        # five billion rows, counted off the ranges and refused unexpanded
+        (["bounds", "--d", "1-1000000000"], 3,
+         "error: bounds table would have 5000000000 rows, over the budget of 10000000 nodes\n"),
     ])
     def test_family_and_table_commands_exit_with_their_codes(self, argv, code, out):
         proc = run_module("genpos", argv)
         assert proc.returncode == code
         said, silent = (proc.stdout, proc.stderr) if code < 3 else (proc.stderr, proc.stdout)
         assert said.startswith(out) and silent == ""
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["bounds", "--d", "1-2", "--k", "1-3"], 0, '{"rows": [{"d": 1, "k": 1, '),
+        (["bounds", "--d", "1-2", "--k", "1-4"], 3,
+         "error: bounds table would have 8 rows, over the budget of 6 nodes\n"),
+    ])
+    def test_bounds_table_within_the_node_budget(self, argv, code, out):
+        proc = run_module("genpos", argv, GENPOS_BUDGET_NODES="6")
+        assert proc.returncode == code
+        said, silent = (proc.stdout, proc.stderr) if code < 3 else (proc.stderr, proc.stdout)
+        assert said.startswith(out) and silent == ""
+        if code == 0:
+            assert len(json.loads(proc.stdout)["rows"]) == 6
 
     def test_sampled_check_within_the_node_budget(self):
         # twelve singletons at a budget of 10: both modes refuse up front
@@ -1128,21 +1144,44 @@ def test_direct_parse_matches_the_top_parser(capsys, monkeypatch, argv, stdin):
     assert direct[0] in (0, 1, 2, 3)
 
 
+def memo_against_fresh(capsys, monkeypatch, argv, stdin):
+    """cli.entry(argv) run twice, then once with the parse memo bypassed
+    (cli._parse.__wrapped__): all three must match byte for byte, exit
+    code, stdout and stderr."""
+    first = outcome(capsys, monkeypatch, argv, stdin)
+    assert outcome(capsys, monkeypatch, argv, stdin) == first
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", cli._parse.__wrapped__)
+        assert outcome(capsys, monkeypatch, argv, stdin) == first
+
+
 @pytest.mark.parametrize("argv, stdin", USAGE_TABLE, ids=argv_ids)
 def test_quick_read_matches_argparse(capsys, monkeypatch, argv, stdin):
-    # cli.entry against the same parse_args with the quick read skipped
-    direct = outcome(capsys, monkeypatch, argv, stdin)
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_quick", lambda table, argv: None)
-        assert outcome(capsys, monkeypatch, argv, stdin) == direct
+    # a memoised parse answers as a fresh one, on repeats too (the name is
+    # kept from the quick argv reader the memo replaced)
+    memo_against_fresh(capsys, monkeypatch, argv, stdin)
 
 
-def test_direct_parse_sets_the_command_and_each_default():
-    # every answering argv takes the quick read
+def test_direct_parse_sets_the_command_and_each_default(monkeypatch):
+    # each answering argv reaches its subparser once over two parses, and
+    # each parse hands out its own namespace
     top = cli.build_parser()
     for argv, _ in ANSWERING:
-        assert cli._quick(top.commands[argv[0]].table, argv[1:]) is not None, argv
-        assert cli.parse_args(argv) == top.parse_args(argv)
+        sub = top.commands[argv[0]]
+        calls = []
+
+        def spy(args=None, namespace=None, real=sub.parse_known_args):
+            calls.append(args)
+            return real(args, namespace)
+
+        with monkeypatch.context() as m:
+            m.setattr(sub, "parse_known_args", spy)
+            cli._parse.cache_clear()
+            first = cli.parse_args(argv)
+            first.command = "changed"
+            second = cli.parse_args(argv)
+        assert len(calls) == 1, argv
+        assert second == top.parse_args(argv) and second.command == argv[0], argv
     assert cli.parse_args(["bounds"]).command == "bounds"
 
 
@@ -1191,17 +1230,9 @@ def _drawn_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_drawn_argv())
 def test_quick_read_matches_argparse_on_drawn_argv(capsys, monkeypatch, argv):
-    # where the quick read answers, argparse answers the same namespace;
-    # on every draw cli.entry answers the same as with it skipped
+    # on every draw a memoised parse answers as a fresh one
     stdin = {"complex": COMPLEX, "solve": FAMILY, "check": FAMILY}.get(argv[0], "")
-    quick = cli._quick(cli.build_parser().commands[argv[0]].table, argv[1:])
-    direct = outcome(capsys, monkeypatch, argv, stdin)
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_quick", lambda table, argv: None)
-        if quick is not None:
-            quick.command = argv[0]
-            assert cli.parse_args(argv) == quick
-        assert outcome(capsys, monkeypatch, argv, stdin) == direct
+    memo_against_fresh(capsys, monkeypatch, argv, stdin)
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -1226,6 +1257,24 @@ def test_a_huge_vertex_range_answers_at_once(capsys, monkeypatch, argv, doc):
     took, code, out = answer(10 ** 6)
     assert took < 1
     assert (code, out) == answer(5)[1:]
+
+
+@pytest.mark.parametrize("op", ["star", "neighborhood"])
+@pytest.mark.parametrize("facets", [[[v, v + 1] for v in range(10)], [[v] for v in range(10)]])
+def test_an_absent_high_vertex_answers_from_the_faces(capsys, monkeypatch, op, facets):
+    # a path (or ten isolated vertices, whose neighborhood is every vertex)
+    # on a document claiming 10^9 vertices: a vertex far past every face
+    # answers at once, the same as one just past them
+    def answer(v):
+        doc = {"n_vertices": 10 ** 9, "facets": facets}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        t0 = time.perf_counter()
+        code = cli.main(["complex", op, "-", "-v", str(v)])
+        return time.perf_counter() - t0, code, capsys.readouterr().out
+
+    took, code, out = answer(999999999)
+    assert took < 1
+    assert (code, out) == answer(20)[1:]
 
 
 def test_a_long_in_range_vertex_list_induces_at_once(capsys, monkeypatch):
