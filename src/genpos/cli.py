@@ -23,15 +23,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import random
 import sys
+from bisect import bisect_left
 
 from genpos import homology, jsonio, matroids, solver
 from genpos import __version__
 from genpos.complexes import (
-    _vertices_in,
+    closure,
     completion,
     induced,
     is_q_star,
@@ -347,14 +350,6 @@ def _render_complex(doc):
     )
 
 
-def _induced_on(K, ranges):
-    """K induced on the vertices in ranges (from _int_list), each read by
-    its ends as induced reads one range: the first vertex out of range in
-    input order is refused, and only K's own vertices reach induced."""
-    present = K.vertices()
-    return induced(K, {v for r in ranges for v in _vertices_in(r, K.n_vertices, present)})
-
-
 def _cmd_complex(args, face_budget, node_budget):
     op = args.op
 
@@ -363,6 +358,7 @@ def _cmd_complex(args, face_budget, node_budget):
             raise DocumentError("complex %s needs %s" % (op, name))
         return flag
 
+    labels = None
     if op in ("gp", "independence", "uniformity"):
         if op == "uniformity" and args.rank is not None and args.rank < 1:
             # rank 0 would make every element a loop
@@ -385,25 +381,36 @@ def _cmd_complex(args, face_budget, node_budget):
         members = jsonio.subcomplexes_from_doc(_read_doc(args.input), max_faces=face_budget)
         K = nerve(members, max_faces=face_budget)
     else:
-        K = jsonio.complex_from_doc(_read_doc(args.input), max_faces=face_budget)
-        if op == "closure":
-            pass
-        elif op == "star":
-            K = star(K, need(args.vertex, "-v"))
+        # an absent vertex v keeps a label, as a vertex of no face
+        v = args.vertex if op in ("star", "neighborhood") else None
+        K, labels = jsonio.complex_from_doc(_read_doc(args.input), max_faces=face_budget,
+                                            keep=() if v is None else (v,))
+        n, used = labels
+        if op == "star":
+            K = star(K, bisect_left(used, need(v, "-v")))
         elif op == "neighborhood":
-            K = neighborhood(K, need(args.vertex, "-v"), K.dim)
+            K = neighborhood(K, bisect_left(used, need(v, "-v")), K.dim)
         elif op == "completion":
-            K = completion(K, need(args.level, "-j"), max_card=args.max_card,
-                           max_faces=face_budget)
+            if need(args.level, "-j") < 0 and K.dim < 0:  # it fills every vertex
+                K, labels = closure(K.faces, n), (n, range(n))
+            K = completion(K, args.level, max_card=args.max_card, max_faces=face_budget)
         elif op == "skeleton":
             K = skeleton(K, need(args.skeleton_dim, "-s"))
         elif op == "induced":
-            K = _induced_on(K, need(args.vertices, "--vertices"))
+            # each range is read by its ends: refused at its first vertex
+            # outside 0..n-1, else ORing in the labels inside it
+            wm = 0
+            for r in need(args.vertices, "--vertices"):
+                if r.start < 0 or r.stop > n:
+                    raise ValueError("vertex %d out of range"
+                                     % (r.start if r.start < 0 else max(r.start, n)))
+                wm |= (1 << bisect_left(used, r.stop)) - (1 << bisect_left(used, r.start))
+            K = induced(K, wm)
         elif op == "join":
-            other = jsonio.complex_from_doc(
-                _read_doc(need(args.second, "--with")), max_faces=face_budget
-            )
+            other, (n2, used2) = jsonio.complex_from_doc(_read_doc(need(args.second, "--with")),
+                                                         max_faces=face_budget)
             K = join(K, other, max_faces=face_budget)
+            labels = n + n2, [*used, *(n + w for w in used2)]
         elif op == "betti":
             profile = homology.betti_up_to(
                 K, need(args.up_to, "-k"), max_faces=face_budget
@@ -421,11 +428,11 @@ def _cmd_complex(args, face_budget, node_budget):
             doc = {
                 "holds": res.holds,
                 "q": res.q,
-                "violating": None if res.violating is None else sorted(res.violating),
+                "violating": None if res.violating is None else [used[i] for i in res.violating],
             }
             _emit(doc, args.human, _render_complex)
             return EXIT_OK if res.holds else EXIT_NEGATIVE
-    _emit(jsonio.complex_to_doc(K), args.human, _render_complex)
+    _emit(jsonio.complex_to_doc(K, labels), args.human, _render_complex)
     return EXIT_OK
 
 
@@ -502,9 +509,32 @@ def _cmd_bounds(args, node_budget):
     if rows > budget:
         raise BudgetExceeded("bounds table would have %d rows, over the budget of %d nodes"
                              % (rows, budget))
-    table = solver.bound_table([d for r in args.d for d in r], [k for r in args.k for k in r])
+    ds, ks = [d for r in args.d for d in r], [k for r in args.k for k in r]
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and min(ds + ks) > 0:
+        for d, k in itertools.product(ds, ks):
+            if _log10_h_upper(d, k) > limit + 1:  # refused before it is computed
+                raise BudgetExceeded(_TOO_LONG % (d, k, limit))
+    table = solver.bound_table(ds, ks)
+    least = 10 ** limit  # the least integer of more than limit digits
+    for row in table.rows:
+        if limit and max(row.values()) >= least:
+            raise BudgetExceeded(_TOO_LONG % (row["d"], row["k"], limit))
     _emit({"rows": list(table.rows)}, args.human, _render_bounds)
     return EXIT_OK
+
+
+_TOO_LONG = "bounds entry for d=%d, k=%d has over %d digits"
+
+
+def _log10_h_upper(d, k):
+    """A lower bound on log10 of h_upper = d C(2k+2, d) + 1: no entry of the
+    bounds row (d, k) exceeds d + 1 or k max(h_upper, k). C(n, r) >= (n - r
+    + 1)^r / r! with r the smaller side, r! from math.lgamma, and >= 2^r."""
+    r = min(d, 2 * k + 2 - d)
+    if r < 0 or r >> 60:
+        return -math.inf if r < 0 else math.inf
+    return math.log10(d) + r * math.log10(2 * k + 3 - r) - math.lgamma(r + 1) / math.log(10)
 
 
 def main(argv=None):

@@ -6,6 +6,9 @@ dim is (largest face size - 1), or -1 for the complex with no faces. The
 completion operator fills in every set all of whose small subsets are already
 faces; it is the bridge between local independence data and global topology.
 
+Operations run on all of 0..n-1, so their cost can follow n where the faces
+use a few vertices; jsonio.complex_from_doc relabels such a complex once.
+
 Enumerating operators accept face budgets and cardinality caps so that large
 completions can be built only up to the sizes a truncated homology computation
 needs. Complexes given by a hereditary predicate (general-position and
@@ -16,7 +19,6 @@ on face masks alone: each grow reads the mask its level stores.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -109,13 +111,10 @@ class SimplicialComplex:
         return mask_of(vertices) in self.faces
 
     def vertices(self):
-        """Vertices actually present, i.e. v with {v} a face: probed one by
-        one when there are no more of them than faces, else read from the
-        faces, so a few faces on a huge vertex range answer at once."""
+        """Vertices actually present, i.e. v with {v} a face, in ascending
+        order: each of 0..n-1 is probed, so the cost follows n."""
         faces = self.faces
-        if self.n_vertices <= len(faces):
-            return [v for v in range(self.n_vertices) if (1 << v) in faces]
-        return sorted(f.bit_length() - 1 for f in faces if f.bit_count() == 1)
+        return [v for v in range(self.n_vertices) if 1 << v in faces]
 
     def facets(self):
         """Maximal faces as masks, sorted lexicographically as vertex
@@ -208,17 +207,9 @@ def star(K, v):
     contains every face through v as well as the links."""
     if not 0 <= v < K.n_vertices:
         raise ValueError("vertex %d out of range" % v)
-    return SimplicialComplex(K.n_vertices, _star_faces(K, v), _validated=True)
-
-
-def _star_faces(K, v):
-    """The faces S of K with S + {v} a face: none when v lies above every
-    face, read off the largest face so that a vertex far past K's faces
-    builds no 1 << v."""
-    if v >= max(K.faces, default=0).bit_length():
-        return set()
     vb = 1 << v
-    return {f for f in K.faces if (f | vb) in K.faces}
+    faces = {f for f in K.faces if (f | vb) in K.faces}
+    return SimplicialComplex(K.n_vertices, faces, _validated=True)
 
 
 def neighborhood(K, v, d):
@@ -227,9 +218,7 @@ def neighborhood(K, v, d):
     star. d must equal dim K (passed explicitly as a guard)."""
     if d != K.dim:
         raise ValueError("neighborhood needs d == dim K (%d != %d)" % (d, K.dim))
-    if not 0 <= v < K.n_vertices:
-        raise ValueError("vertex %d out of range" % v)
-    st = _star_faces(K, v)
+    st = star(K, v).faces
     result = set(st)
     for f in K.by_size(d + 1):
         if f >> v & 1:
@@ -247,23 +236,8 @@ def completion(K, j, max_card=None, max_faces=None):
     (default: no truncation beyond n_vertices), with at most max_faces faces
     (None: DEFAULT_FACE_BUDGET; past it BudgetExceeded is raised). Requires
     j >= dim K; the completion of the empty complex is empty, and j > dim K
-    returns K.
-
-    For j >= 0 every vertex of a face is a vertex of K, so K is relabelled
-    onto its own vertices in order, completed there and mapped back: a few
-    faces on a huge vertex range answer at once, with the same faces grown
-    in the same order. When K has every vertex the relabel is the identity
-    and is skipped: it would double the time of such a completion
-    (benchmarks/bench_kernels.py, the two completion rows)."""
-    if j < 0 or len(verts := K.vertices()) == K.n_vertices:
-        return _completion(K, j, max_card, max_faces, "completion")
-    label = {v: i for i, v in enumerate(verts)}
-    own = SimplicialComplex(
-        len(verts), {mask_of(label[v] for v in bits_of(f)) for f in K.faces}, _validated=True)
-    done = _completion(own, j, max_card, max_faces, "completion")
-    return SimplicialComplex(
-        K.n_vertices, {mask_of(verts[i] for i in bits_of(f)) for f in done.faces},
-        _validated=True)
+    returns K. It grows on all of 0..n-1, used by K or not."""
+    return _completion(K, j, max_card, max_faces, "completion")
 
 
 def _completion(K, j, max_card, max_faces, what):
@@ -310,13 +284,9 @@ def _completion(K, j, max_card, max_faces, what):
 
 
 def induced(K, W):
-    """Subcomplex induced on a vertex subset W (iterable or mask) of the
-    vertices 0..n-1; a vertex outside them raises ValueError.
-
-    Every vertex of an iterable W is range-checked in order, but only the
-    vertices of K go into the mask, since faces use no other bits: a long
-    list of vertices absent from K builds no long ints. A step-1 range is
-    read by its ends (_vertices_in), so a long one answers at once."""
+    """Subcomplex induced on a vertex subset W (iterable, walked vertex by
+    vertex, or mask) of the vertices 0..n-1; the first vertex outside them
+    raises ValueError."""
     n = K.n_vertices
     if isinstance(W, int):
         if W < 0:
@@ -324,27 +294,14 @@ def induced(K, W):
         if W >> n:
             raise ValueError("vertex %d out of range" % (W.bit_length() - 1))
         wm = W
-    elif isinstance(W, range) and W.step == 1:
-        wm = mask_of(_vertices_in(W, n, K.vertices()))
     else:
-        present = set(K.vertices())
         wm = 0
         for v in W:
             if not 0 <= v < n:
                 raise ValueError("vertex %d out of range" % v)
-            if v in present:
-                wm |= 1 << v
+            wm |= 1 << v
     faces = {f for f in K.faces if f & ~wm == 0}
     return SimplicialComplex(K.n_vertices, faces, _validated=True)
-
-
-def _vertices_in(r, n, present):
-    """The vertices of present (sorted, as K.vertices()) in the step-1
-    range r, found by bisection, after r is refused at its first vertex
-    outside 0..n-1, as induced refuses a vertex of an iterable."""
-    if r and (r.start < 0 or r.stop > n):
-        raise ValueError("vertex %d out of range" % (r.start if r.start < 0 else max(r.start, n)))
-    return present[bisect_left(present, r.start):bisect_left(present, r.stop)]
 
 
 def skeleton(K, s):

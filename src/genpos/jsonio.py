@@ -24,6 +24,11 @@ Family document:     {"d": 2, "sets": [[["1/2", 0], [3, 4]], ...]}
 Complex document:    {"n_vertices": 5, "facets": [[0, 1, 2], [3], ...]}
 Subcomplex family:   {"n_vertices": 5, "members": [[[0, 1], [2]], ...]}
                      (one facet list per member, all on one vertex universe)
+
+A complex document with more vertices than its facets hold entries is
+relabelled here, once: onto the vertices its facets use, in order, with
+labels that complex_to_doc maps back, so its answers print as they would
+unrelabelled.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from genpos.complexes import bits_of, closure, mask_of
@@ -233,11 +239,43 @@ def family_to_doc(family):
     }
 
 
-def complex_from_doc(doc, max_faces=None):
+def complex_from_doc(doc, max_faces=None, keep=()):
+    """(K, (n_vertices, used)): the closure K of the facets (at most max_faces
+    faces; None: DEFAULT_FACE_BUDGET) has the document's vertex used[i] as
+    its vertex i. used is range(n_vertices) unless that exceeds the facets'
+    entries, else their sorted vertices and keep's, checked after them."""
     n = _require(doc, "n_vertices", int, "complex")
     if n < 0:
         raise DocumentError("n_vertices must be nonnegative")
     raw = _require(doc, "facets", list, "complex")
+    used = _used(n, [raw], keep)
+    K = _closure(raw, n, used, max_faces)
+    for v in keep:
+        if not 0 <= v < n:
+            raise ValueError("vertex %d out of range" % v)
+    return K, (n, used)
+
+
+def _used(n, facet_lists, keep=()):
+    """complex_from_doc's used, read before the facets are checked; the
+    entries are counted only until they reach n."""
+    entries = 0
+    for entry in chain.from_iterable(facet_lists):
+        if entries >= n:
+            break
+        if isinstance(entry, list):
+            entries += len(entry)
+    if entries >= n:
+        return range(n)
+    used = {v for raw in facet_lists for entry in raw if isinstance(entry, list)
+            for v in entry if isinstance(v, int)}
+    return sorted(used.union(v for v in keep if 0 <= v < n))
+
+
+def _closure(raw, n, used, max_faces):
+    """The closure of the facets raw on the vertices used, checked in turn."""
+    pos = {v: i for i, v in enumerate(used)} if len(used) < n else None
+    mask = mask_of if pos is None else lambda entry: mask_of(map(pos.__getitem__, entry))
     facets = []
     for i, entry in enumerate(raw):
         # builtins check the whole facet: its types (plain ints at once,
@@ -249,17 +287,21 @@ def complex_from_doc(doc, max_faces=None):
             raise DocumentError("facets[%d] must be a list of vertex indices" % i)
         if entry and (min(entry) < 0 or max(entry) >= n):
             raise DocumentError("facets[%d] has a vertex outside 0..%d" % (i, n - 1))
-        f = mask_of(entry)
+        f = mask(entry)
         if f.bit_count() != len(entry):
             raise DocumentError("facets[%d] repeats a vertex" % i)
         facets.append(f)
-    return closure(facets, n, max_faces=max_faces)
+    return closure(facets, len(used), max_faces=max_faces)
 
 
-def complex_to_doc(K):
+def complex_to_doc(K, labels=None):
+    """K's document, on complex_from_doc's labels (None: K's own)."""
+    n, used = labels or (K.n_vertices, range(K.n_vertices))
     facets = sorted(map(bits_of, K._maximal()), key=lambda t: (len(t), t))
+    if len(used) < n:
+        facets = [[used[i] for i in f] for f in facets]
     return {
-        "n_vertices": K.n_vertices,
+        "n_vertices": n,
         "dim": K.dim,
         "n_faces": len(K.faces),
         "facets": facets,
@@ -268,22 +310,20 @@ def complex_to_doc(K):
 
 def subcomplexes_from_doc(doc, max_faces=None):
     """Parse {"n_vertices": ..., "members": [facet-list, ...]} into a list of
-    complexes on one shared vertex universe (the nerve input shape)."""
+    complexes on one shared vertex universe (the nerve input shape), used
+    as complex_from_doc's for all the members' facets."""
     n = _require(doc, "n_vertices", int, "subcomplex family")
     if n < 0:
         raise DocumentError("n_vertices must be nonnegative")
     raw = _require(doc, "members", list, "subcomplex family")
     if not raw:
         raise DocumentError("subcomplex family has no members")
+    used = _used(n, [m for m in raw if isinstance(m, list)])
     members = []
     for i, facet_list in enumerate(raw):
         if not isinstance(facet_list, list):
             raise DocumentError("members[%d] must be a list of facets" % i)
-        members.append(
-            complex_from_doc(
-                {"n_vertices": n, "facets": facet_list}, max_faces=max_faces
-            )
-        )
+        members.append(_closure(facet_list, n, used, max_faces))
     return members
 
 

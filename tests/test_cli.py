@@ -635,6 +635,30 @@ WITH_PEAK_RSS = (
 )
 
 
+# as WITH_PEAK_RSS, with the child's address space capped at 512 MB and its
+# run stopped after 10 s (exit code null): a blow-up fails fast and bounded
+BOUNDED = """
+import json, resource, subprocess, sys, time
+def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+t0 = time.perf_counter()
+try:
+    p = subprocess.run(sys.argv[1:], capture_output=True, text=True, preexec_fn=cap, timeout=10)
+    got = [p.returncode, p.stdout, p.stderr]
+except subprocess.TimeoutExpired:
+    got = [None, "", "timeout"]
+took = time.perf_counter() - t0
+print(json.dumps(got + [took, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))
+"""
+
+
+def run_bounded(argv, stdin=""):
+    """python -m genpos argv in a child under BOUNDED: its exit code,
+    stdout, stderr, wall-clock seconds and peak RSS in KB."""
+    proc = run_python(["-c", BOUNDED, sys.executable, "-m", "genpos", *argv], stdin)
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("bomb", ["1e100000000", "1e-100000000"])
 def test_exponent_bombs_exit_three_at_once(bomb):
     t0 = time.perf_counter()
@@ -744,6 +768,51 @@ class TestLimitsAsProcess:
         assert (got, stderr) == (code, err) and took < 1
         if code == 0:
             assert json.loads(out)["facets"] == [[0, 1], [1, 2]]
+
+    def test_a_join_of_few_faces_on_huge_vertex_ranges_answers_at_once(self, tmp_path):
+        # two 2-edge paths, each on a document claiming 10^9 vertices, one
+        # on its top vertices: the join is built on their 6 vertices
+        n = 10 ** 9
+        top = write_doc(tmp_path, "top.json",
+                        {"n_vertices": n, "facets": [[n - 3, n - 2], [n - 2, n - 1]]})
+        low = write_doc(tmp_path, "low.json", {"n_vertices": n, "facets": [[0, 1], [1, 2]]})
+        code, out, err, took, peak_kb = run_bounded(["complex", "join", top, "--with", low])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "n_vertices": 2 * n, "dim": 3, "n_faces": 36,
+            "facets": [[*a, *(n + v for v in b)] for a in ([n - 3, n - 2], [n - 2, n - 1])
+                       for b in ([0, 1], [1, 2])]}
+        assert took < 1 and peak_kb < 30 * 1024
+
+    def test_a_nerve_of_members_on_top_vertices_answers_at_once(self):
+        n = 10 ** 9
+        doc = {"n_vertices": n, "members": [[[n - 1]], [[n - 2, n - 1]], [[0, n - 2]]]}
+        code, out, err, took, peak_kb = run_bounded(["complex", "nerve", "-"], json.dumps(doc))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"n_vertices": 3, "dim": 1, "n_faces": 6,
+                                   "facets": [[0, 1], [1, 2]]}
+        assert took < 1 and peak_kb < 30 * 1024
+
+    @pytest.mark.parametrize("op, options", [
+        ("closure", []), ("skeleton", ["-s", "1"]), ("betti", ["-k", "1"]),
+        ("qstar", ["-q", "1"]), ("completion", ["-j", "2"]), ("star", ["-v", "{3}"]),
+        ("neighborhood", ["-v", "{4}"]), ("induced", ["--vertices", "{1}-{4}"]),
+    ])
+    def test_each_op_on_a_few_top_faces_of_a_huge_range_answers_at_once(
+            self, capsys, monkeypatch, op, options):
+        # a triangle and an edge on the top 5 of a document's 10^8 vertices
+        # answer as on 0..4, options ({i}: vertex i of the 5) shifted alike
+        n = 10 ** 8
+        top = [o.format(*range(n - 5, n)) for o in options]
+        doc = {"n_vertices": n, "facets": [[n - 4, n - 3, n - 2], [n - 2, n - 1]]}
+        code, out, err, took, peak_kb = run_bounded(["complex", op, "-", *top], json.dumps(doc))
+        assert took < 1 and peak_kb < 30 * 1024
+        low = [o.format(*range(5)) for o in options]
+        want = outcome(capsys, monkeypatch, ["complex", op, "-", *low],
+                       json.dumps({"n_vertices": 5, "facets": [[1, 2, 3], [3, 4]]}))
+        assert (code, err) == (want[0], want[2])
+        assert json.loads(out) == spread_answer(op, json.loads(want[1]), 5, n,
+                                                lambda v: v + n - 5)
 
     def test_an_over_budget_completion_of_the_empty_face_is_refused_at_once(self, tmp_path):
         # the (-1)-completion of {∅} on 10,000 vertices is every set of
@@ -920,6 +989,12 @@ class TestLimitsAsProcess:
         # five billion rows, counted off the ranges and refused unexpanded
         (["bounds", "--d", "1-1000000000"], 3,
          "error: bounds table would have 5000000000 rows, over the budget of 10000000 nodes\n"),
+        # one row whose entries run far past the limit on integer digits,
+        # refused from an estimate before any is computed
+        (["bounds", "--d", "100000", "--k", "200000"], 3,
+         "error: bounds entry for d=100000, k=200000 has over 4300 digits\n"),
+        (["bounds", "--d", "2000000", "--k", "4000000"], 3,
+         "error: bounds entry for d=2000000, k=4000000 has over 4300 digits\n"),
     ])
     def test_family_and_table_commands_exit_with_their_codes(self, argv, code, out):
         proc = run_module("genpos", argv)
@@ -939,6 +1014,31 @@ class TestLimitsAsProcess:
         assert said.startswith(out) and silent == ""
         if code == 0:
             assert len(json.loads(proc.stdout)["rows"]) == 6
+
+    @pytest.mark.parametrize("d, k", [(100000, 200000), (2000000, 4000000)])
+    def test_bounds_far_past_the_digit_limit_are_refused_at_once(self, d, k):
+        t0 = time.perf_counter()
+        proc = run_module("genpos", ["bounds", "--d", str(d), "--k", str(k)])
+        assert time.perf_counter() - t0 < 1
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: bounds entry for d=%d, k=%d has over 4300 digits\n" % (d, k)
+
+    def test_bounds_entries_up_to_the_digit_limit_print(self):
+        # at d = 1, B = k (k - 1) + 1: 4,300 digits at k = 10^2150, printed,
+        # and 4,301 one k further, refused after it is computed
+        k = 10 ** 2150
+        proc = run_module("genpos", ["bounds", "--d", "1", "--k", str(k)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["B"] == k * (k - 1) + 1 and len(str(row["B"])) == 4300
+        proc = run_module("genpos", ["bounds", "--d", "1", "--k", "%d,%d" % (k, k + 1)])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: bounds entry for d=1, k=%d has over 4300 digits\n" % (k + 1)
+        # with no limit on digits, nothing is refused
+        proc = run_module("genpos", ["bounds", "--d", "1", "--k", str(k + 1)],
+                          PYTHONINTMAXSTRDIGITS="0")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.split('"B": ')[1].split(",")[0]) == 4301
 
     def test_sampled_check_within_the_node_budget(self):
         # twelve singletons at a budget of 10: both modes refuse up front
@@ -1307,3 +1407,96 @@ def test_options_before_the_input_file_read_it(capsys, tmp_path, argv):
     late = run(capsys, ["complex", op, *options, path])
     assert late == run(capsys, ["complex", op, path, *options])
     assert late[0] == 0
+
+
+def spread_answer(op, doc, n, big, f):
+    """The answer doc of complex op on documents of n vertices, as op
+    answers on their copies whose vertex v is f(v) of big vertices: a
+    complex has its vertices mapped (in a join, L's vertex n + v to big +
+    f(v)) and its n_vertices scaled, q-star's violating set is mapped, and
+    Betti numbers and a nerve stay as they are."""
+    doc = dict(doc)
+    if "facets" in doc and op != "nerve":
+        def up(v):
+            return f(v) if v < n else big + f(v - n)
+
+        doc["n_vertices"] = 2 * big if op == "join" else big
+        doc["facets"] = [[up(v) for v in facet] for facet in doc["facets"]]
+    if doc.get("violating") is not None:
+        doc["violating"] = [f(v) for v in doc["violating"]]
+    return doc
+
+
+@st.composite
+def _spread_cases(draw):
+    """A small document on n vertices, an op with its options, and a spread
+    v -> c v + s onto a document of about 10^9 vertices: (op, n, docs,
+    options, big, c, s), the options given as functions of the spread."""
+    n = draw(st.integers(1, 6))
+    facets = st.lists(st.lists(st.integers(0, n - 1), max_size=4, unique=True), max_size=4)
+    vertex = st.integers(0, n - 1)
+    op = draw(st.sampled_from(["closure", "star", "neighborhood", "completion", "skeleton",
+                               "induced", "join", "betti", "qstar", "nerve"]))
+    docs = [{"n_vertices": n, "facets": draw(facets)}]
+    if op in ("star", "neighborhood"):
+        v = draw(vertex)
+        options = lambda f: ["-v", str(f(v))]  # noqa: E731
+    elif op == "completion":
+        # j >= 0: the (-1)-completion fills every vertex of the document
+        options = ["-j", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            options += ["--max-card", str(draw(st.integers(0, 4)))]
+        options = lambda f, o=options: o  # noqa: E731
+    elif op == "induced":
+        ranges = draw(st.lists(st.tuples(vertex, st.integers(0, 2)), min_size=1, max_size=3))
+        ranges = [(a, min(a + w, n - 1)) for a, w in ranges]
+        options = lambda f: ["--vertices", ",".join(  # noqa: E731
+            "%d-%d" % (f(a), f(b)) for a, b in ranges)]
+    elif op == "join":
+        docs.append({"n_vertices": n, "facets": draw(facets)})
+        options = lambda f: []  # noqa: E731
+    elif op == "nerve":
+        docs = [{"n_vertices": n, "members": draw(st.lists(facets, min_size=1, max_size=4))}]
+        options = lambda f: []  # noqa: E731
+    else:
+        flag = {"closure": [], "skeleton": ["-s"], "betti": ["-k"], "qstar": ["-q"]}[op]
+        value = [str(draw(st.integers(1 if op == "qstar" else -1, 3)))] if flag else []
+        options = lambda f, o=flag + value: o  # noqa: E731
+    big = draw(st.integers(10 ** 9, 10 ** 9 + 10))
+    c = draw(st.integers(1, (big - 1) // n))
+    s = draw(st.integers(0, big - 1 - c * (n - 1)))
+    return op, n, docs, options, big, c, s
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_spread_cases())
+def test_spreading_a_document_over_a_huge_vertex_range_relabels_its_answer(
+        capsys, monkeypatch, tmp_path, case):
+    # a document and its copy spread over about 10^9 vertices, which jsonio
+    # relabels, give the same exit code and stderr, and the same stdout once
+    # the vertices are mapped
+    op, n, docs, options, big, c, s = case
+
+    def f(v):
+        return c * v + s
+
+    def answer(docs, g):
+        argv = ["complex", op, "-", *options(g)]
+        if op == "join":
+            argv += ["--with", write_doc(tmp_path, "with.json", docs[1])]
+        return outcome(capsys, monkeypatch, argv, json.dumps(docs[0]))
+
+    def spread(doc):
+        key = "members" if op == "nerve" else "facets"
+        lists = [doc[key]] if op != "nerve" else doc[key]
+        lists = [[[f(v) for v in facet] for facet in facets] for facets in lists]
+        return {"n_vertices": big, key: lists if op == "nerve" else lists[0]}
+
+    code, out, err = answer(docs, lambda v: v)
+    spread_code, spread_out, spread_err = answer([spread(doc) for doc in docs], f)
+    assert (spread_code, spread_err) == (code, err)
+    if out:
+        assert json.loads(spread_out) == spread_answer(op, json.loads(out), n, big, f)
+    else:
+        assert spread_out == ""

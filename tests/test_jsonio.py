@@ -181,8 +181,9 @@ class TestFamilyDoc:
 
 class TestComplexDoc:
     def test_parse_takes_closure(self):
-        K = complex_from_doc({"n_vertices": 3, "facets": [[0, 1], [2]]})
+        K, labels = complex_from_doc({"n_vertices": 3, "facets": [[0, 1], [2]]})
         assert K == closure([(0, 1), (2,)], 3)
+        assert labels == (3, range(3))
 
     def test_serialize(self):
         K = closure([(0, 1), (1, 2), (0, 2)], 3)
@@ -196,7 +197,7 @@ class TestComplexDoc:
 
     def test_round_trip(self):
         K = closure([(0, 2, 4), (1, 3)], 5)
-        assert complex_from_doc(complex_to_doc(K)) == K
+        assert complex_from_doc(complex_to_doc(K)) == (K, (5, range(5)))
 
     def test_errors(self):
         with pytest.raises(DocumentError):
@@ -230,13 +231,62 @@ class TestComplexDoc:
 
     def test_int_subclass_vertices(self):
         V = IntEnum("V", "a b", start=0)
-        K = complex_from_doc({"n_vertices": 2, "facets": [[V.a, 1], []]})
+        K, labels = complex_from_doc({"n_vertices": 2, "facets": [[V.a, 1], []]})
         assert K == closure([(0, 1)], 2)
+        assert labels == (2, range(2))
 
     def test_budget_forwarded(self):
         doc = {"n_vertices": 12, "facets": [list(range(12))]}
         with pytest.raises(BudgetExceeded):
             complex_from_doc(doc, max_faces=100)
+
+    def test_few_entries_on_many_vertices_are_relabelled(self):
+        # four entries on 10^9 vertices: K is built on the three in use, in
+        # order, and printed on the document's numbering
+        top = 10 ** 9 - 1
+        doc = {"n_vertices": 10 ** 9, "facets": [[top, 5], [7], [5]]}
+        K, labels = complex_from_doc(doc)
+        assert K == closure([(0, 2), (1,)], 3)
+        assert labels == (10 ** 9, [5, 7, top])
+        assert complex_to_doc(K, labels) == {
+            "n_vertices": 10 ** 9, "dim": 1, "n_faces": 5, "facets": [[7], [5, top]]}
+        # as many entries as vertices: read as it is
+        K, labels = complex_from_doc({"n_vertices": 4, "facets": [[0, 3], [3, 0]]})
+        assert K == closure([(0, 3)], 4) and labels == (4, range(4))
+
+    def test_kept_vertices_join_the_labels(self):
+        doc = {"n_vertices": 10 ** 9, "facets": [[10, 20]]}
+        K, labels = complex_from_doc(doc, keep=(15,))
+        assert labels == (10 ** 9, [10, 15, 20])
+        assert K == closure([(0, 2)], 3)
+        # a kept vertex already in use, and one of a document read as it is
+        assert complex_from_doc(doc, keep=(10,))[1] == (10 ** 9, [10, 20])
+        assert complex_from_doc({"n_vertices": 2, "facets": [[0, 1]]}, keep=(1,))[1] == (
+            2, range(2))
+
+    @pytest.mark.parametrize("n", [3, 10 ** 9])
+    def test_kept_vertices_are_range_checked_after_the_facets(self, n):
+        with pytest.raises(ValueError, match="^vertex %d out of range$" % n):
+            complex_from_doc({"n_vertices": n, "facets": [[0, 1]]}, keep=(n,))
+        with pytest.raises(ValueError, match="^vertex -1 out of range$"):
+            complex_from_doc({"n_vertices": n, "facets": [[0, 1]]}, keep=(-1,))
+        with pytest.raises(DocumentError, match=r"^facets\[0\] repeats a vertex$"):
+            complex_from_doc({"n_vertices": n, "facets": [[1, 1]]}, keep=(n,))
+        with pytest.raises(BudgetExceeded):
+            complex_from_doc({"n_vertices": n, "facets": [[0, 1]]}, max_faces=3, keep=(n,))
+
+    @pytest.mark.parametrize("facet, message", [
+        ([5, "a"], "must be a list of vertex indices"),
+        ([1, 1, True], "must be a list of vertex indices"),
+        ([10 ** 6, 1, 1], "has a vertex outside 0..999999"),
+        ([-1, -1], "has a vertex outside 0..999999"),
+        ([10 ** 40], "has a vertex outside 0..999999"),
+        ([2, 0, 2], "repeats a vertex"),
+    ])
+    def test_error_order_when_relabelled(self, facet, message):
+        doc = {"n_vertices": 10 ** 6, "facets": [[0], facet]}
+        with pytest.raises(DocumentError, match=r"^facets\[1\] %s$" % message):
+            complex_from_doc(doc)
 
 
 class TestSubcomplexesDoc:
@@ -246,6 +296,11 @@ class TestSubcomplexesDoc:
         assert len(members) == 2
         assert members[0] == closure([(0, 1)], 4)
         assert members[1] == closure([(1, 2), (3,)], 4)
+
+    def test_members_share_one_label_list(self):
+        doc = {"n_vertices": 10 ** 9, "members": [[[10, 20]], [[20, 10 ** 9 - 1]], [[10]]]}
+        assert subcomplexes_from_doc(doc) == [
+            closure([(0, 1)], 3), closure([(1, 2)], 3), closure([(0,)], 3)]
 
     def test_errors(self):
         with pytest.raises(DocumentError):
