@@ -38,7 +38,10 @@ faces): complex_from_doc, complex_to_doc, then complex_from_doc of the same
 join spread over a document of 10^9 vertices, which jsonio relabels onto
 its 12 vertices, then betti_up_to. One more Betti
 row takes degrees through 2 of the general-position complex, capped at 4
-points a face, of 7 distinct points and one repeat on a line (d=1). Three
+points a face, of 7 distinct points and one repeat on a line (d=1), and
+the next prints that complex's document, reading the facets the levelwise
+enumerator recorded (a tree without that record finds them by marking
+subfaces). Three
 rows run check_condition over every union of a fresh family: the rows of
 a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
 pool under the greedy bound, once printing every union's gp_number
@@ -247,6 +250,7 @@ def build_cases(rng):
     line.append(rng.choice(line))
     gp_line = general_position_complex(line, max_card=4)
     cases.append(("betti_up_to gp d=1 k=2", lambda: betti_up_to(gp_line, 2)))
+    cases.append(("complex_to_doc gp d=1 k=2", lambda: complex_to_doc(gp_line)))
     # a fresh family per call, so that its union cache cannot answer;
     # shaped like verdictbench's grid-rows-4 (degenerate, the grid under a
     # rational affine map) and greedy-check-m4 (decide)

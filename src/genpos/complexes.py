@@ -14,13 +14,18 @@ completions can be built only up to the sizes a truncated homology computation
 needs. Complexes given by a hereditary predicate (general-position and
 independence complexes, nerves) and completions, among them the uniformity
 complex of every matroid, are all grown by one enumerator, levelwise_complex,
-on face masks alone: each grow reads the mask its level stores.
+on face masks alone: each grow maps a face to the mask of its extenders, the
+vertices that add to it to make a face, as the candidate sets of Eclat (Zaki,
+"Scalable Algorithms for Association Mining", 2000). A face with none, or one
+at the cap, is maximal, so the enumerator records the facets as it goes, in
+the (size, lexicographic) order complex_to_doc prints; every other complex
+finds them by marking subfaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from genpos.errors import BudgetExceeded
@@ -65,7 +70,7 @@ def bits_of(mask):
 class SimplicialComplex:
     """Immutable simplicial complex; equality is face-set equality."""
 
-    __slots__ = ("n_vertices", "faces", "_by_size")
+    __slots__ = ("n_vertices", "faces", "_by_size", "_facets")
 
     def __init__(self, n_vertices, faces, _validated=False):
         if n_vertices < 0:
@@ -84,6 +89,7 @@ class SimplicialComplex:
         self.n_vertices = n_vertices
         self.faces = fs
         self._by_size = None
+        self._facets = None  # in (size, lex) order, when levelwise_complex recorded them
 
     @classmethod
     def from_faces(cls, n_vertices, faces):
@@ -92,6 +98,8 @@ class SimplicialComplex:
 
     @property
     def dim(self):
+        if self._facets:  # the last recorded facet is a largest face
+            return self._facets[-1].bit_count() - 1
         if not self.faces:
             return -1
         return max(f.bit_count() for f in self.faces) - 1
@@ -119,7 +127,7 @@ class SimplicialComplex:
     def facets(self):
         """Maximal faces as masks, sorted lexicographically as vertex
         tuples."""
-        out = self._maximal()
+        out = self._maximal() if self._facets is None else list(self._facets)
         out.sort(key=lambda m: tuple(bits_of(m)))
         return out
 
@@ -242,9 +250,12 @@ def completion(K, j, max_card=None, max_faces=None):
 
 def _completion(K, j, max_card, max_faces, what):
     """completion, grown by levelwise_complex with BudgetExceeded naming
-    what. Sets of size at most j+1 are faces iff they are faces of K; a
-    larger set is a face iff all its one-smaller subsets are, and those were
-    grown at the level before."""
+    what. Sets of size at most j+1 are faces iff they are faces of K, so a
+    face of at most j vertices is extended by those of its parent's
+    extenders that make a face of K. A larger set is a face iff all its
+    one-smaller subsets are (the Apriori rule), so a face of j+1 or more
+    vertices is extended by the vertices that extend each of its
+    one-smaller subfaces: the AND of their masks, kept for two levels."""
     if j < K.dim:
         raise ValueError("completion needs j >= dim K (%d < %d)" % (j, K.dim))
     if not K.faces:
@@ -261,24 +272,32 @@ def _completion(K, j, max_card, max_faces, what):
             if total > budget:
                 raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
     small = K.faces
-    large = set()
+    every = (1 << K.n_vertices) - 1
+    prev, cur, level = {}, {}, -1  # extenders of the faces one level down, and of this level's
 
     def grow(face):
+        nonlocal prev, cur, level
         size = face.bit_count()
+        if size != level:
+            prev, cur, level = cur, {}, size
         if size <= j:
-            return lambda w: face | 1 << w in small
-        seen = small if size == j + 1 else large
-        subs = [face ^ 1 << u for u in bits_of(face)]
-
-        def extends(w):
-            bit = 1 << w
-            for sub in subs:
-                if sub | bit not in seen:
-                    return False
-            large.add(face | bit)
-            return True
-
-        return extends
+            top = face.bit_length() - 1
+            cand = prev[face ^ 1 << top] & ~(1 << top) if face else every
+            ext = 0
+            while cand:
+                bit = cand & -cand
+                if face | bit in small:
+                    ext |= bit
+                cand ^= bit
+        else:
+            ext = every & ~face
+            rest = face
+            while rest:
+                low = rest & -rest
+                ext &= prev[face ^ low]
+                rest ^= low
+        cur[face] = ext
+        return ext
 
     return levelwise_complex(K.n_vertices, grow, max_card, max_faces, what)
 
@@ -324,35 +343,92 @@ def join(K, L, max_faces=None):
 
 def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
     """Complex on n vertices whose faces are closed downward, grown level by
-    level in ascending vertex order, each level a list of face masks. grow,
-    given a stored mask, returns a predicate extends(w) telling whether
-    face | 1 << w is a face, asked only for w >= face.bit_length(); so grow
-    is called once per face below the cap not ending at vertex n-1, in
-    level order. Faces have at most max_card vertices (None: no cap; below
-    0 ValueError is raised); at most max_faces faces (None:
+    level in ascending vertex order, each level a list of face masks in
+    lexicographic order. grow, given a stored mask, returns the mask of its
+    extenders: every vertex w outside the face with face | 1 << w a face.
+    grow is called once per face below the cap, in level order, and the
+    extenders above the face's last vertex are its children. A face with
+    no extender, or one at the cap, is maximal: the complex keeps these
+    facets in the order found, by size and then lexicographically, which
+    complex_to_doc prints. Faces have at most max_card vertices (None: no
+    cap; below 0 ValueError is raised); at most max_faces faces (None:
     DEFAULT_FACE_BUDGET), past which BudgetExceeded names what."""
     if max_card is not None and max_card < 0:
         raise ValueError("max_card must be nonnegative, got %d" % max_card)
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     cap = n if max_card is None else max_card
-    faces = {0}
     level = [0]
-    size = 1
-    while level and size <= cap:
+    levels = [level]
+    facets = []
+    count = 1
+    while level:
+        if level[0].bit_count() == cap:
+            facets += level
+            break
         nxt = []
+        room = budget - count
         for face in level:
+            ext = grow(face)
+            if not ext:
+                facets.append(face)
+                continue
             low = face.bit_length()
-            if low == n:
-                continue  # no vertex lies above the last
-            for w in filter(grow(face), range(low, n)):
-                grown = face | 1 << w
-                nxt.append(grown)
-                faces.add(grown)
-                if len(faces) > budget:
-                    raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
+            ext = ext >> low << low
+            while ext:
+                bit = ext & -ext
+                nxt.append(face | bit)
+                ext ^= bit
+            if len(nxt) > room:
+                raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
+        count += len(nxt)
+        levels.append(nxt)
         level = nxt
-        size += 1
-    return SimplicialComplex(n, faces, _validated=True)
+    K = SimplicialComplex(n, chain.from_iterable(levels), _validated=True)
+    K._facets = facets
+    return K
+
+
+def hereditary_grow(n, ask):
+    """grow for levelwise_complex on n vertices from ask(face), a predicate
+    on the vertices above the face's last vertex v. By heredity only the
+    extenders of its parent (the face less v) can extend a face, so ask is
+    asked of those above v alone. Below v, w extends the face iff v extends
+    the parent plus w: a face of the same level, grown before it in
+    lexicographic order, whose extenders are kept for two levels."""
+    every = (1 << n) - 1
+    prev, cur, level = {}, {}, -1
+
+    def grow(face):
+        nonlocal prev, cur, level
+        size = face.bit_count()
+        if size != level:
+            prev, cur, level = cur, {}, size
+        low = face.bit_length()
+        ext = 0
+        if face:
+            top = 1 << low - 1
+            parent = face ^ top
+            cand = prev[parent] & ~top
+            below = cand & (top - 1)
+            while below:
+                bit = below & -below
+                if cur[parent | bit] & top:
+                    ext |= bit
+                below ^= bit
+        else:
+            cand = every
+        above = cand >> low << low
+        if above:
+            extends = ask(face)
+            while above:
+                bit = above & -above
+                if extends(bit.bit_length() - 1):
+                    ext |= bit
+                above ^= bit
+        cur[face] = ext
+        return ext
+
+    return grow
 
 
 def nerve(family, max_faces=None):
@@ -375,13 +451,14 @@ def nerve(family, max_faces=None):
             raise ValueError("nerve members must each contain a vertex")
         vsets.append(vs)
 
-    def grow(face):
+    def ask(face):
         common = -1
         for i in bits_of(face):
             common &= vsets[i]
         return lambda i: common & vsets[i]
 
-    return levelwise_complex(len(members), grow, max_faces=max_faces, what="nerve")
+    return levelwise_complex(len(members), hereditary_grow(len(members), ask),
+                             max_faces=max_faces, what="nerve")
 
 
 @dataclass(frozen=True)

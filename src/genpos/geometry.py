@@ -11,7 +11,9 @@ FlatIndex, the flats through too many of the points as bitmasks, where
 general position is popcount arithmetic. The general-position complex and
 the affine matroid's independence and uniformity complexes grow on the same
 index (gp_grow), capped at the flat dimension each level of faces needs and
-at the matroid's rank. No floating point is used anywhere.
+at the matroid's rank, its flats spread to vertex masks and repeated points
+counted as 0-flats, so a face's extenders are one mask. No floating point is
+used anywhere.
 
 A point list is *in general position* when every subset of size at most d+1
 is affinely independent; coordinate-equal entries therefore always break
@@ -400,11 +402,17 @@ class FlatIndex:
                         if j < top:
                             deeper.append((grown, key, b + 1))
                 level = deeper
+            # two lines through a share only a, so a line is recorded at a
+            # lower point iff it meets one of the lines recorded there
+            lines = 0
+            for other, k in through[a]:
+                if k == 1:
+                    lines |= other
             for j in range(1, top + 1):
                 for mask in groups[j].values():
-                    if mask.bit_count() <= j or any(
+                    if mask.bit_count() <= j or (mask & lines if j == 1 else any(
                         k == j and not mask & ~other for other, k in through[a]
-                    ):
+                    )):
                         continue  # too few points, or recorded at a lower point
                     mask |= 1 << a
                     flat = (mask, j)
@@ -453,44 +461,60 @@ def gp_grow(vecs, rank):
     matroid truncated to rank r, and capped at r points a face the
     independent ones. At rank 1 or less every set is a face.
 
-    Each distinct vector has one bit, and grow(face) ORs together the bits
-    of the vectors its mask picks. Then w extends the face unless its bit is
-    set already (a repeated point, a 0-flat) or an indexed j-flat through w
-    holds j+1 of those bits (FlatIndex). A j-flat can hold j+1 of a face's
-    k points only when j+1 <= k, so the index over the distinct vectors goes
-    to top = min(k, rank-1) - 1: it is built when the first face of a level
-    asks, and rebuilt one dimension deeper at the next level. Building the
-    j-flats costs about as many keys as the predicate calls already made on
-    faces of j vertices, so the face budget that bounds the enumeration
+    Each indexed flat (FlatIndex over the distinct vectors) is spread to the
+    vertex mask of every vector on it, and the copies of a repeated vector
+    make a 0-flat. A face's extenders are then every vertex outside the face
+    and outside each flat L of dimension j that holds more than j of the
+    face's vertices, popcount(L & face) > j. Those flats are the parent's
+    (the face less its last vertex v, kept for two levels) and those through
+    v. A j-flat can hold j+1 of a face's k vertices only when j+1 <= k, so
+    the index goes to top = min(k, rank-1) - 1: it is built when the first
+    face of a level asks, and rebuilt one dimension deeper at the next
+    level. Building the j-flats costs about as many keys as the faces of j
+    vertices grown already, so the face budget that bounds the enumeration
     bounds the index too, and no node budget is charged."""
+    every = (1 << len(vecs)) - 1
+    if rank <= 1:
+        return lambda face: every & ~face
     distinct = list(dict.fromkeys(vecs))
     slot = {v: i for i, v in enumerate(distinct)}
     slots = [slot[v] for v in vecs]
-    index = None  # nothing to build below lines
+    spread = [0] * len(distinct)  # the vertices of each distinct vector
+    for i, s in enumerate(slots):
+        spread[s] |= 1 << i
+    repeats = [((m, 0),) if m & m - 1 else () for m in spread]
+    through = [repeats[s] for s in slots]  # by vertex: (vertex mask, j) of the flats through it
+    depth = 0
+    prev, cur, level = {}, {}, -1  # blocked vertices of the faces one level down, and of this level's
 
     def grow(face):
-        nonlocal index
-        chosen = 0
-        for i in bits_of(face):
-            chosen |= 1 << slots[i]
-        top = min(face.bit_count(), rank - 1) - 1
-        if top < 1:
-            return (lambda w: True) if top < 0 else (lambda w: not chosen >> slots[w] & 1)
-        if index is None or top > index.top:
-            index = FlatIndex(distinct, len(distinct[0]) - 1, top)
-            index.build(inf)
-        through = index.through
-
-        def extends(w):
-            s = slots[w]
-            if chosen >> s & 1:
-                return False
-            for mask, j in through[s]:
-                if (mask & chosen).bit_count() > j:
-                    return False
-            return True
-
-        return extends
+        nonlocal through, depth, prev, cur, level
+        size = face.bit_count()
+        if size != level:
+            prev, cur, level = cur, {}, size
+            top = min(size, rank - 1) - 1
+            if top > depth:
+                index = FlatIndex(distinct, len(distinct[0]) - 1, top)
+                index.build(inf)
+                wide = {}
+                for flat, j in index.flats:
+                    m = 0
+                    for s in bits_of(flat):
+                        m |= spread[s]
+                    wide[flat, j] = m, j
+                through = [repeats[s] + tuple(map(wide.__getitem__, index.through[s]))
+                           for s in slots]
+                depth = top
+        if not face:
+            cur[0] = 0
+            return every
+        v = face.bit_length() - 1
+        blocked = prev[face ^ 1 << v]
+        for mask, j in through[v]:
+            if (mask & face).bit_count() > j:
+                blocked |= mask
+        cur[face] = blocked
+        return every & ~(face | blocked)
 
     return grow
 

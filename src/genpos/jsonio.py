@@ -295,9 +295,14 @@ def _closure(raw, n, used, max_faces):
 
 
 def complex_to_doc(K, labels=None):
-    """K's document, on complex_from_doc's labels (None: K's own)."""
+    """K's document, on complex_from_doc's labels (None: K's own), its
+    facets by size and then lexicographically: as levelwise_complex
+    recorded them, else found by marking and sorted."""
     n, used = labels or (K.n_vertices, range(K.n_vertices))
-    facets = sorted(map(bits_of, K._maximal()), key=lambda t: (len(t), t))
+    if K._facets is None:
+        facets = sorted(map(bits_of, K._maximal()), key=lambda t: (len(t), t))
+    else:
+        facets = list(map(bits_of, K._facets))
     if len(used) < n:
         facets = [[used[i] for i in f] for f in facets]
     return {

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb, inf
 
 from genpos._kernels import gp_extends, int_rank
-from genpos.complexes import _completion, bits_of, levelwise_complex
+from genpos.complexes import _completion, bits_of, hereditary_grow, levelwise_complex
 from genpos.errors import BudgetExceeded, OracleError
 from genpos.geometry import (
     FlatIndex,
@@ -390,8 +390,9 @@ def _independence_complex(oracle, max_card, max_faces, what):
         max_card = r if max_card is None else min(max_card, r)
         grow = gp_grow(oracle.homs, r)
     else:
-        def grow(face):
+        def ask(face):
             base = frozenset(bits_of(face))
             return lambda w: oracle.is_independent(base | {w})
 
+        grow = hereditary_grow(oracle.ground_size, ask)
     return levelwise_complex(oracle.ground_size, grow, max_card, max_faces, what)

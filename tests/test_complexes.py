@@ -28,6 +28,7 @@ from genpos import (
 )
 from genpos.complexes import bits_of, levelwise_complex, mask_of
 from genpos.geometry import FlatIndex, Point
+from genpos.jsonio import complex_to_doc
 from genpos.matroids import (
     AffineMatroid,
     ExplicitMatroid,
@@ -613,6 +614,15 @@ def _brute_faces(n, is_face, max_card=None):
     return {m for m in range(1 << n) if m.bit_count() <= cap and is_face(bits_of(m))}
 
 
+def _check_recorded_facets(K):
+    """K's recorded facets are its maximal faces by size and then
+    lexicographically, and its document is the marking path's."""
+    assert K._facets == sorted(K._maximal(), key=lambda f: (f.bit_count(), bits_of(f)))
+    marked = SimplicialComplex(K.n_vertices, K.faces, _validated=True)
+    assert marked._facets is None
+    assert complex_to_doc(K) == complex_to_doc(marked)
+
+
 def _affine_and_explicit(pts):
     """AffineMatroid(pts), an ExplicitMatroid with the same independent
     sets found by brute force, and those sets as masks."""
@@ -665,33 +675,35 @@ def _check_budget_boundary(build, K, what):
 
 class TestLevelwiseEnumerator:
     def test_grows_each_face_once(self):
-        # a hereditary predicate: sets with no two consecutive vertices
+        # a hereditary predicate: sets with no two consecutive vertices,
+        # whose extenders are the vertices neither in a face nor beside it
         grown = []
 
         def grow(face):
             grown.append(face)
-            return lambda w: not face << 1 >> w & 1
+            return 0b1111111 & ~(face | face << 1 | face >> 1)
 
         K = levelwise_complex(7, grow, max_card=3)
         want = _brute_faces(7, lambda vs: all(b - a > 1 for a, b in zip(vs, vs[1:])), 3)
         assert K.faces == want
-        # faces below the cap that do not end at the last vertex (no vertex
-        # lies above it) are grown, each once, as the masks the complex
+        # every face below the cap is grown, once, as the mask the complex
         # stores, level by level and lexicographically within a level
-        assert all(type(f) is int and f in K.faces for f in grown)
-        assert sorted(grown) == sorted(
-            f for f in want if f.bit_count() < 3 and f.bit_length() < 7)
-        assert grown == sorted(grown, key=lambda f: (f.bit_count(), bits_of(f)))
+        assert all(type(f) is int for f in grown)
+        assert grown == sorted((f for f in want if f.bit_count() < 3),
+                               key=lambda f: (f.bit_count(), bits_of(f)))
+        _check_recorded_facets(K)
 
     def test_empty_vertex_set(self):
-        assert levelwise_complex(0, lambda t: None).faces == {0}
-        assert levelwise_complex(3, lambda t: lambda w: True, max_card=0).faces == {0}
+        for K in (levelwise_complex(0, lambda t: 0),
+                  levelwise_complex(3, lambda t: 0b111 & ~t, max_card=0)):
+            assert K.faces == {0}
+            assert K._facets == [0]
 
     def test_negative_cap_is_refused_by_every_builder(self):
         pts = [Point((0, 0)), Point((1, 0)), Point((0, 1))]
         for build in (
-            lambda cap: levelwise_complex(3, lambda t: lambda w: True, max_card=cap),
-            lambda cap: levelwise_complex(0, lambda t: None, max_card=cap),
+            lambda cap: levelwise_complex(3, lambda t: 0b111 & ~t, max_card=cap),
+            lambda cap: levelwise_complex(0, lambda t: 0, max_card=cap),
             lambda cap: general_position_complex(pts, max_card=cap),
             lambda cap: general_position_complex([], max_card=cap),
             lambda cap: matroid_independence_complex(AffineMatroid(pts), max_card=cap),
@@ -704,6 +716,56 @@ class TestLevelwiseEnumerator:
                 with pytest.raises(ValueError, match="^max_card must be nonnegative, got %d$"
                                    % cap):
                     build(cap)
+
+    def test_a_generic_oracle_is_asked_only_of_parent_extenders_above_a_face(self):
+        asked = []
+
+        class Spy(PartitionMatroid):
+            def _independent(self, s):
+                asked.append(s)
+                return super()._independent(s)
+
+        blocks = [[0, 3, 6], [1, 4], [2, 5, 7]]
+        K = matroid_independence_complex(Spy(blocks))
+        block = {e: i for i, b in enumerate(blocks) for e in b}
+        assert K.faces == _brute_faces(8, lambda vs: len({block[v] for v in vs}) == len(vs))
+        # each set is asked once, as a face plus a vertex above it that
+        # extends the face's parent, so never more often than a predicate
+        # asked of every vertex above every face
+        assert len(asked) == len(set(asked))
+        for s in asked:
+            *face, w = sorted(s)
+            assert mask_of(face) in K.faces
+            assert not face or mask_of(face[:-1]) | 1 << w in K.faces
+        assert len(asked) < sum(8 - f.bit_length() for f in K.faces)
+
+    # every complex the enumerator grows records its facets as it finds
+    # them: they must be the maximal faces in the order complex_to_doc
+    # prints, so its document matches the marking path's
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(planted_points(max_distinct=7), low_rank_points()), st.integers(1, 4),
+           _matroids(), _facet_lists, st.data())
+    def test_recorded_facets_are_the_maximal_faces_in_print_order(
+            self, case, top, oracle, facet_list, data):
+        pts = case[1][:7]
+        affine, explicit, _ = _affine_and_explicit(pts)
+        oracles = (affine, explicit, AffineMatroid(pts, rank=top),
+                   _explicit_truncation(pts, top), oracle)
+        n, facets = facet_list
+        K = closure(facets, n)
+        for max_card in (None, *range(max(len(pts), n, oracle.ground_size) + 1)):
+            _check_recorded_facets(general_position_complex(pts, max_card))
+            for o in oracles:
+                _check_recorded_facets(matroid_independence_complex(o, max_card))
+                _check_recorded_facets(uniformity_complex(o, max_card))
+            if K.faces:  # the empty complex is its own completion
+                for j in range(K.dim, K.dim + 3):
+                    _check_recorded_facets(completion(K, j, max_card))
+        members = data.draw(st.lists(st.lists(st.integers(1, (1 << n) - 1), min_size=1,
+                                              max_size=3), max_size=6)) if n else []
+        if members:
+            _check_recorded_facets(nerve(closure(m, n) for m in members))
 
     # the gp complex grows by popcounts on the flat index of its distinct
     # points in R^d, so points of low rank (collinear points in d = 3, say)
