@@ -41,7 +41,9 @@ row takes degrees through 2 of the general-position complex, capped at 4
 points a face, of 7 distinct points and one repeat on a line (d=1), and
 the next prints that complex's document, reading the facets the levelwise
 enumerator recorded (a tree without that record finds them by marking
-subfaces). Three
+subfaces). One more Betti row takes degrees through 2 of the closure of
+30 random triangles on 12 vertices, which has holes: its reduction builds
+the columns whose lowest rows collide. Three
 rows run check_condition over every union of a fresh family: the rows of
 a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
 pool under the greedy bound, once printing every union's gp_number
@@ -251,6 +253,10 @@ def build_cases(rng):
     gp_line = general_position_complex(line, max_card=4)
     cases.append(("betti_up_to gp d=1 k=2", lambda: betti_up_to(gp_line, 2)))
     cases.append(("complex_to_doc gp d=1 k=2", lambda: complex_to_doc(gp_line)))
+    # a Random of its own, so that the rows after it draw what they drew before it
+    triangles = random.Random(SEED + 1)
+    holed = closure([triangles.sample(range(12), 3) for _ in range(30)], 12)
+    cases.append(("betti_up_to 30 triangles k=2", lambda: betti_up_to(holed, 2)))
     # a fresh family per call, so that its union cache cannot answer;
     # shaped like verdictbench's grid-rows-4 (degenerate, the grid under a
     # rational affine map) and greedy-check-m4 (decide)

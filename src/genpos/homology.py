@@ -5,10 +5,6 @@ through degree k are determined by the (k+1)-skeleton. The rank of the
 boundary map from i-faces is read as the rank of its transpose, the
 coboundary delta_{i-1} from (i-1)-cochains to i-cochains, in the manner of
 Ripser (Bauer 2021): delta_0, delta_1, ..., delta_k are reduced in turn.
-A coboundary column is built from its face's bitmask by setting one absent
-vertex bit at a time and looking the coface up in the next dimension's
-index; the sign is (-1) to the number of the face's vertices below the
-added one.
 
 Clearing (Chen-Kerber 2011) skips most of the work: because
 delta_i delta_{i-1} = 0, an i-face that is the pivot row of a reduced
@@ -18,13 +14,18 @@ pivot, the last vertex, clears one column of delta_0. This needs the rows
 of delta_{i-1} and the columns of delta_i in one order: the faces of each
 dimension are indexed in order of their bitmask values.
 
-Ranks are computed exactly by sparse column reduction (sparse_rank): each
-column is a {row: coefficient} dict, reduced left to right against the
-earlier column with the same lowest row, in the style of
-Dumas-Heckenbach-Saunders-Welker; its pivot map names the rows to clear.
-Coefficients are +-1, so almost every pivot is a unit and elimination
-stays integral without fractions; a non-unit pivot is eliminated
-fraction-free instead. Nothing is densified.
+Most other columns are never built either. A column's lowest row is the
+coface with the largest mask, found by setting the face's absent vertex
+bits from the top. A column is built (_coboundary) only when an earlier
+column holds that row, or later, when a reduction reaches the row of an
+apparent pivot: a column whose lowest row was free, and so already reduced.
+
+Ranks are computed exactly by sparse column reduction (sparse_rank), in
+the style of Dumas-Heckenbach-Saunders-Welker: each column is a {row:
+coefficient} dict, reduced left to right against the earlier column with
+the same lowest row; its pivot map names the rows to clear. Coefficients
+are +-1, so almost every pivot is a unit; a non-unit pivot is eliminated
+fraction-free. Nothing is densified.
 
 Connectivity here is homological: "homologically k-connected" means nonempty
 with vanishing reduced Betti numbers through degree k. This is implied by,
@@ -63,7 +64,7 @@ class BettiProfile:
             raise ValueError("negative Betti number; rank computation broken")
 
 
-def sparse_rank(columns, pivots=None):
+def sparse_rank(columns, pivots=None, unbuilt=(), build=None):
     """Rank over the rationals of an integer matrix given by its columns,
     each a {row: nonzero int} dict; the dicts are reduced in place.
 
@@ -74,17 +75,20 @@ def sparse_rank(columns, pivots=None):
     column by a nonzero integer leaves the rank over Q unchanged.
 
     pivots, if given, is an empty dict that receives the pivot map: each
-    reduced nonzero column under its lowest row.
+    reduced nonzero column under its lowest row. unbuilt maps more pivot rows
+    to the keys of reduced columns not yet built; a column that reaches such
+    a row builds its pivot with build(key) into pivots. The rank counts both.
     """
-    if pivots is None:
-        pivots = {}
+    pivots = {} if pivots is None else pivots
     for col in columns:
         while col:
             low = max(col)
             pivot = pivots.get(low)
             if pivot is None:
-                pivots[low] = col
-                break
+                if low not in unbuilt:
+                    pivots[low] = col
+                    break
+                pivot = pivots[low] = build(unbuilt.pop(low))
             a = col[low]
             p = pivot[low]
             if p == 1 or p == -1:
@@ -99,7 +103,7 @@ def sparse_rank(columns, pivots=None):
                     col[r] = x
                 else:
                     del col[r]
-    return len(pivots)
+    return len(pivots) + len(unbuilt)
 
 
 def _coboundary(f, vertex_bits, index_above):
@@ -116,6 +120,22 @@ def _coboundary(f, vertex_bits, index_above):
             if row is not None:
                 col[row] = sign
     return col
+
+
+def _collisions(faces, cleared, vertex_bits, index_above, pivots, unbuilt):
+    """The coboundary columns of the faces not cleared whose lowest row a pivot
+    holds; a face whose lowest row is free goes into unbuilt under it instead."""
+    for col, f in enumerate(faces):
+        if col in cleared:
+            continue
+        for bit in reversed(vertex_bits):
+            low = index_above.get(f | bit)  # f | bit = f, no coface, for bit in f
+            if low is not None:
+                if low in pivots or low in unbuilt:
+                    yield _coboundary(f, vertex_bits, index_above)
+                else:
+                    unbuilt[low] = f
+                break
 
 
 def betti_up_to(K, k, max_faces=None):
@@ -144,26 +164,21 @@ def betti_up_to(K, k, max_faces=None):
     for fs in by_dim:
         fs.sort()
     f_counts = tuple(len(fs) for fs in by_dim)
-    # ranks[i] = rank of the boundary map from i-chains to (i-1)-chains,
-    # with the reduced augmentation in degree 0; for i >= 1 it is the rank
-    # of the coboundary from (i-1)-cochains to i-cochains.
+    # ranks[i] = rank of the boundary from i- to (i-1)-chains (the reduced
+    # augmentation for i = 0), read as that of the coboundary for i >= 1
     ranks = [0] * (k + 2)
     vertex_bits = by_dim[0]
-    cleared = ()
-    if vertex_bits:
-        ranks[0] = 1
-        cleared = {f_counts[0] - 1}  # the augmentation's pivot row
+    ranks[0] = min(f_counts[0], 1)
+    cleared = {f_counts[0] - 1}  # the augmentation's pivot row, if any
     for i in range(k + 1):
         if not by_dim[i + 1]:
             break
         index_above = {g: row for row, g in enumerate(by_dim[i + 1])}
-        pivots = {}
+        pivots, unbuilt = {}, {}
         ranks[i + 1] = sparse_rank(
-            (_coboundary(f, vertex_bits, index_above)
-             for col, f in enumerate(by_dim[i]) if col not in cleared),
-            pivots,
-        )
-        cleared = pivots
+            _collisions(by_dim[i], cleared, vertex_bits, index_above, pivots, unbuilt),
+            pivots, unbuilt, lambda f: _coboundary(f, vertex_bits, index_above))
+        cleared = pivots.keys() | unbuilt.keys()
     betti = tuple(
         f_counts[i] - ranks[i] - (ranks[i + 1] if i + 1 <= k + 1 else 0)
         for i in range(k + 1)

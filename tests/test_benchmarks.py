@@ -22,7 +22,7 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 46
+    assert len(labels) == 47
     assert labels[14:17] == ["family_from_doc 4k coords", "family_from_doc 4k ratio coords",
                              "family_to_doc 4k coords"]
     assert labels[17:] == [
@@ -34,7 +34,7 @@ def test_bench_kernels_prints_every_row():
         "completion j=1 graph n=14", "completion j=3 10 pts d=3",
         "complex_from_doc 3x3x3x3", "complex_to_doc 3x3x3x3",
         "complex_from_doc 3x3x3x3 sparse", "betti_up_to 3x3x3x3",
-        "betti_up_to gp d=1 k=2", "complex_to_doc gp d=1 k=2",
+        "betti_up_to gp d=1 k=2", "complex_to_doc gp d=1 k=2", "betti_up_to 30 triangles k=2",
         "check hall grid rows 4x4", "check greedy pool m=4", "check greedy m=4",
         "greedy solve d=2 m=5", "solve matroid d=3 m=4", "counterexample d=2 m=10",
         "solve_exhaustive cex d=3 m=5", "solve_exhaustive 64 parabola",

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from genpos import (
     BettiProfile,
     BudgetExceeded,
+    Point,
     SimplicialComplex,
     betti_up_to,
     closure,
+    general_position_complex,
     is_homologically_k_connected,
     join,
     skeleton,
@@ -150,17 +152,32 @@ class TestEveryDegree:
 
 def spy_on_ranks(monkeypatch):
     """Check every rank betti_up_to asks for against the Fraction oracle and
-    record (number of columns, pivot map) per call."""
+    record (number of columns, pivot map) per call. The columns sparse_rank
+    leaves unbuilt are built here too, so the oracle sees every column and
+    the pivot map holds every pivot."""
     calls = []
 
-    def checked(columns, pivots=None):
-        columns = list(columns)
-        rows = 1 + max((r for c in columns for r in c), default=-1)
-        dense = [[c.get(r, 0) for c in columns] for r in range(rows)]
-        pivots = {} if pivots is None else pivots
-        rank = sparse_rank(columns, pivots)
-        assert rank == oracle_rank(dense)
-        calls.append((len(columns), pivots))
+    def checked(columns, pivots, unbuilt, build):
+        seen = []
+
+        def copied(columns):
+            for col in columns:
+                seen.append(dict(col))
+                yield col
+
+        def built(f):
+            seen.append(build(f))
+            return build(f)
+
+        rank = sparse_rank(copied(columns), pivots, unbuilt, built)
+        every = dict(pivots)
+        for low, f in unbuilt.items():
+            every[low] = build(f)
+            seen.append(build(f))
+        rows = 1 + max((r for c in seen for r in c), default=-1)
+        dense = [[c.get(r, 0) for c in seen] for r in range(rows)]
+        assert rank == len(every) == oracle_rank(dense)
+        calls.append((len(seen), every))
         return rank
 
     monkeypatch.setattr(homology, "sparse_rank", checked)
@@ -194,8 +211,52 @@ class TestClearing:
     def test_a_fraction_free_step_on_the_coboundary(self, monkeypatch):
         # in mask order delta_1 reduces a column against a non-unit pivot
         K = closure(RP2_FACETS + [(1, 3, 6), (0, 4, 5, 6)], 7)
-        spy_on_ranks(monkeypatch)
+        calls = spy_on_ranks(monkeypatch)
         assert betti_up_to(K, 3).betti == (0, 1, 0, 0) == oracle_betti(K, up_to=3)
+        assert any(abs(col[low]) > 1 for low, col in calls[1][1].items())
+
+
+def count_columns_built(monkeypatch):
+    """The faces, one per call, whose coboundary column betti_up_to builds."""
+    built = []
+    real = homology._coboundary
+
+    def counted(f, vertex_bits, index_above):
+        built.append(f)
+        return real(f, vertex_bits, index_above)
+
+    monkeypatch.setattr(homology, "_coboundary", counted)
+    return built
+
+
+class TestApparentPivots:
+    # sparse complexes have holes, so lowest rows collide and columns are built
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 9), st.integers(1, 3), st.sampled_from([0.2, 0.3, 0.4]),
+           st.integers(0, 2**32 - 1))
+    def test_complexes_with_holes_against_the_oracle(self, n, dim, density, seed):
+        K = random_complex(random.Random(seed), n, dim, density)
+        k = max(K.dim, 0)
+        assert betti_up_to(K, k).betti == oracle_betti(K, up_to=k)
+
+    def test_collisions_build_columns(self, monkeypatch):
+        built = count_columns_built(monkeypatch)
+        rng = rng_for("betti-collisions")
+        holes = 0
+        for _ in range(40):
+            K = random_complex(rng, rng.randrange(4, 10), rng.randrange(1, 4), 0.3)
+            betti = betti_up_to(K, K.dim).betti
+            assert betti == oracle_betti(K, up_to=K.dim)
+            holes += any(betti)
+        assert holes and built
+
+    def test_free_lowest_rows_build_no_column(self, monkeypatch):
+        built = count_columns_built(monkeypatch)
+        assert betti_up_to(closure([tuple(range(7))], 7), 5).betti == (0,) * 6
+        # as the bench row betti_up_to gp d=1 k=2: 7 points on a line, one repeated
+        line = [Point((t,)) for t in (13, -8, 21, 0, -34, 5, 3, -8)]
+        assert betti_up_to(general_position_complex(line, max_card=4), 2).betti == (0, 0, 0)
+        assert built == []
 
 
 class TestSparseRank:
