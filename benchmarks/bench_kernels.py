@@ -36,14 +36,21 @@ in d=3 (every set of the 10). Then rows parse, print and take the Betti
 numbers through degree 3 of the join of four 3-point sets (81 facets, 256
 faces): complex_from_doc, complex_to_doc, then complex_from_doc of the same
 join spread over a document of 10^9 vertices, which jsonio relabels onto
-its 12 vertices, then betti_up_to. One more Betti
+its 12 vertices, then betti_up_to. Each complex_to_doc, neighborhood and
+is_q_star row takes a fresh copy of its complex each call, so that it
+times the extender table's building (a tree without the table finds the
+facets by marking subfaces). One more Betti
 row takes degrees through 2 of the general-position complex, capped at 4
 points a face, of 7 distinct points and one repeat on a line (d=1), and
 the next prints that complex's document, reading the facets the levelwise
 enumerator recorded (a tree without that record finds them by marking
 subfaces). One more Betti row takes degrees through 2 of the closure of
 30 random triangles on 12 vertices, which has holes: its reduction builds
-the columns whose lowest rows collide. Three
+the columns whose lowest rows collide. The next row takes the
+neighborhood of vertex 0 in that complex, and the one after prints the
+document of the closure of the facets that the 16-point general-position
+complex prints, as the topology workload's complex betti and complex qstar
+read it back. Three
 rows run check_condition over every union of a fresh family: the rows of
 a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
 pool under the greedy bound, once printing every union's gp_number
@@ -62,10 +69,12 @@ levelwise enumerator on a wide, shallow complex, and gp_number of the 6x6
 grid, which times the branch-and-bound maximiser. The next row runs
 solve_matroid_intersection on a fresh family of 8 singletons on the
 moment curve in d=12, whose exchange questions ask of up to 8 points in
-a space of 12 dimensions. The last row runs the Hall check of the 4x4
+a space of 12 dimensions. The last row but one runs the Hall check of the 4x4
 row on the rows of the 6x6 grid, a fresh family each call: its 63 unions
 make about 45,000 calls of gp_number's predicate, so the caps that each
-union takes from its sub-unions are timed at a real size.
+union takes from its sub-unions are timed at a real size. The last row
+runs is_q_star at q=3 on the general-position complex of 24 random points
+in d=3 capped at 4 points a face (12,951 faces): 2,024 vertex triples.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
@@ -96,7 +105,7 @@ from fractions import Fraction
 
 from genpos import cli
 from genpos._kernels import gp_extends, int_det, int_rank
-from genpos.complexes import closure, completion
+from genpos.complexes import SimplicialComplex, closure, completion, is_q_star, neighborhood
 from genpos.geometry import FlatIndex, Point, gp_number
 from genpos.homology import betti_up_to
 from genpos.jsonio import complex_from_doc, complex_to_doc, family_from_doc, family_to_doc
@@ -237,7 +246,7 @@ def build_cases(rng):
                       for c in range(6, 9) for d in range(9, 12)]}
     join = _complex(complex_from_doc(doc))
     cases.append(("complex_from_doc 3x3x3x3", lambda: complex_from_doc(doc)))
-    cases.append(("complex_to_doc 3x3x3x3", lambda: complex_to_doc(join)))
+    cases.append(("complex_to_doc 3x3x3x3", lambda: complex_to_doc(_fresh(join))))
     # the same join with its vertices spread by v -> 1000 v + 999 over a
     # document claiming 10^9 vertices: relabelled where jsonio relabels; the
     # spread stays below 12,000 so that a tree without the relabel builds
@@ -257,6 +266,11 @@ def build_cases(rng):
     triangles = random.Random(SEED + 1)
     holed = closure([triangles.sample(range(12), 3) for _ in range(30)], 12)
     cases.append(("betti_up_to 30 triangles k=2", lambda: betti_up_to(holed, 2)))
+    cases.append(("neighborhood 30 triangles", lambda: neighborhood(_fresh(holed), 0, 2)))
+    # the document complex gp prints for the 16 points, read back as
+    # complex betti and complex qstar read it, and printed again
+    reread = _complex(complex_from_doc(complex_to_doc(general_position_complex(bent, 3))))
+    cases.append(("complex_to_doc closure 16 pts", lambda: complex_to_doc(_fresh(reread))))
     # a fresh family per call, so that its union cache cannot answer;
     # shaped like verdictbench's grid-rows-4 (degenerate, the grid under a
     # rational affine map) and greedy-check-m4 (decide)
@@ -307,6 +321,11 @@ def build_cases(rng):
     big_rows = grid_rows(6)
     cases.append(("check hall grid rows 6x6",
                   lambda: check_condition(PointFamily(d=2, sets=big_rows), lambda k: k)))
+    # a Random of its own, so that its points do not follow the rows before it
+    spots = random.Random(SEED + 2)
+    gp24 = general_position_complex(
+        [Point([spots.randint(-30, 30) for _ in range(3)]) for _ in range(24)], max_card=4)
+    cases.append(("is_q_star gp d=3 24 pts q=3", lambda: is_q_star(_fresh(gp24), 3)))
     return cases
 
 
@@ -314,6 +333,12 @@ def _complex(parsed):
     """The complex of complex_from_doc's return: (K, labels), or K alone in
     a tree that returns no labels."""
     return parsed[0] if isinstance(parsed, tuple) else parsed
+
+
+def _fresh(K):
+    """A copy of K without the tables it built on use, so that a row times
+    their building each call."""
+    return SimplicialComplex(K.n_vertices, K.faces, _validated=True)
 
 
 def _cli_main(argv, stdin):

@@ -18,8 +18,8 @@ on face masks alone: each grow maps a face to the mask of its extenders, the
 vertices that add to it to make a face, as the candidate sets of Eclat (Zaki,
 "Scalable Algorithms for Association Mining", 2000). A face with none, or one
 at the cap, is maximal, so the enumerator records the facets as it goes, in
-the (size, lexicographic) order complex_to_doc prints; every other complex
-finds them by marking subfaces.
+the (size, lexicographic) order complex_to_doc prints; any other complex
+reads them off the same map as a table, ext.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def bits_of(mask):
 class SimplicialComplex:
     """Immutable simplicial complex; equality is face-set equality."""
 
-    __slots__ = ("n_vertices", "faces", "_by_size", "_facets")
+    __slots__ = ("n_vertices", "faces", "_ext", "_facets")
 
     def __init__(self, n_vertices, faces, _validated=False):
         if n_vertices < 0:
@@ -88,7 +88,7 @@ class SimplicialComplex:
                         )
         self.n_vertices = n_vertices
         self.faces = fs
-        self._by_size = None
+        self._ext = None
         self._facets = None  # in (size, lex) order, when levelwise_complex recorded them
 
     @classmethod
@@ -100,20 +100,22 @@ class SimplicialComplex:
     def dim(self):
         if self._facets:  # the last recorded facet is a largest face
             return self._facets[-1].bit_count() - 1
-        if not self.faces:
-            return -1
-        return max(f.bit_count() for f in self.faces) - 1
+        return max(map(int.bit_count, self.faces), default=0) - 1
 
-    def by_size(self, s):
-        """Faces of size s, sorted lexicographically as vertex tuples."""
-        if self._by_size is None:
-            table = {}
-            for f in self.faces:
-                table.setdefault(f.bit_count(), []).append(f)
-            for fs in table.values():
-                fs.sort(key=lambda m: tuple(bits_of(m)))
-            self._by_size = table
-        return self._by_size.get(s, [])
+    @property
+    def ext(self):
+        """Each face S to the mask of the v outside S with S + v a face:
+        on first use, each face g ORs each v of g into g - v's."""
+        if self._ext is None:
+            ext = dict.fromkeys(self.faces, 0)
+            for g in self.faces:
+                m = g
+                while m:
+                    low = m & -m
+                    ext[g ^ low] |= low
+                    m ^= low
+            self._ext = ext
+        return self._ext
 
     def has_face(self, vertices):
         return mask_of(vertices) in self.faces
@@ -127,37 +129,20 @@ class SimplicialComplex:
     def facets(self):
         """Maximal faces as masks, sorted lexicographically as vertex
         tuples."""
-        out = self._maximal() if self._facets is None else list(self._facets)
-        out.sort(key=lambda m: tuple(bits_of(m)))
-        return out
-
-    def _maximal(self):
-        """Maximal faces as masks, unsorted. Faces are closed downward, so a
-        face lies in a larger one iff it lies in one a vertex larger: mark
-        each face's one-smaller subfaces and keep the unmarked."""
-        covered = set()
-        for f in self.faces:
-            m = f
-            while m:
-                low = m & -m
-                covered.add(f ^ low)
-                m ^= low
-        return [f for f in self.faces if f not in covered]
+        out = self._facets or [f for f, e in self.ext.items() if not e]
+        return sorted(out, key=lambda m: tuple(bits_of(m)))
 
     def f_vector(self):
         """Face counts by dimension: entry i counts faces of size i+1."""
-        counts = [0] * (self.dim + 1 if self.faces else 0)
+        counts = [0] * (self.dim + 1)
         for f in self.faces:
             if f:
                 counts[f.bit_count() - 1] += 1
         return tuple(counts)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.n_vertices == other.n_vertices
-            and self.faces == other.faces
-        )
+        return (isinstance(other, SimplicialComplex) and self.n_vertices == other.n_vertices
+                and self.faces == other.faces)
 
     def __hash__(self):
         return hash((self.n_vertices, self.faces))
@@ -171,30 +156,30 @@ class SimplicialComplex:
         return len(self.faces)
 
     def __repr__(self):
-        return "SimplicialComplex(n=%d, dim=%d, %d faces)" % (
-            self.n_vertices,
-            self.dim,
-            len(self.faces),
-        )
+        return "SimplicialComplex(n=%d, dim=%d, %d faces)" % (self.n_vertices, self.dim,
+                                                               len(self.faces))
 
 
 def closure(facets, n_vertices, max_faces=None):
     """Downward closure of the given facets (vertex iterables or masks),
     with at most max_faces faces (None: DEFAULT_FACE_BUDGET; past it
-    BudgetExceeded is raised).
+    BudgetExceeded is raised)."""
+    facets = list(facets)
+    masks = [f if isinstance(f, int) else mask_of(f) for f in facets]
+    if masks and (min(masks) < 0 or max(masks) >> n_vertices):
+        bad = next(f for f, m in zip(facets, masks) if m < 0 or m >> n_vertices)
+        raise ValueError("facet %r out of vertex range" % (bad,))
+    return _close(masks, n_vertices, max_faces)
 
-    A facet that is already a face adds nothing, and a facet with more
-    submasks than the budget is refused before any is added. Faces only
-    grow, so checking the budget once per facet raises on the same facet as
-    checking it per face.
-    """
+
+def _close(masks, n_vertices, max_faces):
+    """closure of facet masks in range. Faces only grow, so checking the
+    budget once per facet, and before one with more submasks than it,
+    raises on the facet a check per face would."""
     budget = DEFAULT_FACE_BUDGET if max_faces is None else max_faces
     faces = set()
     add = faces.add
-    for facet in facets:
-        f = facet if isinstance(facet, int) else mask_of(facet)
-        if f < 0 or f >> n_vertices:
-            raise ValueError("facet %r out of vertex range" % (facet,))
+    for f in masks:
         if f in faces:
             continue
         if 1 << f.bit_count() > budget:
@@ -223,19 +208,19 @@ def star(K, v):
 def neighborhood(K, v, d):
     """Neighborhood complex of v in a d-dimensional K: the star of v plus
     every d-dimensional face S avoiding v whose proper subsets all lie in the
-    star. d must equal dim K (passed explicitly as a guard)."""
+    star. d must equal dim K (passed explicitly as a guard). By K.ext, S is
+    in the star iff v is in S or extends it."""
     if d != K.dim:
         raise ValueError("neighborhood needs d == dim K (%d != %d)" % (d, K.dim))
-    st = star(K, v).faces
-    result = set(st)
-    for f in K.by_size(d + 1):
-        if f >> v & 1:
-            continue
-        if d == 0 or all((f ^ (1 << u)) in st for u in bits_of(f)):
-            result.add(f)
-    if result:
-        result.add(0)
-    return SimplicialComplex(K.n_vertices, result, _validated=True)
+    if not 0 <= v < K.n_vertices:
+        raise ValueError("vertex %d out of range" % v)
+    if d == 0:  # the condition on subsets is vacuous
+        return K
+    ext, vb = K.ext, 1 << v
+    return SimplicialComplex(K.n_vertices, {
+        f for f, e in ext.items() if (f | e) & vb
+        or f.bit_count() == d + 1 and all(ext[f ^ 1 << u] & vb for u in bits_of(f))},
+        _validated=True)
 
 
 def completion(K, j, max_card=None, max_faces=None):
@@ -480,8 +465,10 @@ def is_q_star(K, q, node_budget=None):
     """q-star property of K (dimension taken from K): more than q vertices,
     and every q-set Y of vertices has a vertex v outside Y such that S + {v}
     is a face for every face S of K[Y] with |S| <= dim K (the empty face
-    included, so v itself must be a vertex). BudgetExceeded is raised up
-    front when the q-sets outnumber node_budget (None: DEFAULT_NODE_BUDGET)."""
+    included, so v itself must be a vertex): the lowest outside Y in the AND
+    of K.ext over the submasks S of Y, at most 2^q mask steps. BudgetExceeded
+    is raised up front when the q-sets outnumber node_budget (None:
+    DEFAULT_NODE_BUDGET)."""
     if q < 1:
         raise ValueError("q must be at least 1")
     verts = K.vertices()
@@ -495,22 +482,20 @@ def is_q_star(K, q, node_budget=None):
             % (len(verts), q, count, budget)
         )
     d = K.dim
-    small = [f for f in K.faces if f.bit_count() <= d]
+    ext = K.ext
     extenders = {}
     for combo in combinations(verts, q):
         ym = mask_of(combo)
-        local = [f for f in small if f & ~ym == 0]
-        found = None
-        for v in verts:
-            vb = 1 << v
-            if vb & ym:
-                continue
-            if all((f | vb) in K.faces for f in local):
-                found = v
+        common, sub = ~ym, ym
+        while True:
+            if sub.bit_count() <= d:
+                common &= ext.get(sub, -1)
+            if not sub:
                 break
-        if found is None:
+            sub = (sub - 1) & ym
+        if not common:
             return QStarResult(holds=False, q=q, violating=combo)
-        extenders[combo] = found
+        extenders[combo] = (common & -common).bit_length() - 1
     return QStarResult(holds=True, q=q, extenders=extenders)
 
 

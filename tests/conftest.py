@@ -318,21 +318,31 @@ def oracle_neighborhood_faces(K, v):
     return out
 
 
+def oracle_q_extenders(K, Y):
+    """The vertices v outside the vertex tuple Y with S + {v} a face for
+    every face S of K[Y] with |S| <= dim K, in ascending order."""
+    ym = mask_of(Y)
+    small = [f for f in K.faces if f & ~ym == 0 and f.bit_count() <= K.dim]
+    return [v for v in range(K.n_vertices) if (1 << v) in K.faces and not (1 << v) & ym
+            and all((f | (1 << v)) in K.faces for f in small)]
+
+
 def oracle_is_q_star(K, q):
+    """The first q-set of vertices, in combinations order, with no common
+    extender; None when there is none, or when there are at most q
+    vertices (the q-star test fails then without one)."""
     verts = [v for v in range(K.n_vertices) if (1 << v) in K.faces]
     if len(verts) <= q:
-        return False
-    d = K.dim
+        return None
     for Y in combinations(verts, q):
-        ym = mask_of(Y)
-        small = [f for f in K.faces if f & ~ym == 0 and f.bit_count() <= d]
-        if not any(
-            all((f | (1 << v)) in K.faces for f in small)
-            for v in verts
-            if not (1 << v) & ym
-        ):
-            return False
-    return True
+        if not oracle_q_extenders(K, Y):
+            return Y
+    return None
+
+
+def oracle_facets(K):
+    """The maximal faces of K, by comparing every pair of faces."""
+    return {f for f in K.faces if not any(g != f and g & f == f for g in K.faces)}
 
 
 def oracle_betti(K, up_to=None):
@@ -343,7 +353,7 @@ def oracle_betti(K, up_to=None):
         top = -1 if up_to is None else up_to
         return tuple(0 for _ in range(top + 1))
     top = dim if up_to is None else up_to
-    by_size = {s: sorted(K.by_size(s)) for s in range(1, dim + 2)}
+    by_size = {s: sorted(f for f in K.faces if f.bit_count() == s) for s in range(1, dim + 2)}
     index = {
         s: {f: i for i, f in enumerate(by_size[s])} for s in range(1, dim + 2)
     }

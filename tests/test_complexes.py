@@ -5,7 +5,7 @@ general-position and independence complexes, the nerve and completions,
 the uniformity complex among them."""
 
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -44,10 +44,12 @@ from conftest import (
     oracle_affinely_independent,
     oracle_completion_faces,
     oracle_closure_faces,
+    oracle_facets,
     oracle_gp,
     oracle_is_q_star,
     oracle_is_uniform,
     oracle_neighborhood_faces,
+    oracle_q_extenders,
     oracle_rank,
     oracle_star_faces,
     planted_points,
@@ -113,9 +115,7 @@ class TestConstruction:
         assert K.f_vector() == (3, 3)
         assert K.vertices() == [0, 1, 2]
         assert K.facets() == [0b011, 0b101, 0b110]
-        assert K.by_size(1) == [1, 2, 4]
-        assert K.by_size(2) == [0b011, 0b101, 0b110]
-        assert K.by_size(3) == []
+        assert K.ext == {0: 0b111, 1: 0b110, 2: 0b101, 4: 0b011, 0b011: 0, 0b101: 0, 0b110: 0}
         assert K.has_face((0, 2)) and not K.has_face((0, 1, 2))
 
     def test_equality_includes_universe(self):
@@ -171,12 +171,35 @@ class TestClosure:
 
 
 class TestFacets:
-    @given(_facet_lists)
-    def test_maximal_faces_by_brute_force(self, case):
+    # complexes built from faces, not by the levelwise enumerator, read
+    # their facets and extenders off the extender table
+
+    @given(_facet_lists, st.data())
+    def test_maximal_faces_by_brute_force(self, case, data):
         n, facets = case
         K = closure(facets, n)
-        want = [f for f in K.faces if not any(g != f and g & f == f for g in K.faces)]
-        assert K.facets() == sorted(want, key=lambda m: tuple(bits_of(m)))
+        k = data.draw(st.integers(0, 3))
+        L = closure(data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=3)), k)
+        v = data.draw(st.integers(0, max(n - 1, 0)))
+        W = data.draw(st.integers(0, (1 << n) - 1))
+        s = data.draw(st.integers(-1, n))
+        built = [K, join(K, L), induced(K, W), skeleton(K, s)]
+        if n:
+            built.append(star(K, v))
+        for M in built:
+            assert M._facets is None
+            want = oracle_facets(M)
+            assert M.facets() == sorted(want, key=lambda m: tuple(bits_of(m)))
+            assert complex_to_doc(M)["facets"] == sorted(map(bits_of, want),
+                                                         key=lambda t: (len(t), t))
+
+    @given(_facet_lists)
+    def test_extender_table_by_brute_force(self, case):
+        n, facets = case
+        K = closure(facets, n)
+        assert K.ext == {f: sum(1 << v for v in range(n) if not f >> v & 1
+                                and f | 1 << v in K.faces) for f in K.faces}
+        assert K.ext is K.ext
 
     def test_void_and_empty_face(self):
         assert closure([], 3).facets() == []
@@ -239,6 +262,18 @@ class TestNeighborhood:
             K = random_complex(rng, 7, 2)
             v = rng.randrange(7)
             assert star(K, v).faces <= neighborhood(K, v, K.dim).faces
+
+    def test_out_of_range(self):
+        for K in (triangle_boundary(), closure([(0,), (1,)], 2)):
+            with pytest.raises(ValueError, match="^vertex 3 out of range$"):
+                neighborhood(K, 3, K.dim)
+
+    @given(_facet_lists)
+    def test_every_vertex_matches_oracle(self, case):
+        n, facets = case
+        K = closure(facets, n)
+        for v in range(n):
+            assert neighborhood(K, v, K.dim).faces == oracle_neighborhood_faces(K, v)
 
     def test_matches_oracle(self):
         rng = rng_for("nbhd-oracle")
@@ -532,7 +567,23 @@ class TestQStar:
         for _ in range(60):
             K = random_complex(rng, rng.randrange(2, 8), rng.randrange(0, 4))
             q = rng.randrange(1, 4)
-            assert bool(is_q_star(K, q)) == oracle_is_q_star(K, q)
+            assert is_q_star(K, q).violating == oracle_is_q_star(K, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.sampled_from((None, 2, 3)))
+    def test_violating_and_extenders_match_the_oracle(self, rng, q, cap):
+        K = random_complex(rng, rng.randrange(1, 8), rng.randrange(0, 4))
+        if cap is not None:
+            K = skeleton(K, cap - 1)
+        res = is_q_star(K, q)
+        violating = oracle_is_q_star(K, q)
+        assert res.violating == violating
+        assert res.holds == (len(K.vertices()) > q and violating is None)
+        if res.holds:
+            assert res.extenders == {Y: oracle_q_extenders(K, Y)[0]
+                                     for Y in combinations(K.vertices(), q)}
+        else:
+            assert res.extenders is None
 
     def test_node_budget(self):
         # 30 isolated vertices: C(30, 8) q-sets, refused before any is tested
@@ -615,12 +666,13 @@ def _brute_faces(n, is_face, max_card=None):
 
 
 def _check_recorded_facets(K):
-    """K's recorded facets are its maximal faces by size and then
-    lexicographically, and its document is the marking path's."""
-    assert K._facets == sorted(K._maximal(), key=lambda f: (f.bit_count(), bits_of(f)))
-    marked = SimplicialComplex(K.n_vertices, K.faces, _validated=True)
-    assert marked._facets is None
-    assert complex_to_doc(K) == complex_to_doc(marked)
+    """K's recorded facets are its faces with no extender by size and then
+    lexicographically, and its document is the extender table's."""
+    assert K._facets == sorted((f for f, e in K.ext.items() if not e),
+                               key=lambda f: (f.bit_count(), bits_of(f)))
+    unrecorded = SimplicialComplex(K.n_vertices, K.faces, _validated=True)
+    assert unrecorded._facets is None
+    assert complex_to_doc(K) == complex_to_doc(unrecorded)
 
 
 def _affine_and_explicit(pts):
@@ -741,7 +793,7 @@ class TestLevelwiseEnumerator:
 
     # every complex the enumerator grows records its facets as it finds
     # them: they must be the maximal faces in the order complex_to_doc
-    # prints, so its document matches the marking path's
+    # prints, so its document matches the extender table's
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(planted_points(max_distinct=7), low_rank_points()), st.integers(1, 4),

@@ -229,6 +229,20 @@ class TestComplexDoc:
         with pytest.raises(DocumentError, match=r"^facets\[1\] %s$" % message):
             complex_from_doc(doc)
 
+    @pytest.mark.parametrize("n", [3, 10 ** 6])
+    def test_the_first_bad_facet_is_named(self, n):
+        # the facets are checked all at once; an irregular document is
+        # checked facet by facet, so the first bad facet is the one named
+        for facets, message in [
+            ([[0], [2, 0, 2], "x"], r"facets\[1\] repeats a vertex"),
+            ([[0], [1, 1], [5, 10 ** 40]], r"facets\[1\] repeats a vertex"),
+            ([[0, 1], [-1], [0, 0]], r"facets\[1\] has a vertex outside"),
+            ([[0], [False], [-1]], r"facets\[1\] must be a list of vertex indices"),
+            ([[0], 7, [0, 0]], r"facets\[1\] must be a list of vertex indices"),
+        ]:
+            with pytest.raises(DocumentError, match="^%s" % message):
+                complex_from_doc({"n_vertices": n, "facets": facets})
+
     def test_int_subclass_vertices(self):
         V = IntEnum("V", "a b", start=0)
         K, labels = complex_from_doc({"n_vertices": 2, "facets": [[V.a, 1], []]})
