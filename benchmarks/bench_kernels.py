@@ -66,13 +66,14 @@ parabola in 8 sets of 8, where the first pick of each set works. Two rows
 close the table: the general-position complex of 300 random points in d=3
 capped at 2 points a face (45,151 faces, no flat index), which times the
 levelwise enumerator on a wide, shallow complex, and gp_number of the 6x6
-grid, which times the branch-and-bound maximiser. The next row runs
+grid, the 7x7 grid (89,248 grow calls) and the 3x3x3 cube (14,895), which
+time the branch-and-bound maximiser. The next row runs
 solve_matroid_intersection on a fresh family of 8 singletons on the
 moment curve in d=12, whose exchange questions ask of up to 8 points in
 a space of 12 dimensions. The last row but one runs the Hall check of the 4x4
 row on the rows of the 6x6 grid, a fresh family each call: its 63 unions
-make about 45,000 calls of gp_number's predicate, so the caps that each
-union takes from its sub-unions are timed at a real size. The last row
+make about 3,600 calls of gp_number's grow, so the caps that each union
+takes from its sub-unions are timed at a real size. The last row
 runs is_q_star at q=3 on the general-position complex of 24 random points
 in d=3 capped at 4 points a face (12,951 faces): 2,024 vertex triples.
 
@@ -315,6 +316,10 @@ def build_cases(rng):
                   lambda: general_position_complex(wide, max_card=2)))
     grid = [Point((x, y)) for x in range(6) for y in range(6)]
     cases.append(("gp_number 6x6 grid", lambda: gp_number(grid)))
+    grid7 = [Point((x, y)) for x in range(7) for y in range(7)]
+    cases.append(("gp_number 7x7 grid", lambda: gp_number(grid7)))
+    cube = [Point((x, y, z)) for x in range(3) for y in range(3) for z in range(3)]
+    cases.append(("gp_number 3x3x3 cube", lambda: gp_number(cube)))
     curve = [[Point([t ** i for i in range(1, 13)])] for t in range(8)]
     cases.append(("solve matroid d=12 m=8",
                   lambda: solve_matroid_intersection(PointFamily(d=12, sets=curve))))

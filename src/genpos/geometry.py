@@ -244,13 +244,15 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
       general-position subset of U, so gp(U) = #free + gp(U minus the free
       points), as in the kernelisation of Froese, Kanj, Nichterlein and
       Niedermeier, "Finding points in general position" (2017).
-    - The points left go through genpos.search.max_extension with the rest
-      of the budget, as one-bit masks in ascending order: w extends the OR
-      C of those chosen unless an indexed j-flat through w holds j+1 points
-      of C, a popcount. The line cover of those points (FlatIndex.cover) is
-      the bound the search asks for when it must prove its best size optimal.
+    - The points left are genpos.search.max_extension's candidates, taken
+      in ascending order: when w joins the chosen set C, each flat through
+      w holding j+1 points of C + {w} rules out its other points, so no
+      blocked point is asked about again. Each grow charges one node per
+      flat through w, after the build's tuples. The line cover of those
+      points (FlatIndex.cover) is the bound the search asks for when it
+      must prove its best size optimal.
 
-    Past the budget, in the build or the search, BudgetExceeded is raised.
+    Past the budget, in the build or at any grow, BudgetExceeded is raised.
     A cap that holds leaves the answer unchanged.
     """
     if isinstance(X, int):
@@ -278,27 +280,28 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
     free = (union & ~crowded).bit_count()
     if not crowded:
         return free
-    items = []
-    rest = crowded
-    while rest:
-        items.append(rest & -rest)
-        rest &= rest - 1
     through = index.through
 
-    def extends(chosen, w):
-        for mask, j in through[w.bit_length() - 1]:
+    def grow(chosen, w):
+        # every crowded point lies on a flat, so each grow charges a node
+        nonlocal spent
+        flats = through[w.bit_length() - 1]
+        spent += len(flats)
+        if spent > budget:
+            raise BudgetExceeded("search exceeds %d nodes" % budget)
+        chosen |= w
+        out = 0
+        for mask, j in flats:
             if (mask & chosen).bit_count() > j:
-                return False
-        return True
+                out |= mask
+        return out
 
     return free + max_extension(
-        items,
-        extends,
+        crowded,
+        grow,
         full,
         cap=None if cap is None else cap - free,
-        node_budget=budget,
         bound=lambda: index.cover(crowded),
-        nodes=spent,
     )
 
 
@@ -312,7 +315,8 @@ class FlatIndex:
     holds j+1 points of C: a smallest dependent subset of C + {w} is j+1
     independent points of C and w on their j-flat, which then holds j+2 of
     the points. So with ``through[i]``, the (mask, j) of the flats through
-    point i, general position is popcount arithmetic.
+    point i, general position is popcount arithmetic: once w joins C, each
+    flat through w holding j+1 points of C + {w} rules out its other points.
 
     top caps the dimension (None: d-1, every dimension, which general
     position asks for). An affine matroid of rank r asks for j <= r-2

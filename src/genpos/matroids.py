@@ -316,13 +316,13 @@ def max_uniform_size(oracle):
     this is gp_number of its distinct points over a flat index capped at
     dimension r-2, within gp_number's node budget, and at r <= 1 every set
     is uniform. Other oracles go through the shared branch-and-bound over
-    elements in ascending order (genpos.search.max_extension), where a set
-    of k >= r elements extends by e when each (r-1)-subset joined by e is
-    independent, and below r when the whole set joined by e is: each of
-    those queries is one node of DEFAULT_NODE_BUDGET, charged before it is
-    asked, and BudgetExceeded is raised past it. A matroid of rank 0 on a
-    nonempty ground set has loops, which this module excludes, and raises
-    ValueError."""
+    elements in ascending order (genpos.search.max_extension), whose grow
+    rules nothing out: a set of k >= r elements extends by e when each
+    (r-1)-subset joined by e is independent, and below r when the whole set
+    joined by e is: each of those queries is one node of
+    DEFAULT_NODE_BUDGET, charged before it is asked, and BudgetExceeded is
+    raised past it. A matroid of rank 0 on a nonempty ground set has loops,
+    which this module excludes, and raises ValueError."""
     r = _loopless_rank(oracle)
     if isinstance(oracle, AffineMatroid):
         if r <= 1:
@@ -333,7 +333,7 @@ def max_uniform_size(oracle):
     budget = DEFAULT_NODE_BUDGET
     asked = 0
 
-    def extends(chosen, item):
+    def grow(chosen, item):
         nonlocal asked
         k = chosen.bit_count()
         asked += 1 if k < r else comb(k, r - 1)
@@ -341,13 +341,14 @@ def max_uniform_size(oracle):
             raise BudgetExceeded("search exceeds %d nodes" % budget)
         e = item.bit_length() - 1
         if k < r:
-            return oracle.is_independent(frozenset(bits_of(chosen)) | {e})
-        # chosen is uniform: the new rank-size subsets are those through e
-        return all(oracle.is_independent(frozenset(t) | {e})
-                   for t in combinations(bits_of(chosen), r - 1))
+            ok = oracle.is_independent(frozenset(bits_of(chosen)) | {e})
+        else:
+            # chosen is uniform: the new rank-size subsets are those through e
+            ok = all(oracle.is_independent(frozenset(t) | {e})
+                     for t in combinations(bits_of(chosen), r - 1))
+        return 0 if ok else None
 
-    return max_extension([1 << e for e in range(oracle.ground_size)], extends, r,
-                         node_budget=budget)
+    return max_extension((1 << oracle.ground_size) - 1, grow, r)
 
 
 def uniformity_complex(oracle, max_card=None, max_faces=None):

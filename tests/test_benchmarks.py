@@ -22,7 +22,7 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 50
+    assert len(labels) == 52
     assert labels[14:17] == ["family_from_doc 4k coords", "family_from_doc 4k ratio coords",
                              "family_to_doc 4k coords"]
     assert labels[17:] == [
@@ -39,7 +39,8 @@ def test_bench_kernels_prints_every_row():
         "check hall grid rows 4x4", "check greedy pool m=4", "check greedy m=4",
         "greedy solve d=2 m=5", "solve matroid d=3 m=4", "counterexample d=2 m=10",
         "solve_exhaustive cex d=3 m=5", "solve_exhaustive 64 parabola",
-        "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid", "solve matroid d=12 m=8",
+        "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid", "gp_number 7x7 grid",
+        "gp_number 3x3x3 cube", "solve matroid d=12 m=8",
         "check hall grid rows 6x6", "is_q_star gp d=3 24 pts q=3",
     ]
 

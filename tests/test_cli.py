@@ -534,7 +534,7 @@ class TestEnvironmentBudgets:
 
     def test_node_budget_stops_gp_number(self, capsys, monkeypatch):
         # the 6 x 6 grid in one set: its exact search, which --all-checks
-        # prints, runs to millions of nodes
+        # prints, needs some 21,000 nodes
         monkeypatch.setenv("GENPOS_BUDGET_NODES", "1000")
         doc = {"d": 2, "sets": [[[x, y] for x in range(6) for y in range(6)]]}
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))

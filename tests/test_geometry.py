@@ -233,30 +233,29 @@ class TestGpNumber:
         assert gp_number(cube) == 8
 
     def test_search_gets_what_the_build_leaves(self, monkeypatch):
-        # the 6 x 6 grid's index costs C(36, 2) = 630 nodes before its search
+        # the 6 x 6 grid's index costs C(36, 2) = 630 nodes before its
+        # search, whose grows charge one node per flat they read
         grid = [Point([x, y]) for x in range(6) for y in range(6)]
-        nodes = count_predicate_calls(monkeypatch)
+        index = FlatIndex([p.hom for p in grid], 2)
+        index.build()
+        nodes = count_grow_calls(monkeypatch)
         assert gp_number(grid) == 12
-        search = len(nodes)
+        search = sum(len(index.through[w.bit_length() - 1]) for w in nodes)
         assert gp_number(grid, node_budget=search + 630) == 12
-        with pytest.raises(BudgetExceeded):
-            gp_number(grid, node_budget=search + 100)
+        with pytest.raises(BudgetExceeded, match="^search exceeds %d nodes$" % (search + 629)):
+            gp_number(grid, node_budget=search + 629)
 
     @pytest.mark.parametrize("pts, answer, calls", [
-        ([(x, y) for x in range(6) for y in range(6)], 12, 40_201),
-        ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)], 8, 109_641),
-    ], ids=["6x6 grid", "3x3x3 cube"])
+        ([(x, y) for x in range(6) for y in range(6)], 12, 2_886),
+        ([(x, y) for x in range(7) for y in range(7)], 14, 89_248),
+        ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)], 8, 14_895),
+    ], ids=["6x6 grid", "7x7 grid", "3x3x3 cube"])
     def test_predicate_calls_are_pinned(self, monkeypatch, pts, answer, calls):
-        # the work of the search, for a change to its order or bounds to
-        # measure itself against
-        nodes = count_predicate_calls(monkeypatch)
+        # the grow calls of the search, for a change to its order or bounds
+        # to measure itself against
+        nodes = count_grow_calls(monkeypatch)
         assert gp_number([Point(p) for p in pts]) == answer
         assert len(nodes) == calls
-
-    def test_seven_by_seven_grid_within_the_default_budget(self):
-        # no sub-union caps a direct call; the line cover of the rows does
-        grid = [Point([x, y]) for x in range(7) for y in range(7)]
-        assert gp_number(grid) == 14
 
     def test_bounds_that_hold_keep_the_answer(self):
         rng = rng_for("phi-bounds")
@@ -268,13 +267,13 @@ class TestGpNumber:
                 assert gp_number(pts, cap=cap) == want
 
 
-def count_predicate_calls(monkeypatch):
-    """A list that gains an entry at each call of the predicate that
+def count_grow_calls(monkeypatch):
+    """A list that gains the candidate w at each call of the grow that
     gp_number hands to max_extension."""
     nodes = []
     real = geometry.max_extension
-    monkeypatch.setattr(geometry, "max_extension", lambda items, extends, *args, **kw: real(
-        items, lambda chosen, w: nodes.append(1) or extends(chosen, w), *args, **kw))
+    monkeypatch.setattr(geometry, "max_extension", lambda items, grow, *args, **kw: real(
+        items, lambda chosen, w: nodes.append(w) or grow(chosen, w), *args, **kw))
     return nodes
 
 

@@ -1,13 +1,18 @@
 """The two searches. The branch-and-bound maximiser: its calls against the
-recursive search it replaced, its bounds, its budget and its first-descent
-rule. The colorful-face search: its calls against the recursive search of
-find_colorful_face it replaced, and its budget."""
+recursive search it replaced, its bounds, its first-descent rule, its
+candidate sets against a grow that rules nothing out, and the budgets its
+callers charge. The colorful-face search: its calls against the recursive
+search of find_colorful_face it replaced, and its budget."""
+
+from math import comb
 
 import pytest
 
-from genpos import BudgetExceeded, Point
+from genpos import BudgetExceeded, Point, matroids
 from genpos._kernels import gp_extends
 from genpos.complexes import bits_of
+from genpos.geometry import gp_number
+from genpos.matroids import PartitionMatroid, max_uniform_size
 from genpos.search import colorful_face, max_extension
 from conftest import oracle_gp_number, random_degenerate_points, rng_for
 
@@ -21,15 +26,17 @@ def recorded(log):
 
 
 def maximise(homs, log, *args, **kwargs):
-    """max_extension over homs, item i the one-bit mask 1 << i: its chosen
-    mask is read back as the list of homs that recorded(log) checks, so
-    the log reads as the recursive search's."""
+    """max_extension over homs, item i the bit 1 << i, with a grow that rules
+    nothing out: its chosen mask is read back as the list of homs that
+    recorded(log) checks, so the log reads as the recursive search's."""
     extends = recorded(log)
 
-    def on_masks(chosen, item):
-        return extends([homs[i] for i in bits_of(chosen)], homs[item.bit_length() - 1])
+    def grow(chosen, item):
+        if extends([homs[i] for i in bits_of(chosen)], homs[item.bit_length() - 1]):
+            return 0
+        return None
 
-    return max_extension([1 << i for i in range(len(homs))], on_masks, *args, **kwargs)
+    return max_extension((1 << len(homs)) - 1, grow, *args, **kwargs)
 
 
 def recursive_calls(homs):
@@ -131,7 +138,7 @@ def test_cap_above_the_item_count_is_clamped():
     # any search can hold; a larger cap changes nothing and the bound is
     # never asked
     log, asked = [], []
-    got = max_extension([1 << i for i in range(6)], lambda chosen, h: log.append(h) or True, 0,
+    got = max_extension(0b111111, lambda chosen, w: log.append(w) or 0, 0,
                         cap=9, bound=lambda: asked.append(1) or 6)
     assert got == 6 and len(log) == 6 and asked == []
 
@@ -154,20 +161,87 @@ def test_bound_is_asked_once_when_the_first_descent_falls_short():
     assert asked == []
 
 
-def test_budget_is_checked_on_backtracking():
-    grid = [Point([x, y]).hom for x in range(6) for y in range(6)]
-    with pytest.raises(BudgetExceeded, match="1000 nodes"):
-        maximise(grid, [], 3, node_budget=1000)
-    # the budget counts predicate calls: exactly enough of them suffices
-    homs = grid[:15]
-    log = []
-    best = maximise(homs, log, 3)
-    assert maximise(homs, [], 3, node_budget=len(log)) == best
-    with pytest.raises(BudgetExceeded):
-        maximise(homs, [], 3, node_budget=len(log) // 2)
-    # a search that never backtracks is never refused
-    line = [Point([x]).hom for x in range(50)]
-    assert maximise(line, [], 2, node_budget=1) == 50
+def hereditary(rng, n):
+    """A random hereditary rule on n items: a set is accepted unless it
+    holds one of a few random forbidden sets of 2 to 4 items."""
+    forbidden = []
+    for _ in range(rng.randint(0, 2 * n)):
+        size = min(n, rng.randint(2, 4))
+        forbidden.append(sum(1 << i for i in rng.sample(range(n), size)))
+
+    def accepts(s):
+        return not any(f & s == f for f in forbidden)
+
+    return accepts
+
+
+def test_ruling_out_keeps_the_size_and_saves_calls():
+    # an eager grow rules out every candidate that chosen | w rejects; the
+    # search then gets the lazy grow's size, and never asks more often
+    rng = rng_for("search-candidates")
+    for trial in range(200):
+        n = rng.randint(0, 12)
+        accepts = hereditary(rng, n)
+        items = (1 << n) - 1
+        lazy_log, eager_log = [], []
+
+        def lazy(chosen, w):
+            lazy_log.append(w)
+            return 0 if accepts(chosen | w) else None
+
+        def eager(chosen, w):
+            eager_log.append(w)
+            chosen |= w
+            if not accepts(chosen):
+                return None
+            return sum(1 << i for i in range(n) if not accepts(chosen | 1 << i))
+
+        want = max(s.bit_count() for s in range(1 << n) if accepts(s))
+        # rank 0 switches the first-descent rule off, as for any rule that
+        # is not a matroid's independence test
+        for cap in (None, rng.randint(0, n + 1)):
+            lazy_log.clear()
+            eager_log.clear()
+            got = max_extension(items, lazy, 0, cap=cap)
+            assert got == max_extension(items, eager, 0, cap=cap)
+            assert got == (want if cap is None else min(want, cap))
+            assert len(eager_log) <= len(lazy_log)
+
+
+def test_gp_number_checks_its_budget_at_every_grow():
+    # the 3 x 3 grid's first point lies on 3 lines (its row, its column and
+    # a diagonal): with 2 nodes left after the index's C(9, 2), the first
+    # grow is refused, before any backtracking
+    grid = [Point([x, y]) for x in range(3) for y in range(3)]
+    assert gp_number(grid) == 6
+    with pytest.raises(BudgetExceeded, match="^search exceeds 38 nodes$"):
+        gp_number(grid, node_budget=comb(9, 2) + 2)
+
+
+def test_max_uniform_size_charges_every_query_it_asks(monkeypatch):
+    # four blocks of three: the search backtracks, and each grow charges
+    # one query below rank 4, C(k, 3) once k = 4 elements are chosen
+    oracle = PartitionMatroid([range(i, i + 3) for i in range(0, 12, 3)])
+    charges = []
+    real = matroids.max_extension
+
+    def spy(items, grow, r, *args, **kw):
+        def counted(chosen, w):
+            k = chosen.bit_count()
+            charges.append(1 if k < r else comb(k, r - 1))
+            return grow(chosen, w)
+
+        return real(items, counted, r, *args, **kw)
+
+    monkeypatch.setattr(matroids, "max_extension", spy)
+    assert max_uniform_size(oracle) == 4
+    need = sum(charges)
+    assert need > 12  # more grows than elements: it backtracked
+    monkeypatch.setattr(matroids, "DEFAULT_NODE_BUDGET", need)
+    assert max_uniform_size(oracle) == 4
+    monkeypatch.setattr(matroids, "DEFAULT_NODE_BUDGET", need - 1)
+    with pytest.raises(BudgetExceeded, match="^search exceeds %d nodes$" % (need - 1)):
+        max_uniform_size(oracle)
 
 
 def recursive_colorful_calls(blocks):
