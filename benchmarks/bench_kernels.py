@@ -54,7 +54,10 @@ read it back. Three
 rows run check_condition over every union of a fresh family: the rows of
 a 4x4 grid under the Hall bound, and 4 sets sharing a 27-point parabola
 pool under the greedy bound, once printing every union's gp_number
-(--all-checks) and once testing each union against its bound only. One
+(--all-checks) and once testing each union against its bound only. The
+next tests each union of counterexample_family(3, 5)'s sets against the
+Hall bound only, a fresh family each call, as check --bound hall does in
+decide's slowest verdicts. One
 row runs solve_greedy on a fresh family of 5 sets sharing a 63-point
 parabola pool, and one runs solve_matroid_intersection on a fresh family
 of 4 sets in d=3, 18 points in all: 17 on one plane, repeats among them,
@@ -291,6 +294,12 @@ def build_cases(rng):
     cases.append(("check greedy m=4",
                   lambda: check_condition(PointFamily(d=2, sets=greedy_sets),
                                           lambda k: greedy_bound(2, k), exact=False)))
+    # the check step of decide's slowest verdicts, counterexample -d 3 -m 5
+    # piped into check --bound hall
+    cex_sets = counterexample_family(3, 5).sets
+    cases.append(("check hall counterexample d=3 m=5",
+                  lambda: check_condition(PointFamily(d=3, sets=cex_sets), lambda k: k,
+                                          exact=False)))
     # shaped like greedy-solve-m5 (decide)
     ts = rng.sample(range(-70, 70), greedy_bound(2, 5) + 2)
     pool = [Point((t, t * t)) for t in ts]

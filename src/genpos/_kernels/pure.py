@@ -6,7 +6,7 @@ magnitudes.
 int_det and int_rank are fraction-free Bareiss elimination. No package code
 calls int_det: it stays for verdictbench's tracer, which counts its calls,
 and for benchmarks/bench_kernels.py, which times it, and goes with the
-benchmark change of ROADMAP item 1. gp_extends does
+benchmark change of ROADMAP item 8, which follows item 2's. gp_extends does
 not take determinants: it projects the prefix radially from the candidate
 point and requires every d of the directions to be independent, hashing
 lines in the plane and recursing on the dimension above it, in the manner

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from genpos.complexes import bits_of, levelwise_complex
 from genpos.errors import BudgetExceeded, ConstructionError
@@ -164,19 +165,22 @@ class PointFamily:
     """A family of point multisets in one common dimension, with a memoized
     gp_number on subfamily unions (condition checks revisit the same unions).
 
-    node_budget caps the nodes of each union's gp_number (None:
-    DEFAULT_NODE_BUDGET); check_condition sets it from its subset_budget and
-    solve_greedy from its node_budget, when given. Every union's gp_number
-    shares one FlatIndex over the family's distinct points, built by the
-    first union that needs it and charged to that union's nodes. The family
-    keeps one bitmask per set over the index's points, so a union's points
-    are the OR of its sets' masks, and gp_number runs on that mask. When
-    the index alone would cost more than node_budget, each union goes to
-    gp_number as its point list and is indexed on its own instead, within
-    the same budget. Beside the memo of exact gp_numbers the family keeps
-    one of lower bounds, left by capped_gp_number_of_union's threshold
-    queries; a union reads only those of unions one set smaller, so the
-    first union of k sets asked drops those of fewer than k - 1 sets.
+    A subfamily is keyed by an int whose bit i stands for set i, so the
+    orderings and repeats of one index tuple share one memo entry. node_budget
+    caps the nodes of each union's gp_number (None: DEFAULT_NODE_BUDGET);
+    check_condition sets it from its subset_budget and solve_greedy from its
+    node_budget, when given. Every union's gp_number shares one FlatIndex
+    over the family's distinct points, built by the first union that needs
+    it and charged to that union's nodes. The family keeps one bitmask per
+    set over the index's points, and a union's points are the memoised mask
+    of the union without its lowest set, ORed with that set's mask;
+    gp_number runs on that mask. When the index alone would cost more than
+    node_budget, each union goes to gp_number as its point list and is
+    indexed on its own instead, within the same budget. Beside the memo of
+    exact gp_numbers the family keeps one of lower bounds, left by
+    capped_gp_number_of_union's threshold queries; a union reads only those
+    of unions one set smaller, so the first union of k sets asked drops
+    those, and the memoised point masks, of fewer than k - 1 sets.
 
     A threshold query tries a witness before the index is built: any two
     distinct points are in general position, and past that the union's
@@ -190,13 +194,14 @@ class PointFamily:
     d: int
     sets: tuple
     node_budget: int | None = field(default=None, repr=False)
-    _gp_cache: dict = field(default_factory=dict, repr=False)
-    _gp_floors: dict = field(default_factory=dict, repr=False)
+    _gp_cache: dict = field(default_factory=dict, repr=False)  # set mask -> gp_number
+    _gp_floors: dict = field(default_factory=dict, repr=False)  # set mask -> lower bound
     _floors_size: int = field(default=0, repr=False)
     _index: FlatIndex | None = field(default=None, repr=False)
-    _masks: list | None = field(default=None, repr=False)
+    _tuples: int = field(default=0, repr=False)  # the index's tuples()
+    _masks: list | None = field(default=None, repr=False)  # point mask of each set
+    _union_masks: dict = field(default_factory=dict, repr=False)  # set mask -> point mask
     _witness_rows: int = field(default=0, repr=False)
-    _singles: tuple = field(init=False, repr=False)  # frozenset((i,)) for each set i
 
     def __post_init__(self):
         sets = tuple(
@@ -209,7 +214,6 @@ class PointFamily:
             if X.d != self.d:
                 raise ValueError("set dimension %d != family dimension %d" % (X.d, self.d))
         object.__setattr__(self, "sets", sets)
-        self._singles = tuple(frozenset((i,)) for i in range(len(sets)))
 
     @property
     def m(self):
@@ -226,8 +230,9 @@ class PointFamily:
         """gp_number of the union of the sets in indices, its search capped
         by the smallest gp(X_{I-i}) + gp(X_i) over exact cached values: a
         general-position subset of X_I splits into general-position parts in
-        X_{I-i} and X_i. A cap that holds leaves the answer unchanged."""
-        return self._union_gp(frozenset(indices), None)
+        X_{I-i} and X_i. A cap that holds leaves the answer unchanged. An
+        index outside 0..m-1 raises ValueError."""
+        return self._union_gp(self._key(indices), None)
 
     def capped_gp_number_of_union(self, indices, req):
         """gp_number of the union of the sets in indices when it is below
@@ -237,29 +242,48 @@ class PointFamily:
         reaches req; otherwise a witness or the search, capped at req too,
         stops there (see the class docstring). An answer below req is exact
         and cached as gp_number_of_union's are; one of at least req is kept
-        as a lower bound, never as a cap, which needs exact values."""
-        return self._union_gp(frozenset(indices), req)
+        as a lower bound, never as a cap, which needs exact values. An index
+        outside 0..m-1 raises ValueError."""
+        return self._union_gp(self._key(indices), req)
+
+    def _key(self, indices):
+        """The memo key of a subfamily: bit i set for each set i in it."""
+        m, key, bad = self.m, 0, []
+        for i in indices:
+            if 0 <= i < m:
+                key |= 1 << i
+            else:
+                bad.append(i)
+        if bad:
+            raise ValueError("set index %s outside 0..%d"
+                             % (", ".join(map(str, bad)), m - 1))
+        return key
 
     def _union_gp(self, key, req):
         cache, floors = self._gp_cache, self._gp_floors
         got = cache.get(key)
         if got is not None:
             return got
-        if len(key) > self._floors_size:
-            # a union reads the lower bounds of unions one set smaller only
-            self._floors_size = len(key)
-            for rest in [rest for rest in floors if len(rest) < len(key) - 1]:
-                del floors[rest]
+        size = key.bit_count()
+        if size > self._floors_size:
+            # a union reads the bounds and point masks of unions one set
+            # smaller only
+            self._floors_size = size
+            for memo in (floors, self._union_masks):
+                for rest in [rest for rest in memo if rest.bit_count() < size - 1]:
+                    del memo[rest]
         lower = 0  # settles threshold queries only
         cap = None
-        singles = self._singles
-        for i in key:
-            rest = key - singles[i]
+        left = key
+        while left:
+            low = left & -left
+            left ^= low
+            rest = key ^ low
             sub = cache.get(rest)  # exact, or else a lower bound
             if sub is None:
                 sub = floors.get(rest, 0)
             else:
-                alone = cache.get(singles[i])
+                alone = cache.get(low)
                 if alone is not None and (cap is None or sub + alone < cap):
                     cap = sub + alone
             if sub > lower:
@@ -268,11 +292,10 @@ class PointFamily:
         if index is None:
             homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
             index = self._index = FlatIndex(list(homs), self.d)
+            self._tuples = index.tuples()
             pos = index.pos
             self._masks = [sum({1 << pos[p.hom] for p in X.points}) for X in self.sets]
-        union = 0
-        for i in key:
-            union |= self._masks[i]
+        union = self._points(key)
         budget = DEFAULT_NODE_BUDGET if self.node_budget is None else self.node_budget
         if req is not None:
             n = union.bit_count()
@@ -282,17 +305,31 @@ class PointFamily:
             if cap is None or req < cap:
                 cap = req
             if index.flats is None and lower < cap < n:
-                lower = max(lower, self._witness(union, cap, min(index.tuples(), budget)))
+                lower = max(lower, self._witness(union, cap, min(self._tuples, budget)))
             if lower >= cap:
                 (floors if lower >= req else cache)[key] = lower
                 return lower
-        if index.flats is None and index.tuples() > budget:
-            union, index = self.union_points(key), None  # indexed alone
+        if index.flats is None and self._tuples > budget:
+            union, index = self.union_points(bits_of(key)), None  # indexed alone
         got = gp_number(union, self.node_budget, cap=cap, index=index)
         if req is not None and got >= req:
             floors[key] = got
         else:
             cache[key] = got
+        return got
+
+    def _points(self, key):
+        """Point mask of the union of the sets in key, memoised: the mask of
+        the union without its lowest set (memoised by a sweep in order of
+        size, else ORed anew) ORed with that set's mask."""
+        masks = self._masks
+        low = key & -key
+        got = self._union_masks.get(key ^ low)
+        if got is None:
+            got = 0
+            for i in bits_of(key ^ low):
+                got |= masks[i]
+        got = self._union_masks[key] = got | masks[low.bit_length() - 1]
         return got
 
     def _witness(self, union, cap, limit):
@@ -321,8 +358,11 @@ class PointFamily:
         return len(chosen)
 
 
-@dataclass(frozen=True)
-class SubsetCheck:
+class SubsetCheck(NamedTuple):
+    """One subfamily's check: indices, the gp_number found (see
+    check_condition for when it is exact), the bound required, and whether
+    it was met."""
+
     indices: tuple
     gp_number: int
     required: int
@@ -397,16 +437,22 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
         raise ValueError("unknown mode %r" % (mode,))
     checks = []
     first_violation = None
+    size = 0
     for combo in subsets:
-        req = bound(len(combo))
+        if len(combo) != size:
+            size = len(combo)
+            req = bound(size)
         if exact:
+            # the public method: verdictbench's tracer counts unions there
             got = family.gp_number_of_union(combo)
         else:
-            got = family.capped_gp_number_of_union(combo, req)
-        ok = got >= req
-        check = SubsetCheck(indices=combo, gp_number=got, required=req, ok=ok)
+            key = 0
+            for i in combo:
+                key |= 1 << i
+            got = family._union_gp(key, req)
+        check = SubsetCheck(combo, got, req, got >= req)
         checks.append(check)
-        if not ok and first_violation is None:
+        if got < req and first_violation is None:
             first_violation = check
             if stop_early:
                 break
@@ -544,7 +590,7 @@ def counterexample_family(d, m, seed_param=0, retries=16):
     enumerates every subfamily, so m over 20 raises BudgetExceeded before
     anything is built, as check_condition would after. Below that it tests
     each union only against its size (check_condition with exact=False), so
-    in d = 2 m = 12 takes well under a second and m = 16 about two. d = 1 is
+    in d = 2 m = 12 takes well under a second and m = 16 about one. d = 1 is
     rejected: there a hyperplane is a single point, the last set could only
     repeat existing points, and no counterexample exists (the size condition
     is exactly the matching condition)."""

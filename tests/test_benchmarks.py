@@ -22,7 +22,7 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 52
+    assert len(labels) == 53
     assert labels[14:17] == ["family_from_doc 4k coords", "family_from_doc 4k ratio coords",
                              "family_to_doc 4k coords"]
     assert labels[17:] == [
@@ -37,6 +37,7 @@ def test_bench_kernels_prints_every_row():
         "betti_up_to gp d=1 k=2", "complex_to_doc gp d=1 k=2", "betti_up_to 30 triangles k=2",
         "neighborhood 30 triangles", "complex_to_doc closure 16 pts",
         "check hall grid rows 4x4", "check greedy pool m=4", "check greedy m=4",
+        "check hall counterexample d=3 m=5",
         "greedy solve d=2 m=5", "solve matroid d=3 m=4", "counterexample d=2 m=10",
         "solve_exhaustive cex d=3 m=5", "solve_exhaustive 64 parabola",
         "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid", "gp_number 7x7 grid",

@@ -47,7 +47,7 @@ from genpos import cli, geometry, solver
 from genpos.complexes import bits_of
 from genpos.geometry import FlatIndex
 from genpos.jsonio import family_from_doc, family_to_doc, result_to_doc
-from genpos.solver import SgprResult
+from genpos.solver import SgprResult, SubsetCheck
 from conftest import (
     oracle_gp,
     oracle_gp_number,
@@ -180,9 +180,51 @@ class TestPointFamily:
         fam = family_of(1, [[0], [1]], [[1], [2]])
         assert len(fam.union_points()) == 4
         assert fam.gp_number_of_union((0, 1)) == 3
-        assert frozenset((0, 1)) in fam._gp_cache
+        assert 0b11 in fam._gp_cache
         # cached value is reused for any ordering of the same indices
         assert fam.gp_number_of_union((1, 0)) == 3
+
+    def test_orderings_and_repeats_share_one_entry(self, monkeypatch):
+        fam = family_of(2, [[0, 0], [1, 0]], [[0, 1], [1, 1]])
+        calls = []
+        real = solver.gp_number
+        monkeypatch.setattr(solver, "gp_number", lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert fam.gp_number_of_union((0, 1)) == 4
+        assert fam.gp_number_of_union((1, 0)) == 4
+        assert fam.capped_gp_number_of_union((0, 1, 1), 9) == 4
+        assert calls == [1]
+        assert list(fam._gp_cache) == [0b11]
+
+    def test_a_sweep_builds_each_union_from_the_one_a_set_smaller(self):
+        # in order of size, the union without a union's lowest set is always
+        # memoised, so no union's point mask is ORed from its sets anew
+        class Missed(dict):
+            def get(self, key, default=None):
+                if key not in self:
+                    missed.append(key)
+                return dict.get(self, key, default)
+
+        sets = [[[x, y] for x in range(4)] for y in range(4)]
+        for exact in (False, True):
+            missed = []
+            fam = PointFamily(d=2, sets=sets)
+            fam._union_masks = Missed()
+            check_condition(fam, lambda k: k + 1, exact=exact)
+            assert missed == [0] * 4  # each singleton's empty rest
+            assert sorted(map(int.bit_count, fam._union_masks)) == [3] * 4 + [4]
+
+    @pytest.mark.parametrize("indices, named", [((-1,), "-1"), ((5,), "5"),
+                                                ((0, 7, -2), "7, -2")])
+    def test_indices_out_of_range(self, indices, named):
+        # neither a second memo entry for a negative index nor an IndexError
+        fam = family_of(1, [[0]], [[1]])
+        for ask in (fam.gp_number_of_union,
+                    lambda idx: fam.capped_gp_number_of_union(idx, 1)):
+            with pytest.raises(ValueError, match=r"^set index %s outside 0\.\.1$" % named):
+                ask(indices)
+        assert fam._gp_cache == {} and fam._gp_floors == {}
+        assert fam.gp_number_of_union((1,)) == 1
+        assert list(fam._gp_cache) == [0b10]
 
 
 class TestCheckCondition:
@@ -193,6 +235,17 @@ class TestCheckCondition:
         assert report.first_violation is None
         assert len(report.checks) == 3
         assert all(c.ok for c in report.checks)
+
+    def test_a_subset_check_is_a_light_record(self):
+        check = SubsetCheck(indices=(0, 2), gp_number=3, required=2, ok=True)
+        assert check == SubsetCheck((0, 2), 3, 2, True)
+        assert check != SubsetCheck((0, 2), 3, 2, False)
+        assert hash(check) == hash(SubsetCheck((0, 2), 3, 2, True))
+        assert (check.indices, check.gp_number, check.required, check.ok) == ((0, 2), 3, 2, True)
+        with pytest.raises(AttributeError):
+            check.ok = False
+        # a NamedTuple: also equal to the plain tuple of its fields
+        assert check == ((0, 2), 3, 2, True)
 
     def test_violation_identified(self):
         fam = family_of(1, [[0]], [[0]])
@@ -470,7 +523,7 @@ class TestLineCover:
         calls = spy_search(monkeypatch)
         # gp(X_{0,1}) = 6, and the union's 12 distinct points lie on the
         # three columns x = 0, 1, 2, so the cover is 6
-        assert fam._gp_cache[frozenset((0, 1))] == 6
+        assert fam._gp_cache[0b11] == 6
         assert union_cover(fam, (0, 1, 2)) == (6, 6)
         assert fam.gp_number_of_union((0, 1, 2)) == 6
         # one descent: each call's chosen set extends the one before
@@ -554,7 +607,7 @@ def test_lower_bounds_never_leak_into_exact_answers(fam, rnd):
         req = rnd.randint(0, oracle[combo] + 1)
         got = fam.capped_gp_number_of_union(combo, req)
         assert got == oracle[combo] if got < req else req <= got <= oracle[combo], combo
-    assert all(got == oracle[tuple(sorted(key))] for key, got in fam._gp_cache.items())
+    assert all(got == oracle[tuple(bits_of(key))] for key, got in fam._gp_cache.items())
     rnd.shuffle(combos)
     for combo in combos:
         assert fam.gp_number_of_union(combo) == oracle[combo], combo
@@ -625,7 +678,7 @@ class TestWitness:
         assert fam.capped_gp_number_of_union((0,), 3) == 2
         assert fam.capped_gp_number_of_union((1,), 3) == 2
         assert fam.capped_gp_number_of_union((0, 1), 5) == 4
-        assert fam._gp_cache[frozenset((0, 1))] == 4
+        assert fam._gp_cache[0b11] == 4
         assert fam._index.flats is None
 
     def test_a_witness_stops_once_it_cannot_reach_its_cap(self, monkeypatch):
@@ -1020,7 +1073,10 @@ class TestCounterexample:
         # than the 14 unions of 13 sets and the whole family keep one
         fam = counterexample_family(2, 14)
         assert len(fam._gp_floors) <= 15
-        assert all(len(key) >= 13 for key in fam._gp_floors)
+        assert all(key.bit_count() >= 13 for key in fam._gp_floors)
+        # and so are the point masks each union is built from; those of the
+        # unions of 13 sets stay for the union of all 14
+        assert sorted(key.bit_count() for key in fam._union_masks) == [13] * 14 + [14]
 
     def test_lower_bounds_kept_one_size_deep_when_sampled(self):
         # sampled unions also come in order of size, so a sampled re-check
@@ -1030,7 +1086,7 @@ class TestCounterexample:
                                  rng=rng_for("floors-sampled"), exact=False)
         assert report.holds
         top = len(report.checks[-1].indices)
-        assert fam._gp_floors and all(len(key) >= top - 1 for key in fam._gp_floors)
+        assert fam._gp_floors and all(key.bit_count() >= top - 1 for key in fam._gp_floors)
 
     def test_impossible_retry_budget(self):
         with pytest.raises(ConstructionError):
