@@ -4,8 +4,15 @@ Times int_det, int_rank, and gp_extends on mixed workloads: small
 matrices with machine-size entries, larger matrices, and entries far past
 machine words. The gp_extends rows span prefix sizes from a few points to
 80 in the plane, plus an early reject. The FlatIndex rows time the build of
-gp_number's flat index: the 6x6 grid (d=2), the 3x3x3 cube and 40 points on
-the moment curve (d=3). The jsonio rows parse and print a decide-sized pair
+gp_number's flat index, whose levels run in loops compiled once per shape
+(d, j), with no line key for a point on a line recorded at a lower point
+(the node charge still counts every tuple): the 6x6 grid (d=2), the 3x3x3
+cube and 40 points on the moment curve (d=3); the rows of the 4x4 grid
+under an affine map (degenerate's grid-rows-4), the 8 distinct points of
+counterexample_family(3, 5) (decide's counterexample -d 3 -m 5), the same
+40 moment points capped at top=1 (the first index gp_grow builds), and
+16 planted points in d=4, the second half each on a flat through earlier
+ones. The jsonio rows parse and print a decide-sized pair
 of family documents (d=2 and d=3, about 3,200 integer and 800 "p/q"
 coordinates): family_from_doc builds each point's homogeneous vector, and
 family_to_doc prints the coordinates back from it. One more row parses the
@@ -181,14 +188,21 @@ def build_cases(rng):
         probes = [make(rng, d, kk, 30) for _ in range(25)]
         cases.append(("gp_extends d=%d k=%d%s" % (d, kk, tag),
                       lambda ps=probes: [gp_extends(r, nr) for r, nr in ps]))
-    for label, d, pts in [
-        ("FlatIndex 6x6 grid d=2", 2, [(x, y) for x in range(6) for y in range(6)]),
+    moment = [(t, t * t, t ** 3) for t in range(40)]
+    for label, d, pts, top in [
+        ("FlatIndex 6x6 grid d=2", 2, [(x, y) for x in range(6) for y in range(6)], None),
         ("FlatIndex 3x3x3 cube d=3", 3,
-         [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]),
-        ("FlatIndex 40 moment d=3", 3, [(t, t * t, t ** 3) for t in range(40)]),
+         [(x, y, z) for x in range(3) for y in range(3) for z in range(3)], None),
+        ("FlatIndex 40 moment d=3", 3, moment, None),
+        ("FlatIndex grid rows 4x4 d=2", 2, [p for row in _grid_rows(4) for p in row], None),
+        ("FlatIndex cex d=3 m=5", 3, [p for X in counterexample_family(3, 5).sets for p in X],
+         None),
+        ("FlatIndex 40 moment top=1", 3, moment, 1),
+        # a Random of its own, so that the rows after it draw what they drew before it
+        ("FlatIndex planted d=4", 4, _planted_points(random.Random(SEED + 3), 4, 16), None),
     ]:
-        homs = [Point(p).hom for p in pts]
-        cases.append((label, lambda hs=homs, dd=d: FlatIndex(hs, dd).build()))
+        homs = list(dict.fromkeys(Point(p).hom for p in pts))
+        cases.append((label, lambda hs=homs, dd=d, tt=top: FlatIndex(hs, dd, tt).build()))
     docs = [_family_doc(rng, 2, 20, 50), _family_doc(rng, 3, 20, 33)]
     cases.append(("family_from_doc 4k coords",
                   lambda: [family_from_doc(doc) for doc in docs]))
@@ -276,13 +290,9 @@ def build_cases(rng):
     reread = _complex(complex_from_doc(complex_to_doc(general_position_complex(bent, 3))))
     cases.append(("complex_to_doc closure 16 pts", lambda: complex_to_doc(_fresh(reread))))
     # a fresh family per call, so that its union cache cannot answer;
-    # shaped like verdictbench's grid-rows-4 (degenerate, the grid under a
-    # rational affine map) and greedy-check-m4 (decide)
-    def grid_rows(n):
-        return [[Point((Fraction(3 * x + y, 2), Fraction(x - 2 * y, 3))) for x in range(n)]
-                for y in range(n)]
-
-    rows = grid_rows(4)
+    # shaped like verdictbench's grid-rows-4 (degenerate) and
+    # greedy-check-m4 (decide)
+    rows = _grid_rows(4)
     cases.append(("check hall grid rows 4x4",
                   lambda: check_condition(PointFamily(d=2, sets=rows), lambda k: k)))
     ts = rng.sample(range(-70, 70), greedy_bound(2, 4) + 2)
@@ -332,7 +342,7 @@ def build_cases(rng):
     curve = [[Point([t ** i for i in range(1, 13)])] for t in range(8)]
     cases.append(("solve matroid d=12 m=8",
                   lambda: solve_matroid_intersection(PointFamily(d=12, sets=curve))))
-    big_rows = grid_rows(6)
+    big_rows = _grid_rows(6)
     cases.append(("check hall grid rows 6x6",
                   lambda: check_condition(PointFamily(d=2, sets=big_rows), lambda k: k)))
     # a Random of its own, so that its points do not follow the rows before it
@@ -341,6 +351,26 @@ def build_cases(rng):
         [Point([spots.randint(-30, 30) for _ in range(3)]) for _ in range(24)], max_card=4)
     cases.append(("is_q_star gp d=3 24 pts q=3", lambda: is_q_star(_fresh(gp24), 3)))
     return cases
+
+
+def _grid_rows(n):
+    """The rows of the n x n grid under a rational affine map, as
+    verdictbench's degenerate workload sends them."""
+    return [[Point((Fraction(3 * x + y, 2), Fraction(x - 2 * y, 3))) for x in range(n)]
+            for y in range(n)]
+
+
+def _planted_points(rng, d, size):
+    """size points in R^d, half of them small integer points and each of
+    the rest on the j-flat through j+1 earlier points (1 <= j <= d-1), at
+    rational weights: collinear triples, coplanar quadruples and so on."""
+    pts = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(size // 2)]
+    while len(pts) < size:
+        base, *span = rng.sample(pts, rng.randint(2, d))
+        weights = [Fraction(rng.randint(-2, 3), rng.randint(1, 3)) for _ in span]
+        pts.append([x + sum(w * (q[i] - x) for w, q in zip(weights, span))
+                    for i, x in enumerate(base)])
+    return pts
 
 
 def _complex(parsed):

@@ -8,12 +8,14 @@ and the incremental general-position test (gp_extends) by radial projection
 from the new point, with the directions to the prefix hashed as lines (see
 genpos._kernels.pure). gp_number does not call gp_extends: it works on a
 FlatIndex, the flats through too many of the points as bitmasks, where
-general position is popcount arithmetic. The general-position complex and
-the affine matroid's independence and uniformity complexes grow on the same
-index (gp_grow), capped at the flat dimension each level of faces needs and
-at the matroid's rank, its flats spread to vertex masks and repeated points
-counted as 0-flats, so a face's extenders are one mask. No floating point is
-used anywhere.
+general position is popcount arithmetic. The index is built in loops
+compiled once for each shape (d, j), with no key for a point on a line
+recorded at a lower point; its node charge still counts every tuple. The
+general-position complex and the affine matroid's independence and
+uniformity complexes grow on the same index (gp_grow), capped at the flat
+dimension each level of faces needs and at the matroid's rank, its flats
+spread to vertex masks and repeated points counted as 0-flats, so a face's
+extenders are one mask. No floating point is used anywhere.
 
 A point list is *in general position* when every subset of size at most d+1
 is affinely independent; coordinate-equal entries therefore always break
@@ -224,7 +226,9 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
     - X is a point list, or, when an index is given, an int whose bits
       pick points of index.homs (bit i for index.homs[i]). A point list
       becomes such a mask over the given index, or over a new index of its
-      distinct points, and both forms run the same code from there.
+      distinct points, and both forms run the same code from there. A
+      negative mask, a bit past index.homs or a point the given index lacks
+      raises ValueError before any work.
     - cap is a bound on the answer that the caller already holds
       (PointFamily takes it from sub-unions): the search returns as soon as
       it finds a subset in general position of that size.
@@ -258,6 +262,12 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
     if isinstance(X, int):
         if index is None:
             raise ValueError("gp_number of a bitmask needs index=")
+        n = len(index.homs)
+        if X < 0:
+            raise ValueError("gp_number of a negative bitmask %d" % X)
+        if X >> n:
+            raise ValueError("bitmask bit %s outside 0..%d"
+                             % (", ".join(map(str, bits_of(X >> n << n))), n - 1))
         union = X
     else:
         pts = _as_points(X)
@@ -266,7 +276,10 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
         pos = index.pos
         union = 0
         for p in pts:
-            union |= 1 << pos[p.hom]
+            i = pos.get(p.hom)
+            if i is None:
+                raise ValueError("point %r is not in the index" % (p,))
+            union |= 1 << i
     full = index.top + 2  # the rank sought: d+1 unless the index is capped lower
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     spent = 0
@@ -334,10 +347,19 @@ class FlatIndex:
     among the flats through a, or is zero when the tuple is dependent. So
     every flat is found with all its points at its lowest point, and
     recorded there; at a higher point it lies inside a recorded flat of its
-    dimension through that point. d = 1 has no flats.
+    dimension through that point, whose key is the same, since the key
+    depends on the direction space only. d = 1 has no flats.
+
+    Each level at a (the lines through a, then the j-flats for each j) is
+    one loop, compiled once for each shape (d, j) with the key arithmetic
+    written out inline, so no tuple costs a Python call. Each point keeps
+    the mask of the points it shares a recorded line with, and a point on
+    a line recorded at a lower point gets no line key: its line is known,
+    and its direction from a is that line's key. The charge still counts
+    every tuple, keyed or skipped.
     """
 
-    __slots__ = ("d", "top", "homs", "pos", "flats", "through")
+    __slots__ = ("d", "top", "homs", "pos", "flats", "through", "lines")
 
     def __init__(self, homs, d, top=None):
         # homs: distinct primitive homogeneous vectors, last entry positive
@@ -347,6 +369,7 @@ class FlatIndex:
         self.pos = {h: i for i, h in enumerate(homs)}
         self.flats = None  # [(mask, j)], once built
         self.through = None
+        self.lines = None  # the masks of the indexed lines, in flat order
 
     def tuples(self):
         """Nodes a build costs: the number of (j+1)-tuples, 1 <= j <= top."""
@@ -357,11 +380,12 @@ class FlatIndex:
         """Build the index if it is not built, and return the nodes that
         cost (0 if it was built). BudgetExceeded is raised, before any
         work, when the tuples outnumber node_budget (None:
-        DEFAULT_NODE_BUDGET). A group holds the points above its lowest
-        point a, which joins it only if it is kept; directions from a are
-        kept only when top > 1. Flats, and each through[i], come out in order
-        of lowest point, j, and first affinely independent (j+1)-tuple,
-        which cover's greedy tie-break depends on."""
+        DEFAULT_NODE_BUDGET). Every tuple is charged, also one whose key
+        is never computed. A group holds the points above its lowest
+        point a, which joins it only if it is kept. Flats, and each
+        through[i], come out in order of lowest point, j, and first
+        affinely independent (j+1)-tuple, which cover's greedy tie-break
+        depends on."""
         if self.flats is not None:
             return 0
         cost = self.tuples()
@@ -373,60 +397,62 @@ class FlatIndex:
             )
         homs, d, top = self.homs, self.d, self.top
         n = len(homs)
-        line_key = _line_key(d)
-        flat_keys = [None, None] + [_flat_key(d, j - 1) for j in range(2, top + 1)]
-        flats = []
+        flats, lines = [], []
         through = [[] for _ in range(n)]
-        for a in range(n - 2 if top > 0 else 0):
-            # the flats through a: each reduced direction from a names a
-            # line, and the Plücker vector of j directions a j-flat
-            p = homs[a]
-            groups = [{} for _ in range(top + 1)]  # by dimension: key -> points above a
-            dirs = {}
-            level = []
-            group = groups[1]
-            for b in range(a + 1, n):
-                key = line_key(p, homs[b])
-                bit = 1 << b
-                group[key] = group.get(key, 0) | bit
-                if top > 1:
-                    dirs[b] = key
-                    level.append((bit, key, b + 1))
-            for j in range(2, top + 1):
-                flat_key = flat_keys[j]
-                group = groups[j]
-                deeper = []
-                for mask, vec, start in level:
-                    for b in range(start, n):
-                        key = flat_key(vec, dirs[b])
-                        if key is None:
-                            continue  # a dependent tuple
-                        grown = mask | 1 << b
-                        group[key] = group.get(key, 0) | grown
-                        if j < top:
-                            deeper.append((grown, key, b + 1))
-                level = deeper
-            # two lines through a share only a, so a line is recorded at a
-            # lower point iff it meets one of the lines recorded there
-            lines = 0
-            for other, k in through[a]:
-                if k == 1:
-                    lines |= other
-            for j in range(1, top + 1):
-                for mask in groups[j].values():
-                    if mask.bit_count() <= j or (mask & lines if j == 1 else any(
-                        k == j and not mask & ~other for other, k in through[a]
-                    )):
-                        continue  # too few points, or recorded at a lower point
-                    mask |= 1 << a
-                    flat = (mask, j)
+        if top > 0 and n > 2:
+            deep = top > 1
+            lines_from = _lines_from(d, deep)
+            levels = [_level(d, j, j < top) for j in range(2, top + 1)]
+            shared = [0] * n  # by point: the points it shares a recorded line with
+            dirs = [None] * n  # from a, the direction of a recorded line through a point
+            known = {}  # the key of each recorded line, which is its direction
+            spans = [{} for _ in range(top + 1)]  # by dimension: key -> its recorded j-flats
+            for a in range(n - 2):
+                skip = shared[a]
+                if deep and skip:
+                    for mask, j in through[a]:
+                        if j == 1:
+                            key = known[mask]
+                            for b in bits_of(mask):
+                                dirs[b] = key
+                # a key found for two tuples holds j+1 points above a: a
+                # flat through j+2 points, new unless recorded lower
+                rows, group, repeats = [], {}, []  # key -> points above a, and repeated keys
+                lines_from(homs, a, skip, dirs, rows, group, repeats)
+                repeats.sort()  # no line recorded lower was keyed
+                for _, key in repeats:
+                    mask = group[key] | 1 << a
+                    flat = (mask, 1)
                     flats.append(flat)
-                    while mask:
-                        low = mask & -mask
-                        through[low.bit_length() - 1].append(flat)
-                        mask ^= low
+                    lines.append(mask)
+                    known[mask] = key
+                    for i in bits_of(mask):
+                        through[i].append(flat)
+                        shared[i] |= mask
+                level = rows
+                for j, run in enumerate(levels, 2):
+                    group, repeats = {}, []
+                    level = run(level, rows, group, repeats)
+                    if not repeats:
+                        continue
+                    # a flat's key is the Plücker vector of its direction
+                    # space, which parallel flats share and no two flats
+                    # through a do
+                    spanned = spans[j]
+                    repeats = [(first, key) for first, key in repeats
+                               if not spanned.get(key, 0) >> a & 1]  # recorded lower
+                    if len(repeats) > 1:
+                        repeats.sort(key=_first_tuple)
+                    for _, key in repeats:
+                        mask = group[key] | 1 << a
+                        flat = (mask, j)
+                        flats.append(flat)
+                        spanned[key] = spanned.get(key, 0) | mask
+                        for i in bits_of(mask):
+                            through[i].append(flat)
         self.through = [tuple(t) for t in through]
         self.flats = flats
+        self.lines = lines
         return cost
 
     def crowded(self, mask):
@@ -446,7 +472,7 @@ class FlatIndex:
         per point on none of them (a general-position set has at most 2
         points on a line)."""
         total = 0
-        live = [line for line, j in self.flats if j == 1]
+        live = self.lines
         while True:
             live = [line & mask for line in live if (line & mask).bit_count() >= 3]
             if not live:
@@ -523,51 +549,111 @@ def gp_grow(vecs, rank):
     return grow
 
 
-def _reducer(args, entries):
-    """Compile a function of args that returns the integer vector of the
+def _first_tuple(repeat):
+    """Sort key of a repeated key, (first tuple's mask, key): the points
+    of that tuple in ascending order, which orders the keys as they were
+    first seen."""
+    return bits_of(repeat[0])
+
+
+def _keyed(entries, dependent, bit, j, indent):
+    """Source lines that set r0, r1, ... to the integer vector of the
     expressions in entries divided by their gcd, first nonzero entry
-    positive, as a tuple, or None when it is zero. The index computes such
-    a key for every tuple of points, so each shape is compiled once into
-    straight-line code."""
-    names = ["a%d" % i for i in range(len(entries))]
-    lines = ["def key(%s):" % args]
-    lines += ["    %s = %s" % (a, e) for a, e in zip(names, entries)]
+    positive, and key to it as a tuple (with dependent, a zero vector goes
+    on to the next loop pass), then OR bit, the mask of a j-tuple, into
+    group[key], and append (first mask, key) to repeats when key repeats
+    for the first time."""
+    ks = ["k%d" % i for i in range(len(entries))]
+    rs = ["r%d" % i for i in range(len(entries))]
+    lines = ["%s = %s" % (k, e) for k, e in zip(ks, entries)]
+    lines.append("g = gcd(%s)" % ", ".join(ks))
+    if dependent:
+        lines += ["if not g:", "    continue"]
     lines += [
-        "    g = gcd(%s)" % ", ".join(names),
-        "    if not g:",
-        "        return None",
-        "    if (%s) < 0:" % " or ".join(names),  # the first nonzero entry
-        "        g = -g",
-        "    return (%s,)" % ", ".join("%s // g" % a for a in names),
+        "if (%s) < 0:" % " or ".join(ks),  # the first nonzero entry
+        "    g = -g",
+        *("%s = %s // g" % (r, k) for r, k in zip(rs, ks)),
+        "key = (%s,)" % ", ".join(rs),
+        "old = group.setdefault(key, %s)" % bit,
+        "if old != %s:" % bit,
+        "    group[key] = old | %s" % bit,
+        "    if old.bit_count() == %d:" % j,
+        "        repeats.append((old, key))",
     ]
+    return [indent + line for line in lines]
+
+
+def _unpacked(prefix, count, value):
+    return "%s, = %s" % (", ".join("%s%d" % (prefix, i) for i in range(count)), value)
+
+
+def _compiled(lines):
     namespace = {"gcd": gcd}
     exec("\n".join(lines), namespace)
-    return namespace["key"]
+    return namespace["run"]
 
 
 @cache
-def _line_key(d):
-    """key(p, q): the direction pw*q - qw*p from p to q, homogeneous
-    vectors in dimension d, reduced. Two points lie on one line through p
-    iff their directions have the same key (pw, qw > 0)."""
-    return _reducer("p, q", ["p[%d] * q[%d] - q[%d] * p[%d]" % (d, i, d, i) for i in range(d)])
+def _lines_from(d, deep):
+    """run(homs, a, skip, dirs, rows, group, repeats): each point b > a
+    of homs outside the mask skip keyed by its line through a (see
+    _keyed): the direction pw*q - qw*p from p = homs[a] to q = homs[b],
+    reduced, so two points lie on one line through p iff their keys are
+    equal (pw, qw > 0). With deep, the row (1 << b, b - a, *direction) is
+    appended to rows for each b > a, b - a being the index of the row
+    after it, and the direction the key, or dirs[b] for a point in
+    skip."""
+    return _compiled([
+        "def run(homs, a, skip, dirs, rows, group, repeats):",
+        "    " + _unpacked("p", d + 1, "homs[a]"),
+        "    for b in range(a + 1, len(homs)):",
+        "        if skip >> b & 1:",
+        *(["            rows.append((1 << b, b - a, *dirs[b]))"] if deep else []),
+        "            continue",
+        "        " + _unpacked("q", d + 1, "homs[b]"),
+        "        bit = 1 << b",
+        *_keyed(["p%d * q%d - q%d * p%d" % (d, i, d, i) for i in range(d)],
+                False, "bit", 1, " " * 8),
+        *(["        rows.append((bit, b - a, %s))" % ", ".join("r%d" % i for i in range(d))]
+          if deep else []),
+    ])
 
 
 @cache
-def _flat_key(n, k):
-    """key(v, p): the Plücker vector of k vectors and one more, from their
-    Plücker vector v (the k-minors, column sets in lexicographic order) and
-    the new vector p, all in length n: the (k+1)-minors, by Laplace
-    expansion along the new row, reduced; None when the k+1 vectors are
-    dependent."""
-    position = {cols: i for i, cols in enumerate(combinations(range(n), k))}
+def _level(d, j, deeper):
+    """run(level, rows, group, repeats): for each (mask, v, start) of
+    level, where v is the Plücker vector of j-1 directions in R^d (their
+    (j-1)-minors, column sets in lexicographic order), and each row (bit,
+    next, *p) of rows from index start on, the j-tuple mask | bit keyed by
+    the Plücker vector of those directions and p (see _keyed): their
+    j-minors, by Laplace expansion along the new row, reduced. A dependent
+    tuple, whose minors are all zero, is passed over. At j = 2 level is
+    rows itself, each row (mask, start, *v). With deeper, run returns the
+    next level: (mask | bit, key, next) of each tuple keyed."""
+    k = j - 1
+    position = {cols: i for i, cols in enumerate(combinations(range(d), k))}
     entries = []
-    for cols in combinations(range(n), k + 1):
-        entries.append(" ".join(
-            "%s p[%d] * v[%d]" % ("+-"[(k + t) % 2], s, position[cols[:t] + cols[t + 1:]])
-            for t, s in enumerate(cols)
-        ))
-    return _reducer("v, p", entries)
+    for cols in combinations(range(d), j):
+        terms = [("+-"[(k + t) % 2], "p%d * v%d" % (s, position[cols[:t] + cols[t + 1:]]))
+                 for t, s in enumerate(cols)]
+        terms.sort()  # a term added first, so no entry opens with a unary sign
+        entries.append(terms[0][1] + "".join(" %s %s" % term for term in terms[1:]))
+    p = ", ".join("p%d" % i for i in range(d))
+    if j == 2:
+        outer = ["    for mask, start, %s in level:" % ", ".join("v%d" % i for i in range(d))]
+    else:
+        outer = ["    for mask, vec, start in level:",
+                 "        " + _unpacked("v", len(position), "vec")]
+    return _compiled([
+        "def run(level, rows, group, repeats):",
+        "    up = []",
+        *outer,
+        "        for bit, i, %s in rows[start:]:" % p,
+        "            grown = mask | bit",
+        *_keyed(entries, True, "grown", j, " " * 12),
+        *(["            up.append((grown, key, i))"] if deeper else []),
+        "    return up",
+    ])
 
 
 def extend_gp(S, T):

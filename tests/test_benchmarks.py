@@ -22,10 +22,15 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 53
-    assert labels[14:17] == ["family_from_doc 4k coords", "family_from_doc 4k ratio coords",
+    assert len(labels) == 57
+    assert labels[11:18] == [
+        "FlatIndex 6x6 grid d=2", "FlatIndex 3x3x3 cube d=3", "FlatIndex 40 moment d=3",
+        "FlatIndex grid rows 4x4 d=2", "FlatIndex cex d=3 m=5", "FlatIndex 40 moment top=1",
+        "FlatIndex planted d=4",
+    ]
+    assert labels[18:21] == ["family_from_doc 4k coords", "family_from_doc 4k ratio coords",
                              "family_to_doc 4k coords"]
-    assert labels[17:] == [
+    assert labels[21:] == [
         "cli parse 6 argv", "cli parse 6 argv fallback",
         "independence 9 pts d=3", "uniformity 9 pts d=3",
         "independence 9 coplanar d=3", "uniformity 9 coplanar d=3",

@@ -2,6 +2,8 @@
 independence, general position predicates, gp_number and the one-point
 extension step."""
 
+import json
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -34,6 +36,7 @@ from conftest import (
     random_point,
     rng_for,
 )
+from test_cli import BOUNDED, run_python
 
 
 class TestPoint:
@@ -166,6 +169,30 @@ class TestGpNumber:
         with pytest.raises(ValueError, match="needs index="):
             gp_number(5)
 
+    def test_bits_and_points_outside_the_index_are_named(self, monkeypatch):
+        # both forms are checked before the index is built or searched
+        monkeypatch.setattr(FlatIndex, "build", None)
+        row = [Point([x, 0]) for x in range(3)]
+        index = FlatIndex([p.hom for p in row], 2)
+        with pytest.raises(ValueError, match=r"^bitmask bit 3 outside 0\.\.2$"):
+            gp_number(0b1001, index=index)
+        with pytest.raises(ValueError, match=r"^bitmask bit 3, 5 outside 0\.\.2$"):
+            gp_number(0b101111, index=index)
+        with pytest.raises(ValueError, match=r"^point Point\(1, 1\) is not in the index$"):
+            gp_number(row[:2] + [Point([1, 1])], index=index)
+
+    def test_a_negative_mask_is_refused_at_once(self):
+        # run in a child under a wall-clock limit: a mask whose bits never
+        # run out would otherwise hang the suite
+        code = ("from genpos.geometry import FlatIndex, gp_number\n"
+                "try:\n"
+                "    gp_number(-1, index=FlatIndex([(0, 0, 1), (1, 0, 1), (2, 0, 1)], 2))\n"
+                "except ValueError as e:\n"
+                "    print(e)\n")
+        code, out, err, took, _ = json.loads(
+            run_python(["-c", BOUNDED, sys.executable, "-c", code]).stdout)
+        assert (code, out, err) == (0, "gp_number of a negative bitmask -1\n", ""), took
+
     def test_twelve_points_plane(self):
         # grid points force many collinear triples; independent oracle below
         rng = rng_for("phi-12")
@@ -277,13 +304,13 @@ def count_grow_calls(monkeypatch):
     return nodes
 
 
-def brute_flats(pts, d):
-    """Every j-flat (1 <= j <= d-1) through at least j+2 of the distinct
+def brute_flats(pts, top):
+    """Every j-flat (1 <= j <= top) through at least j+2 of the distinct
     points, as (frozenset of positions, j): the flat of each independent
     (j+1)-tuple, with every point whose addition keeps the rank j+1."""
     n = len(pts)
     out = set()
-    for j in range(1, d):
+    for j in range(1, top + 1):
         spanned = []
         for combo in combinations(range(n), j + 1):
             if any(on.issuperset(combo) for on in spanned):
@@ -305,18 +332,22 @@ def flats_of(index):
 
 
 class TestFlatIndex:
-    @pytest.mark.parametrize("d, trials, size", [(2, 20, 12), (3, 8, 10), (4, 4, 9)])
-    def test_flats_against_brute_force(self, d, trials, size):
+    @pytest.mark.parametrize("d, trials, size, top", [
+        (d, trials, size, top)
+        for d, trials, size in [(2, 20, 12), (3, 8, 10), (4, 4, 9)] for top in range(d)
+    ])
+    def test_flats_against_brute_force(self, d, trials, size, top):
         # collinear triples, coplanar quadruples and, in d = 4, 3-flats
-        # through five points, each flat once and with all its points
+        # through five points, each flat once and with all its points, in
+        # an index capped at top as gp_grow and max_uniform_size build it
         rng = rng_for("flat-index", d)
         dims = set()
         for trial in range(trials):
             pts = list(dict.fromkeys(random_planted_points(rng, d, size)))
-            index = FlatIndex([p.hom for p in pts], d)
+            index = FlatIndex([p.hom for p in pts], d, top)
             assert index.build() == index.tuples()
             got = flats_of(index)
-            want = brute_flats(pts, d)
+            want = brute_flats(pts, top)
             assert len(got) == len(set(got)) and set(got) == want, trial
             # in order of lowest point, j, and first affinely independent
             # (j+1)-tuple, which the greedy cover's tie-break depends on
@@ -326,8 +357,9 @@ class TestFlatIndex:
             assert order == sorted(order), trial
             for i in range(len(pts)):
                 assert index.through[i] == tuple(f for f in index.flats if f[0] >> i & 1)
+            assert index.lines == [mask for mask, j in index.flats if j == 1]
             dims |= {j for _, j in want}
-        assert dims == set(range(1, d))
+        assert dims == set(range(1, top + 1))
 
     def test_cover_takes_two_per_line_still_holding_three(self):
         # a row of four, a column of three through its corner, a point apart
