@@ -441,8 +441,8 @@ class FlatIndex:
                     spanned = spans[j]
                     repeats = [(first, key) for first, key in repeats
                                if not spanned.get(key, 0) >> a & 1]  # recorded lower
-                    if len(repeats) > 1:
-                        repeats.sort(key=_first_tuple)
+                    if len(repeats) > 1:  # in the order of their first tuples
+                        repeats.sort(key=lambda repeat: bits_of(repeat[0]))
                     for _, key in repeats:
                         mask = group[key] | 1 << a
                         flat = (mask, j)
@@ -547,13 +547,6 @@ def gp_grow(vecs, rank):
         return every & ~(face | blocked)
 
     return grow
-
-
-def _first_tuple(repeat):
-    """Sort key of a repeated key, (first tuple's mask, key): the points
-    of that tuple in ascending order, which orders the keys as they were
-    first seen."""
-    return bits_of(repeat[0])
 
 
 def _keyed(entries, dependent, bit, j, indent):
