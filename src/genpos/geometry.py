@@ -402,7 +402,7 @@ class FlatIndex:
         if top > 0 and n > 2:
             deep = top > 1
             lines_from = _lines_from(d, deep)
-            levels = [_level(d, j, j < top) for j in range(2, top + 1)]
+            levels = [(j, _level(d, j, j < top)) for j in range(2, top + 1)]
             shared = [0] * n  # by point: the points it shares a recorded line with
             dirs = [None] * n  # from a, the direction of a recorded line through a point
             known = {}  # the key of each recorded line, which is its direction
@@ -430,7 +430,9 @@ class FlatIndex:
                         through[i].append(flat)
                         shared[i] |= mask
                 level = rows
-                for j, run in enumerate(levels, 2):
+                for j, run in levels:
+                    if a + j + 2 > n:
+                        break  # a new j-flat holds j+1 points above a
                     group, repeats = {}, []
                     level = run(level, rows, group, repeats)
                     if not repeats:
