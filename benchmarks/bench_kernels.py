@@ -114,6 +114,10 @@ import sys
 import timeit
 from fractions import Fraction
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if __name__ == "__main__":  # run from a checkout: import its own sources
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+
 from genpos import cli
 from genpos._kernels import gp_extends, int_det, int_rank
 from genpos.complexes import SimplicialComplex, closure, completion, is_q_star, neighborhood
@@ -132,7 +136,6 @@ from genpos.solver import (
     solve_matroid_intersection,
 )
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20240815
 
 

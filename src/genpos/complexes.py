@@ -16,10 +16,11 @@ independence complexes, nerves) and completions, among them the uniformity
 complex of every matroid, are all grown by one enumerator, levelwise_complex,
 on face masks alone: each grow maps a face to the mask of its extenders, the
 vertices that add to it to make a face, as the candidate sets of Eclat (Zaki,
-"Scalable Algorithms for Association Mining", 2000). A face with none, or one
-at the cap, is maximal, so the enumerator records the facets as it goes, in
-the (size, lexicographic) order complex_to_doc prints; any other complex
-reads them off the same map as a table, ext.
+"Scalable Algorithms for Association Mining", 2000), read off the table of
+them the enumerator keeps for two levels. A face with none, or one at the
+cap, is maximal, so the enumerator records the facets as it goes, in the
+(size, lexicographic) order complex_to_doc prints; any other complex reads
+them off the same map as a table, ext.
 """
 
 from __future__ import annotations
@@ -236,11 +237,11 @@ def completion(K, j, max_card=None, max_faces=None):
 def _completion(K, j, max_card, max_faces, what):
     """completion, grown by levelwise_complex with BudgetExceeded naming
     what. Sets of size at most j+1 are faces iff they are faces of K, so a
-    face of at most j vertices is extended by those of its parent's
-    extenders that make a face of K. A larger set is a face iff all its
-    one-smaller subsets are (the Apriori rule), so a face of j+1 or more
-    vertices is extended by the vertices that extend each of its
-    one-smaller subfaces: the AND of their masks, kept for two levels."""
+    face of at most j vertices is extended by its extenders in K, K.ext.
+    A larger set is a face iff all its one-smaller subsets are (the Apriori
+    rule), so a face of j+1 or more vertices is extended by the vertices
+    that extend each of its one-smaller subfaces: the AND of their masks
+    in the enumerator's previous level."""
     if j < K.dim:
         raise ValueError("completion needs j >= dim K (%d < %d)" % (j, K.dim))
     if not K.faces:
@@ -256,32 +257,18 @@ def _completion(K, j, max_card, max_faces, what):
             total += comb(n, size)
             if total > budget:
                 raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
-    small = K.faces
+    small = K.ext  # exact for the faces of at most j vertices
     every = (1 << K.n_vertices) - 1
-    prev, cur, level = {}, {}, -1  # extenders of the faces one level down, and of this level's
 
-    def grow(face):
-        nonlocal prev, cur, level
-        size = face.bit_count()
-        if size != level:
-            prev, cur, level = cur, {}, size
-        if size <= j:
-            top = face.bit_length() - 1
-            cand = prev[face ^ 1 << top] & ~(1 << top) if face else every
-            ext = 0
-            while cand:
-                bit = cand & -cand
-                if face | bit in small:
-                    ext |= bit
-                cand ^= bit
-        else:
-            ext = every & ~face
-            rest = face
-            while rest:
-                low = rest & -rest
-                ext &= prev[face ^ low]
-                rest ^= low
-        cur[face] = ext
+    def grow(face, prev, cur):
+        if face.bit_count() <= j:
+            return small[face]
+        ext = every & ~face
+        rest = face
+        while rest:
+            low = rest & -rest
+            ext &= prev[face ^ low]
+            rest ^= low
         return ext
 
     return levelwise_complex(K.n_vertices, grow, max_card, max_faces, what)
@@ -329,8 +316,10 @@ def join(K, L, max_faces=None):
 def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
     """Complex on n vertices whose faces are closed downward, grown level by
     level in ascending vertex order, each level a list of face masks in
-    lexicographic order. grow, given a stored mask, returns the mask of its
-    extenders: every vertex w outside the face with face | 1 << w a face.
+    lexicographic order. grow(face, prev, cur) returns the mask of the
+    face's extenders, every vertex w outside it with face | 1 << w a face,
+    which the enumerator stores: prev maps each face of the level below to
+    its extenders, cur each face of this level grown before this one.
     grow is called once per face below the cap, in level order, and the
     extenders above the face's last vertex are its children. A face with
     no extender, or one at the cap, is maximal: the complex keeps these
@@ -346,14 +335,16 @@ def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
     levels = [level]
     facets = []
     count = 1
+    prev = {}
     while level:
         if level[0].bit_count() == cap:
             facets += level
             break
         nxt = []
         room = budget - count
+        cur = {}
         for face in level:
-            ext = grow(face)
+            ext = cur[face] = grow(face, prev, cur)
             if not ext:
                 facets.append(face)
                 continue
@@ -367,7 +358,7 @@ def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
                 raise BudgetExceeded("%s exceeds %d faces" % (what, budget))
         count += len(nxt)
         levels.append(nxt)
-        level = nxt
+        level, prev = nxt, cur
     K = SimplicialComplex(n, chain.from_iterable(levels), _validated=True)
     K._facets = facets
     return K
@@ -376,18 +367,13 @@ def levelwise_complex(n, grow, max_card=None, max_faces=None, what="complex"):
 def hereditary_grow(n, ask):
     """grow for levelwise_complex on n vertices from ask(face), a predicate
     on the vertices above the face's last vertex v. By heredity only the
-    extenders of its parent (the face less v) can extend a face, so ask is
-    asked of those above v alone. Below v, w extends the face iff v extends
-    the parent plus w: a face of the same level, grown before it in
-    lexicographic order, whose extenders are kept for two levels."""
+    extenders of its parent (the face less v, in prev) can extend a face,
+    so ask is asked of those above v alone. Below v, w extends the face iff
+    v extends the parent plus w: a face of the same level, grown before it
+    in lexicographic order, so in cur."""
     every = (1 << n) - 1
-    prev, cur, level = {}, {}, -1
 
-    def grow(face):
-        nonlocal prev, cur, level
-        size = face.bit_count()
-        if size != level:
-            prev, cur, level = cur, {}, size
+    def grow(face, prev, cur):
         low = face.bit_length()
         ext = 0
         if face:
@@ -410,7 +396,6 @@ def hereditary_grow(n, ask):
                 if extends(bit.bit_length() - 1):
                     ext |= bit
                 above ^= bit
-        cur[face] = ext
         return ext
 
     return grow
@@ -449,13 +434,11 @@ def nerve(family, max_faces=None):
 @dataclass(frozen=True)
 class QStarResult:
     """Outcome of the q-star test. ``violating`` is a q-set with no common
-    extender (None when the failure is having too few vertices);
-    ``extenders`` maps each q-set to the chosen witness vertex on success."""
+    extender (None when the failure is having too few vertices)."""
 
     holds: bool
     q: int
     violating: tuple | None = None
-    extenders: dict | None = None
 
     def __bool__(self):
         return self.holds
@@ -465,7 +448,7 @@ def is_q_star(K, q, node_budget=None):
     """q-star property of K (dimension taken from K): more than q vertices,
     and every q-set Y of vertices has a vertex v outside Y such that S + {v}
     is a face for every face S of K[Y] with |S| <= dim K (the empty face
-    included, so v itself must be a vertex): the lowest outside Y in the AND
+    included, so v itself must be a vertex): a vertex outside Y in the AND
     of K.ext over the submasks S of Y, at most 2^q mask steps. BudgetExceeded
     is raised up front when the q-sets outnumber node_budget (None:
     DEFAULT_NODE_BUDGET)."""
@@ -483,7 +466,6 @@ def is_q_star(K, q, node_budget=None):
         )
     d = K.dim
     ext = K.ext
-    extenders = {}
     for combo in combinations(verts, q):
         ym = mask_of(combo)
         common, sub = ~ym, ym
@@ -495,8 +477,7 @@ def is_q_star(K, q, node_budget=None):
             sub = (sub - 1) & ym
         if not common:
             return QStarResult(holds=False, q=q, violating=combo)
-        extenders[combo] = (common & -common).bit_length() - 1
-    return QStarResult(holds=True, q=q, extenders=extenders)
+    return QStarResult(holds=True, q=q)
 
 
 def find_colorful_face(K, blocks):

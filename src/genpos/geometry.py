@@ -15,7 +15,8 @@ general-position complex and the affine matroid's independence and
 uniformity complexes grow on the same index (gp_grow), capped at the flat
 dimension each level of faces needs and at the matroid's rank, its flats
 spread to vertex masks and repeated points counted as 0-flats, so a face's
-extenders are one mask. No floating point is used anywhere.
+extenders are its parent's less the flats through its last vertex that it
+crowds. No floating point is used anywhere.
 
 A point list is *in general position* when every subset of size at most d+1
 is affinely independent; coordinate-equal entries therefore always break
@@ -498,16 +499,17 @@ def gp_grow(vecs, rank):
     make a 0-flat. A face's extenders are then every vertex outside the face
     and outside each flat L of dimension j that holds more than j of the
     face's vertices, popcount(L & face) > j. Those flats are the parent's
-    (the face less its last vertex v, kept for two levels) and those through
-    v. A j-flat can hold j+1 of a face's k vertices only when j+1 <= k, so
-    the index goes to top = min(k, rank-1) - 1: it is built when the first
-    face of a level asks, and rebuilt one dimension deeper at the next
-    level. Building the j-flats costs about as many keys as the faces of j
+    (the face less its last vertex v), missing from its extenders in prev,
+    and those through v, struck with v. A j-flat can hold j+1 of a face's
+    k vertices only when j+1 <= k, so the index goes to top = min(k,
+    rank-1) - 1: the first face of each level with 1 < k < rank (cur is
+    still empty) builds it one dimension deeper than the level before.
+    Building the j-flats costs about as many keys as the faces of j
     vertices grown already, so the face budget that bounds the enumeration
     bounds the index too, and no node budget is charged."""
     every = (1 << len(vecs)) - 1
     if rank <= 1:
-        return lambda face: every & ~face
+        return lambda face, prev, cur: every & ~face
     distinct = list(dict.fromkeys(vecs))
     slot = {v: i for i, v in enumerate(distinct)}
     slots = [slot[v] for v in vecs]
@@ -516,37 +518,28 @@ def gp_grow(vecs, rank):
         spread[s] |= 1 << i
     repeats = [((m, 0),) if m & m - 1 else () for m in spread]
     through = [repeats[s] for s in slots]  # by vertex: (vertex mask, j) of the flats through it
-    depth = 0
-    prev, cur, level = {}, {}, -1  # blocked vertices of the faces one level down, and of this level's
 
-    def grow(face):
-        nonlocal through, depth, prev, cur, level
-        size = face.bit_count()
-        if size != level:
-            prev, cur, level = cur, {}, size
-            top = min(size, rank - 1) - 1
-            if top > depth:
-                index = FlatIndex(distinct, len(distinct[0]) - 1, top)
-                index.build(inf)
-                wide = {}
-                for flat, j in index.flats:
-                    m = 0
-                    for s in bits_of(flat):
-                        m |= spread[s]
-                    wide[flat, j] = m, j
-                through = [repeats[s] + tuple(map(wide.__getitem__, index.through[s]))
-                           for s in slots]
-                depth = top
+    def grow(face, prev, cur):
+        nonlocal through
         if not face:
-            cur[0] = 0
             return every
+        if not cur and 1 < face.bit_count() < rank:  # a level that needs deeper flats
+            index = FlatIndex(distinct, len(distinct[0]) - 1, face.bit_count() - 1)
+            index.build(inf)
+            wide = {}
+            for flat, j in index.flats:
+                m = 0
+                for s in bits_of(flat):
+                    m |= spread[s]
+                wide[flat, j] = m, j
+            through = [repeats[s] + tuple(map(wide.__getitem__, index.through[s]))
+                       for s in slots]
         v = face.bit_length() - 1
-        blocked = prev[face ^ 1 << v]
+        ext = prev[face ^ 1 << v] & ~(1 << v)
         for mask, j in through[v]:
             if (mask & face).bit_count() > j:
-                blocked |= mask
-        cur[face] = blocked
-        return every & ~(face | blocked)
+                ext &= ~mask
+        return ext
 
     return grow
 

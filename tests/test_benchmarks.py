@@ -1,7 +1,8 @@
-"""Smoke tests of the scripts under benchmarks/: bench_kernels.py runs and
-prints a row for every case it builds, alone and against a second source
-tree; verdict_digest.py prints one well-formed digest line per workload and
-seed, the same each run, and writes nothing under verdictbench/."""
+"""Smoke tests of the scripts under benchmarks/, run as from a checkout with
+no PYTHONPATH: bench_kernels.py runs and prints a row for every case it
+builds, alone and against a second source tree; verdict_digest.py prints
+one well-formed digest line per workload and seed, the same each run, and
+writes nothing under verdictbench/."""
 
 import importlib.util
 import os
@@ -9,8 +10,6 @@ import random
 import re
 import subprocess
 import sys
-
-import genpos
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "benchmarks", "bench_kernels.py")
@@ -80,9 +79,9 @@ def test_verdict_digest_repeats_itself_and_writes_nothing():
 
 
 def run_script(*args, check=True, script=SCRIPT):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(genpos.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # as from a checkout, with no PYTHONPATH: each script finds the sources
+    # it runs on by itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, script, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     if check:

@@ -5,7 +5,7 @@ general-position and independence complexes, the nerve and completions,
 the uniformity complex among them."""
 
 import time
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +49,6 @@ from conftest import (
     oracle_is_q_star,
     oracle_is_uniform,
     oracle_neighborhood_faces,
-    oracle_q_extenders,
     oracle_rank,
     oracle_star_faces,
     planted_points,
@@ -536,9 +535,6 @@ class TestQStar:
         res = is_q_star(K, 2)
         assert res
         assert res.violating is None
-        assert len(res.extenders) == 10
-        for Y, v in res.extenders.items():
-            assert v not in Y
 
     def test_disjoint_edges_fail_at_q_two(self):
         K = closure([(0, 1), (2, 3)], 4)
@@ -547,20 +543,6 @@ class TestQStar:
         assert not res
         # the pair {0, 1} already fails: no third vertex is joined to both
         assert res.violating == (0, 1)
-
-    def test_extender_witnesses_are_valid(self):
-        rng = rng_for("qstar-witness")
-        for _ in range(25):
-            K = random_complex(rng, 6, rng.randrange(1, 3))
-            res = is_q_star(K, 2)
-            if not res:
-                continue
-            d = K.dim
-            for Y, v in res.extenders.items():
-                ym = mask_of(Y)
-                for f in K.faces:
-                    if f & ~ym == 0 and f.bit_count() <= d:
-                        assert (f | (1 << v)) in K.faces
 
     def test_matches_oracle(self):
         rng = rng_for("qstar-oracle")
@@ -571,7 +553,7 @@ class TestQStar:
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 3), st.sampled_from((None, 2, 3)))
-    def test_violating_and_extenders_match_the_oracle(self, rng, q, cap):
+    def test_violating_and_holds_match_the_oracle(self, rng, q, cap):
         K = random_complex(rng, rng.randrange(1, 8), rng.randrange(0, 4))
         if cap is not None:
             K = skeleton(K, cap - 1)
@@ -579,11 +561,6 @@ class TestQStar:
         violating = oracle_is_q_star(K, q)
         assert res.violating == violating
         assert res.holds == (len(K.vertices()) > q and violating is None)
-        if res.holds:
-            assert res.extenders == {Y: oracle_q_extenders(K, Y)[0]
-                                     for Y in combinations(K.vertices(), q)}
-        else:
-            assert res.extenders is None
 
     def test_node_budget(self):
         # 30 isolated vertices: C(30, 8) q-sets, refused before any is tested
@@ -729,33 +706,44 @@ class TestLevelwiseEnumerator:
     def test_grows_each_face_once(self):
         # a hereditary predicate: sets with no two consecutive vertices,
         # whose extenders are the vertices neither in a face nor beside it
-        grown = []
-
-        def grow(face):
-            grown.append(face)
+        def extenders(face):
             return 0b1111111 & ~(face | face << 1 | face >> 1)
+
+        seen = []
+
+        def grow(face, prev, cur):
+            seen.append((face, dict(prev), dict(cur)))
+            return extenders(face)
 
         K = levelwise_complex(7, grow, max_card=3)
         want = _brute_faces(7, lambda vs: all(b - a > 1 for a, b in zip(vs, vs[1:])), 3)
         assert K.faces == want
         # every face below the cap is grown, once, as the mask the complex
         # stores, level by level and lexicographically within a level
+        grown = [face for face, _, _ in seen]
         assert all(type(f) is int for f in grown)
         assert grown == sorted((f for f in want if f.bit_count() < 3),
                                key=lambda f: (f.bit_count(), bits_of(f)))
+        # the enumerator keeps the extender table: each grow sees every face
+        # of the level below with its extenders, and the faces of its own
+        # level grown before it with theirs
+        for i, (face, prev, cur) in enumerate(seen):
+            size = face.bit_count()
+            assert prev == {f: extenders(f) for f in grown if f.bit_count() == size - 1}
+            assert cur == {f: extenders(f) for f in grown[:i] if f.bit_count() == size}
         _check_recorded_facets(K)
 
     def test_empty_vertex_set(self):
-        for K in (levelwise_complex(0, lambda t: 0),
-                  levelwise_complex(3, lambda t: 0b111 & ~t, max_card=0)):
+        for K in (levelwise_complex(0, lambda t, prev, cur: 0),
+                  levelwise_complex(3, lambda t, prev, cur: 0b111 & ~t, max_card=0)):
             assert K.faces == {0}
             assert K._facets == [0]
 
     def test_negative_cap_is_refused_by_every_builder(self):
         pts = [Point((0, 0)), Point((1, 0)), Point((0, 1))]
         for build in (
-            lambda cap: levelwise_complex(3, lambda t: 0b111 & ~t, max_card=cap),
-            lambda cap: levelwise_complex(0, lambda t: 0, max_card=cap),
+            lambda cap: levelwise_complex(3, lambda t, prev, cur: 0b111 & ~t, max_card=cap),
+            lambda cap: levelwise_complex(0, lambda t, prev, cur: 0, max_card=cap),
             lambda cap: general_position_complex(pts, max_card=cap),
             lambda cap: general_position_complex([], max_card=cap),
             lambda cap: matroid_independence_complex(AffineMatroid(pts), max_card=cap),
@@ -889,6 +877,23 @@ class TestLevelwiseEnumerator:
         built.clear()
         general_position_complex(pts)
         assert built == [1, 2]
+
+    def test_the_face_budget_bounds_the_index(self, monkeypatch):
+        # the j-flats are indexed only once every face of j+1 vertices is
+        # admitted: a budget that refuses the first triple of 9 points in
+        # general position stops the enumeration before the planes
+        built = []
+        build = FlatIndex.build
+
+        def spy(index, node_budget=None):
+            built.append(index.top)
+            return build(index, node_budget)
+
+        monkeypatch.setattr(FlatIndex, "build", spy)
+        pts = [Point((t, t * t, t ** 3)) for t in range(9)]
+        with pytest.raises(BudgetExceeded, match="^general-position complex exceeds 46 faces$"):
+            general_position_complex(pts, max_faces=1 + 9 + 36)
+        assert built == [1]
 
     # affine matroids build the independence complex on their own points,
     # by popcounts; an ExplicitMatroid listing the same independent sets
