@@ -24,7 +24,12 @@ parse cli.main uses, so that after the first round it times memo hits; in
 a tree without it, through build_parser().parse_args. The fallback row
 parses the same six spelled --opt=value with the memo bypassed
 (cli._parse.__wrapped__, else cli.parse_args), so argparse's own path
-stays timed.
+stays timed. The next row imports genpos and genpos.cli afresh from the
+row's own tree, every genpos module dropped first, as verdictbench/run.py
+does between passes; it times compiling the sources only where no .pyc can
+be read. The cold parse row then clears every functools cache of cli, the
+built parsers included, and parses the six argv again, as the first
+parses of a fresh process do.
 
 The complex rows build the independence and uniformity complexes of an
 affine matroid, from a fresh AffineMatroid each time: 9 points in general
@@ -235,6 +240,14 @@ def build_cases(rng):
                ["complex", "gp", "-", "--max-card=3"],
                ["counterexample", "-d=2", "-m=5"]]
     cases.append(("cli parse 6 argv fallback", lambda: [fresh(argv) for argv in spelled]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cases.append(("import genpos fresh", lambda: _import_fresh(src)))
+    # the first parses of a fresh process: every functools cache of cli
+    # cleared, the parsers' too
+    caches = [f for f in vars(cli).values()
+              if hasattr(f, "cache_clear") and f.__module__ == cli.__name__]
+    cases.append(("cli cold parse 6 argv",
+                  lambda: [f.cache_clear() for f in caches] + [parse(a) for a in argvs]))
     spatial = _gp_points(rng, 3, 9, 30)
     coplanar = [Point((x, y, x - 2 * y + 1)) for x, y in
                 (p.coords for p in _gp_points(rng, 2, 9, 30))]
@@ -397,6 +410,27 @@ def _cli_main(argv, stdin):
             return cli.main(argv)
     finally:
         sys.stdin = saved
+
+
+def _import_fresh(src):
+    """Import genpos and genpos.cli from the sources under src with every
+    genpos module dropped first, as verdictbench/run.py does between passes;
+    the modules dropped are put back after."""
+    def genpos_modules():
+        return {n: m for n, m in sys.modules.items() if n == "genpos" or n.startswith("genpos.")}
+
+    saved = genpos_modules()
+    for name in saved:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        importlib.import_module("genpos")
+        importlib.import_module("genpos.cli")
+    finally:
+        sys.path.remove(src)
+        for name in genpos_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def _family_doc(rng, d, m, size):

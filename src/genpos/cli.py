@@ -110,92 +110,102 @@ def _int_list(text):
     return out
 
 
+_COMMANDS = {  # each subcommand's help line, in the order -h lists them
+    "solve": "find a general-position representative system",
+    "check": "check a size condition on all subfamily unions",
+    "complex": "build complexes and apply operations",
+    "counterexample": "family meeting the size condition with no representative system",
+    "witness-search": "random search for a condition-satisfying family with no system",
+    "bounds": "tabulate all bounds over d and k ranges",
+}
+
+
+def _arguments(name, p):
+    """Add the arguments of subcommand name to its parser p; return p."""
+    if name == "solve":
+        p.add_argument("input", nargs="?", default="-", help="family JSON file or - for stdin")
+        p.add_argument(
+            "--method",
+            choices=("auto", "greedy", "exhaustive", "matroid"),
+            default="auto",
+            help="auto = matroid when m <= d+1, else exhaustive when its most predicate "
+            "calls (the sum over i of the product of the first i set sizes) fit the "
+            "node budget, else greedy, whose failures go to the exhaustive search "
+            "within the node budget unless its certificate already breaks Hall's "
+            "condition",
+        )
+    elif name == "check":
+        p.add_argument("input", nargs="?", default="-")
+        p.add_argument(
+            "--bound",
+            choices=("hall", "greedy", "g"),
+            default="g",
+            help="hall: |I|; greedy: the two-phase threshold; "
+            "g: the connectivity-route threshold (default)",
+        )
+        p.add_argument("--mode", choices=("all-subsets", "sampled"), default="all-subsets")
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--all-checks", action="store_true",
+                       help="include every check, with each union's exact gp_number, "
+                       "in the output")
+    elif name == "complex":
+        p.add_argument(
+            "op",
+            choices=(
+                "gp", "independence", "uniformity", "closure", "star", "neighborhood",
+                "completion", "skeleton", "induced", "join", "nerve", "betti", "qstar",
+            ),
+        )
+        p.add_argument("input", nargs="?", default="-")
+        p.add_argument("-v", "--vertex", type=int, help="vertex for star/neighborhood")
+        p.add_argument("-j", "--level", type=int, help="completion level")
+        p.add_argument("-s", "--skeleton-dim", type=int, help="skeleton dimension")
+        p.add_argument("-k", "--up-to", type=int, help="betti: top degree")
+        p.add_argument("-q", "--q", type=int, help="qstar: the q to test")
+        p.add_argument("--vertices", type=_int_list, help="induced: vertex list like 0,2,5")
+        p.add_argument("--with", dest="second", metavar="FILE", help="join: the other complex")
+        p.add_argument("--max-card", type=int, help="cap face size during construction")
+        p.add_argument("--rank", type=int, metavar="R",
+                       help="uniformity: truncate the matroid to rank R")
+    elif name == "counterexample":
+        p.add_argument("-d", type=int, required=True, help="dimension, at least 2")
+        p.add_argument("-m", type=int, required=True, help="number of sets, at least d+2")
+        p.add_argument("--seed-param", type=int, default=0)
+    elif name == "witness-search":
+        p.add_argument("-d", type=int, default=2)
+        p.add_argument("-m", type=int, default=4)
+        p.add_argument("--trials", type=int, default=500)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--coord-range", type=int, default=3,
+                       help="coordinates drawn from [-R, R]")
+        p.add_argument("--max-set-size", type=int, default=3)
+    else:
+        p.add_argument("--d", type=_int_list, default=[range(1, 4)],
+                       help="list like 1,2,3 or 1-3")
+        p.add_argument("--k", type=_int_list, default=[range(1, 6)], help="list or range")
+    p.add_argument("--human", action="store_true")
+    return p
+
+
+@functools.cache
+def _command_parser(name):
+    """The parser of subcommand name alone, built on first use: the same
+    parser as build_parser().commands[name], without building the others."""
+    return _arguments(name, _Parser(prog="genpos %s" % name))
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built on first use and shared by later calls:
-    building it costs far more than a parse."""
+    """The whole argument parser, every subcommand's included, built on
+    first use and shared by later calls. A parse of argv that names a
+    subcommand needs only that one's parser (_command_parser)."""
     top = _Parser(prog="genpos", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version="genpos %s" % __version__)
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
     top.commands = sub.choices  # each subcommand's own parser, by name
-
-    p = sub.add_parser("solve", help="find a general-position representative system")
-    p.add_argument("input", nargs="?", default="-", help="family JSON file or - for stdin")
-    p.add_argument(
-        "--method",
-        choices=("auto", "greedy", "exhaustive", "matroid"),
-        default="auto",
-        help="auto = matroid when m <= d+1, else exhaustive when its most predicate "
-        "calls (the sum over i of the product of the first i set sizes) fit the "
-        "node budget, else greedy, whose failures go to the exhaustive search "
-        "within the node budget unless its certificate already breaks Hall's "
-        "condition",
-    )
-    p.add_argument("--human", action="store_true")
-
-    p = sub.add_parser("check", help="check a size condition on all subfamily unions")
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument(
-        "--bound",
-        choices=("hall", "greedy", "g"),
-        default="g",
-        help="hall: |I|; greedy: the two-phase threshold; "
-        "g: the connectivity-route threshold (default)",
-    )
-    p.add_argument("--mode", choices=("all-subsets", "sampled"), default="all-subsets")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--all-checks", action="store_true",
-                   help="include every check, with each union's exact gp_number, in the output")
-    p.add_argument("--human", action="store_true")
-
-    p = sub.add_parser("complex", help="build complexes and apply operations")
-    p.add_argument(
-        "op",
-        choices=(
-            "gp", "independence", "uniformity", "closure", "star", "neighborhood",
-            "completion", "skeleton", "induced", "join", "nerve", "betti", "qstar",
-        ),
-    )
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("-v", "--vertex", type=int, help="vertex for star/neighborhood")
-    p.add_argument("-j", "--level", type=int, help="completion level")
-    p.add_argument("-s", "--skeleton-dim", type=int, help="skeleton dimension")
-    p.add_argument("-k", "--up-to", type=int, help="betti: top degree")
-    p.add_argument("-q", "--q", type=int, help="qstar: the q to test")
-    p.add_argument("--vertices", type=_int_list, help="induced: vertex list like 0,2,5")
-    p.add_argument("--with", dest="second", metavar="FILE", help="join: the other complex")
-    p.add_argument("--max-card", type=int, help="cap face size during construction")
-    p.add_argument("--rank", type=int, metavar="R",
-                   help="uniformity: truncate the matroid to rank R")
-    p.add_argument("--human", action="store_true")
-
-    p = sub.add_parser(
-        "counterexample",
-        help="family meeting the size condition with no representative system",
-    )
-    p.add_argument("-d", type=int, required=True, help="dimension, at least 2")
-    p.add_argument("-m", type=int, required=True, help="number of sets, at least d+2")
-    p.add_argument("--seed-param", type=int, default=0)
-    p.add_argument("--human", action="store_true")
-
-    p = sub.add_parser(
-        "witness-search",
-        help="random search for a condition-satisfying family with no system",
-    )
-    p.add_argument("-d", type=int, default=2)
-    p.add_argument("-m", type=int, default=4)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coord-range", type=int, default=3, help="coordinates drawn from [-R, R]")
-    p.add_argument("--max-set-size", type=int, default=3)
-    p.add_argument("--human", action="store_true")
-
-    p = sub.add_parser("bounds", help="tabulate all bounds over d and k ranges")
-    p.add_argument("--d", type=_int_list, default=[range(1, 4)], help="list like 1,2,3 or 1-3")
-    p.add_argument("--k", type=_int_list, default=[range(1, 6)], help="list or range")
-    p.add_argument("--human", action="store_true")
-
+    for name, line in _COMMANDS.items():
+        _arguments(name, sub.add_parser(name, help=line))
     return top
 
 
@@ -217,16 +227,16 @@ def _parse(argv):
     The parser leaves over a positional after an option (complex betti --up
     1 FILE); only then is argv parsed again, intermixed. A single
     intermixed pass would report a bad option value before a bad positional
-    (complex nope -k x). What is left over is refused by the top parser."""
-    top = build_parser()
-    sub = top.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return top.parse_args(argv)
+    (complex nope -k x). What is left over is refused by the top parser.
+    Only the parsers a parse reaches are built."""
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    sub = _command_parser(argv[0])
     args, extras = sub.parse_known_args(argv[1:])
     if extras:
         args, extras = sub.parse_known_intermixed_args(argv[1:])
     if extras:
-        top.error("unrecognized arguments: %s" % " ".join(extras))
+        build_parser().error("unrecognized arguments: %s" % " ".join(extras))
     args.command = argv[0]
     return args
 

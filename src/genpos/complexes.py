@@ -25,9 +25,9 @@ them off the same map as a table, ext.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
+from typing import NamedTuple
 
 from genpos.errors import BudgetExceeded
 from genpos.search import DEFAULT_NODE_BUDGET, colorful_face
@@ -431,8 +431,7 @@ def nerve(family, max_faces=None):
                              max_faces=max_faces, what="nerve")
 
 
-@dataclass(frozen=True)
-class QStarResult:
+class QStarResult(NamedTuple):
     """Outcome of the q-star test. ``violating`` is a q-set with no common
     extender (None when the failure is having too few vertices)."""
 

@@ -29,7 +29,6 @@ provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -128,8 +127,7 @@ def uniform_connectivity_bound(r, k):
     return (r - 1) * comb(2 * k + 2, r - 1) + 1
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(NamedTuple):
     ds: tuple
     ks: tuple
     rows: tuple
@@ -160,7 +158,6 @@ def bound_table(ds, ks):
 # families and the condition checker
 
 
-@dataclass(eq=False)
 class PointFamily:
     """A family of point multisets in one common dimension, with a memoized
     gp_number on subfamily unions (condition checks revisit the same unions).
@@ -191,29 +188,30 @@ class PointFamily:
     the index's tuples and node_budget, so a family that needs the index
     pays at most about twice its cost."""
 
-    d: int
-    sets: tuple
-    node_budget: int | None = field(default=None, repr=False)
-    _gp_cache: dict = field(default_factory=dict, repr=False)  # set mask -> gp_number
-    _gp_floors: dict = field(default_factory=dict, repr=False)  # set mask -> lower bound
-    _floors_size: int = field(default=0, repr=False)
-    _index: FlatIndex | None = field(default=None, repr=False)
-    _tuples: int = field(default=0, repr=False)  # the index's tuples()
-    _masks: list | None = field(default=None, repr=False)  # point mask of each set
-    _union_masks: dict = field(default_factory=dict, repr=False)  # set mask -> point mask
-    _witness_rows: int = field(default=0, repr=False)
+    __slots__ = ("d", "sets", "node_budget", "_gp_cache", "_gp_floors", "_floors_size",
+                 "_index", "_tuples", "_masks", "_union_masks", "_witness_rows")
 
-    def __post_init__(self):
-        sets = tuple(
-            X if isinstance(X, PointMultiset) else PointMultiset(X, d=self.d)
-            for X in self.sets
-        )
+    def __init__(self, d, sets, node_budget=None):
+        sets = tuple(X if isinstance(X, PointMultiset) else PointMultiset(X, d=d) for X in sets)
         if not sets:
             raise ValueError("a family needs at least one set")
         for X in sets:
-            if X.d != self.d:
-                raise ValueError("set dimension %d != family dimension %d" % (X.d, self.d))
-        object.__setattr__(self, "sets", sets)
+            if X.d != d:
+                raise ValueError("set dimension %d != family dimension %d" % (X.d, d))
+        self.d = d
+        self.sets = sets
+        self.node_budget = node_budget
+        self._gp_cache = {}  # set mask -> gp_number
+        self._gp_floors = {}  # set mask -> lower bound
+        self._floors_size = 0
+        self._index = None  # the shared FlatIndex, once built
+        self._tuples = 0  # the index's tuples()
+        self._masks = None  # point mask of each set
+        self._union_masks = {}  # set mask -> point mask
+        self._witness_rows = 0
+
+    def __repr__(self):
+        return "PointFamily(d=%r, sets=%r)" % (self.d, self.sets)
 
     @property
     def m(self):
@@ -369,8 +367,7 @@ class SubsetCheck(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     holds: bool
     mode: str
     checks: tuple
@@ -468,8 +465,7 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
 # solvers
 
 
-@dataclass(frozen=True)
-class SgprResult:
+class SgprResult(NamedTuple):
     """status is "found" (representatives: one (set index, point) per set,
     in general position), "not_found", or "condition_violated" (violation
     carries the witnessing subfamily)."""

@@ -1263,11 +1263,11 @@ def test_quick_read_matches_argparse(capsys, monkeypatch, argv, stdin):
 
 
 def test_direct_parse_sets_the_command_and_each_default(monkeypatch):
-    # each answering argv reaches its subparser once over two parses, and
-    # each parse hands out its own namespace
+    # each answering argv reaches its command's parser once over two
+    # parses, and each parse hands out its own namespace
     top = cli.build_parser()
     for argv, _ in ANSWERING:
-        sub = top.commands[argv[0]]
+        sub = cli._command_parser(argv[0])
         calls = []
 
         def spy(args=None, namespace=None, real=sub.parse_known_args):
@@ -1283,6 +1283,38 @@ def test_direct_parse_sets_the_command_and_each_default(monkeypatch):
         assert len(calls) == 1, argv
         assert second == top.parse_args(argv) and second.command == argv[0], argv
     assert cli.parse_args(["bounds"]).command == "bounds"
+
+
+@pytest.mark.parametrize("name", ["solve", "check", "complex", "counterexample",
+                                  "witness-search", "bounds"])
+def test_a_command_parser_helps_as_its_subparser(name):
+    # the standalone parser and build_parser's subparser come from one table
+    assert sorted(cli._COMMANDS) == sorted(cli.build_parser().commands)
+    assert (cli._command_parser(name).format_help()
+            == cli.build_parser().commands[name].format_help())
+
+
+@pytest.mark.parametrize("argv, stdin", ANSWERING, ids=argv_ids)
+def test_a_command_parse_builds_only_its_own_parser(argv, stdin):
+    for cached in (cli._parse, cli._command_parser, cli.build_parser):
+        cached.cache_clear()
+    cli.parse_args(argv)
+    assert cli.build_parser.cache_info().currsize == 0
+    assert cli._command_parser.cache_info().currsize == 1
+    cli._command_parser(argv[0])  # a hit: the one parser built is this command's
+    assert cli._command_parser.cache_info().hits == 1
+
+
+def test_leftovers_build_the_top_parser_to_refuse_them(capsys):
+    for cached in (cli._parse, cli._command_parser, cli.build_parser):
+        cached.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["bounds", "extra"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.endswith(
+        "genpos: error: unrecognized arguments: extra\n")
+    assert cli.build_parser.cache_info().currsize == 1
+    assert cli._command_parser.cache_info().currsize == 1
 
 
 def _argv_pieces(sub):
