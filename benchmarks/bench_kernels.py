@@ -85,12 +85,15 @@ grid, the 7x7 grid (89,248 grow calls) and the 3x3x3 cube (14,895), which
 time the branch-and-bound maximiser. The next row runs
 solve_matroid_intersection on a fresh family of 8 singletons on the
 moment curve in d=12, whose exchange questions ask of up to 8 points in
-a space of 12 dimensions. The last row but one runs the Hall check of the 4x4
+a space of 12 dimensions. The last row but two runs the Hall check of the 4x4
 row on the rows of the 6x6 grid, a fresh family each call: its 63 unions
 make about 3,600 calls of gp_number's grow, so the caps that each union
-takes from its sub-unions are timed at a real size. The last row
+takes from its sub-unions are timed at a real size. The next row
 runs is_q_star at q=3 on the general-position complex of 24 random points
-in d=3 capped at 4 points a face (12,951 faces): 2,024 vertex triples.
+in d=3 capped at 4 points a face (12,951 faces): 2,024 vertex triples. The
+last row runs the sampled Hall check on 12 singletons in d=1, a fresh
+family each call, with samples = 2^12 - 1: every subfamily, which a tree
+that draws them until it has them all collects one coupon at a time.
 
 Each row is the best of --repeat runs of three calls, in ms per call.
 
@@ -366,6 +369,11 @@ def build_cases(rng):
     gp24 = general_position_complex(
         [Point([spots.randint(-30, 30) for _ in range(3)]) for _ in range(24)], max_card=4)
     cases.append(("is_q_star gp d=3 24 pts q=3", lambda: is_q_star(_fresh(gp24), 3)))
+    singles = [[Point((i,))] for i in range(12)]
+    cases.append(("check sampled every subfamily m=12",
+                  lambda: check_condition(PointFamily(d=1, sets=singles), lambda k: k,
+                                          mode="sampled", samples=2**12 - 1,
+                                          rng=random.Random(SEED))))
     return cases
 
 

@@ -18,9 +18,10 @@ spread to vertex masks and repeated points counted as 0-flats, so a face's
 extenders are its parent's less the flats through its last vertex that it
 crowds. No floating point is used anywhere.
 
-A point list is *in general position* when every subset of size at most d+1
-is affinely independent; coordinate-equal entries therefore always break
-general position (a repeated point is a dependent pair).
+A point list is a PointMultiset, a list of Points or a list of coordinate
+sequences, read alike everywhere. It is *in general position* when every
+subset of size at most d+1 is affinely independent; coordinate-equal entries
+therefore always break general position (a repeated point is a dependent pair).
 """
 
 from __future__ import annotations
@@ -131,10 +132,11 @@ def _primitive(nums, dens):
 class PointMultiset:
     """Ordered finite multiset of points of one common dimension.
 
-    Duplicates are kept: multiplicity matters to the complex builders even
-    though it never helps general position. An empty multiset must be given
-    its dimension explicitly. _validated=True takes points as given: a
-    tuple of Points, each of dimension d.
+    points is a point list of any form. Duplicates are kept: multiplicity
+    matters to the complex builders even though it never helps general
+    position. An empty multiset must be given its dimension explicitly.
+    _validated=True takes points as given: a tuple of Points, each of
+    dimension d.
     """
 
     __slots__ = ("points", "d")
@@ -144,17 +146,14 @@ class PointMultiset:
             self.points = points
             self.d = d
             return
-        pts = tuple(p if isinstance(p, Point) else Point(p) for p in points)
-        if pts:
-            dims = {len(p.hom) - 1 for p in pts}
-            if len(dims) > 1:
-                raise DimensionMismatch("mixed point dimensions: %s" % sorted(dims))
-            inferred = dims.pop()
-            if d is not None and d != inferred:
-                raise DimensionMismatch("declared d=%d but points have d=%d" % (d, inferred))
-            d = inferred
+        pts, inferred = _point_list(points)
+        if not pts:
+            if d is None:
+                raise ValueError("an empty multiset needs an explicit dimension")
         elif d is None:
-            raise ValueError("an empty multiset needs an explicit dimension")
+            d = inferred
+        elif d != inferred:
+            raise DimensionMismatch("declared d=%d but points have d=%d" % (d, inferred))
         self.points = pts
         self.d = d
 
@@ -178,38 +177,30 @@ class PointMultiset:
         return "PointMultiset(d=%d, %r)" % (self.d, list(self.points))
 
 
-def _as_points(X):
+def _point_list(X):
+    """(points, d) of a point list: a PointMultiset's own tuple and d, else
+    a tuple of Points and their d (None if there are none). Mixed dimensions
+    raise DimensionMismatch."""
     if isinstance(X, PointMultiset):
-        return list(X.points)
-    return [p if isinstance(p, Point) else Point(p) for p in X]
-
-
-def _common_dim(pts, fallback=None):
+        return X.points, X.d
+    pts = tuple(p if isinstance(p, Point) else Point(p) for p in X)
     dims = {len(p.hom) - 1 for p in pts}
     if len(dims) > 1:
         raise DimensionMismatch("mixed point dimensions: %s" % sorted(dims))
-    if dims:
-        return dims.pop()
-    return fallback
+    return pts, dims.pop() if dims else None
 
 
 def affinely_independent(points):
     """True iff the points are affinely independent (exact rank test)."""
-    pts = _as_points(points)
-    if len(pts) <= 1:
-        return True
-    d = _common_dim(pts)
-    if len(pts) > d + 1:
+    pts, d = _point_list(points)
+    if len(pts) > (d or 0) + 1:  # no points: d is None, and the rank is 0
         return False
     return int_rank([p.hom for p in pts]) == len(pts)
 
 
 def in_general_position(points):
     """True iff every subset of size at most d+1 is affinely independent."""
-    pts = _as_points(points)
-    if len(pts) <= 1:
-        return True
-    _common_dim(pts)  # mixed dimensions raise
+    pts, _ = _point_list(points)  # mixed dimensions raise
     homs = []
     for p in pts:
         if not gp_extends(homs, p.hom):
@@ -271,9 +262,9 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
                              % (", ".join(map(str, bits_of(X >> n << n))), n - 1))
         union = X
     else:
-        pts = _as_points(X)
+        pts, d = _point_list(X)
         if index is None:
-            index = FlatIndex(list(dict.fromkeys(p.hom for p in pts)), _common_dim(pts, 0))
+            index = FlatIndex([p.hom for p in pts], d or 0)
         pos = index.pos
         union = 0
         for p in pts:
@@ -320,8 +311,8 @@ def gp_number(X, node_budget=None, *, cap=None, index=None):
 
 
 class FlatIndex:
-    """The flats spanned by a list of distinct points that hold too many of
-    them for general position, as bitmasks over the list: every j-flat,
+    """The flats holding too many of a list's distinct points (homs, in order
+    first seen) for general position, as bitmasks over homs: every j-flat,
     1 <= j <= top, through at least j+2 of the points, with its dimension j.
 
     A general-position set has at most j+1 points on a j-flat. A point w
@@ -363,10 +354,10 @@ class FlatIndex:
     __slots__ = ("d", "top", "homs", "pos", "flats", "through", "lines")
 
     def __init__(self, homs, d, top=None):
-        # homs: distinct primitive homogeneous vectors, last entry positive
+        # homs: primitive homogeneous vectors, last entry positive
         self.d = d
         self.top = d - 1 if top is None else top
-        self.homs = homs
+        self.homs = homs = list(dict.fromkeys(homs))
         self.pos = {h: i for i, h in enumerate(homs)}
         self.flats = None  # [(mask, j)], once built
         self.through = None
@@ -510,21 +501,20 @@ def gp_grow(vecs, rank):
     every = (1 << len(vecs)) - 1
     if rank <= 1:
         return lambda face, prev, cur: every & ~face
-    distinct = list(dict.fromkeys(vecs))
-    slot = {v: i for i, v in enumerate(distinct)}
-    slots = [slot[v] for v in vecs]
-    spread = [0] * len(distinct)  # the vertices of each distinct vector
+    index = FlatIndex(vecs, len(vecs[0]) - 1, 0)  # no flats yet: the distinct vectors
+    slots = [index.pos[v] for v in vecs]
+    spread = [0] * len(index.homs)  # the vertices of each distinct vector
     for i, s in enumerate(slots):
         spread[s] |= 1 << i
     repeats = [((m, 0),) if m & m - 1 else () for m in spread]
     through = [repeats[s] for s in slots]  # by vertex: (vertex mask, j) of the flats through it
 
     def grow(face, prev, cur):
-        nonlocal through
+        nonlocal index, through
         if not face:
             return every
         if not cur and 1 < face.bit_count() < rank:  # a level that needs deeper flats
-            index = FlatIndex(distinct, len(distinct[0]) - 1, face.bit_count() - 1)
+            index = FlatIndex(index.homs, index.d, face.bit_count() - 1)
             index.build(inf)
             wide = {}
             for flat, j in index.flats:
@@ -652,13 +642,10 @@ def extend_gp(S, T):
     general position with |T| >= extension_bound(d, |S|+1): at most d points
     of T lie on each of the C(|S|, d) hyperplanes spanned by S.
     """
-    s_pts = _as_points(S)
-    t_pts = _as_points(T)
-    d = _common_dim(s_pts + t_pts, fallback=getattr(T, "d", None))
-    if d is None:
-        return None
-    homs = [p.hom for p in s_pts]
-    for p in t_pts:
+    s_pts = list(S)
+    pts, _ = _point_list(s_pts + list(T))  # mixed dimensions raise
+    homs = [p.hom for p in pts[:len(s_pts)]]
+    for p in pts[len(s_pts):]:
         if gp_extends(homs, p.hom):
             return p
     return None

@@ -327,9 +327,8 @@ def max_uniform_size(oracle):
     if isinstance(oracle, AffineMatroid):
         if r <= 1:
             return oracle.ground_size
-        distinct = list(dict.fromkeys(oracle.homs))
-        index = FlatIndex(distinct, oracle.points.d, r - 2)
-        return gp_number((1 << len(distinct)) - 1, index=index)
+        index = FlatIndex(oracle.homs, oracle.points.d, r - 2)
+        return gp_number((1 << len(index.homs)) - 1, index=index)
     budget = DEFAULT_NODE_BUDGET
     asked = 0
 

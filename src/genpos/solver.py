@@ -39,7 +39,6 @@ from genpos.geometry import (
     FlatIndex,
     Point,
     PointMultiset,
-    _common_dim,
     extend_gp,
     gp_grow,
     gp_number,
@@ -288,8 +287,7 @@ class PointFamily:
                 lower = sub
         index = self._index
         if index is None:
-            homs = dict.fromkeys(p.hom for X in self.sets for p in X.points)
-            index = self._index = FlatIndex(list(homs), self.d)
+            index = self._index = FlatIndex([p.hom for X in self.sets for p in X.points], self.d)
             self._tuples = index.tuples()
             pos = index.pos
             self._masks = [sum({1 << pos[p.hom] for p in X.points}) for X in self.sets]
@@ -386,9 +384,10 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
 
     mode "all-subsets" enumerates all 2^m - 1 of them (m <= 20); mode
     "sampled" draws min(samples, 2^m - 1) distinct nonempty subsets (samples
-    at least 1) with the given random generator. Either count must fit
-    subset_budget (None: DEFAULT_NODE_BUDGET), which when given also becomes
-    the family's node_budget, the cap on each union's search nodes.
+    at least 1) with the given random generator; at samples >= 2^m - 1 it
+    takes every one, as all-subsets does, with no draw. Either count must
+    fit subset_budget (None: DEFAULT_NODE_BUDGET), which when given also
+    becomes the family's node_budget, the cap on each union's search nodes.
     bound is a callable k -> int. With stop_early the scan ends at the first
     violation, so a negative report carries only the checks made up to that
     point. Unions are checked in order of size, so each one's search is
@@ -409,9 +408,6 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
     budget = DEFAULT_NODE_BUDGET if subset_budget is None else subset_budget
     if mode == "all-subsets":
         _all_subsets_gate(m, budget)
-        subsets = [
-            combo for size in range(1, m + 1) for combo in combinations(range(m), size)
-        ]
     elif mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")
@@ -424,14 +420,19 @@ def check_condition(family, bound, mode="all-subsets", samples=200, rng=None,
                 "sampled mode would check %d subfamilies, over the budget of %d"
                 % (want, budget)
             )
+    else:
+        raise ValueError("unknown mode %r" % (mode,))
+    if mode == "sampled" and samples < 2**m - 1:
         seen = set()
         while len(seen) < want:
             combo = tuple(i for i in range(m) if rng.random() < 0.5)
             if combo:
                 seen.add(combo)
         subsets = sorted(seen, key=lambda c: (len(c), c))
-    else:
-        raise ValueError("unknown mode %r" % (mode,))
+    else:  # every subfamily, in the order sorting a full draw would give
+        subsets = [
+            combo for size in range(1, m + 1) for combo in combinations(range(m), size)
+        ]
     checks = []
     first_violation = None
     size = 0
@@ -641,9 +642,9 @@ def general_position_complex(X, max_card=None, max_faces=None):
     about need. At most max_faces faces (None: DEFAULT_FACE_BUDGET; past
     it BudgetExceeded is raised). Points of mixed dimensions raise
     DimensionMismatch."""
-    d = _common_dim(X, 0)  # mixed dimensions raise; no points: no level asks for flats
-    homs = [p.hom for p in X]
-    return levelwise_complex(len(homs), gp_grow(homs, d + 1), max_card, max_faces,
+    pts = PointMultiset(X, d=None if len(X) else 0)  # no points: no level asks for flats
+    homs = [p.hom for p in pts]
+    return levelwise_complex(len(homs), gp_grow(homs, pts.d + 1), max_card, max_faces,
                              "general-position complex")
 
 
@@ -652,8 +653,5 @@ def independence_complex(X, max_card=None, max_faces=None):
     the general-position complex, where r = min(gp_number(X), d+1). Also
     accepts any independence oracle in place of a point multiset. At most
     max_faces faces (None: DEFAULT_FACE_BUDGET)."""
-    oracle = X
-    if not isinstance(X, matroids.IndependenceOracle):
-        pts = X if isinstance(X, PointMultiset) else PointMultiset(X)
-        oracle = matroids.AffineMatroid(pts)
+    oracle = X if isinstance(X, matroids.IndependenceOracle) else matroids.AffineMatroid(X)
     return matroids.independence_complex(oracle, max_card=max_card, max_faces=max_faces)

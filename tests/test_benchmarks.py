@@ -21,7 +21,7 @@ def test_bench_kernels_prints_every_row():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     labels = [label for label, _ in bench.build_cases(random.Random(0))]
-    assert len(labels) == 59
+    assert len(labels) == 60
     assert labels[11:18] == [
         "FlatIndex 6x6 grid d=2", "FlatIndex 3x3x3 cube d=3", "FlatIndex 40 moment d=3",
         "FlatIndex grid rows 4x4 d=2", "FlatIndex cex d=3 m=5", "FlatIndex 40 moment top=1",
@@ -48,6 +48,7 @@ def test_bench_kernels_prints_every_row():
         "gp complex 300 pts d=3 c=2", "gp_number 6x6 grid", "gp_number 7x7 grid",
         "gp_number 3x3x3 cube", "solve matroid d=12 m=8",
         "check hall grid rows 6x6", "is_q_star gp d=3 24 pts q=3",
+        "check sampled every subfamily m=12",
     ]
 
     proc = run_script("--repeat", "1")

@@ -22,8 +22,9 @@ from genpos import (
     gp_number,
     in_general_position,
 )
-from genpos import geometry
+from genpos import geometry, solver
 from genpos.geometry import FlatIndex
+from genpos.matroids import AffineMatroid, max_uniform_size
 from conftest import (
     oracle_affinely_independent,
     oracle_gp,
@@ -376,6 +377,15 @@ class TestFlatIndex:
         assert index.crowded(0b1111111) == 0b0111111
         assert index.crowded(0b1000011) == 0
 
+    def test_repeated_vectors_are_indexed_once(self):
+        # in first-seen order, as the index of the distinct vectors
+        repeated = FlatIndex([(0, 0, 1), (1, 0, 1), (0, 0, 1), (2, 0, 1), (0, 1, 1)], 2)
+        distinct = FlatIndex([(0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1)], 2)
+        assert repeated.build() == distinct.build() == comb(4, 2)
+        for name in ("homs", "pos", "flats", "through", "lines"):
+            assert getattr(repeated, name) == getattr(distinct, name), name
+        assert repeated.flats == [(0b0111, 1)]
+
     def test_small_and_one_dimensional_indexes_are_empty(self):
         pts = [Point([i * i, i]) for i in range(5)]
         for homs, d in (([], 2), ([pts[0].hom], 2), ([pts[0].hom, pts[1].hom], 3),
@@ -454,6 +464,56 @@ class TestExtendGp:
     def test_from_empty_prefix(self):
         assert extend_gp([], [Point([9, 9])]) == Point([9, 9])
         assert extend_gp([], []) is None
+
+
+def point_list_forms(coords, d=2):
+    """The same points as a PointMultiset, a list of Points, and lists and
+    tuples of coordinates."""
+    return [PointMultiset(coords, d=d), [Point(c) for c in coords],
+            [list(c) for c in coords], [tuple(c) for c in coords]]
+
+
+class TestPointListForms:
+    """Every public function that takes a point list reads each form alike."""
+
+    READERS = {
+        "affinely_independent": affinely_independent,
+        "in_general_position": in_general_position,
+        "gp_number": gp_number,
+        "extend_gp": lambda X: extend_gp(list(X)[:2], list(X)[2:]),
+        "extend_gp whole": lambda X: extend_gp(X, X),
+        "general_position_complex": lambda X: solver.general_position_complex(X).faces,
+        "independence_complex": lambda X: solver.independence_complex(X).faces,
+        "AffineMatroid": lambda X: (AffineMatroid(X).homs, AffineMatroid(X).full_rank,
+                                    max_uniform_size(AffineMatroid(X))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @pytest.mark.parametrize("coords", [
+        [[0, 0], [1, 0], [0, 1], [1, 1]],  # a square: in general position
+        [[0, 0], [1, 0], [2, 0], [0, 1], [1, 0]],  # a line of three and a repeat
+        [[F(1, 2), 3]],
+    ])
+    def test_forms_answer_alike(self, name, coords):
+        read = self.READERS[name]
+        answers = [read(X) for X in point_list_forms(coords)]
+        assert all(a == answers[0] for a in answers[1:]), answers
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_mixed_dimensions_raise(self, name):
+        with pytest.raises(DimensionMismatch, match=r"^mixed point dimensions: \[2, 3\]$"):
+            self.READERS[name]([[0, 0], [1, 0], [1, 2, 3]])
+
+    def test_empty_lists_answer_as_before(self):
+        for X in point_list_forms([]):
+            assert gp_number(X) == 0
+            assert affinely_independent(X) and in_general_position(X)
+            assert extend_gp(X, X) is None
+            assert solver.general_position_complex(X).faces == {0}
+
+    def test_a_square_of_coordinates_is_a_full_simplex(self):
+        K = solver.general_position_complex([[0, 0], [1, 0], [0, 1], [1, 1]])
+        assert K.faces == set(range(16))
 
 
 coord = st.fractions(

@@ -271,6 +271,21 @@ class TestCheckCondition:
         assert [c.indices for c in a.checks] == [c.indices for c in b.checks]
         assert len(a.checks) == 9
 
+    @pytest.mark.parametrize("samples", [15, 5000])
+    def test_sampled_asking_for_every_subfamily_makes_no_draw(self, samples):
+        # a draw could only collect all 2^m - 1 subfamilies one at a time,
+        # and sorted they come in the all-subsets order anyway
+        class NoDraw:
+            def random(self):
+                raise AssertionError("drew a subfamily")
+
+        sets = ([[0]], [[0]], [[1]], [[2]])  # {0, 1} violates Hall
+        every = check_condition(family_of(1, *sets), bound=lambda k: k)
+        sampled = check_condition(family_of(1, *sets), bound=lambda k: k, mode="sampled",
+                                  samples=samples, rng=NoDraw())
+        assert not every.holds and len(every.checks) == 15
+        assert sampled == every._replace(mode="sampled")
+
     def test_sampled_needs_rng(self):
         fam = family_of(1, [[0]])
         with pytest.raises(ValueError):
